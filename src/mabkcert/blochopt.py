@@ -1,12 +1,17 @@
 """Multi-start maximization of MABK values over measurement Bloch vectors.
 
 Observables are parameterized by spherical angles, so every candidate is a
-unit Bloch vector by construction.  Each restart draws its starting angles
-from ``numpy.random.default_rng([seed, restart_index])`` (the documented
-counter scheme: results depend only on (n, restarts, seed)) and runs a local
-ascent with central-finite-difference gradients and Armijo backtracking.
-The absolute value in the MABK score is handled by ascending the signed
-objective and its negation separately and keeping the larger of the two.
+unit Bloch vector by construction; the pinned key observable of the honest
+search is the slot theta = phi = 0, which is sigma_z exactly.  Each restart
+draws its starting angles from ``numpy.random.default_rng([seed,
+restart_index])`` (the documented counter scheme: results depend only on (n,
+restarts, seed)) and runs a local ascent with Armijo backtracking.  Values
+come from the closed-form GHZ kernel and gradients are exact: the kernel's
+gradient with respect to each term's Bloch vectors, weighted by the term
+coefficients and chained through the angles.  There are no finite
+differences.  The absolute value in the MABK score is handled by ascending the
+signed objective and its negation separately and keeping the larger of the
+two.
 
 All restarts are advanced together as numpy batches; per-restart state is
 independent, so the batched run is identical to running restarts one by one.
@@ -19,9 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlators import MeasurementSettings, identity_free_elements
+from .correlators import (
+    MeasurementSettings,
+    ghz_expectation_batch,
+    ghz_expectation_gradient,
+)
 from .mabk import mabk_expression
-from .pauli import SIGMA_Z, BlochVector
+from .pauli import BlochVector
 
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 30
@@ -33,7 +42,6 @@ _MAX_STEP = 2.0
 class OptimizerConfig:
     restarts: int = 100
     seed: int = 20240811
-    gradient_step: float = 1e-5
     convergence_tol: float = 1e-8
     max_iterations: int = 400
 
@@ -64,7 +72,7 @@ def angles_to_bloch(theta: float, phi: float) -> BlochVector:
 
 
 class _MabkObjective:
-    """Batched signed MABK value as a function of packed angle vectors."""
+    """Batched signed MABK value and its gradient as functions of packed angles."""
 
     def __init__(self, n: int, honest: bool):
         expr = mabk_expression(n)
@@ -74,39 +82,45 @@ class _MabkObjective:
         self.coeffs = np.array([float(t.coefficient) for t in expr.terms])
         self.n_obs = 2 * n - 1 if honest else 2 * n
         self.dim = 2 * self.n_obs
-        self.axes, self.signs = identity_free_elements(n)
         self._party_index = np.arange(n)[None, :]
+        # _weights[t, i, x]: coefficient of term t where party i has input x, else 0
+        uses_input = self.inputs[..., None] == np.arange(2)
+        self._weights = uses_input * self.coeffs[:, None, None]
+
+    def _trig(self, angles: np.ndarray) -> tuple[np.ndarray, ...]:
+        """sin/cos of theta and phi for all 2n observables, pinned slot first."""
+        if self.honest:
+            pinned = np.zeros(angles.shape[:-1] + (2,))
+            angles = np.concatenate((pinned, angles), axis=-1)
+        theta = angles[..., 0::2]
+        phi = angles[..., 1::2]
+        return np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
 
     def observables(self, angles: np.ndarray) -> np.ndarray:
         """Angles (..., dim) -> Bloch tensor (..., n, 2, 3)."""
-        theta = angles[..., 0::2]
-        phi = angles[..., 1::2]
-        st = np.sin(theta)
-        bloch = np.stack(
-            (st * np.cos(phi), st * np.sin(phi), np.cos(theta)), axis=-1
-        )  # (..., n_obs, 3)
-        shape = angles.shape[:-1] + (self.n, 2, 3)
-        obs = np.empty(shape)
-        if self.honest:
-            obs[..., 0, 0, :] = (0.0, 0.0, 1.0)
-            flat = obs.reshape(angles.shape[:-1] + (2 * self.n, 3))
-            flat[..., 1:, :] = bloch
-        else:
-            obs.reshape(angles.shape[:-1] + (2 * self.n, 3))[...] = bloch
-        return obs
+        st, ct, sp, cp = self._trig(angles)
+        bloch = np.stack((st * cp, st * sp, ct), axis=-1)  # (..., 2n, 3)
+        return bloch.reshape(angles.shape[:-1] + (self.n, 2, 3))
+
+    def _term_observables(self, angles: np.ndarray) -> np.ndarray:
+        """Each term's Bloch vectors, (..., T, n, 3)."""
+        return self.observables(angles)[..., self._party_index, self.inputs, :]
 
     def value(self, angles: np.ndarray) -> np.ndarray:
         """Signed Bell value, batched over leading axes of ``angles``."""
-        obs = self.observables(angles)
-        chosen = obs[..., self._party_index, self.inputs, :]  # (..., T, n, 3)
-        factors = chosen[..., self._party_index, self.axes]  # (..., T, K, n)
-        expectations = factors.prod(axis=-1) @ self.signs  # (..., T)
-        return expectations @ self.coeffs
+        chosen = self._term_observables(angles)
+        return ghz_expectation_batch(self.n, chosen) @ self.coeffs
 
-    @property
-    def row_cost(self) -> int:
-        """Elements of the largest per-point temporary built by ``value``."""
-        return len(self.coeffs) * self.axes.shape[0] * self.n
+    def gradient(self, angles: np.ndarray) -> np.ndarray:
+        """Exact gradient of ``value`` with respect to ``angles``."""
+        per_term = ghz_expectation_gradient(self.n, self._term_observables(angles))
+        g = np.einsum("...tic,tix->...ixc", per_term, self._weights)
+        g = g.reshape(angles.shape[:-1] + (2 * self.n, 3))
+        st, ct, sp, cp = self._trig(angles)
+        grad = np.empty(angles.shape[:-1] + (4 * self.n,))
+        grad[..., 0::2] = ct * (g[..., 0] * cp + g[..., 1] * sp) - st * g[..., 2]
+        grad[..., 1::2] = st * (g[..., 1] * cp - g[..., 0] * sp)
+        return grad[..., 4 * self.n - self.dim :]
 
 
 def _initial_angles(objective: _MabkObjective, restarts: int, seed: int) -> np.ndarray:
@@ -120,43 +134,23 @@ def _initial_angles(objective: _MabkObjective, restarts: int, seed: int) -> np.n
     return angles
 
 
-def _chunked_value(
-    objective: _MabkObjective, sign: float, points: np.ndarray
-) -> np.ndarray:
-    """Evaluate the signed objective on (M, dim) rows with bounded temporaries."""
-    chunk = max(4, 4_000_000 // objective.row_cost)
-    out = np.empty(points.shape[0])
-    for lo in range(0, points.shape[0], chunk):
-        out[lo : lo + chunk] = sign * objective.value(points[lo : lo + chunk])
-    return out
-
-
 def _ascend(
     objective: _MabkObjective, sign: float, x0: np.ndarray, config: OptimizerConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched gradient ascent of ``sign * value``; returns (x, f, converged)."""
     x = x0.copy()
-    restarts, dim = x.shape
-    f = _chunked_value(objective, sign, x)
+    restarts = x.shape[0]
+    f = sign * objective.value(x)
     step = np.full(restarts, 0.5)
     done = np.zeros(restarts, dtype=bool)
     converged = np.zeros(restarts, dtype=bool)
-    h = config.gradient_step
-    eye = np.eye(dim) * h
 
     for _ in range(config.max_iterations):
         active = ~done
         if not active.any():
             break
         xa = x[active]
-        na = xa.shape[0]
-        # central differences: rows ordered (point, coordinate, +/-)
-        probes = np.repeat(xa, 2 * dim, axis=0).reshape(na, dim, 2, dim)
-        probes[:, :, 0, :] += eye[None, :, :]
-        probes[:, :, 1, :] -= eye[None, :, :]
-        fvals = _chunked_value(objective, sign, probes.reshape(-1, dim))
-        fvals = fvals.reshape(na, dim, 2)
-        grad = (fvals[:, :, 0] - fvals[:, :, 1]) / (2.0 * h)
+        grad = sign * objective.gradient(xa)
 
         gnorm = np.abs(grad).max(axis=1)
         newly_conv = gnorm < config.convergence_tol
@@ -181,7 +175,7 @@ def _ascend(
             if not trying.any():
                 break
             cand = xl[trying] + tl[trying, None] * gl[trying]
-            fc = _chunked_value(objective, sign, cand)
+            fc = sign * objective.value(cand)
             ok = fc >= fl[trying] + _ARMIJO_C1 * tl[trying] * gsq[trying]
             sel = np.flatnonzero(trying)[ok]
             if sel.size:
@@ -201,7 +195,7 @@ def _ascend(
 
 
 def _settings_from_angles(
-    objective: _MabkObjective, angles: np.ndarray, honest: bool
+    objective: _MabkObjective, angles: np.ndarray
 ) -> MeasurementSettings:
     obs = objective.observables(angles)
 
@@ -210,9 +204,9 @@ def _settings_from_angles(
         return BlochVector(float(v[0]), float(v[1]), float(v[2]))
 
     n = objective.n
-    alice = (SIGMA_Z if honest else bloch(0, 0), bloch(0, 1))
+    alice = (bloch(0, 0), bloch(0, 1))
     bobs = tuple((bloch(i, 0), bloch(i, 1)) for i in range(1, n))
-    return MeasurementSettings(alice, bobs, honest=honest)
+    return MeasurementSettings(alice, bobs, honest=objective.honest)
 
 
 def _maximize(n: int, honest: bool, config: OptimizerConfig | None) -> OptimizationResult:
@@ -233,7 +227,7 @@ def _maximize(n: int, honest: bool, config: OptimizerConfig | None) -> Optimizat
     best_angles = x_plus[best] if plus_wins[best] else x_minus[best]
     return OptimizationResult(
         best_value=float(values[best]),
-        best_settings=_settings_from_angles(objective, best_angles, honest),
+        best_settings=_settings_from_angles(objective, best_angles),
         per_restart_values=tuple(float(v) for v in values),
         converged_count=int(winner_converged.sum()),
     )

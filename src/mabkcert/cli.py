@@ -24,10 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blochopt, correlators, mabk, npa
-from .pauli import SIGMA_Z, BlochVector
+from .pauli import SIGMA_Z, BlochVector, random_bloch
 from .sdp import SdpSolverError
 
 SEED_DEFAULT = 20240811
+# Largest --n for mabk-show, theorem1 and optimize: the expression has
+# 2^(2*floor(n/2)) terms, so the work grows fourfold with every two parties.
+MAX_PARTIES = 10
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
@@ -113,12 +116,6 @@ def render(report: RunReport, fmt: str) -> str:
     return _render_text(report)
 
 
-def _random_bloch(rng: np.random.Generator) -> BlochVector:
-    v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    return BlochVector(float(v[0]), float(v[1]), float(v[2]))
-
-
 def cmd_mabk_show(n: int) -> RunReport:
     t0 = time.perf_counter()
     expr = mabk.mabk_expression(n)
@@ -171,7 +168,7 @@ def cmd_theorem1(n: int, trials: int, seed: int) -> RunReport:
     rng = np.random.default_rng(seed)
     max_residual = 0.0
     for _ in range(trials):
-        bobs = [_random_bloch(rng) for _ in range(n - 1)]
+        bobs = [random_bloch(rng) for _ in range(n - 1)]
         value = correlators.ghz_expectation(n, [SIGMA_Z] + bobs)
         if n % 2 == 1:
             residual = abs(value)
@@ -431,18 +428,23 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
+    if args.command in ("mabk-show", "theorem1", "optimize"):
+        low = 2 if args.command == "mabk-show" else 3
+        if not low <= args.n <= MAX_PARTIES:
+            parser.error(f"--n must be in [{low}, {MAX_PARTIES}], got {args.n}")
+    if args.command == "theorem1" and args.trials < 0:
+        parser.error(f"--trials must be non-negative, got {args.trials}")
+    if args.command == "optimize" and args.restarts < 1:
+        parser.error(f"--restarts must be at least 1, got {args.restarts}")
+    if args.command == "npa" and not (math.isfinite(args.tol) and args.tol > 0):
+        parser.error(f"--tol must be positive and finite, got {args.tol}")
+
     try:
         if args.command == "mabk-show":
-            if not 2 <= args.n <= 10:
-                parser.error(f"--n must be in [2, 10], got {args.n}")
             report = cmd_mabk_show(args.n)
         elif args.command == "theorem1":
-            if args.n < 3:
-                parser.error(f"--n must be at least 3, got {args.n}")
             report = cmd_theorem1(args.n, args.trials, args.seed)
         elif args.command == "optimize":
-            if args.n < 3:
-                parser.error(f"--n must be at least 3, got {args.n}")
             report = cmd_optimize(args.n, args.restarts, args.seed, args.honest)
         elif args.command == "npa":
             report = cmd_npa(args.level, args.perfect_correlations, args.tol)

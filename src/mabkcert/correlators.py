@@ -1,16 +1,20 @@
 """Expectation values of product observables on GHZ states.
 
-The expectation of ``O_1 x ... x O_N`` (each ``O_i = b_i . sigma``) is computed
-through the stabilizer expansion: ``tr(rho O) = 2**-N * sum_S tr(O S)`` and the
-per-qubit factor ``tr(O_i S_i) = 2 * b_i[S_i]`` vanishes whenever ``S_i`` is the
-identity letter.  Only identity-free stabilizer elements therefore contribute;
-their letters and (real) signs are cached per party count as small integer
-arrays, which also powers the batched evaluation used by the optimizer.
+On the N-party GHZ state ``(|0...0> + |1...1>)/sqrt(2)`` the expectation of
+``O_1 x ... x O_N`` (each ``O_i = b_i . sigma``) has the closed form
 
-For odd N no identity-free element consists of Z letters only, which is why
-every correlator with the first observable pinned to sigma_z vanishes exactly;
-for even N the single all-Z element survives and yields the product of the
-z-components of the remaining observables.
+    Re prod_i (b_i,x + i b_i,y)  +  [N even] prod_i b_i,z,
+
+the off-diagonal ``<0...0|O|1...1>`` element plus the two diagonal ones.
+``ghz_expectation_batch`` evaluates it in O(N) per point over any leading
+batch axes, and every Bell value in the package goes through it; its gradient
+with respect to the Bloch components, ``ghz_expectation_gradient``, drives the
+optimizer.  The stabilizer expansion ``tr(rho O) = 2**-N * sum_S tr(O S)``
+(``identity_free_elements``) is kept as the oracle the tests compare against.
+
+With the first observable pinned to sigma_z its transverse factor is exactly
+zero, so for odd N every such correlator is exactly ``0.0`` and for even N it
+is exactly the product of the other parties' z-components.
 """
 
 from __future__ import annotations
@@ -81,7 +85,11 @@ class CorrelatorReport:
 
 @lru_cache(maxsize=None)
 def identity_free_elements(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Axis indices (K, n) and signs (K,) of identity-free stabilizer elements."""
+    """Axis indices (K, n) and signs (K,) of identity-free stabilizer elements.
+
+    The stabilizer-sum oracle for the closed form: the expectation equals
+    ``signs @ prod_i b_i[axes[:, i]]``.  No evaluation path uses it.
+    """
     axes = []
     signs = []
     for element in ghz_expansion(n):
@@ -98,18 +106,41 @@ def ghz_expectation(n: int, observables: Sequence[BlochVector]) -> float:
     """``< O_1 x ... x O_n >`` on the n-party GHZ state."""
     if len(observables) != n:
         raise ValueError(f"expected {n} observables, got {len(observables)}")
-    axes, signs = identity_free_elements(n)
-    comp = np.array([[b.bx, b.by, b.bz] for b in observables])  # (n, 3)
-    factors = comp[np.arange(n)[None, :], axes]  # (K, n)
-    return float(signs @ factors.prod(axis=1))
+    blochs = np.array([b.as_array() for b in observables])
+    return float(ghz_expectation_batch(n, blochs))
 
 
 def ghz_expectation_batch(n: int, blochs: np.ndarray) -> np.ndarray:
     """Batched expectation for an array of shape (..., n, 3) of Bloch vectors."""
-    axes, signs = identity_free_elements(n)
-    # gather (..., K, n): component axes[k, i] of party i for element k
-    factors = blochs[..., np.arange(n)[None, :], axes]
-    return factors.prod(axis=-1) @ signs
+    if blochs.shape[-2:] != (n, 3):
+        raise ValueError(f"expected shape (..., {n}, 3), got {blochs.shape}")
+    value = np.prod(blochs[..., 0] + 1j * blochs[..., 1], axis=-1).real
+    if n % 2 == 0:
+        value = value + np.prod(blochs[..., 2], axis=-1)
+    return value
+
+
+def ghz_expectation_gradient(n: int, blochs: np.ndarray) -> np.ndarray:
+    """Gradient of ``ghz_expectation_batch``, shaped like ``blochs``.
+
+    Entry ``[..., i, :]`` is the derivative in party i's Bloch vector: the
+    product of the other parties' factors, in each of the two products.
+    """
+    others = _products_of_others(blochs[..., 0] + 1j * blochs[..., 1])
+    grad = np.zeros(blochs.shape)
+    grad[..., 0] = others.real
+    grad[..., 1] = -others.imag
+    if n % 2 == 0:
+        grad[..., 2] = _products_of_others(blochs[..., 2])
+    return grad
+
+
+def _products_of_others(factors: np.ndarray) -> np.ndarray:
+    """Product over the last axis of every factor but one, without division."""
+    ones = np.ones_like(factors[..., :1])
+    before = np.cumprod(np.concatenate((ones, factors[..., :-1]), axis=-1), axis=-1)
+    after = np.cumprod(np.concatenate((ones, factors[..., :0:-1]), axis=-1), axis=-1)
+    return before * after[..., ::-1]
 
 
 def honest_even_formula(n: int, bob_bloch_z: Sequence[float]) -> float:

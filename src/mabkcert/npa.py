@@ -359,7 +359,6 @@ def lower_to_sdp(
         cols=np.array(cc, dtype=np.intp),
         vals=np.ones(len(vi)),
         c=c,
-        equalities=(),
     )
     return problem, var_of, const
 
@@ -409,7 +408,7 @@ def npa_upper_bound(
     problem, _, const = lower_to_sdp(reduced, objective)
     solution = solve(problem, tol=tol, max_iter=max_iter)
     verified = verify_certificate(problem, solution)
-    certified = certified_upper_bound(problem, solution) + 0.0
+    certified = certified_upper_bound(problem, solution)
     return NpaResult(
         bound=solution.bound + const,
         certified_bound=certified + const,

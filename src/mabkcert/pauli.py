@@ -185,6 +185,13 @@ class BlochVector:
         return BlochVector(-self.bx, -self.by, -self.bz)
 
 
+def random_bloch(rng: np.random.Generator) -> BlochVector:
+    """Uniformly random unit Bloch vector (a normalized Gaussian 3-vector)."""
+    v = rng.normal(size=3)
+    v /= np.linalg.norm(v)
+    return BlochVector(float(v[0]), float(v[1]), float(v[2]))
+
+
 SIGMA_X = BlochVector(1.0, 0.0, 0.0)
 SIGMA_Y = BlochVector(0.0, 1.0, 0.0)
 SIGMA_Z = BlochVector(0.0, 0.0, 1.0)

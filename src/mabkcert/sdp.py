@@ -1,6 +1,6 @@
 """Small deterministic primal-dual interior-point solver for LMI problems.
 
-Problem form (after presolve):
+Problem form:
 
     maximize    c . y
     subject to  M(y) = F0 + sum_i y_i F_i  is positive semidefinite
@@ -15,9 +15,9 @@ HKM primal-dual iteration: the barrier parameter is reduced geometrically
 (factor 0.3), each step solves the Schur system ``H dy = mu * <F_i, S^-1> + c``
 with ``H_ij = <F_i, sym(S^-1 F_j Z)>``, and step lengths are chosen by the
 fraction-to-boundary rule (0.98) with positive-definiteness checked through
-symmetric (Cholesky-based) factorizations.  Equality constraints, given as
-per-variable pins ``y_i = f_i``, are eliminated by substitution into ``F0``
-before the iteration starts.
+symmetric (Cholesky-based) factorizations.  Every ``y_i`` is free: a moment
+with a fixed value is not a variable, and callers fold it into ``F0``
+themselves, as ``npa.lower_to_sdp`` does for the perfect-correlation pins.
 
 Everything is dense and deterministic: fixed elimination order, no randomized
 pivoting, so identical inputs produce bit-identical iteration traces.
@@ -50,9 +50,7 @@ class SdpProblem:
 
     The basis matrices are stored as one flat symmetric COO list
     (``var_index, rows, cols, vals``) containing both triangles of every
-    off-diagonal entry.  ``equalities`` lists per-variable pins ``y_i = f_i``
-    (the rows of an ``E y = f`` system with unit rows), which are eliminated
-    by substitution before solving.
+    off-diagonal entry.
     """
 
     dimension: int
@@ -63,15 +61,10 @@ class SdpProblem:
     cols: np.ndarray
     vals: np.ndarray
     c: np.ndarray
-    equalities: tuple[tuple[int, float], ...] = ()
 
     @classmethod
     def from_dense(
-        cls,
-        f0: np.ndarray,
-        mats: list[np.ndarray],
-        c: np.ndarray,
-        equalities: tuple[tuple[int, float], ...] = (),
+        cls, f0: np.ndarray, mats: list[np.ndarray], c: np.ndarray
     ) -> "SdpProblem":
         d = f0.shape[0]
         vi, rr, cc, vv = [], [], [], []
@@ -92,7 +85,6 @@ class SdpProblem:
             cols=np.array(cc, dtype=np.intp),
             vals=np.array(vv, dtype=float),
             c=np.array(c, dtype=float),
-            equalities=tuple(equalities),
         )
 
     def basis_matrix(self, i: int) -> np.ndarray:
@@ -110,7 +102,6 @@ class SdpSolution:
     primal_objective: float
     bound: float
     dual_matrix: np.ndarray
-    equality_multipliers: dict[int, float]
     duality_gap: float
     iterations: int
     status: str
@@ -120,16 +111,12 @@ class SdpSolution:
 class _Operator:
     """Vectorized apply/adjoint for the flat COO basis."""
 
-    def __init__(self, problem: SdpProblem, keep: np.ndarray):
-        # keep: boolean mask of surviving (non-pinned) variables
+    def __init__(self, problem: SdpProblem):
         self.d = problem.dimension
-        old_to_new = -np.ones(problem.n_vars, dtype=np.intp)
-        old_to_new[keep] = np.arange(int(keep.sum()))
-        sel = keep[problem.var_index]
-        self.var = old_to_new[problem.var_index[sel]]
-        self.flat = problem.rows[sel] * self.d + problem.cols[sel]
-        self.vals = problem.vals[sel]
-        self.m = int(keep.sum())
+        self.var = problem.var_index
+        self.flat = problem.rows * self.d + problem.cols
+        self.vals = problem.vals
+        self.m = problem.n_vars
 
     def mat(self, y: np.ndarray, base: np.ndarray) -> np.ndarray:
         out = base.copy().ravel()
@@ -165,29 +152,11 @@ def _max_step(x_chol: np.ndarray, delta: np.ndarray) -> float:
     return -1.0 / lam_min
 
 
-def presolve(problem: SdpProblem) -> tuple[np.ndarray, np.ndarray, float]:
-    """Substitute pinned variables into F0; returns (keep mask, F0', objective const)."""
-    keep = np.ones(problem.n_vars, dtype=bool)
-    f0 = problem.f0.copy()
-    const = 0.0
-    for i, value in problem.equalities:
-        if not keep[i]:
-            raise ValueError(f"variable {i} pinned twice")
-        keep[i] = False
-        sel = problem.var_index == i
-        np.add.at(
-            f0, (problem.rows[sel], problem.cols[sel]), problem.vals[sel] * value
-        )
-        const += problem.c[i] * value
-    return keep, f0, const
-
-
 def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSolution:
     """Run the interior-point iteration until gap and residuals drop below tol."""
-    keep, f0, obj_const = presolve(problem)
-    op = _Operator(problem, keep)
+    op = _Operator(problem)
     d, m = op.d, op.m
-    c = problem.c[keep]
+    f0, c = problem.f0, problem.c
 
     y = np.zeros(m)
     s = op.mat(y, f0)
@@ -281,25 +250,13 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
             {"iterations": max_iter, "trace": tuple(trace)},
         )
 
-    full_y = np.zeros(problem.n_vars)
-    full_y[keep] = y
-    multipliers: dict[int, float] = {}
-    for i, value in problem.equalities:
-        full_y[i] = value
-        sel = problem.var_index == i
-        fi_dot_z = float(
-            np.sum(problem.vals[sel] * z[problem.rows[sel], problem.cols[sel]])
-        )
-        multipliers[i] = problem.c[i] + fi_dot_z
-
-    primal = float(c @ y) + obj_const
-    bound = float(np.tensordot(f0, z)) + obj_const
+    primal = float(c @ y)
+    bound = float(np.tensordot(f0, z))
     return SdpSolution(
-        y=full_y,
+        y=y,
         primal_objective=primal,
         bound=bound,
         dual_matrix=z,
-        equality_multipliers=multipliers,
         duality_gap=bound - primal,
         iterations=it,
         status=status,
@@ -321,13 +278,11 @@ def verify_certificate(problem: SdpProblem, solution: SdpSolution) -> bool:
     if lam_min < CERT_EIG_FLOOR:
         return False
 
-    keep, f0, obj_const = presolve(problem)
-    op = _Operator(problem, keep)
-    residual = problem.c[keep] + op.adjoint(z)
+    residual = problem.c + _Operator(problem).adjoint(z)
     if residual.size and float(np.abs(residual).max()) >= CERT_STATIONARITY_TOL:
         return False
 
-    recomputed = float(np.tensordot(f0, z)) + obj_const
+    recomputed = float(np.tensordot(problem.f0, z))
     return abs(recomputed - solution.bound) <= 1e-9 * (1.0 + abs(solution.bound))
 
 
@@ -339,11 +294,9 @@ def certified_upper_bound(problem: SdpProblem, solution: SdpSolution) -> float:
     value, and a negative dual eigenvalue ``-e`` can be lifted by ``e * I``
     at a price of ``e * tr-part of F0``.
     """
-    keep, f0, obj_const = presolve(problem)
-    op = _Operator(problem, keep)
     z = solution.dual_matrix
-    residual = problem.c[keep] + op.adjoint(z)
+    residual = problem.c + _Operator(problem).adjoint(z)
     lam_min = float(eigvalsh(0.5 * (z + z.T))[0])
-    lift = max(0.0, -lam_min) * float(np.trace(f0))
+    lift = max(0.0, -lam_min) * float(np.trace(problem.f0))
     slack = float(np.abs(residual).sum()) if residual.size else 0.0
-    return float(np.tensordot(f0, z)) + obj_const + slack + lift
+    return float(np.tensordot(problem.f0, z)) + slack + lift

@@ -20,9 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import PauliLetter, PauliString, dense_matrix, string_mul
-
-DENSE_QUBIT_LIMIT = 12
+from .pauli import DENSE_QUBIT_LIMIT, PauliLetter, PauliString, dense_matrix, string_mul
 
 
 def ghz_generators(n: int) -> list[PauliString]:
@@ -101,7 +99,3 @@ def expansion_sum_dense(n: int) -> np.ndarray:
     """``2**-N`` times the sum of all expansion elements (must equal ghz_dense)."""
     total = sum(dense_matrix(s) for s in _cached_expansion(n))
     return total / 2**n
-
-
-def expansion_contains(n: int, p: PauliString) -> bool:
-    return p in set(_cached_expansion(n))

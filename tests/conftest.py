@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from mabkcert.pauli import BlochVector
-
-
-def random_bloch(rng: np.random.Generator) -> BlochVector:
-    v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    return BlochVector(float(v[0]), float(v[1]), float(v[2]))
+# random_bloch is imported from here by the test modules
+from mabkcert.pauli import BlochVector, random_bloch  # noqa: F401
 
 
 def bloch_with_z(z: float, rng: np.random.Generator) -> BlochVector:

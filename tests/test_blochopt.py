@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from mabkcert.blochopt import (
     OptimizerConfig,
+    _MabkObjective,
     angles_to_bloch,
     default_config,
     maximize_honest_mabk,
@@ -33,6 +35,21 @@ def test_config_validation():
         OptimizerConfig(convergence_tol=0.0)
     assert default_config(4).restarts == 100
     assert default_config(7).restarts == 30
+
+
+@pytest.mark.parametrize("honest", [True, False])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_exact_gradient_matches_central_differences(n, honest):
+    # angles range over [-2pi, 2pi] because the ascent leaves [0, pi]: a
+    # gradient that assumed sin(theta) >= 0 would pass on [0, pi] only
+    objective = _MabkObjective(n, honest)
+    rng = np.random.default_rng([n, honest])
+    angles = rng.uniform(-2 * np.pi, 2 * np.pi, size=(6, objective.dim))
+    h = 1e-6
+    probes = angles[:, None, :] + h * np.eye(objective.dim)
+    back = angles[:, None, :] - h * np.eye(objective.dim)
+    numeric = (objective.value(probes) - objective.value(back)) / (2 * h)
+    assert np.abs(objective.gradient(angles) - numeric).max() < 1e-8
 
 
 def test_deterministic_given_seed():

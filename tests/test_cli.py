@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mabkcert import cli
 from mabkcert.sdp import SdpSolverError
@@ -37,6 +38,33 @@ def test_mabk_show_json_schema(capsys):
 def test_mabk_show_rejects_out_of_range_n(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["mabk-show", "--n", "11"])
+    assert exc.value.code == cli.EXIT_USAGE
+
+
+def _out_of_range_n(command):
+    low = 2 if command == "mabk-show" else 3
+    n = st.one_of(
+        st.integers(max_value=low - 1), st.integers(min_value=cli.MAX_PARTIES + 1)
+    )
+    return n.map(lambda v: [command, f"--n={v}"])
+
+
+# only inputs that parse but must be refused before any work starts
+INVALID_ARGV = st.one_of(
+    st.sampled_from(["mabk-show", "theorem1", "optimize"]).flatmap(_out_of_range_n),
+    st.integers(max_value=0).map(lambda r: ["optimize", "--n=3", f"--restarts={r}"]),
+    st.integers(max_value=-1).map(lambda t: ["theorem1", "--n=3", f"--trials={t}"]),
+    st.one_of(
+        st.floats(max_value=0.0), st.sampled_from([float("inf"), float("nan")])
+    ).map(lambda tol: ["npa", "--level=2", f"--tol={tol!r}"]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(INVALID_ARGV)
+def test_invalid_inputs_exit_with_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
     assert exc.value.code == cli.EXIT_USAGE
 
 

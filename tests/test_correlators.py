@@ -13,6 +13,7 @@ from mabkcert.correlators import (
     ghz_expectation_batch,
     gme_bound,
     honest_even_formula,
+    identity_free_elements,
     mabk_value,
     theorem1_bound,
 )
@@ -66,7 +67,7 @@ def test_even_product_formula(rng):
             bobs = [random_bloch(rng) for _ in range(n - 1)]
             got = ghz_expectation(n, [SIGMA_Z] + bobs)
             want = honest_even_formula(n, [b.bz for b in bobs])
-            assert abs(got - want) < 1e-12
+            assert got == want
 
 
 def test_even_formula_examples(rng):
@@ -83,26 +84,36 @@ def test_even_formula_rejects_odd_n():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 6), st.integers(0, 2**31 - 1))
-def test_stabilizer_path_equals_dense_path(n, seed):
+@given(st.integers(2, 7), st.booleans(), st.integers(0, 2**31 - 1))
+def test_stabilizer_path_equals_dense_path(n, pinned, seed):
     local = np.random.default_rng(seed)
     obs = [random_bloch(local) for _ in range(n)]
+    if pinned:
+        obs[0] = SIGMA_Z
     assert abs(ghz_expectation(n, obs) - dense_expectation(n, obs)) < 1e-12
 
 
 def test_identity_skip_rule_matches_full_expansion_sum(rng):
     # full sum over all stabilizer elements, identity letters contributing
-    # a zero factor for traceless observables
-    for n in (2, 3, 4, 5):
-        obs = [random_bloch(rng) for _ in range(n)]
-        full = 0.0
-        for element in ghz_expansion(n):
-            sign = 1.0 if element.phase_power == 0 else -1.0
-            prod = sign
-            for b, letter in zip(obs, element.letters):
-                prod *= b.component(letter)
-            full += prod
-        assert abs(ghz_expectation(n, obs) - full) < 1e-12
+    # a zero factor for traceless observables; the identity-free elements
+    # alone give the same sum, and so does the closed form
+    for n in (2, 3, 4, 5, 7):
+        for pinned in (False, True):
+            obs = [random_bloch(rng) for _ in range(n)]
+            if pinned:
+                obs[0] = SIGMA_Z
+            full = 0.0
+            for element in ghz_expansion(n):
+                sign = 1.0 if element.phase_power == 0 else -1.0
+                prod = sign
+                for b, letter in zip(obs, element.letters):
+                    prod *= b.component(letter)
+                full += prod
+            axes, signs = identity_free_elements(n)
+            comp = np.array([b.as_array() for b in obs])
+            skip = signs @ comp[np.arange(n), axes].prod(axis=1)
+            assert abs(skip - full) < 1e-12
+            assert abs(ghz_expectation(n, obs) - full) < 1e-12
 
 
 def test_batch_evaluation_matches_scalar(rng):

@@ -148,22 +148,6 @@ def test_certified_bound_dominates_dual_objective():
     assert certified_upper_bound(problem, sol) == pytest.approx(sol.bound, abs=1e-6)
 
 
-def test_equality_pins_are_substituted():
-    f1 = np.zeros((3, 3))
-    f1[0, 1] = f1[1, 0] = 1.0
-    f2 = np.zeros((3, 3))
-    f2[1, 2] = f2[2, 1] = 1.0
-    problem = SdpProblem.from_dense(
-        np.eye(3), [f1, f2], np.array([1.0, 0.0]), equalities=((1, 0.5),)
-    )
-    sol = solve(problem)
-    # oracle: max y0 with [[1, y0, 0], [y0, 1, .5], [0, .5, 1]] PSD -> sqrt(3)/2
-    assert sol.y[1] == 0.5
-    assert sol.y[0] == pytest.approx(np.sqrt(0.75), abs=1e-6)
-    assert 1 in sol.equality_multipliers
-    assert verify_certificate(problem, sol)
-
-
 def test_iteration_limit_raises_with_diagnostics():
     with pytest.raises(SdpSolverError, match="iteration limit"):
         solve(toy_2x2(), max_iter=3)
