@@ -35,6 +35,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_VERDICT = 4
+# Solver trace rows printed on a numerical failure; the full trace runs to
+# one row per iteration.
+TRACE_TAIL = 3
 
 SQRT2 = math.sqrt(2.0)
 
@@ -452,8 +455,13 @@ def main(argv: list[str] | None = None) -> int:
             report = cmd_reproduce(args.seed, args.fast)
     except (SdpSolverError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        if getattr(exc, "diagnostics", None):
-            print(f"diagnostics: {exc.diagnostics}", file=sys.stderr)
+        diagnostics = dict(getattr(exc, "diagnostics", {}))
+        trace = diagnostics.pop("trace", None)
+        if trace is not None:
+            diagnostics["trace_rows"] = len(trace)
+            diagnostics["trace_tail"] = trace[-TRACE_TAIL:]
+        if diagnostics:
+            print(f"diagnostics: {diagnostics}", file=sys.stderr)
         return EXIT_NUMERICAL
 
     if args.verbose:

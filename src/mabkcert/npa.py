@@ -1,7 +1,25 @@
 """Moment-matrix relaxation for party-local dichotomic observables.
 
-The scenario fixes per-party input counts (default: the first party has two
-inputs, every other party three, the third input being the key setting).
+The full scenario gives the first party two inputs and every other party
+three, the third input being the key setting (``default_scenario``).
+``npa_upper_bound`` keeps only the letters that occur in the objective or in a
+pin: each party's input count is one more than its largest such input.  The
+unpinned problems thereby drop every key input; the pinned ones use all
+letters.  Pruning leaves the bound unchanged:
+
+- The pruned basis is a subset of the full one, so the pruned moment matrix
+  is a principal submatrix of the full one and every feasible full matrix
+  restricts to a feasible pruned one: bound(full) <= bound(pruned).
+- Setting an unused dichotomic letter to the identity respects its square
+  being the identity and its commuting with other parties' letters, so it is
+  a homomorphism of the word algebra; it therefore commutes with
+  canonicalization and with reversal, and maps every full basis monomial to
+  a pruned one.  With ``V[phi(u), u] = 1`` for that map ``phi``, any feasible
+  pruned ``M`` gives ``V^T M V`` on the full basis, which is PSD, is a moment
+  matrix of the full structure, keeps every pin, and has the same objective,
+  since the objective and pins contain no dropped letter: bound(full) >=
+  bound(pruned).
+
 Letters are Hermitian dichotomic operator symbols; words canonicalize by
 stable-sorting letters by party (different parties commute) and cancelling
 adjacent equal letters (squares are the identity).  The moment matrix over a
@@ -186,17 +204,21 @@ class CorrelationConstraint:
         return len(self.pinned)
 
 
+def _key_letters(n_parties: int) -> list[OperatorLetter]:
+    """Each party's key observable: input 0 of the first, KEY_INPUT of the rest."""
+    return [OperatorLetter(0, 0)] + [
+        OperatorLetter(party, KEY_INPUT) for party in range(1, n_parties)
+    ]
+
+
 def encode_perfect_correlation(
     structure: MomentMatrixStructure, n_parties: int = 3
 ) -> CorrelationConstraint:
     """Pairwise key-setting correlators pinned to one (see module docstring)."""
-    key_letters = [OperatorLetter(0, 0)] + [
-        OperatorLetter(party, KEY_INPUT) for party in range(1, n_parties)
-    ]
     lookup = {rep: k for k, rep in enumerate(structure.class_representatives)}
     pinned: dict[int, float] = {}
     words: list[Word] = []
-    for a, b in itertools.combinations(key_letters, 2):
+    for a, b in itertools.combinations(_key_letters(n_parties), 2):
         _, w = canonicalize((a, b))
         key = _class_key(w)
         if key not in lookup:
@@ -395,10 +417,21 @@ def npa_upper_bound(
     """
     if level < 2:
         raise ValueError("hierarchy level must be at least 2 for the objective")
-    scenario = default_scenario(n_parties)
+    expr = mabk_expression(n_parties)
+    letters = {
+        OperatorLetter(party, inp)
+        for term in expr.terms
+        for party, inp in enumerate(term.inputs)
+    }
+    if with_constraint:
+        letters.update(_key_letters(n_parties))
+    scenario = tuple(
+        1 + max(letter.input for letter in letters if letter.party == party)
+        for party in range(n_parties)
+    )
     monomials = generate_monomials(scenario, level)
     structure = build_moment_structure(monomials)
-    objective = encode_objective(mabk_expression(n_parties), structure)
+    objective = encode_objective(expr, structure)
 
     pinned: dict[int, float] = {structure.identity_class: 1.0}
     if with_constraint:

@@ -19,8 +19,12 @@ symmetric (Cholesky-based) factorizations.  Every ``y_i`` is free: a moment
 with a fixed value is not a variable, and callers fold it into ``F0``
 themselves, as ``npa.lower_to_sdp`` does for the perfect-correlation pins.
 
-Everything is dense and deterministic: fixed elimination order, no randomized
-pivoting, so identical inputs produce bit-identical iteration traces.
+The iterates are dense; the basis is one sparse matrix ``P`` whose row ``i``
+is ``F_i`` flattened, so the adjoint ``<F_i, Z>`` is ``P @ vec(Z)`` and each
+Schur column is one sparse product with a dense ``W F_j Z`` (the column-wise
+sparse evaluation of Fujisawa, Kojima & Nakata 1997).  Everything is
+deterministic: fixed elimination order, no randomized pivoting, so identical
+inputs produce bit-identical iteration traces.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, eigvalsh, solve_triangular
+from scipy.sparse import csr_matrix
 
 MU_REDUCTION = 0.3
 FRACTION_TO_BOUNDARY = 0.98
@@ -109,36 +114,34 @@ class SdpSolution:
 
 
 class _Operator:
-    """Vectorized apply/adjoint for the flat COO basis."""
+    """The basis as one sparse matrix ``P`` of shape (m, d*d).
+
+    Row ``i`` of ``P`` is ``F_i`` flattened, so ``P @ vec(Z)`` is the adjoint
+    ``<F_i, Z>`` and ``P.T @ y`` is ``vec(sum y_i F_i)``.
+    """
 
     def __init__(self, problem: SdpProblem):
         self.d = problem.dimension
-        self.var = problem.var_index
-        self.flat = problem.rows * self.d + problem.cols
-        self.vals = problem.vals
         self.m = problem.n_vars
+        self.p = csr_matrix(
+            (problem.vals, (problem.var_index, problem.rows * self.d + problem.cols)),
+            shape=(self.m, self.d * self.d),
+        )
+        self.p.eliminate_zeros()
 
     def mat(self, y: np.ndarray, base: np.ndarray) -> np.ndarray:
-        out = base.copy().ravel()
-        np.add.at(out, self.flat, self.vals * y[self.var])
-        return out.reshape(self.d, self.d)
+        return base + (self.p.T @ y).reshape(self.d, self.d)
 
     def adjoint(self, z: np.ndarray) -> np.ndarray:
-        return np.bincount(
-            self.var, weights=z.ravel()[self.flat] * self.vals, minlength=self.m
-        )
+        return self.p @ z.ravel()
 
     def columns(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        order = np.argsort(self.var, kind="stable")
-        var_s = self.var[order]
-        flat_s = self.flat[order]
-        vals_s = self.vals[order]
-        bounds = np.searchsorted(var_s, np.arange(self.m + 1))
+        """Per basis matrix: its entry rows, entry columns and values."""
+        ptr, flat, vals = self.p.indptr, self.p.indices, self.p.data
         cols = []
         for j in range(self.m):
-            lo, hi = bounds[j], bounds[j + 1]
-            f = flat_s[lo:hi]
-            cols.append((f // self.d, f % self.d, vals_s[lo:hi]))
+            r, c = np.divmod(flat[ptr[j] : ptr[j + 1]], self.d)
+            cols.append((r, c, vals[ptr[j] : ptr[j + 1]]))
         return cols
 
 
@@ -212,11 +215,11 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
 
         mu_target = MU_REDUCTION * mu
 
-        # Schur matrix H_ij = <F_i, sym(W F_j Z)>, assembled column by column
+        # Schur matrix H_ij = <F_i, sym(W F_j Z)> = <F_i, W F_j Z>, as every F_i
+        # is symmetric; assembled column by column
         h = np.empty((m, m))
         for j, (rj, cj, vj) in enumerate(columns):
-            yj = (w[:, rj] * vj) @ z[cj, :]
-            h[:, j] = op.adjoint(0.5 * (yj + yj.T))
+            h[:, j] = op.adjoint((w[:, rj] * vj) @ z[cj, :])
         h = 0.5 * (h + h.T)
         ridge = 1e-14 * max(1.0, float(h.diagonal().max()))
         h[np.diag_indices_from(h)] += ridge
@@ -286,16 +289,51 @@ def verify_certificate(problem: SdpProblem, solution: SdpSolution) -> bool:
     return abs(recomputed - solution.bound) <= 1e-9 * (1.0 + abs(solution.bound))
 
 
+def _check_certifiable(problem: SdpProblem, p: csr_matrix) -> None:
+    """Refuse problems for which ``certified_upper_bound`` would be unsound.
+
+    The bound needs ``tr F_i = 0`` (so lifting ``Z`` by ``e * I`` leaves the
+    stationarity residuals unchanged) and ``|y_i| <= 1`` on the feasible set.
+    The latter holds when ``F0`` has a unit diagonal, no ``F_i`` touches the
+    diagonal, and each ``F_i`` has an entry ``|v| >= 1`` that neither ``F0``
+    nor any other ``F_k`` shares: the 2x2 principal minor through that entry,
+    ``[[1, v y_i], [v y_i, 1]]``, is PSD only if ``|v y_i| <= 1``.
+    """
+    d = problem.dimension
+    if not np.array_equal(np.diag(problem.f0), np.ones(d)):
+        raise ValueError("certified bound needs F0 with a unit diagonal")
+    entries = p.tocoo()
+    rows, cols = np.divmod(entries.col, d)
+    if np.any(rows == cols):
+        raise ValueError("certified bound needs basis matrices with a zero diagonal")
+    sharers = p.getnnz(axis=0)[entries.col]
+    anchors = (
+        (sharers == 1)
+        & (problem.f0.ravel()[entries.col] == 0.0)
+        & (np.abs(entries.data) >= 1.0)
+    )
+    anchored = np.zeros(problem.n_vars, dtype=bool)
+    anchored[entries.row[anchors]] = True
+    if not anchored.all():
+        raise ValueError(
+            f"certified bound needs |y_i| <= 1, not implied for variables"
+            f" {np.flatnonzero(~anchored).tolist()}"
+        )
+
+
 def certified_upper_bound(problem: SdpProblem, solution: SdpSolution) -> float:
-    """Bound valid even with tiny dual residuals, assuming ``|y*| <= 1``.
+    """Bound valid even with tiny dual residuals; refuses problems it cannot bound.
 
     For moment problems every variable is a correlator of dichotomic words, so
     ``|y_i| <= 1``; each stationarity residual then costs at most its absolute
     value, and a negative dual eigenvalue ``-e`` can be lifted by ``e * I``
-    at a price of ``e * tr-part of F0``.
+    at a price of ``e * tr F0``.  ``_check_certifiable`` raises ``ValueError``
+    unless the problem's structure implies both assumptions.
     """
+    op = _Operator(problem)
+    _check_certifiable(problem, op.p)
     z = solution.dual_matrix
-    residual = problem.c + _Operator(problem).adjoint(z)
+    residual = problem.c + op.adjoint(z)
     lam_min = float(eigvalsh(0.5 * (z + z.T))[0])
     lift = max(0.0, -lam_min) * float(np.trace(problem.f0))
     slack = float(np.abs(residual).sum()) if residual.size else 0.0

@@ -179,6 +179,20 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
     assert "detail" in err
 
 
+def test_numerical_failure_prints_only_the_trace_tail(capsys, monkeypatch):
+    rows = tuple((float(i),) * 7 for i in range(34))
+
+    def boom(*args, **kwargs):
+        raise SdpSolverError("synthetic breakdown", {"iteration": 34, "trace": rows})
+
+    monkeypatch.setattr(cli.npa, "npa_upper_bound", boom)
+    code, _, err = run(capsys, "npa", "--level", "2")
+    assert code == cli.EXIT_NUMERICAL
+    assert "'iteration': 34" in err and "'trace_rows': 34" in err
+    assert err.count("(3") == 3  # rows 31, 32 and 33 start with their index
+    assert "(30.0" not in err and "(0.0" not in err
+
+
 def test_verbose_goes_to_stderr(capsys):
     code, out, err = run(
         capsys, "mabk-show", "--n", "3", "--format", "json", "-vv"

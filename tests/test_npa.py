@@ -24,7 +24,7 @@ from mabkcert.npa import (
     reduce_structure,
 )
 from mabkcert.pauli import SIGMA_Z, BlochVector
-from mabkcert.sdp import solve
+from mabkcert.sdp import solve, verify_certificate
 from mabkcert.stabilizer import ghz_dense
 
 A0 = OperatorLetter(0, 0)
@@ -294,6 +294,23 @@ def test_level2_bounds():
     assert constrained.bound == pytest.approx(math.sqrt(2.0), abs=1e-5)
     assert unconstrained.verified and constrained.verified
     assert constrained.reduced_size < constrained.basis_size
+    assert constrained.basis_size == 44  # the pins use every letter
+    assert unconstrained.basis_size == 25  # the key inputs are pruned
+
+
+@pytest.mark.parametrize("n_parties", [3, 4])
+def test_pruning_unused_letters_keeps_the_bound(n_parties):
+    structure = build_moment_structure(
+        generate_monomials(default_scenario(n_parties), 2)
+    )
+    objective = encode_objective(mabk_expression(n_parties), structure)
+    reduced = reduce_structure(structure, {structure.identity_class: 1.0})
+    problem, _, const = lower_to_sdp(reduced, objective)
+    full = solve(problem)
+    pruned = npa_upper_bound(2, with_constraint=False, n_parties=n_parties)
+    assert pruned.basis_size < structure.dimension
+    assert full.bound + const == pytest.approx(pruned.bound, abs=1e-8)
+    assert verify_certificate(problem, full) and pruned.verified
 
 
 def test_max_equals_minus_min():

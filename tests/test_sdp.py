@@ -6,6 +6,7 @@ import pytest
 from mabkcert.sdp import (
     SdpProblem,
     SdpSolverError,
+    _Operator,
     certified_upper_bound,
     solve,
     verify_certificate,
@@ -146,6 +147,59 @@ def test_certified_bound_dominates_dual_objective():
     sol = solve(problem)
     assert certified_upper_bound(problem, sol) >= sol.bound - 1e-12
     assert certified_upper_bound(problem, sol) == pytest.approx(sol.bound, abs=1e-6)
+
+
+def _offdiag(d, entries):
+    m = np.zeros((d, d))
+    for (a, b), v in entries.items():
+        m[a, b] = m[b, a] = v
+    return m
+
+
+@pytest.mark.parametrize(
+    "problem, reason",
+    [
+        (toy_1x1(), "zero diagonal"),
+        (
+            SdpProblem.from_dense(2.0 * np.eye(2), [_offdiag(2, {(0, 1): 1.0})], [1.0]),
+            "unit diagonal",
+        ),
+        (
+            SdpProblem.from_dense(np.eye(2), [_offdiag(2, {(0, 1): 0.5})], [1.0]),
+            r"\|y_i\| <= 1",
+        ),
+        (
+            SdpProblem.from_dense(
+                np.eye(3),
+                [
+                    _offdiag(3, {(0, 1): 1.0, (0, 2): 1.0}),
+                    _offdiag(3, {(0, 1): 1.0, (1, 2): 0.5}),
+                ],
+                [1.0, 1.0],
+            ),
+            r"variables \[1\]",
+        ),
+    ],
+)
+def test_certified_bound_refuses_unchecked_assumptions(problem, reason):
+    sol = solve(problem)
+    with pytest.raises(ValueError, match=reason):
+        certified_upper_bound(problem, sol)
+
+
+@pytest.mark.parametrize("seed", [5, 11, 23])
+def test_sparse_operator_matches_dense_basis_matrices(seed):
+    problem = random_disjoint_instance(seed)
+    op = _Operator(problem)
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=problem.n_vars)
+    z = rng.normal(size=(problem.dimension, problem.dimension))
+    basis = [problem.basis_matrix(i) for i in range(problem.n_vars)]
+    dense = problem.f0 + sum(yi * f for yi, f in zip(y, basis))
+    assert np.allclose(op.mat(y, problem.f0), dense, rtol=0.0, atol=1e-12)
+    assert np.allclose(
+        op.adjoint(z), [np.tensordot(f, z) for f in basis], rtol=0.0, atol=1e-12
+    )
 
 
 def test_iteration_limit_raises_with_diagnostics():
