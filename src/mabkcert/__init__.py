@@ -2,114 +2,10 @@
 
 Layers, bottom up: exact Pauli algebra (`pauli`), GHZ stabilizer expansions
 (`stabilizer`), MABK Bell expressions with dyadic coefficients (`mabk`),
-GHZ correlators and bounds (`correlators`), multi-start Bloch-vector
-optimization (`blochopt`), the moment-matrix relaxation (`npa`), a small
-interior-point LMI solver with dual certificates (`sdp`), and a CLI (`cli`).
+GHZ correlators, Bell values and bounds (`correlators`), multi-start
+Bloch-vector optimization (`blochopt`), the moment-matrix relaxation (`npa`),
+a small interior-point LMI solver with dual certificates (`sdp`), and a CLI
+(`cli`).  Import the submodules directly.
 """
 
-from .blochopt import (
-    OptimizationResult,
-    OptimizerConfig,
-    angles_to_bloch,
-    default_config,
-    maximize_honest_mabk,
-    maximize_unconstrained_mabk,
-)
-from .correlators import (
-    CorrelatorReport,
-    MeasurementSettings,
-    ghz_expectation,
-    gme_bound,
-    honest_even_formula,
-    mabk_value,
-    theorem1_bound,
-)
-from .mabk import (
-    BellExpression,
-    BellTerm,
-    hamming_weight,
-    mabk_expression,
-    mabk_explicit,
-    mabk_index_set,
-    mabk_recursion_step,
-    mabk_sign,
-)
-from .npa import (
-    MomentMatrixStructure,
-    NpaResult,
-    build_moment_structure,
-    canonicalize,
-    encode_objective,
-    encode_perfect_correlation,
-    generate_monomials,
-    npa_upper_bound,
-)
-from .pauli import (
-    BlochVector,
-    PauliLetter,
-    PauliString,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    dense_matrix,
-    letter_mul,
-    pauli_string,
-    string_mul,
-    trace_coeff,
-)
-from .sdp import SdpProblem, SdpSolution, SdpSolverError, solve, verify_certificate
-from .stabilizer import GhzStabilizer, ghz_dense, ghz_expansion, ghz_generators
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BellExpression",
-    "BellTerm",
-    "BlochVector",
-    "CorrelatorReport",
-    "GhzStabilizer",
-    "MeasurementSettings",
-    "MomentMatrixStructure",
-    "NpaResult",
-    "OptimizationResult",
-    "OptimizerConfig",
-    "PauliLetter",
-    "PauliString",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "SdpProblem",
-    "SdpSolution",
-    "SdpSolverError",
-    "angles_to_bloch",
-    "build_moment_structure",
-    "canonicalize",
-    "default_config",
-    "dense_matrix",
-    "encode_objective",
-    "encode_perfect_correlation",
-    "generate_monomials",
-    "ghz_dense",
-    "ghz_expansion",
-    "ghz_expectation",
-    "ghz_generators",
-    "gme_bound",
-    "hamming_weight",
-    "honest_even_formula",
-    "letter_mul",
-    "mabk_expression",
-    "mabk_explicit",
-    "mabk_index_set",
-    "mabk_recursion_step",
-    "mabk_sign",
-    "mabk_value",
-    "maximize_honest_mabk",
-    "maximize_unconstrained_mabk",
-    "npa_upper_bound",
-    "pauli_string",
-    "solve",
-    "string_mul",
-    "theorem1_bound",
-    "trace_coeff",
-    "verify_certificate",
-]

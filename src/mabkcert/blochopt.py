@@ -5,13 +5,13 @@ unit Bloch vector by construction; the pinned key observable of the honest
 search is the slot theta = phi = 0, which is sigma_z exactly.  Each restart
 draws its starting angles from ``numpy.random.default_rng([seed,
 restart_index])`` (the documented counter scheme: results depend only on (n,
-restarts, seed)) and runs a local ascent with Armijo backtracking.  Values
-come from the closed-form GHZ kernel and gradients are exact: the kernel's
-gradient with respect to each term's Bloch vectors, weighted by the term
-coefficients and chained through the angles.  There are no finite
-differences.  The absolute value in the MABK score is handled by ascending the
-signed objective and its negation separately and keeping the larger of the
-two.
+restarts, seed)) and runs a local ascent with Armijo backtracking.  The
+signed Bell value and its exact gradient in the Bloch vectors come from
+``correlators.mabk_value`` and ``correlators.mabk_gradient``; this module maps
+angles to the (n, 2, 3) settings array and chains the gradient through the
+angles.  There are no finite differences.  The absolute value in the MABK
+score is handled by ascending the signed objective and its negation
+separately and keeping the larger of the two.
 
 All restarts are advanced together as numpy batches; per-restart state is
 independent, so the batched run is identical to running restarts one by one.
@@ -19,73 +19,47 @@ independent, so the batched run is identical to running restarts one by one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .correlators import (
-    MeasurementSettings,
-    ghz_expectation_batch,
-    ghz_expectation_gradient,
-)
-from .mabk import mabk_expression
-from .pauli import BlochVector
+from .correlators import mabk_gradient, mabk_value
 
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 30
 _STEP_GROWTH = 1.3
 _MAX_STEP = 2.0
+# A restart has converged when no angle derivative exceeds this.
+_CONVERGENCE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 100
     seed: int = 20240811
-    convergence_tol: float = 1e-8
     max_iterations: int = 400
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
-
-
-def default_config(n: int, seed: int = 20240811) -> OptimizerConfig:
-    """Default restart budget: 100 for n <= 5, 30 for larger scenarios."""
-    return OptimizerConfig(restarts=100 if n <= 5 else 30, seed=seed)
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
     best_value: float
-    best_settings: MeasurementSettings
+    best_settings: np.ndarray  # (n, 2, 3): party i's Bloch vector for input x
     per_restart_values: tuple[float, ...]
     converged_count: int
-
-
-def angles_to_bloch(theta: float, phi: float) -> BlochVector:
-    """Spherical parameterization (sin t cos p, sin t sin p, cos t)."""
-    st = math.sin(theta)
-    return BlochVector(st * math.cos(phi), st * math.sin(phi), math.cos(theta))
 
 
 class _MabkObjective:
     """Batched signed MABK value and its gradient as functions of packed angles."""
 
     def __init__(self, n: int, honest: bool):
-        expr = mabk_expression(n)
         self.n = n
         self.honest = honest
-        self.inputs = np.array([t.inputs for t in expr.terms], dtype=np.intp)
-        self.coeffs = np.array([float(t.coefficient) for t in expr.terms])
         self.n_obs = 2 * n - 1 if honest else 2 * n
         self.dim = 2 * self.n_obs
-        self._party_index = np.arange(n)[None, :]
-        # _weights[t, i, x]: coefficient of term t where party i has input x, else 0
-        uses_input = self.inputs[..., None] == np.arange(2)
-        self._weights = uses_input * self.coeffs[:, None, None]
 
     def _trig(self, angles: np.ndarray) -> tuple[np.ndarray, ...]:
         """sin/cos of theta and phi for all 2n observables, pinned slot first."""
@@ -102,19 +76,13 @@ class _MabkObjective:
         bloch = np.stack((st * cp, st * sp, ct), axis=-1)  # (..., 2n, 3)
         return bloch.reshape(angles.shape[:-1] + (self.n, 2, 3))
 
-    def _term_observables(self, angles: np.ndarray) -> np.ndarray:
-        """Each term's Bloch vectors, (..., T, n, 3)."""
-        return self.observables(angles)[..., self._party_index, self.inputs, :]
-
     def value(self, angles: np.ndarray) -> np.ndarray:
         """Signed Bell value, batched over leading axes of ``angles``."""
-        chosen = self._term_observables(angles)
-        return ghz_expectation_batch(self.n, chosen) @ self.coeffs
+        return mabk_value(self.observables(angles))
 
     def gradient(self, angles: np.ndarray) -> np.ndarray:
         """Exact gradient of ``value`` with respect to ``angles``."""
-        per_term = ghz_expectation_gradient(self.n, self._term_observables(angles))
-        g = np.einsum("...tic,tix->...ixc", per_term, self._weights)
+        g = mabk_gradient(self.observables(angles))
         g = g.reshape(angles.shape[:-1] + (2 * self.n, 3))
         st, ct, sp, cp = self._trig(angles)
         grad = np.empty(angles.shape[:-1] + (4 * self.n,))
@@ -153,7 +121,7 @@ def _ascend(
         grad = sign * objective.gradient(xa)
 
         gnorm = np.abs(grad).max(axis=1)
-        newly_conv = gnorm < config.convergence_tol
+        newly_conv = gnorm < _CONVERGENCE_TOL
         if newly_conv.any():
             idx = np.flatnonzero(active)[newly_conv]
             done[idx] = True
@@ -194,25 +162,10 @@ def _ascend(
     return x, f, converged
 
 
-def _settings_from_angles(
-    objective: _MabkObjective, angles: np.ndarray
-) -> MeasurementSettings:
-    obs = objective.observables(angles)
-
-    def bloch(party: int, choice: int) -> BlochVector:
-        v = obs[party, choice]
-        return BlochVector(float(v[0]), float(v[1]), float(v[2]))
-
-    n = objective.n
-    alice = (bloch(0, 0), bloch(0, 1))
-    bobs = tuple((bloch(i, 0), bloch(i, 1)) for i in range(1, n))
-    return MeasurementSettings(alice, bobs, honest=objective.honest)
-
-
 def _maximize(n: int, honest: bool, config: OptimizerConfig | None) -> OptimizationResult:
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    cfg = config if config is not None else default_config(n)
+    cfg = config if config is not None else OptimizerConfig()
     objective = _MabkObjective(n, honest)
     x0 = _initial_angles(objective, cfg.restarts, cfg.seed)
 
@@ -227,7 +180,7 @@ def _maximize(n: int, honest: bool, config: OptimizerConfig | None) -> Optimizat
     best_angles = x_plus[best] if plus_wins[best] else x_minus[best]
     return OptimizationResult(
         best_value=float(values[best]),
-        best_settings=_settings_from_angles(objective, best_angles),
+        best_settings=objective.observables(best_angles),
         per_restart_values=tuple(float(v) for v in values),
         converged_count=int(winner_converged.sum()),
     )

@@ -24,13 +24,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blochopt, correlators, mabk, npa
-from .pauli import SIGMA_Z, BlochVector, random_bloch
+from .pauli import SIGMA_Z, random_bloch
 from .sdp import SdpSolverError
 
 SEED_DEFAULT = 20240811
 # Largest --n for mabk-show, theorem1 and optimize: the expression has
 # 2^(2*floor(n/2)) terms, so the work grows fourfold with every two parties.
 MAX_PARTIES = 10
+# Caps sized from the per-unit cost at n = 10: a theorem1 trial takes about
+# 90 us, an optimize restart about 0.75 s and 1 MB of batched arrays.
+MAX_TRIALS = 1_000_000
+MAX_RESTARTS = 200
+# Smallest npa --tol: every level-2/3 problem converges at 1e-13, but at 1e-14
+# three of the four break down before reaching it.
+MIN_TOL = 1e-12
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
@@ -198,16 +205,6 @@ def cmd_theorem1(n: int, trials: int, seed: int) -> RunReport:
     return report
 
 
-def _settings_payload(settings: correlators.MeasurementSettings) -> dict:
-    def vec(b: BlochVector) -> list[float]:
-        return [b.bx, b.by, b.bz]
-
-    return {
-        "alice": [vec(settings.alice[0]), vec(settings.alice[1])],
-        "bobs": [[vec(b0), vec(b1)] for b0, b1 in settings.bobs],
-    }
-
-
 def cmd_optimize(n: int, restarts: int, seed: int, honest_flag: bool) -> RunReport:
     t0 = time.perf_counter()
     config = blochopt.OptimizerConfig(restarts=restarts, seed=seed)
@@ -221,7 +218,10 @@ def cmd_optimize(n: int, restarts: int, seed: int, honest_flag: bool) -> RunRepo
         results={
             "best_value": result.best_value,
             "converged_count": result.converged_count,
-            "best_settings": _settings_payload(result.best_settings),
+            "best_settings": {
+                "alice": result.best_settings[0].tolist(),
+                "bobs": result.best_settings[1:].tolist(),
+            },
         },
     )
     value = result.best_value
@@ -435,12 +435,14 @@ def main(argv: list[str] | None = None) -> int:
         low = 2 if args.command == "mabk-show" else 3
         if not low <= args.n <= MAX_PARTIES:
             parser.error(f"--n must be in [{low}, {MAX_PARTIES}], got {args.n}")
-    if args.command == "theorem1" and args.trials < 0:
-        parser.error(f"--trials must be non-negative, got {args.trials}")
-    if args.command == "optimize" and args.restarts < 1:
-        parser.error(f"--restarts must be at least 1, got {args.restarts}")
-    if args.command == "npa" and not (math.isfinite(args.tol) and args.tol > 0):
-        parser.error(f"--tol must be positive and finite, got {args.tol}")
+    if args.command == "theorem1" and not 0 <= args.trials <= MAX_TRIALS:
+        parser.error(f"--trials must be in [0, {MAX_TRIALS}], got {args.trials}")
+    if args.command == "optimize" and not 1 <= args.restarts <= MAX_RESTARTS:
+        parser.error(
+            f"--restarts must be in [1, {MAX_RESTARTS}], got {args.restarts}"
+        )
+    if args.command == "npa" and not (math.isfinite(args.tol) and args.tol >= MIN_TOL):
+        parser.error(f"--tol must be finite and at least {MIN_TOL}, got {args.tol}")
 
     try:
         if args.command == "mabk-show":

@@ -7,9 +7,15 @@ On the N-party GHZ state ``(|0...0> + |1...1>)/sqrt(2)`` the expectation of
 
 the off-diagonal ``<0...0|O|1...1>`` element plus the two diagonal ones.
 ``ghz_expectation_batch`` evaluates it in O(N) per point over any leading
-batch axes, and every Bell value in the package goes through it; its gradient
-with respect to the Bloch components, ``ghz_expectation_gradient``, drives the
-optimizer.  The stabilizer expansion ``tr(rho O) = 2**-N * sum_S tr(O S)``
+batch axes, and every Bell value in the package goes through it.
+
+A settings choice is a float array of shape (..., N, 2, 3) whose entry
+``[..., i, x]`` is party i's Bloch vector for input x.  ``mabk_value`` gathers
+each MABK term's Bloch vectors from it, calls the kernel and weights the terms
+by their coefficients; ``mabk_gradient`` does the same with the kernel's
+gradient ``ghz_expectation_gradient`` and drives the optimizer.  Only this
+module knows the term inputs and coefficients, cached once per N.  The
+stabilizer expansion ``tr(rho O) = 2**-N * sum_S tr(O S)``
 (``identity_free_elements``) is kept as the oracle the tests compare against.
 
 With the first observable pinned to sigma_z its transverse factor is exactly
@@ -20,67 +26,16 @@ is exactly the product of the other parties' z-components.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .mabk import BellExpression
-from .pauli import SIGMA_Z, BlochVector, PauliLetter
+from .mabk import mabk_expression
+from .pauli import BlochVector, PauliLetter
 from .stabilizer import ghz_expansion
 
 _AXIS_INDEX = {PauliLetter.X: 0, PauliLetter.Y: 1, PauliLetter.Z: 2}
-
-
-@dataclass(frozen=True)
-class MeasurementSettings:
-    """Two Bloch observables for the first party and for each of the others.
-
-    ``honest=True`` asserts that the first party's input-0 observable is pinned
-    to sigma_z exactly (the key-generation setting reused in test rounds).
-    """
-
-    alice: tuple[BlochVector, BlochVector]
-    bobs: tuple[tuple[BlochVector, BlochVector], ...]
-    honest: bool = False
-
-    def __post_init__(self) -> None:
-        if self.honest and self.alice[0] != SIGMA_Z:
-            raise ValueError("honest settings require A0 = sigma_z exactly")
-
-    @property
-    def n_parties(self) -> int:
-        return 1 + len(self.bobs)
-
-    def observable(self, party: int, choice: int) -> BlochVector:
-        if party == 0:
-            return self.alice[choice]
-        return self.bobs[party - 1][choice]
-
-    def observables_for(self, inputs: Sequence[int]) -> list[BlochVector]:
-        return [self.observable(i, x) for i, x in enumerate(inputs)]
-
-    def negate_party(self, party: int) -> "MeasurementSettings":
-        """Flip the sign of both observables of one party (outcome relabeling)."""
-        if party == 0:
-            return MeasurementSettings(
-                (self.alice[0].negated(), self.alice[1].negated()), self.bobs
-            )
-        bobs = list(self.bobs)
-        k = party - 1
-        bobs[k] = (bobs[k][0].negated(), bobs[k][1].negated())
-        return MeasurementSettings(self.alice, tuple(bobs), self.honest)
-
-
-@dataclass(frozen=True)
-class CorrelatorReport:
-    """MABK value of one settings choice together with the relevant bounds."""
-
-    expectations: dict[tuple[int, ...], float]
-    mabk_value: float
-    bound_gme: float
-    bound_theorem1: float | None
 
 
 @lru_cache(maxsize=None)
@@ -166,22 +121,47 @@ def theorem1_bound(n: int) -> float:
     return 2.0 ** ((n - 3) / 2)
 
 
-def mabk_value(expr: BellExpression, settings: MeasurementSettings) -> CorrelatorReport:
-    """Evaluate a Bell expression on the GHZ state with the given settings."""
-    n = expr.n_parties
-    if settings.n_parties != n:
+@lru_cache(maxsize=None)
+def _mabk_terms(n: int) -> tuple[np.ndarray, ...]:
+    """Party index (1, n), term inputs (T, n), coefficients (T,), weights (T, n, 2).
+
+    ``settings[..., party, inputs, :]`` gathers each term's Bloch vectors, and
+    ``weights[t, i, x]`` is the coefficient of term t where party i has input
+    x, else 0.  Every call shares these arrays, so they are read-only.
+    """
+    expr = mabk_expression(n)
+    party = np.arange(n)[None, :]
+    inputs = np.array([t.inputs for t in expr.terms], dtype=np.intp)
+    coeffs = np.array([float(t.coefficient) for t in expr.terms])
+    weights = (inputs[..., None] == np.arange(2)) * coeffs[:, None, None]
+    for a in (party, inputs, coeffs, weights):
+        a.flags.writeable = False
+    return party, inputs, coeffs, weights
+
+
+def _party_count(settings: np.ndarray) -> int:
+    if settings.ndim < 3 or settings.shape[-2:] != (2, 3) or settings.shape[-3] < 2:
         raise ValueError(
-            f"settings have {settings.n_parties} parties, expression has {n}"
+            "settings must have shape (..., parties, 2, 3) with at least 2"
+            f" parties, got {settings.shape}"
         )
-    expectations: dict[tuple[int, ...], float] = {}
-    total = 0.0
-    for term in expr.terms:
-        value = ghz_expectation(n, settings.observables_for(term.inputs))
-        expectations[term.inputs] = value
-        total += float(term.coefficient) * value
-    return CorrelatorReport(
-        expectations=expectations,
-        mabk_value=abs(total),
-        bound_gme=gme_bound(n, n - 1),
-        bound_theorem1=theorem1_bound(n) if n % 2 == 1 else None,
-    )
+    return settings.shape[-3]
+
+
+def mabk_value(settings: np.ndarray) -> np.ndarray:
+    """Signed MABK value on the GHZ state, batched over leading axes.
+
+    ``settings[..., i, x]`` is party i's Bloch vector for input x; the Bell
+    score is the absolute value of the result.
+    """
+    n = _party_count(settings)
+    party, inputs, coeffs, _ = _mabk_terms(n)
+    return ghz_expectation_batch(n, settings[..., party, inputs, :]) @ coeffs
+
+
+def mabk_gradient(settings: np.ndarray) -> np.ndarray:
+    """Gradient of ``mabk_value`` in every Bloch component, shaped like ``settings``."""
+    n = _party_count(settings)
+    party, inputs, _, weights = _mabk_terms(n)
+    per_term = ghz_expectation_gradient(n, settings[..., party, inputs, :])
+    return np.einsum("...tic,tix->...ixc", per_term, weights)

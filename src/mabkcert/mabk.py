@@ -74,12 +74,6 @@ class BellExpression:
                 f" expected {Fraction(expected_terms, expected_norm)}"
             )
 
-    def coefficient_of(self, inputs: BitString) -> Fraction:
-        for t in self.terms:
-            if t.inputs == inputs:
-                return t.coefficient
-        return Fraction(0)
-
     def as_dict(self) -> dict[BitString, Fraction]:
         return {t.inputs: t.coefficient for t in self.terms}
 

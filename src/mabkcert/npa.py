@@ -84,12 +84,8 @@ def default_scenario(n_parties: int = 3) -> tuple[int, ...]:
     return (2,) + (3,) * (n_parties - 1)
 
 
-def canonicalize(word: tuple[OperatorLetter, ...] | list[OperatorLetter]) -> tuple[int, Word]:
-    """Sort by party (stable) and cancel adjacent equal letters, to fixpoint.
-
-    The sign is always +1 for this algebra; it is returned so the signature
-    matches reductions that do track signs.
-    """
+def canonicalize(word: tuple[OperatorLetter, ...] | list[OperatorLetter]) -> Word:
+    """Sort by party (stable) and cancel adjacent equal letters, to fixpoint."""
     w = sorted(word, key=lambda letter: letter.party)
     while True:
         out: list[OperatorLetter] = []
@@ -105,7 +101,7 @@ def canonicalize(word: tuple[OperatorLetter, ...] | list[OperatorLetter]) -> tup
         w = out
         if not cancelled:
             break
-    return 1, tuple(w)
+    return tuple(w)
 
 
 def generate_monomials(scenario: tuple[int, ...], level: int) -> list[Word]:
@@ -120,14 +116,13 @@ def generate_monomials(scenario: tuple[int, ...], level: int) -> list[Word]:
     seen: set[Word] = {()}
     for length in range(1, level + 1):
         for combo in itertools.product(alphabet, repeat=length):
-            _, w = canonicalize(combo)
-            seen.add(w)
+            seen.add(canonicalize(combo))
     return sorted(seen, key=lambda w: (len(w), w))
 
 
 def _class_key(word: Word) -> Word:
     """Representative of {word, reversed word} (moments are reversal-symmetric)."""
-    _, rev = canonicalize(tuple(reversed(word)))
+    rev = canonicalize(tuple(reversed(word)))
     return min(word, rev)
 
 
@@ -162,8 +157,7 @@ def build_moment_structure(monomials: list[Word]) -> MomentMatrixStructure:
     for i, u in enumerate(monomials):
         ru = tuple(reversed(u))
         for j, v in enumerate(monomials):
-            _, w = canonicalize(ru + v)
-            key = _class_key(w)
+            key = _class_key(canonicalize(ru + v))
             idx = class_ids.get(key)
             if idx is None:
                 idx = len(reps)
@@ -181,8 +175,7 @@ def encode_objective(
     out = np.zeros(structure.n_classes)
     for term in expr.terms:
         word = tuple(OperatorLetter(p, x) for p, x in enumerate(term.inputs))
-        _, w = canonicalize(word)
-        key = _class_key(w)
+        key = _class_key(canonicalize(word))
         if key not in lookup:
             raise ValueError(
                 f"objective monomial {key} not present in the moment structure;"
@@ -190,18 +183,6 @@ def encode_objective(
             )
         out[lookup[key]] += float(term.coefficient)
     return out
-
-
-@dataclass(frozen=True)
-class CorrelationConstraint:
-    """Pinned moment classes (coefficients 1, right-hand side 1 each)."""
-
-    pinned: dict[int, float]
-    pair_words: tuple[Word, ...]
-
-    @property
-    def n_equalities(self) -> int:
-        return len(self.pinned)
 
 
 def _key_letters(n_parties: int) -> list[OperatorLetter]:
@@ -213,19 +194,19 @@ def _key_letters(n_parties: int) -> list[OperatorLetter]:
 
 def encode_perfect_correlation(
     structure: MomentMatrixStructure, n_parties: int = 3
-) -> CorrelationConstraint:
-    """Pairwise key-setting correlators pinned to one (see module docstring)."""
+) -> dict[int, float]:
+    """Pairwise key-setting correlators pinned to one (see module docstring).
+
+    Returns the pinned moment classes, each mapped to its value 1.
+    """
     lookup = {rep: k for k, rep in enumerate(structure.class_representatives)}
     pinned: dict[int, float] = {}
-    words: list[Word] = []
     for a, b in itertools.combinations(_key_letters(n_parties), 2):
-        _, w = canonicalize((a, b))
-        key = _class_key(w)
+        key = _class_key(canonicalize((a, b)))
         if key not in lookup:
             raise ValueError(f"pair moment {key} missing; level too low")
         pinned[lookup[key]] = 1.0
-        words.append(key)
-    return CorrelationConstraint(pinned, tuple(words))
+    return pinned
 
 
 class _UnionFind:
@@ -330,8 +311,8 @@ def reduce_structure(
 
 def lower_to_sdp(
     reduced: ReducedMoments, objective: np.ndarray
-) -> tuple[SdpProblem, dict[int, int], float]:
-    """Build the dual-form LMI; returns (problem, root -> variable map, const)."""
+) -> tuple[SdpProblem, float]:
+    """Build the dual-form LMI; returns (problem, objective constant)."""
     k = reduced.class_matrix.shape[0]
     var_of: dict[int, int] = {}
     f0 = np.zeros((k, k))
@@ -382,7 +363,7 @@ def lower_to_sdp(
         vals=np.ones(len(vi)),
         c=c,
     )
-    return problem, var_of, const
+    return problem, const
 
 
 @dataclass(frozen=True)
@@ -435,10 +416,10 @@ def npa_upper_bound(
 
     pinned: dict[int, float] = {structure.identity_class: 1.0}
     if with_constraint:
-        pinned.update(encode_perfect_correlation(structure, n_parties).pinned)
+        pinned.update(encode_perfect_correlation(structure, n_parties))
 
     reduced = reduce_structure(structure, pinned)
-    problem, _, const = lower_to_sdp(reduced, objective)
+    problem, const = lower_to_sdp(reduced, objective)
     solution = solve(problem, tol=tol, max_iter=max_iter)
     verified = verify_certificate(problem, solution)
     certified = certified_upper_bound(problem, solution)

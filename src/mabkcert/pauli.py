@@ -181,9 +181,6 @@ class BlochVector:
             + self.bz * _SINGLE_QUBIT_MATRIX[PauliLetter.Z]
         )
 
-    def negated(self) -> "BlochVector":
-        return BlochVector(-self.bx, -self.by, -self.bz)
-
 
 def random_bloch(rng: np.random.Generator) -> BlochVector:
     """Uniformly random unit Bloch vector (a normalized Gaussian 3-vector)."""

@@ -8,33 +8,32 @@ import pytest
 from mabkcert.blochopt import (
     OptimizerConfig,
     _MabkObjective,
-    angles_to_bloch,
-    default_config,
     maximize_honest_mabk,
     maximize_unconstrained_mabk,
 )
 from mabkcert.correlators import mabk_value, theorem1_bound
-from mabkcert.mabk import mabk_expression
-from mabkcert.pauli import SIGMA_Z
 
 QUICK = OptimizerConfig(restarts=12, seed=424242)
 
 
 def test_angles_to_bloch_axes():
-    assert angles_to_bloch(0.0, 1.23).bz == pytest.approx(1.0, abs=1e-15)
-    b = angles_to_bloch(math.pi / 2, 0.0)
-    assert (b.bx, b.by) == (pytest.approx(1.0, abs=1e-15), pytest.approx(0.0, abs=1e-12))
-    b = angles_to_bloch(math.pi / 2, math.pi / 2)
-    assert b.by == pytest.approx(1.0, abs=1e-15)
+    # (theta, phi) per observable, in party-major order: z, x, y, then zeros
+    objective = _MabkObjective(3, honest=False)
+    angles = np.zeros(objective.dim)
+    angles[:6] = [0.0, 1.23, math.pi / 2, 0.0, math.pi / 2, math.pi / 2]
+    settings_ = objective.observables(angles)
+    assert settings_.shape == (3, 2, 3)
+    assert settings_[0, 0] == pytest.approx([0.0, 0.0, 1.0], abs=1e-15)
+    assert settings_[0, 1] == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
+    assert settings_[1, 0] == pytest.approx([0.0, 1.0, 0.0], abs=1e-15)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(convergence_tol=0.0)
-    assert default_config(4).restarts == 100
-    assert default_config(7).restarts == 30
+    # no config means the defaults
+    result = maximize_unconstrained_mabk(3)
+    assert len(result.per_restart_values) == OptimizerConfig().restarts
 
 
 @pytest.mark.parametrize("honest", [True, False])
@@ -90,21 +89,20 @@ def test_unconstrained_three_party_reaches_two():
 def test_honest_three_party_respects_cap():
     result = maximize_honest_mabk(3, QUICK)
     assert result.best_value <= theorem1_bound(3) + 1e-6
-    assert result.best_settings.honest
-    assert result.best_settings.alice[0] == SIGMA_Z
+    assert result.best_settings.shape == (3, 2, 3)
+    assert result.best_settings[0, 0].tolist() == [0.0, 0.0, 1.0]
 
 
 def test_best_settings_reproduce_best_value():
     result = maximize_honest_mabk(3, QUICK)
-    report = mabk_value(mabk_expression(3), result.best_settings)
-    assert report.mabk_value == pytest.approx(result.best_value, abs=1e-9)
+    value = abs(mabk_value(result.best_settings))
+    assert value == pytest.approx(result.best_value, abs=1e-9)
 
 
 def test_returned_settings_are_unit_bloch_vectors():
     result = maximize_unconstrained_mabk(3, QUICK)
-    s = result.best_settings
-    for b in [*s.alice, *(b for pair in s.bobs for b in pair)]:
-        assert abs(b.bx**2 + b.by**2 + b.bz**2 - 1.0) < 1e-12
+    norms = np.linalg.norm(result.best_settings, axis=-1)
+    assert np.abs(norms - 1.0).max() < 1e-12
 
 
 def test_rejects_small_n():

@@ -52,10 +52,15 @@ def _out_of_range_n(command):
 # only inputs that parse but must be refused before any work starts
 INVALID_ARGV = st.one_of(
     st.sampled_from(["mabk-show", "theorem1", "optimize"]).flatmap(_out_of_range_n),
-    st.integers(max_value=0).map(lambda r: ["optimize", "--n=3", f"--restarts={r}"]),
-    st.integers(max_value=-1).map(lambda t: ["theorem1", "--n=3", f"--trials={t}"]),
     st.one_of(
-        st.floats(max_value=0.0), st.sampled_from([float("inf"), float("nan")])
+        st.integers(max_value=0), st.integers(min_value=cli.MAX_RESTARTS + 1)
+    ).map(lambda r: ["optimize", "--n=3", f"--restarts={r}"]),
+    st.one_of(
+        st.integers(max_value=-1), st.integers(min_value=cli.MAX_TRIALS + 1)
+    ).map(lambda t: ["theorem1", "--n=3", f"--trials={t}"]),
+    st.one_of(
+        st.floats(max_value=cli.MIN_TOL, exclude_max=True),
+        st.sampled_from([1e-300, float("inf"), float("nan")]),
     ).map(lambda tol: ["npa", "--level=2", f"--tol={tol!r}"]),
 )
 

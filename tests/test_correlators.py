@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import bloch_with_z, random_bloch
 from mabkcert.correlators import (
-    MeasurementSettings,
     ghz_expectation,
     ghz_expectation_batch,
     gme_bound,
@@ -31,6 +30,26 @@ from mabkcert.stabilizer import ghz_dense, ghz_expansion
 def dense_expectation(n, observables):
     rho = ghz_dense(n)
     return float(np.real(np.trace(rho @ observable_product_matrix(observables))))
+
+
+def as_settings(pairs):
+    """(n, 2, 3) settings array from each party's two Bloch vectors."""
+    return np.array([[b0.as_array(), b1.as_array()] for b0, b1 in pairs])
+
+
+def random_settings(rng, shape):
+    """Random unit Bloch vectors of shape (*shape, 2, 3)."""
+    v = rng.normal(size=(*shape, 2, 3))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def dense_value(n, settings_):
+    """Signed MABK value as the dense-matrix sum over the expression's terms."""
+    total = 0.0
+    for t in mabk_expression(n).terms:
+        obs = [BlochVector(*settings_[i, x]) for i, x in enumerate(t.inputs)]
+        total += float(t.coefficient) * dense_expectation(n, obs)
+    return total
 
 
 def test_pairwise_key_correlations_are_perfect():
@@ -131,81 +150,58 @@ def test_batch_evaluation_matches_scalar(rng):
 
 
 def test_mermin_maximum_reached():
-    settings_ = MeasurementSettings(
-        (SIGMA_Y, SIGMA_X), ((SIGMA_Y, SIGMA_X), (SIGMA_Y, SIGMA_X))
-    )
-    report = mabk_value(mabk_expression(3), settings_)
-    assert report.mabk_value == pytest.approx(2.0, abs=1e-14)
-    assert report.bound_gme == pytest.approx(math.sqrt(2.0), abs=1e-15)
-    assert report.bound_theorem1 == pytest.approx(1.0, abs=1e-15)
+    settings_ = as_settings([(SIGMA_Y, SIGMA_X)] * 3)
+    assert abs(mabk_value(settings_)) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_honest_odd_values_capped_below_gme_threshold(rng):
     for n in (3, 5):
-        for _ in range(50):
-            settings_ = MeasurementSettings(
-                (SIGMA_Z, random_bloch(rng)),
-                tuple(
-                    (random_bloch(rng), random_bloch(rng)) for _ in range(n - 1)
-                ),
-                honest=True,
-            )
-            report = mabk_value(mabk_expression(n), settings_)
-            assert report.mabk_value <= theorem1_bound(n) + 1e-9
-            assert report.mabk_value < gme_bound(n, n - 1)
+        settings_ = random_settings(rng, (50, n))
+        settings_[:, 0, 0] = SIGMA_Z.as_array()
+        values = np.abs(mabk_value(settings_))
+        assert values.max() <= theorem1_bound(n) + 1e-9
+        assert values.max() < gme_bound(n, n - 1)
 
 
 def test_all_z_settings_give_zero_value():
-    settings_ = MeasurementSettings(
-        (SIGMA_Z, SIGMA_Z), ((SIGMA_Z, SIGMA_Z), (SIGMA_Z, SIGMA_Z)), honest=True
-    )
-    report = mabk_value(mabk_expression(3), settings_)
-    assert report.mabk_value == 0.0
-    assert all(v == 0.0 for v in report.expectations.values())
+    settings_ = as_settings([(SIGMA_Z, SIGMA_Z)] * 3)
+    assert mabk_value(settings_) == 0.0
 
 
 def test_negating_first_party_flips_each_term_but_not_the_value(rng):
-    expr = mabk_expression(3)
-    settings_ = MeasurementSettings(
-        (random_bloch(rng), random_bloch(rng)),
-        ((random_bloch(rng), random_bloch(rng)), (random_bloch(rng), random_bloch(rng))),
-    )
-    report = mabk_value(expr, settings_)
-    flipped = mabk_value(expr, settings_.negate_party(0))
-    for inputs, value in report.expectations.items():
-        assert flipped.expectations[inputs] == pytest.approx(-value, abs=1e-13)
-    assert flipped.mabk_value == pytest.approx(report.mabk_value, abs=1e-13)
+    for n in (3, 4, 5, 6):
+        settings_ = random_settings(rng, (4, n))
+        flipped = settings_.copy()
+        flipped[:, 0] *= -1.0
+        assert np.array_equal(mabk_value(flipped), -mabk_value(settings_))
+        for term in mabk_expression(n).terms:
+            obs, flipped_obs = (
+                [BlochVector(*s[0, i, x]) for i, x in enumerate(term.inputs)]
+                for s in (settings_, flipped)
+            )
+            assert ghz_expectation(n, flipped_obs) == -ghz_expectation(n, obs)
 
 
 def test_report_value_is_absolute_weighted_sum(rng):
-    expr = mabk_expression(3)
-    settings_ = MeasurementSettings(
-        (random_bloch(rng), random_bloch(rng)),
-        ((random_bloch(rng), random_bloch(rng)), (random_bloch(rng), random_bloch(rng))),
-    )
-    report = mabk_value(expr, settings_)
-    total = sum(
-        float(t.coefficient) * report.expectations[t.inputs] for t in expr.terms
-    )
-    assert report.mabk_value == pytest.approx(abs(total), abs=1e-14)
+    # the batched value against the dense-matrix term sum, over two leading axes
+    for n in (3, 4, 5, 6):
+        settings_ = random_settings(rng, (2, 3, n))
+        values = mabk_value(settings_)
+        assert values.shape == (2, 3)
+        for index in np.ndindex(2, 3):
+            assert values[index] == pytest.approx(
+                dense_value(n, settings_[index]), abs=1e-12
+            )
 
 
 def test_exact_strategy_attains_sqrt2_for_four_parties():
     # transverse strategy: every first-party term vanishes (all bob z-components
     # are zero) and the remaining half reaches its quantum maximum
     a1 = BlochVector(math.cos(math.pi / 4), -math.sin(math.pi / 4), 0.0)
-    settings_ = MeasurementSettings(
-        (SIGMA_Z, a1), ((SIGMA_X, SIGMA_Y),) * 3, honest=True
-    )
-    report = mabk_value(mabk_expression(4), settings_)
-    assert report.mabk_value == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    settings_ = as_settings([(SIGMA_Z, a1)] + [(SIGMA_X, SIGMA_Y)] * 3)
+    assert abs(mabk_value(settings_)) == pytest.approx(math.sqrt(2.0), abs=1e-12)
     # independent dense confirmation
-    expr = mabk_expression(4)
-    total = sum(
-        float(t.coefficient) * dense_expectation(4, settings_.observables_for(t.inputs))
-        for t in expr.terms
-    )
-    assert abs(total) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert abs(dense_value(4, settings_)) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
 def test_gme_bound_values():
@@ -227,14 +223,7 @@ def test_theorem1_bound_values():
         theorem1_bound(4)
 
 
-def test_honest_settings_require_sigma_z():
-    with pytest.raises(ValueError, match="sigma_z"):
-        MeasurementSettings(
-            (SIGMA_X, SIGMA_Y), ((SIGMA_X, SIGMA_Y),), honest=True
-        )
-
-
 def test_settings_party_count_must_match():
-    settings_ = MeasurementSettings((SIGMA_Z, SIGMA_X), ((SIGMA_X, SIGMA_Y),))
-    with pytest.raises(ValueError, match="parties"):
-        mabk_value(mabk_expression(3), settings_)
+    for shape in ((1, 2, 3), (3, 3, 3), (2, 3)):
+        with pytest.raises(ValueError, match="parties"):
+            mabk_value(np.zeros(shape))

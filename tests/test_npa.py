@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_bloch
 from mabkcert.blochopt import OptimizerConfig, maximize_unconstrained_mabk
+from mabkcert.correlators import mabk_value
 from mabkcert.mabk import mabk_expression
 from mabkcert.npa import (
     KEY_INPUT,
@@ -23,7 +24,7 @@ from mabkcert.npa import (
     npa_upper_bound,
     reduce_structure,
 )
-from mabkcert.pauli import SIGMA_Z, BlochVector
+from mabkcert.pauli import SIGMA_Z
 from mabkcert.sdp import solve, verify_certificate
 from mabkcert.stabilizer import ghz_dense
 
@@ -45,17 +46,16 @@ def letter_strategy():
 
 
 def test_canonicalize_examples():
-    assert canonicalize([B0_1, A0]) == (1, (A0, B0_1))
-    assert canonicalize([A0, A0]) == (1, ())
-    assert canonicalize([A0, A1, A1, B2_1]) == (1, (A0, B2_1))
+    assert canonicalize([B0_1, A0]) == (A0, B0_1)
+    assert canonicalize([A0, A0]) == ()
+    assert canonicalize([A0, A1, A1, B2_1]) == (A0, B2_1)
 
 
 @settings(max_examples=200)
 @given(st.lists(letter_strategy(), max_size=6))
 def test_canonicalize_idempotent_and_party_sorted(word):
-    sign, w = canonicalize(word)
-    assert sign == 1
-    assert canonicalize(w) == (1, w)
+    w = canonicalize(word)
+    assert canonicalize(w) == w
     assert all(a.party <= b.party for a, b in zip(w, w[1:]))
     assert all(a != b for a, b in zip(w, w[1:]))
 
@@ -150,14 +150,14 @@ def test_objective_encoding_needs_level_two():
 
 def test_perfect_correlation_pins_three_pair_moments():
     structure = build_moment_structure(generate_monomials(SCENARIO, 2))
-    constraint = encode_perfect_correlation(structure, 3)
-    assert constraint.n_equalities == 3
-    assert set(constraint.pair_words) == {
+    pinned = encode_perfect_correlation(structure, 3)
+    assert len(pinned) == 3
+    assert {structure.class_representatives[c] for c in pinned} == {
         (A0, B2_1),
         (A0, B2_2),
         (B2_1, B2_2),
     }
-    assert all(v == 1.0 for v in constraint.pinned.values())
+    assert all(v == 1.0 for v in pinned.values())
 
 
 def test_projector_correlation_operator_expands_to_pairwise_mean(rng):
@@ -230,12 +230,12 @@ def test_ghz_honest_strategy_is_a_feasibility_witness(rng):
     moment_matrix = values[structure.class_of]
     assert np.linalg.eigvalsh(moment_matrix)[0] > -1e-10
 
-    constraint = encode_perfect_correlation(structure, 3)
-    for cid in constraint.pinned:
+    pinned = encode_perfect_correlation(structure, 3)
+    for cid in pinned:
         assert values[cid] == pytest.approx(1.0, abs=1e-12)
 
     # classes merged by the reduction take equal values on the witness
-    pins = {structure.identity_class: 1.0, **constraint.pinned}
+    pins = {structure.identity_class: 1.0, **pinned}
     reduced = reduce_structure(structure, pins)
     roots: dict[int, list[int]] = {}
     for cid in range(structure.n_classes):
@@ -244,28 +244,14 @@ def test_ghz_honest_strategy_is_a_feasibility_witness(rng):
         vals = [values[c] for c in members]
         assert max(vals) - min(vals) < 1e-10
 
-    # the encoded objective evaluates to the strategy's Bell score
+    # the encoded objective evaluates to the strategy's Bell value
     coeffs = encode_objective(mabk_expression(3), structure)
-    from mabkcert.correlators import MeasurementSettings, mabk_value
 
-    a1 = obs[(0, 1)]
     def to_bloch(m):
-        return BlochVector(
-            float(np.real(m[0, 1])), float(np.imag(m[1, 0])), float(np.real(m[0, 0]))
-        )
+        return [np.real(m[0, 1]), np.imag(m[1, 0]), np.real(m[0, 0])]
 
-    settings_ = MeasurementSettings(
-        (SIGMA_Z, to_bloch(a1)),
-        (
-            (to_bloch(obs[(1, 0)]), to_bloch(obs[(1, 1)])),
-            (to_bloch(obs[(2, 0)]), to_bloch(obs[(2, 1)])),
-        ),
-        honest=True,
-    )
-    report = mabk_value(mabk_expression(3), settings_)
-    assert abs(float(coeffs @ values)) == pytest.approx(
-        report.mabk_value, abs=1e-10
-    )
+    settings_ = np.array([[to_bloch(obs[(p, x)]) for x in (0, 1)] for p in range(3)])
+    assert float(coeffs @ values) == pytest.approx(mabk_value(settings_), abs=1e-10)
 
 
 def test_unconstrained_reduction_is_a_no_op():
@@ -278,10 +264,10 @@ def test_unconstrained_reduction_is_a_no_op():
 def test_constrained_reduction_restores_interior():
     structure = build_moment_structure(generate_monomials(SCENARIO, 2))
     pins = {structure.identity_class: 1.0}
-    pins.update(encode_perfect_correlation(structure, 3).pinned)
+    pins.update(encode_perfect_correlation(structure, 3))
     reduced = reduce_structure(structure, pins)
     assert len(reduced.kept_rows) == 29
-    problem, _, const = lower_to_sdp(reduced, np.zeros(structure.n_classes))
+    problem, const = lower_to_sdp(reduced, np.zeros(structure.n_classes))
     assert np.array_equal(problem.f0, np.eye(problem.dimension))
     # zero objective solves to a zero bound
     assert abs(solve(problem).bound + const) < 1e-7
@@ -305,7 +291,7 @@ def test_pruning_unused_letters_keeps_the_bound(n_parties):
     )
     objective = encode_objective(mabk_expression(n_parties), structure)
     reduced = reduce_structure(structure, {structure.identity_class: 1.0})
-    problem, _, const = lower_to_sdp(reduced, objective)
+    problem, const = lower_to_sdp(reduced, objective)
     full = solve(problem)
     pruned = npa_upper_bound(2, with_constraint=False, n_parties=n_parties)
     assert pruned.basis_size < structure.dimension
@@ -320,12 +306,12 @@ def test_max_equals_minus_min():
         {structure.identity_class: 1.0},
         {
             structure.identity_class: 1.0,
-            **encode_perfect_correlation(structure, 3).pinned,
+            **encode_perfect_correlation(structure, 3),
         },
     ):
         reduced = reduce_structure(structure, pins)
-        plus, _, cp = lower_to_sdp(reduced, objective)
-        minus, _, cm = lower_to_sdp(reduced, -objective)
+        plus, cp = lower_to_sdp(reduced, objective)
+        minus, cm = lower_to_sdp(reduced, -objective)
         bound_plus = solve(plus).bound + cp
         bound_minus = solve(minus).bound + cm
         assert bound_plus == pytest.approx(bound_minus, abs=1e-6)
