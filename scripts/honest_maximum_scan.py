@@ -11,11 +11,15 @@ multipartite entanglement unreachable.
 
 Usage:
     python scripts/honest_maximum_scan.py [--max-n 6] [--restarts 60] [--seed S]
+
+``--max-n`` must lie in [3, cli.MAX_PARTIES] and ``--restarts`` in
+[1, cli.MAX_RESTARTS]; other values exit 2 with a message.
 """
 
 import argparse
 
 from mabkcert.blochopt import OptimizerConfig, maximize_honest_mabk
+from mabkcert.cli import MAX_PARTIES, MAX_RESTARTS
 from mabkcert.correlators import gme_bound
 
 
@@ -25,6 +29,10 @@ def main() -> None:
     parser.add_argument("--restarts", type=int, default=60)
     parser.add_argument("--seed", type=int, default=20240811)
     args = parser.parse_args()
+    if not 3 <= args.max_n <= MAX_PARTIES:
+        parser.error(f"--max-n must be in [3, {MAX_PARTIES}], got {args.max_n}")
+    if not 1 <= args.restarts <= MAX_RESTARTS:
+        parser.error(f"--restarts must be in [1, {MAX_RESTARTS}], got {args.restarts}")
 
     print(f"{'N':>3} {'pinned-key max':>16} {'2^((N-3)/2)':>13} {'GME threshold':>14}")
     for n in range(3, args.max_n + 1):

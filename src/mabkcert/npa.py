@@ -46,7 +46,11 @@ implication: rows joined by a pinned unit entry are identified, their entry
 classes are merged columnwise, and newly pinned classes are propagated until
 a fixpoint.  Every identification is forced for every feasible matrix of the
 pinned problem, so the reduced problem has the same optimal value, and after
-deduplication the reduced ``M(0) = I`` is strictly feasible again.
+deduplication the reduced ``M(0) = I`` is strictly feasible again.  Both the
+row groups and the class merges are connected components, computed on arrays
+and labelled by their smallest member.  ``lower_to_sdp`` then turns the
+reduced class matrix into ``F0`` (the pinned entries) and the CSR basis of
+``sdp.SdpProblem`` (one variable per free class) by array indexing.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .mabk import BellExpression, mabk_expression
 from .sdp import (
@@ -209,25 +214,24 @@ def encode_perfect_correlation(
     return pinned
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _min_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Smallest node of each node's connected component; edges are (u, v).
 
-    def find(self, a: int) -> int:
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
+    Each pass lowers both ends of every edge to the smaller of their labels,
+    then jumps every label to its label's label, until nothing changes.  A
+    label is always a node of the same component, so at the fixpoint every
+    edge has equal ends and each component carries its smallest node.
+    """
+    label = np.arange(n)
+    while True:
+        before = label
+        label = label.copy()
+        low = np.minimum(label[u], label[v])
+        np.minimum.at(label, u, low)
+        np.minimum.at(label, v, low)
+        label = label[label]
+        if np.array_equal(label, before):
+            return label
 
 
 @dataclass(frozen=True)
@@ -243,127 +247,86 @@ class ReducedMoments:
 def reduce_structure(
     structure: MomentMatrixStructure, pinned: dict[int, float]
 ) -> ReducedMoments:
-    """Merge rows forced equal by unit pins; value-preserving (see module doc)."""
-    d = structure.dimension
+    """Merge rows forced equal by unit pins; value-preserving (see module doc).
+
+    Rows and classes are labelled by the smallest member of their group.  Each
+    round joins the rows linked by an entry pinned to one, then merges each
+    row's entry classes with those of its group's smallest row, column by
+    column, until the rows stop merging.  Pins and merges only accumulate, so
+    each round recomputes both partitions from all of its links.
+    """
+    d, n = structure.dimension, structure.n_classes
     class_of = structure.class_of
-    classes = _UnionFind(structure.n_classes)
-    rows = _UnionFind(d)
-    pin: dict[int, float] = {}
-
-    def set_pin(root: int, value: float) -> None:
-        existing = pin.get(root)
-        if existing is not None and abs(existing - value) > 1e-12:
-            raise ValueError(
-                f"inconsistent pins for one moment class: {existing} vs {value}"
-            )
-        pin[root] = value
-
-    def union_classes(a: int, b: int) -> None:
-        ra, rb = classes.find(a), classes.find(b)
-        if ra == rb:
-            return
-        va, vb = pin.pop(ra, None), pin.pop(rb, None)
-        if va is not None and vb is not None and abs(va - vb) > 1e-12:
-            raise ValueError(
-                f"inconsistent pins while merging classes: {va} vs {vb}"
-            )
-        classes.union(ra, rb)
-        root = classes.find(ra)
-        value = va if va is not None else vb
-        if value is not None:
-            pin[root] = value
-
-    for cid, value in pinned.items():
-        set_pin(classes.find(cid), float(value))
-
+    pin_ids = np.fromiter(pinned, dtype=np.intp, count=len(pinned))
+    pin_vals = np.fromiter(pinned.values(), dtype=float, count=len(pinned))
+    rows, classes = np.arange(d), np.arange(n)
     while True:
-        merged_any = False
-        for a in range(d):
-            row_a = class_of[a]
-            for b in range(a + 1, d):
-                if rows.find(a) == rows.find(b):
-                    continue
-                if pin.get(classes.find(int(row_a[b]))) == 1.0:
-                    rows.union(a, b)
-                    merged_any = True
-        if not merged_any:
+        # the pinned value of every root class, NaN where unpinned
+        roots = classes[pin_ids]
+        value = np.full(n, np.nan)
+        value[roots] = pin_vals
+        clash = np.flatnonzero(np.abs(value[roots] - pin_vals) > 1e-12)
+        if clash.size:
+            c = clash[0]
+            raise ValueError(
+                f"inconsistent pins for one moment class: {pin_vals[c]} vs"
+                f" {value[roots[c]]}"
+            )
+        a, b = np.nonzero(value[classes[class_of]] == 1.0)
+        merged = _min_labels(d, a, b)
+        if np.array_equal(merged, rows):
             break
-        groups: dict[int, list[int]] = {}
-        for a in range(d):
-            groups.setdefault(rows.find(a), []).append(a)
-        for members in groups.values():
-            base = members[0]
-            for other in members[1:]:
-                for c in range(d):
-                    union_classes(int(class_of[base, c]), int(class_of[other, c]))
+        rows = merged
+        classes = _min_labels(n, class_of[rows].ravel(), class_of.ravel())
 
-    kept = tuple(sorted({rows.find(a) for a in range(d)}))
-    k = len(kept)
-    class_matrix = np.empty((k, k), dtype=np.int32)
-    for i, a in enumerate(kept):
-        for j, b in enumerate(kept):
-            class_matrix[i, j] = classes.find(int(class_of[a, b]))
-    root_of = np.array(
-        [classes.find(i) for i in range(structure.n_classes)], dtype=np.int32
+    kept = np.flatnonzero(rows == np.arange(d))
+    pinned_roots = {int(r): float(value[r]) for r in np.flatnonzero(~np.isnan(value))}
+    return ReducedMoments(
+        tuple(kept.tolist()),
+        classes[class_of[np.ix_(kept, kept)]].astype(np.int32),
+        pinned_roots,
+        classes.astype(np.int32),
     )
-    return ReducedMoments(kept, class_matrix, dict(pin), root_of)
 
 
 def lower_to_sdp(
     reduced: ReducedMoments, objective: np.ndarray
 ) -> tuple[SdpProblem, float]:
-    """Build the dual-form LMI; returns (problem, objective constant)."""
-    k = reduced.class_matrix.shape[0]
-    var_of: dict[int, int] = {}
-    f0 = np.zeros((k, k))
-    vi: list[int] = []
-    rr: list[int] = []
-    cc: list[int] = []
-    for i in range(k):
-        for j in range(i, k):
-            root = int(reduced.class_matrix[i, j])
-            value = reduced.pinned_roots.get(root)
-            if value is not None:
-                f0[i, j] = value
-                f0[j, i] = value
-                continue
-            v = var_of.setdefault(root, len(var_of))
-            vi.append(v)
-            rr.append(i)
-            cc.append(j)
-            if i != j:
-                vi.append(v)
-                rr.append(j)
-                cc.append(i)
+    """Build the dual-form LMI; returns (problem, objective constant).
 
-    const = 0.0
-    c = np.zeros(len(var_of))
-    objective_roots = {}
-    for cid, coeff in enumerate(objective):
-        if coeff == 0.0:
-            continue
-        root = int(reduced.root_of[cid])
-        objective_roots[root] = objective_roots.get(root, 0.0) + float(coeff)
-    for root, coeff in objective_roots.items():
-        value = reduced.pinned_roots.get(root)
-        if value is not None:
-            const += coeff * value
-            continue
-        if root not in var_of:
-            raise ValueError("objective class missing from the reduced matrix")
-        c[var_of[root]] += coeff
+    Free root classes become variables numbered by first appearance in the
+    row-major upper triangle; pinned ones go into ``F0``.
+    """
+    cm = reduced.class_matrix
+    k = cm.shape[0]
+    pin = np.full(len(reduced.root_of), np.nan)
+    pin[list(reduced.pinned_roots)] = list(reduced.pinned_roots.values())
+    fixed = np.nan_to_num(pin)
 
-    problem = SdpProblem(
-        dimension=k,
-        n_vars=len(var_of),
-        f0=f0,
-        var_index=np.array(vi, dtype=np.intp),
-        rows=np.array(rr, dtype=np.intp),
-        cols=np.array(cc, dtype=np.intp),
-        vals=np.ones(len(vi)),
-        c=c,
+    i, j = np.triu_indices(k)
+    root = cm[i, j]
+    free = np.isnan(pin[root])
+    i, j, root = i[free], j[free], root[free]
+    roots, first = np.unique(root, return_index=True)
+    order = roots[np.argsort(first)]  # the free roots in variable order
+    var_of = np.full(len(pin), -1)
+    var_of[order] = np.arange(len(order))
+    var = var_of[root]
+    off = i != j
+    basis = csr_matrix(
+        (
+            np.ones(len(var) + off.sum()),
+            (np.append(var, var[off]), np.append(i * k + j, j[off] * k + i[off])),
+        ),
+        shape=(len(order), k * k),
     )
-    return problem, const
+
+    by_root = np.bincount(reduced.root_of, weights=objective, minlength=len(pin))
+    missing = (var_of < 0) & np.isnan(pin)
+    if missing[reduced.root_of[objective != 0.0]].any():
+        raise ValueError("objective class missing from the reduced matrix")
+    const = float(by_root @ fixed)
+    return SdpProblem(f0=fixed[cm], basis=basis, c=by_root[order]), const
 
 
 @dataclass(frozen=True)
@@ -372,13 +335,9 @@ class NpaResult:
     certified_bound: float
     verified: bool
     solution: SdpSolution
-    level: int
-    constrained: bool
-    n_parties: int
     basis_size: int
     reduced_size: int
     n_moment_classes: int
-    objective_constant: float
 
 
 def npa_upper_bound(
@@ -386,7 +345,6 @@ def npa_upper_bound(
     with_constraint: bool,
     tol: float = 1e-9,
     n_parties: int = 3,
-    max_iter: int = 120,
 ) -> NpaResult:
     """Certified upper bound on the Bell value at the given hierarchy level.
 
@@ -420,7 +378,7 @@ def npa_upper_bound(
 
     reduced = reduce_structure(structure, pinned)
     problem, const = lower_to_sdp(reduced, objective)
-    solution = solve(problem, tol=tol, max_iter=max_iter)
+    solution = solve(problem, tol=tol)
     verified = verify_certificate(problem, solution)
     certified = certified_upper_bound(problem, solution)
     return NpaResult(
@@ -428,11 +386,7 @@ def npa_upper_bound(
         certified_bound=certified + const,
         verified=verified,
         solution=solution,
-        level=level,
-        constrained=with_constraint,
-        n_parties=n_parties,
         basis_size=structure.dimension,
         reduced_size=problem.dimension,
         n_moment_classes=problem.n_vars,
-        objective_constant=const,
     )

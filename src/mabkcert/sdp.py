@@ -19,12 +19,14 @@ symmetric (Cholesky-based) factorizations.  Every ``y_i`` is free: a moment
 with a fixed value is not a variable, and callers fold it into ``F0``
 themselves, as ``npa.lower_to_sdp`` does for the perfect-correlation pins.
 
-The iterates are dense; the basis is one sparse matrix ``P`` whose row ``i``
-is ``F_i`` flattened, so the adjoint ``<F_i, Z>`` is ``P @ vec(Z)`` and each
-Schur column is one sparse product with a dense ``W F_j Z`` (the column-wise
-sparse evaluation of Fujisawa, Kojima & Nakata 1997).  Everything is
-deterministic: fixed elimination order, no randomized pivoting, so identical
-inputs produce bit-identical iteration traces.
+The iterates are dense; ``SdpProblem.basis`` is the only form of the basis:
+one CSR matrix of shape (m, d*d) whose row ``i`` is ``F_i`` flattened, so the
+adjoint ``<F_i, Z>`` is ``basis @ vec(Z)``, ``sum y_i F_i`` is
+``basis.T @ y`` reshaped, and each Schur column is one sparse product with a
+dense ``W F_j Z`` (the column-wise sparse evaluation of Fujisawa, Kojima &
+Nakata 1997).  Everything is deterministic: fixed elimination order, no
+randomized pivoting, so identical inputs produce bit-identical iteration
+traces.
 """
 
 from __future__ import annotations
@@ -53,50 +55,47 @@ class SdpSolverError(RuntimeError):
 class SdpProblem:
     """Dual-form LMI data: ``M(y) = F0 + sum y_i F_i`` must stay PSD.
 
-    The basis matrices are stored as one flat symmetric COO list
-    (``var_index, rows, cols, vals``) containing both triangles of every
-    off-diagonal entry.
+    ``basis`` is one sparse matrix of shape (m, d*d) whose row ``i`` is ``F_i``
+    flattened, so ``basis @ vec(Z)`` is the adjoint ``<F_i, Z>`` and
+    ``basis.T @ y`` is ``vec(sum y_i F_i)``.
     """
 
-    dimension: int
-    n_vars: int
     f0: np.ndarray
-    var_index: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
+    basis: csr_matrix
     c: np.ndarray
+
+    @property
+    def dimension(self) -> int:
+        return self.f0.shape[0]
+
+    @property
+    def n_vars(self) -> int:
+        return self.basis.shape[0]
 
     @classmethod
     def from_dense(
         cls, f0: np.ndarray, mats: list[np.ndarray], c: np.ndarray
     ) -> "SdpProblem":
-        d = f0.shape[0]
-        vi, rr, cc, vv = [], [], [], []
         for i, m in enumerate(mats):
             if not np.allclose(m, m.T):
                 raise ValueError(f"basis matrix {i} is not symmetric")
-            r, c_ = np.nonzero(m)
-            vi.extend([i] * len(r))
-            rr.extend(r)
-            cc.extend(c_)
-            vv.extend(m[r, c_])
+        d = f0.shape[0]
         return cls(
-            dimension=d,
-            n_vars=len(mats),
             f0=np.array(f0, dtype=float),
-            var_index=np.array(vi, dtype=np.intp),
-            rows=np.array(rr, dtype=np.intp),
-            cols=np.array(cc, dtype=np.intp),
-            vals=np.array(vv, dtype=float),
+            basis=csr_matrix(np.array(mats, dtype=float).reshape(len(mats), d * d)),
             c=np.array(c, dtype=float),
         )
 
     def basis_matrix(self, i: int) -> np.ndarray:
-        m = np.zeros((self.dimension, self.dimension))
-        sel = self.var_index == i
-        np.add.at(m, (self.rows[sel], self.cols[sel]), self.vals[sel])
-        return m
+        return self.basis[i].toarray().reshape(self.dimension, self.dimension)
+
+    def adjoint(self, z: np.ndarray) -> np.ndarray:
+        """``<F_i, Z>`` for every i."""
+        return self.basis @ z.ravel()
+
+    def combination(self, y: np.ndarray) -> np.ndarray:
+        """``sum_i y_i F_i``."""
+        return (self.basis.T @ y).reshape(self.dimension, self.dimension)
 
 
 @dataclass(frozen=True)
@@ -113,38 +112,6 @@ class SdpSolution:
     trace: tuple[tuple[float, ...], ...] = field(repr=False, default=())
 
 
-class _Operator:
-    """The basis as one sparse matrix ``P`` of shape (m, d*d).
-
-    Row ``i`` of ``P`` is ``F_i`` flattened, so ``P @ vec(Z)`` is the adjoint
-    ``<F_i, Z>`` and ``P.T @ y`` is ``vec(sum y_i F_i)``.
-    """
-
-    def __init__(self, problem: SdpProblem):
-        self.d = problem.dimension
-        self.m = problem.n_vars
-        self.p = csr_matrix(
-            (problem.vals, (problem.var_index, problem.rows * self.d + problem.cols)),
-            shape=(self.m, self.d * self.d),
-        )
-        self.p.eliminate_zeros()
-
-    def mat(self, y: np.ndarray, base: np.ndarray) -> np.ndarray:
-        return base + (self.p.T @ y).reshape(self.d, self.d)
-
-    def adjoint(self, z: np.ndarray) -> np.ndarray:
-        return self.p @ z.ravel()
-
-    def columns(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per basis matrix: its entry rows, entry columns and values."""
-        ptr, flat, vals = self.p.indptr, self.p.indices, self.p.data
-        cols = []
-        for j in range(self.m):
-            r, c = np.divmod(flat[ptr[j] : ptr[j + 1]], self.d)
-            cols.append((r, c, vals[ptr[j] : ptr[j + 1]]))
-        return cols
-
-
 def _max_step(x_chol: np.ndarray, delta: np.ndarray) -> float:
     """Largest alpha with X + alpha*Delta still PSD, via L^-1 Delta L^-T."""
     a = solve_triangular(x_chol, delta, lower=True)
@@ -157,12 +124,11 @@ def _max_step(x_chol: np.ndarray, delta: np.ndarray) -> float:
 
 def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSolution:
     """Run the interior-point iteration until gap and residuals drop below tol."""
-    op = _Operator(problem)
-    d, m = op.d, op.m
+    d, m = problem.dimension, problem.n_vars
     f0, c = problem.f0, problem.c
 
     y = np.zeros(m)
-    s = op.mat(y, f0)
+    s = f0 + problem.combination(y)
     try:
         cholesky(s, lower=True)
     except np.linalg.LinAlgError as exc:
@@ -171,7 +137,12 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
             {"dimension": d, "n_vars": m},
         ) from exc
     z = np.eye(d)
-    columns = op.columns()
+    # per basis matrix F_j: its entry rows, entry columns and values
+    ptr, flat, vals = problem.basis.indptr, problem.basis.indices, problem.basis.data
+    columns = [
+        (*np.divmod(flat[ptr[j] : ptr[j + 1]], d), vals[ptr[j] : ptr[j + 1]])
+        for j in range(m)
+    ]
     trace: list[tuple[float, ...]] = []
 
     status = "max_iter"
@@ -191,7 +162,7 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
         primal = float(c @ y)
         dual = float(np.tensordot(f0, z))
         gap = dual - primal
-        rd = c + op.adjoint(z)  # want <F_i, Z> = -c_i
+        rd = c + problem.adjoint(z)  # want <F_i, Z> = -c_i
         rd_inf = float(np.abs(rd).max()) if m else 0.0
 
         # weak duality with the residual-corrected dual objective: by the exact
@@ -219,12 +190,12 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
         # is symmetric; assembled column by column
         h = np.empty((m, m))
         for j, (rj, cj, vj) in enumerate(columns):
-            h[:, j] = op.adjoint((w[:, rj] * vj) @ z[cj, :])
+            h[:, j] = problem.adjoint((w[:, rj] * vj) @ z[cj, :])
         h = 0.5 * (h + h.T)
         ridge = 1e-14 * max(1.0, float(h.diagonal().max()))
         h[np.diag_indices_from(h)] += ridge
 
-        rhs = mu_target * op.adjoint(w) + c
+        rhs = mu_target * problem.adjoint(w) + c
         try:
             hc = cho_factor(h, lower=True)
         except np.linalg.LinAlgError as exc:
@@ -234,7 +205,7 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
             ) from exc
         dy = cho_solve(hc, rhs)
 
-        ds = op.mat(dy, np.zeros((d, d)))
+        ds = problem.combination(dy)
         dz = mu_target * w - z - w @ ds @ z
         dz = 0.5 * (dz + dz.T)
 
@@ -242,7 +213,7 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
         alpha_d = min(1.0, FRACTION_TO_BOUNDARY * _max_step(lz, dz))
 
         y = y + alpha_p * dy
-        s = op.mat(y, f0)
+        s = f0 + problem.combination(y)
         z = z + alpha_d * dz
         trace.append((mu, primal, dual, gap, rd_inf, alpha_p, alpha_d))
 
@@ -281,7 +252,7 @@ def verify_certificate(problem: SdpProblem, solution: SdpSolution) -> bool:
     if lam_min < CERT_EIG_FLOOR:
         return False
 
-    residual = problem.c + _Operator(problem).adjoint(z)
+    residual = problem.c + problem.adjoint(z)
     if residual.size and float(np.abs(residual).max()) >= CERT_STATIONARITY_TOL:
         return False
 
@@ -289,7 +260,7 @@ def verify_certificate(problem: SdpProblem, solution: SdpSolution) -> bool:
     return abs(recomputed - solution.bound) <= 1e-9 * (1.0 + abs(solution.bound))
 
 
-def _check_certifiable(problem: SdpProblem, p: csr_matrix) -> None:
+def _check_certifiable(problem: SdpProblem) -> None:
     """Refuse problems for which ``certified_upper_bound`` would be unsound.
 
     The bound needs ``tr F_i = 0`` (so lifting ``Z`` by ``e * I`` leaves the
@@ -302,11 +273,11 @@ def _check_certifiable(problem: SdpProblem, p: csr_matrix) -> None:
     d = problem.dimension
     if not np.array_equal(np.diag(problem.f0), np.ones(d)):
         raise ValueError("certified bound needs F0 with a unit diagonal")
-    entries = p.tocoo()
+    entries = problem.basis.tocoo()
     rows, cols = np.divmod(entries.col, d)
     if np.any(rows == cols):
         raise ValueError("certified bound needs basis matrices with a zero diagonal")
-    sharers = p.getnnz(axis=0)[entries.col]
+    sharers = problem.basis.getnnz(axis=0)[entries.col]
     anchors = (
         (sharers == 1)
         & (problem.f0.ravel()[entries.col] == 0.0)
@@ -330,10 +301,9 @@ def certified_upper_bound(problem: SdpProblem, solution: SdpSolution) -> float:
     at a price of ``e * tr F0``.  ``_check_certifiable`` raises ``ValueError``
     unless the problem's structure implies both assumptions.
     """
-    op = _Operator(problem)
-    _check_certifiable(problem, op.p)
+    _check_certifiable(problem)
     z = solution.dual_matrix
-    residual = problem.c + op.adjoint(z)
+    residual = problem.c + problem.adjoint(z)
     lam_min = float(eigvalsh(0.5 * (z + z.T))[0])
     lift = max(0.0, -lam_min) * float(np.trace(problem.f0))
     slack = float(np.abs(residual).sum()) if residual.size else 0.0

@@ -2,10 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mabkcert import cli
+from conftest import random_bloch
+from mabkcert import cli, correlators
+from mabkcert.correlators import ghz_expectation, honest_even_formula
+from mabkcert.pauli import SIGMA_Z
 from mabkcert.sdp import SdpSolverError
 
 
@@ -73,14 +77,43 @@ def test_invalid_inputs_exit_with_usage_error(argv):
     assert exc.value.code == cli.EXIT_USAGE
 
 
-def test_theorem1_passes_odd_and_even(capsys):
-    for n in ("5", "4"):
+def _theorem1_oracle(n, trials, seed):
+    """Largest residual and the trials, one at a time through the scalar correlator."""
+    rng = np.random.default_rng(seed)
+    worst, drawn = 0.0, []
+    for _ in range(trials):
+        obs = [SIGMA_Z] + [random_bloch(rng) for _ in range(n - 1)]
+        value = ghz_expectation(n, obs)
+        if n % 2 == 0:
+            value -= honest_even_formula(n, [b.bz for b in obs[1:]])
+        worst = max(worst, abs(value))
+        drawn.append([b.as_array() for b in obs])
+    return worst, np.array(drawn)
+
+
+def test_theorem1_passes_odd_and_even(capsys, monkeypatch):
+    oracle = {n: _theorem1_oracle(n, 50, cli.SEED_DEFAULT) for n in range(3, 7)}
+    evaluated = []
+    kernel = correlators.ghz_expectation_batch
+
+    def recording_kernel(n, blochs):
+        evaluated.append(blochs)
+        return kernel(n, blochs)
+
+    monkeypatch.setattr(correlators, "ghz_expectation_batch", recording_kernel)
+    monkeypatch.setattr(cli, "THEOREM1_BLOCK", 16)  # 50 trials in four blocks
+    for n, (worst, drawn) in oracle.items():
+        evaluated.clear()
         code, out, _ = run(
-            capsys, "theorem1", "--n", n, "--trials", "50", "--format", "json"
+            capsys, "theorem1", "--n", str(n), "--trials", "50", "--format", "json"
         )
         assert code == cli.EXIT_OK
-        payload = json.loads(out)
-        assert payload["results"]["max_residual"] < 1e-12
+        max_residual = json.loads(out)["results"]["max_residual"]
+        assert max_residual < 1e-12
+        assert max_residual == worst
+        # the oracle's trials, up to the rounding of the vector norm
+        assert len(evaluated) == 4
+        assert np.allclose(np.concatenate(evaluated), drawn, rtol=0.0, atol=1e-15)
 
 
 def test_theorem1_zero_trials_warns_but_passes(capsys):

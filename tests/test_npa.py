@@ -14,6 +14,7 @@ from mabkcert.mabk import mabk_expression
 from mabkcert.npa import (
     KEY_INPUT,
     OperatorLetter,
+    ReducedMoments,
     build_moment_structure,
     canonicalize,
     default_scenario,
@@ -261,16 +262,99 @@ def test_unconstrained_reduction_is_a_no_op():
     assert np.array_equal(reduced.class_matrix, structure.class_of)
 
 
-def test_constrained_reduction_restores_interior():
-    structure = build_moment_structure(generate_monomials(SCENARIO, 2))
+@pytest.mark.parametrize(
+    "level, kept, n_vars", [(2, 29, 123), (3, 95, 621)], ids=["level2", "level3"]
+)
+def test_constrained_reduction_restores_interior(level, kept, n_vars):
+    structure = build_moment_structure(generate_monomials(SCENARIO, level))
     pins = {structure.identity_class: 1.0}
     pins.update(encode_perfect_correlation(structure, 3))
     reduced = reduce_structure(structure, pins)
-    assert len(reduced.kept_rows) == 29
+    assert len(reduced.kept_rows) == kept
+    # fixpoint: no two kept rows are still joined by an entry pinned to one
+    cm = reduced.class_matrix
+    for i, j in zip(*np.triu_indices(kept, 1)):
+        assert reduced.pinned_roots.get(int(cm[i, j])) != 1.0
     problem, const = lower_to_sdp(reduced, np.zeros(structure.n_classes))
+    assert problem.n_vars == n_vars
     assert np.array_equal(problem.f0, np.eye(problem.dimension))
     # zero objective solves to a zero bound
     assert abs(solve(problem).bound + const) < 1e-7
+
+
+def _reference_reduction(structure, pinned):
+    """The reduction as plain loops, each group labelled by its smallest member."""
+    d, class_of = structure.dimension, structure.class_of
+    rows, classes = list(range(d)), list(range(structure.n_classes))
+
+    def join(label, a, b):
+        low, high = sorted((label[a], label[b]))
+        for x, current in enumerate(label):
+            if current == high:
+                label[x] = low
+        return low != high
+
+    while True:
+        value = {classes[cid]: v for cid, v in pinned.items()}
+        merged = False
+        for a in range(d):
+            for b in range(a + 1, d):
+                if value.get(classes[class_of[a, b]]) == 1.0:
+                    merged |= join(rows, a, b)
+        if not merged:
+            break
+        for a in range(d):
+            for c in range(d):
+                join(classes, class_of[rows[a], c], class_of[a, c])
+    kept = sorted(set(rows))
+    matrix = [[classes[class_of[a, b]] for b in kept] for a in kept]
+    return tuple(kept), np.array(matrix), value, np.array(classes)
+
+
+def test_reduction_matches_the_loop_reference():
+    structure = build_moment_structure(generate_monomials(SCENARIO, 2))
+    rng = np.random.default_rng(3)
+    pin_sets = [encode_perfect_correlation(structure, 3)] + [
+        {int(c): 1.0 for c in rng.choice(structure.n_classes, 3, replace=False)}
+        for _ in range(8)
+    ]
+    for pins in pin_sets:
+        pins = {structure.identity_class: 1.0, **pins}
+        reduced = reduce_structure(structure, pins)
+        kept, matrix, value, classes = _reference_reduction(structure, pins)
+        assert reduced.kept_rows == kept
+        assert np.array_equal(reduced.class_matrix, matrix)
+        assert reduced.pinned_roots == value
+        assert np.array_equal(reduced.root_of, classes)
+
+
+def test_reduction_refuses_pins_that_the_merges_contradict():
+    # <A0 B2> = 1 merges the rows of A0 and B2, and with them <A0> and <B2>
+    structure = build_moment_structure(generate_monomials(SCENARIO, 2))
+    lookup = {rep: k for k, rep in enumerate(structure.class_representatives)}
+    pins = {
+        structure.identity_class: 1.0,
+        lookup[(A0, B2_1)]: 1.0,
+        lookup[(A0,)]: 1.0,
+        lookup[(B2_1,)]: -1.0,
+    }
+    with pytest.raises(ValueError, match="inconsistent pins"):
+        reduce_structure(structure, pins)
+    del pins[lookup[(B2_1,)]]
+    reduce_structure(structure, pins)
+
+
+def test_lowering_refuses_an_objective_class_outside_the_matrix():
+    reduced = ReducedMoments(
+        kept_rows=(0, 1),
+        class_matrix=np.array([[0, 1], [1, 0]], dtype=np.int32),
+        pinned_roots={0: 1.0},
+        root_of=np.arange(3, dtype=np.int32),
+    )
+    problem, const = lower_to_sdp(reduced, np.array([0.0, 2.0, 0.0]))
+    assert problem.n_vars == 1 and problem.c.tolist() == [2.0] and const == 0.0
+    with pytest.raises(ValueError, match="objective class missing"):
+        lower_to_sdp(reduced, np.array([0.0, 0.0, 1.0]))
 
 
 def test_level2_bounds():

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -22,6 +24,22 @@ def test_honest_maximum_scan_runs():
     lines = out.stdout.strip().splitlines()
     assert len(lines) == 3  # header + N=3 + N=4
     assert "pinned-key max" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--restarts", "0"], ["--restarts", "201"], ["--max-n", "2"], ["--max-n", "11"]],
+    ids="=".join,
+)
+def test_honest_maximum_scan_rejects_unbounded_inputs(argv):
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "honest_maximum_scan.py"), *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert argv[0] in out.stderr and "Traceback" not in out.stderr
 
 
 def test_reproduce_script_writes_report(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from mabkcert.sdp import (
     SdpProblem,
     SdpSolverError,
-    _Operator,
     certified_upper_bound,
     solve,
     verify_certificate,
@@ -38,8 +37,9 @@ def test_toy_2x2():
     assert sol.bound >= sol.primal_objective - 1e-9
 
 
-def random_disjoint_instance(seed):
-    """5x5 instance with three moments on disjoint off-diagonal supports."""
+def random_disjoint_data(seed):
+    """F0, basis matrices and c of a 5x5 instance: three moments on disjoint
+    off-diagonal supports."""
     rng = np.random.default_rng(seed)
     d = 5
     pairs = [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (0, 4)]
@@ -52,7 +52,11 @@ def random_disjoint_instance(seed):
         m[p, q] = m[q, p] = rng.uniform(-0.8, 0.8)
         mats.append(m)
     c = rng.uniform(0.2, 1.0, size=3) * rng.choice([-1.0, 1.0], size=3)
-    return SdpProblem.from_dense(np.eye(d), mats, c)
+    return np.eye(d), mats, c
+
+
+def random_disjoint_instance(seed):
+    return SdpProblem.from_dense(*random_disjoint_data(seed))
 
 
 def grid_oracle(problem, levels=6, width=1.05, points=21):
@@ -189,17 +193,18 @@ def test_certified_bound_refuses_unchecked_assumptions(problem, reason):
 
 @pytest.mark.parametrize("seed", [5, 11, 23])
 def test_sparse_operator_matches_dense_basis_matrices(seed):
-    problem = random_disjoint_instance(seed)
-    op = _Operator(problem)
+    f0, mats, c = random_disjoint_data(seed)
+    problem = SdpProblem.from_dense(f0, mats, c)
     rng = np.random.default_rng(seed)
-    y = rng.normal(size=problem.n_vars)
-    z = rng.normal(size=(problem.dimension, problem.dimension))
-    basis = [problem.basis_matrix(i) for i in range(problem.n_vars)]
-    dense = problem.f0 + sum(yi * f for yi, f in zip(y, basis))
-    assert np.allclose(op.mat(y, problem.f0), dense, rtol=0.0, atol=1e-12)
+    y = rng.normal(size=len(mats))
+    z = rng.normal(size=f0.shape)
+    dense = f0 + sum(yi * f for yi, f in zip(y, mats))
+    assert np.allclose(f0 + problem.combination(y), dense, rtol=0.0, atol=1e-12)
     assert np.allclose(
-        op.adjoint(z), [np.tensordot(f, z) for f in basis], rtol=0.0, atol=1e-12
+        problem.adjoint(z), [np.tensordot(f, z) for f in mats], rtol=0.0, atol=1e-12
     )
+    for i, f in enumerate(mats):
+        assert np.array_equal(problem.basis_matrix(i), f)
 
 
 def test_iteration_limit_raises_with_diagnostics():
