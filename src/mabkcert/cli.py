@@ -184,7 +184,7 @@ def cmd_theorem1(n: int, trials: int, seed: int) -> RunReport:
         blochs = np.insert(bobs, 0, (0.0, 0.0, 1.0), axis=1)  # sigma_z first
         value = correlators.ghz_expectation_batch(n, blochs)
         if n % 2 == 0:
-            value = value - np.prod(bobs[..., 2], axis=-1)
+            value = value - correlators.honest_even_formula(n, bobs[..., 2])
         max_residual = max(max_residual, float(np.abs(value).max()))
     claim = (
         "pinned-key correlators vanish for odd party count"

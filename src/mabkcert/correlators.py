@@ -7,7 +7,8 @@ On the N-party GHZ state ``(|0...0> + |1...1>)/sqrt(2)`` the expectation of
 
 the off-diagonal ``<0...0|O|1...1>`` element plus the two diagonal ones.
 ``ghz_expectation_batch`` evaluates it in O(N) per point over any leading
-batch axes, and every Bell value in the package goes through it.
+batch axes, and every Bell value in the package goes through it.  A Bloch
+vector is always a float array whose last axis holds (x, y, z).
 
 A settings choice is a float array of shape (..., N, 2, 3) whose entry
 ``[..., i, x]`` is party i's Bloch vector for input x.  ``mabk_value`` gathers
@@ -20,19 +21,18 @@ stabilizer expansion ``tr(rho O) = 2**-N * sum_S tr(O S)``
 
 With the first observable pinned to sigma_z its transverse factor is exactly
 zero, so for odd N every such correlator is exactly ``0.0`` and for even N it
-is exactly the product of the other parties' z-components.
+is exactly the product of the other parties' z-components
+(``honest_even_formula``).
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from .mabk import mabk_expression
-from .pauli import BlochVector, PauliLetter
+from .pauli import PauliLetter
 from .stabilizer import ghz_expansion
 
 _AXIS_INDEX = {PauliLetter.X: 0, PauliLetter.Y: 1, PauliLetter.Z: 2}
@@ -57,11 +57,11 @@ def identity_free_elements(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(axes, dtype=np.intp), np.array(signs)
 
 
-def ghz_expectation(n: int, observables: Sequence[BlochVector]) -> float:
-    """``< O_1 x ... x O_n >`` on the n-party GHZ state."""
-    if len(observables) != n:
-        raise ValueError(f"expected {n} observables, got {len(observables)}")
-    blochs = np.array([b.as_array() for b in observables])
+def ghz_expectation(n: int, blochs: np.ndarray) -> float:
+    """``< O_1 x ... x O_n >`` on the n-party GHZ state for one (n, 3) array."""
+    blochs = np.asarray(blochs, dtype=float)
+    if blochs.shape != (n, 3):
+        raise ValueError(f"expected shape ({n}, 3), got {blochs.shape}")
     return float(ghz_expectation_batch(n, blochs))
 
 
@@ -98,13 +98,17 @@ def _products_of_others(factors: np.ndarray) -> np.ndarray:
     return before * after[..., ::-1]
 
 
-def honest_even_formula(n: int, bob_bloch_z: Sequence[float]) -> float:
-    """Product of the z-components; the even-N value of ``<sigma_z x B's>``."""
+def honest_even_formula(n: int, bob_z: np.ndarray) -> np.ndarray:
+    """Product over the last axis of the other parties' z-components.
+
+    The even-N value of ``<sigma_z x B_2 x ... x B_n>``, batched over leading axes.
+    """
     if n % 2 == 1:
         raise ValueError(f"formula applies to even party counts, got n={n}")
-    if len(bob_bloch_z) != n - 1:
-        raise ValueError(f"expected {n - 1} z-components, got {len(bob_bloch_z)}")
-    return math.prod(bob_bloch_z)
+    bob_z = np.asarray(bob_z, dtype=float)
+    if bob_z.shape[-1:] != (n - 1,):
+        raise ValueError(f"expected {n - 1} z-components, got shape {bob_z.shape}")
+    return np.prod(bob_z, axis=-1)
 
 
 def gme_bound(n: int, m: int) -> float:

@@ -90,23 +90,14 @@ def default_scenario(n_parties: int = 3) -> tuple[int, ...]:
 
 
 def canonicalize(word: tuple[OperatorLetter, ...] | list[OperatorLetter]) -> Word:
-    """Sort by party (stable) and cancel adjacent equal letters, to fixpoint."""
-    w = sorted(word, key=lambda letter: letter.party)
-    while True:
-        out: list[OperatorLetter] = []
-        cancelled = False
-        i = 0
-        while i < len(w):
-            if i + 1 < len(w) and w[i] == w[i + 1]:
-                i += 2
-                cancelled = True
-            else:
-                out.append(w[i])
-                i += 1
-        w = out
-        if not cancelled:
-            break
-    return tuple(w)
+    """Sort by party (stable), then cancel equal neighbours in one stack pass."""
+    out: list[OperatorLetter] = []
+    for letter in sorted(word, key=lambda letter: letter.party):
+        if out and out[-1] == letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
 
 
 def generate_monomials(scenario: tuple[int, ...], level: int) -> list[Word]:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
@@ -44,6 +43,10 @@ _SINGLE_QUBIT_MATRIX = {
     PauliLetter.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
     PauliLetter.Z: np.array([[1, 0], [0, -1]], dtype=complex),
 }
+# sigma_x, sigma_y, sigma_z on the first axis: tensordot(b, _SIGMA, 1) is b . sigma
+_SIGMA = np.stack(
+    [_SINGLE_QUBIT_MATRIX[l] for l in (PauliLetter.X, PauliLetter.Y, PauliLetter.Z)]
+)
 
 
 def _levi_civita(j: int, k: int, l: int) -> int:
@@ -147,56 +150,12 @@ def dense_matrix(p: PauliString) -> np.ndarray:
     return (1j**p.phase_power) * m
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    """Unit 3-vector defining the traceless dichotomic observable ``b . sigma``."""
-
-    bx: float
-    by: float
-    bz: float
-
-    def __post_init__(self) -> None:
-        norm_sq = self.bx**2 + self.by**2 + self.bz**2
-        if abs(norm_sq - 1.0) > 1e-12:
-            raise ValueError(f"Bloch vector not normalized: |b|^2 = {norm_sq!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.bx, self.by, self.bz])
-
-    def component(self, letter: PauliLetter) -> float:
-        """Coefficient of ``letter`` in ``b . sigma`` (0 for the identity)."""
-        if letter is PauliLetter.X:
-            return self.bx
-        if letter is PauliLetter.Y:
-            return self.by
-        if letter is PauliLetter.Z:
-            return self.bz
-        return 0.0
-
-    def matrix(self) -> np.ndarray:
-        """Dense 2x2 observable ``bx*X + by*Y + bz*Z``."""
-        return (
-            self.bx * _SINGLE_QUBIT_MATRIX[PauliLetter.X]
-            + self.by * _SINGLE_QUBIT_MATRIX[PauliLetter.Y]
-            + self.bz * _SINGLE_QUBIT_MATRIX[PauliLetter.Z]
-        )
-
-
-def random_bloch(rng: np.random.Generator) -> BlochVector:
-    """Uniformly random unit Bloch vector (a normalized Gaussian 3-vector)."""
-    v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    return BlochVector(float(v[0]), float(v[1]), float(v[2]))
-
-
-SIGMA_X = BlochVector(1.0, 0.0, 0.0)
-SIGMA_Y = BlochVector(0.0, 1.0, 0.0)
-SIGMA_Z = BlochVector(0.0, 0.0, 1.0)
-
-
-def observable_product_matrix(blochs: Iterable[BlochVector]) -> np.ndarray:
-    """Dense Kronecker product of single-qubit Bloch observables."""
+def observable_product_matrix(blochs: np.ndarray) -> np.ndarray:
+    """Dense Kronecker product over the rows of an (n, 3) array of ``b[i] . sigma``."""
+    blochs = np.asarray(blochs, dtype=float)
+    if blochs.ndim != 2 or blochs.shape[1] != 3:
+        raise ValueError(f"expected shape (n, 3), got {blochs.shape}")
     m = np.array([[1.0 + 0.0j]])
     for b in blochs:
-        m = np.kron(m, b.matrix())
+        m = np.kron(m, np.tensordot(b, _SIGMA, axes=1))
     return m

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -75,11 +74,6 @@ class GhzStabilizer:
         return cls(n, tuple(ghz_generators(n)), tuple(ghz_expansion(n)))
 
 
-@lru_cache(maxsize=None)
-def _cached_expansion(n: int) -> tuple[PauliString, ...]:
-    return tuple(ghz_expansion(n))
-
-
 def ghz_vector(n: int) -> np.ndarray:
     """State vector ``(|0...0> + |1...1>)/sqrt(2)`` in the package's bit order."""
     if n > DENSE_QUBIT_LIMIT:
@@ -97,5 +91,5 @@ def ghz_dense(n: int) -> np.ndarray:
 
 def expansion_sum_dense(n: int) -> np.ndarray:
     """``2**-N`` times the sum of all expansion elements (must equal ghz_dense)."""
-    total = sum(dense_matrix(s) for s in _cached_expansion(n))
+    total = sum(dense_matrix(s) for s in ghz_expansion(n))
     return total / 2**n

@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
-# random_bloch is imported from here by the test modules
-from mabkcert.pauli import BlochVector, random_bloch  # noqa: F401
+# A Bloch vector is a float array (x, y, z); Z is sigma_z's.
+Z = (0.0, 0.0, 1.0)
 
 
-def bloch_with_z(z: float, rng: np.random.Generator) -> BlochVector:
+def random_bloch(rng: np.random.Generator) -> np.ndarray:
+    """Uniformly random unit Bloch vector (a normalized Gaussian 3-vector)."""
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
+def bloch_with_z(z: float, rng: np.random.Generator) -> np.ndarray:
     r = np.sqrt(1.0 - z * z)
     angle = rng.uniform(0.0, 2.0 * np.pi)
-    return BlochVector(float(r * np.cos(angle)), float(r * np.sin(angle)), float(z))
+    return np.array((r * np.cos(angle), r * np.sin(angle), z))
 
 
 @pytest.fixture

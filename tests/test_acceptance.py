@@ -217,12 +217,9 @@ def test_criterion_7_structural_identities():
         for _ in range(20):
             raw = rng.normal(size=(n, 3))
             raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-            from mabkcert.pauli import BlochVector
-
-            obs = [BlochVector(*row) for row in raw]
-            stab = ghz_expectation(n, obs)
+            stab = ghz_expectation(n, raw)
             dense = float(
-                np.real(np.trace(ghz_dense(n) @ observable_product_matrix(obs)))
+                np.real(np.trace(ghz_dense(n) @ observable_product_matrix(raw)))
             )
             assert abs(stab - dense) < 1e-12
     elapsed = time.perf_counter() - t0

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_bloch
+from conftest import Z, random_bloch
 from mabkcert import cli, correlators
 from mabkcert.correlators import ghz_expectation, honest_even_formula
-from mabkcert.pauli import SIGMA_Z
 from mabkcert.sdp import SdpSolverError
 
 
@@ -82,12 +81,12 @@ def _theorem1_oracle(n, trials, seed):
     rng = np.random.default_rng(seed)
     worst, drawn = 0.0, []
     for _ in range(trials):
-        obs = [SIGMA_Z] + [random_bloch(rng) for _ in range(n - 1)]
-        value = ghz_expectation(n, obs)
+        blochs = np.array([Z] + [random_bloch(rng) for _ in range(n - 1)])
+        value = ghz_expectation(n, blochs)
         if n % 2 == 0:
-            value -= honest_even_formula(n, [b.bz for b in obs[1:]])
+            value -= honest_even_formula(n, blochs[1:, 2])
         worst = max(worst, abs(value))
-        drawn.append([b.as_array() for b in obs])
+        drawn.append(blochs)
     return worst, np.array(drawn)
 
 

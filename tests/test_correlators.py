@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bloch_with_z, random_bloch
+from conftest import Z, bloch_with_z, random_bloch
 from mabkcert.correlators import (
     ghz_expectation,
     ghz_expectation_batch,
@@ -17,24 +17,23 @@ from mabkcert.correlators import (
     theorem1_bound,
 )
 from mabkcert.mabk import mabk_expression
-from mabkcert.pauli import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    BlochVector,
-    observable_product_matrix,
-)
+from mabkcert.pauli import PauliLetter, observable_product_matrix
 from mabkcert.stabilizer import ghz_dense, ghz_expansion
 
+X = (1.0, 0.0, 0.0)
+Y = (0.0, 1.0, 0.0)
+# Bloch component of each letter, the identity's in an appended zero column
+COLUMN = {PauliLetter.X: 0, PauliLetter.Y: 1, PauliLetter.Z: 2, PauliLetter.I: 3}
 
-def dense_expectation(n, observables):
+
+def dense_expectation(n, blochs):
     rho = ghz_dense(n)
-    return float(np.real(np.trace(rho @ observable_product_matrix(observables))))
+    return float(np.real(np.trace(rho @ observable_product_matrix(blochs))))
 
 
-def as_settings(pairs):
-    """(n, 2, 3) settings array from each party's two Bloch vectors."""
-    return np.array([[b0.as_array(), b1.as_array()] for b0, b1 in pairs])
+def term_blochs(settings_, inputs):
+    """(n, 3) Bloch vectors of one term: party i's vector for input inputs[i]."""
+    return settings_[np.arange(len(inputs)), list(inputs)]
 
 
 def random_settings(rng, shape):
@@ -47,15 +46,16 @@ def dense_value(n, settings_):
     """Signed MABK value as the dense-matrix sum over the expression's terms."""
     total = 0.0
     for t in mabk_expression(n).terms:
-        obs = [BlochVector(*settings_[i, x]) for i, x in enumerate(t.inputs)]
-        total += float(t.coefficient) * dense_expectation(n, obs)
+        total += float(t.coefficient) * dense_expectation(
+            n, term_blochs(settings_, t.inputs)
+        )
     return total
 
 
 def test_pairwise_key_correlations_are_perfect():
     # <Z Z 1> and permutations on the 3-party GHZ state
-    assert ghz_expectation(3, [SIGMA_Z, SIGMA_Z, BlochVector(1, 0, 0)]) == pytest.approx(
-        dense_expectation(3, [SIGMA_Z, SIGMA_Z, BlochVector(1, 0, 0)]), abs=1e-14
+    assert ghz_expectation(3, [Z, Z, X]) == pytest.approx(
+        dense_expectation(3, [Z, Z, X]), abs=1e-14
     )
     rho = ghz_dense(3)
     z = np.diag([1.0, -1.0]).astype(complex)
@@ -67,33 +67,33 @@ def test_pairwise_key_correlations_are_perfect():
 
 def test_all_z_product_vanishes_for_odd_and_is_one_for_even():
     # the all-Z word is a stabilizer only for even party counts
-    assert ghz_expectation(3, [SIGMA_Z] * 3) == 0.0
-    assert ghz_expectation(5, [SIGMA_Z] * 5) == 0.0
-    assert ghz_expectation(4, [SIGMA_Z] * 4) == 1.0
-    assert ghz_expectation(6, [SIGMA_Z] * 6) == 1.0
+    assert ghz_expectation(3, [Z] * 3) == 0.0
+    assert ghz_expectation(5, [Z] * 5) == 0.0
+    assert ghz_expectation(4, [Z] * 4) == 1.0
+    assert ghz_expectation(6, [Z] * 6) == 1.0
 
 
 def test_odd_vanishing_with_pinned_first_observable(rng):
     for n in (3, 5, 7):
         for _ in range(200):
-            obs = [SIGMA_Z] + [random_bloch(rng) for _ in range(n - 1)]
-            assert ghz_expectation(n, obs) == 0.0
+            blochs = [Z] + [random_bloch(rng) for _ in range(n - 1)]
+            assert ghz_expectation(n, blochs) == 0.0
 
 
 def test_even_product_formula(rng):
     for n in (4, 6):
         for _ in range(200):
-            bobs = [random_bloch(rng) for _ in range(n - 1)]
-            got = ghz_expectation(n, [SIGMA_Z] + bobs)
-            want = honest_even_formula(n, [b.bz for b in bobs])
+            bobs = np.array([random_bloch(rng) for _ in range(n - 1)])
+            got = ghz_expectation(n, np.vstack([Z, bobs]))
+            want = honest_even_formula(n, bobs[:, 2])
             assert got == want
 
 
 def test_even_formula_examples(rng):
     assert honest_even_formula(4, [1.0, 1.0, 1.0]) == 1.0
     assert honest_even_formula(4, [0.3, 0.0, 0.9]) == 0.0
-    obs = [SIGMA_Z, bloch_with_z(0.5, rng), bloch_with_z(0.6, rng), bloch_with_z(0.7, rng)]
-    assert ghz_expectation(4, obs) == pytest.approx(0.21, abs=1e-12)
+    blochs = [Z, bloch_with_z(0.5, rng), bloch_with_z(0.6, rng), bloch_with_z(0.7, rng)]
+    assert ghz_expectation(4, blochs) == pytest.approx(0.21, abs=1e-12)
     assert honest_even_formula(4, [0.5, 0.6, 0.7]) == pytest.approx(0.21, abs=1e-15)
 
 
@@ -102,14 +102,29 @@ def test_even_formula_rejects_odd_n():
         honest_even_formula(3, [1.0, 1.0])
 
 
+def test_even_formula_is_batched_and_checks_length(rng):
+    bob_z = rng.uniform(-1.0, 1.0, size=(4, 2, 5))
+    assert np.array_equal(honest_even_formula(6, bob_z), np.prod(bob_z, axis=-1))
+    for wrong in ([1.0, 1.0], np.ones((3, 4))):
+        with pytest.raises(ValueError, match="z-components"):
+            honest_even_formula(6, wrong)
+
+
+def test_scalar_expectation_takes_one_bloch_array():
+    assert ghz_expectation(4, np.array([Z] * 4)) == 1.0
+    for wrong in ([Z] * 3, [[Z] * 4]):
+        with pytest.raises(ValueError, match="shape"):
+            ghz_expectation(4, wrong)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 7), st.booleans(), st.integers(0, 2**31 - 1))
 def test_stabilizer_path_equals_dense_path(n, pinned, seed):
     local = np.random.default_rng(seed)
-    obs = [random_bloch(local) for _ in range(n)]
+    blochs = np.array([random_bloch(local) for _ in range(n)])
     if pinned:
-        obs[0] = SIGMA_Z
-    assert abs(ghz_expectation(n, obs) - dense_expectation(n, obs)) < 1e-12
+        blochs[0] = Z
+    assert abs(ghz_expectation(n, blochs) - dense_expectation(n, blochs)) < 1e-12
 
 
 def test_identity_skip_rule_matches_full_expansion_sum(rng):
@@ -118,53 +133,46 @@ def test_identity_skip_rule_matches_full_expansion_sum(rng):
     # alone give the same sum, and so does the closed form
     for n in (2, 3, 4, 5, 7):
         for pinned in (False, True):
-            obs = [random_bloch(rng) for _ in range(n)]
+            blochs = np.array([random_bloch(rng) for _ in range(n)])
             if pinned:
-                obs[0] = SIGMA_Z
+                blochs[0] = Z
+            padded = np.hstack([blochs, np.zeros((n, 1))])
             full = 0.0
             for element in ghz_expansion(n):
-                sign = 1.0 if element.phase_power == 0 else -1.0
-                prod = sign
-                for b, letter in zip(obs, element.letters):
-                    prod *= b.component(letter)
+                prod = 1.0 if element.phase_power == 0 else -1.0
+                for b, letter in zip(padded, element.letters):
+                    prod *= b[COLUMN[letter]]
                 full += prod
             axes, signs = identity_free_elements(n)
-            comp = np.array([b.as_array() for b in obs])
-            skip = signs @ comp[np.arange(n), axes].prod(axis=1)
+            skip = signs @ blochs[np.arange(n), axes].prod(axis=1)
             assert abs(skip - full) < 1e-12
-            assert abs(ghz_expectation(n, obs) - full) < 1e-12
+            assert abs(ghz_expectation(n, blochs) - full) < 1e-12
 
 
 def test_batch_evaluation_matches_scalar(rng):
     n = 4
-    batch = np.stack(
-        [
-            np.stack([random_bloch(rng).as_array() for _ in range(n)])
-            for _ in range(17)
-        ]
-    )
+    batch = np.array([[random_bloch(rng) for _ in range(n)] for _ in range(17)])
     values = ghz_expectation_batch(n, batch)
     for i in range(17):
-        obs = [BlochVector(*batch[i, j]) for j in range(n)]
-        assert abs(values[i] - ghz_expectation(n, obs)) < 1e-13
+        assert abs(values[i] - ghz_expectation(n, batch[i])) < 1e-13
 
 
 def test_mermin_maximum_reached():
-    settings_ = as_settings([(SIGMA_Y, SIGMA_X)] * 3)
+    settings_ = np.array([(Y, X)] * 3)
     assert abs(mabk_value(settings_)) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_honest_odd_values_capped_below_gme_threshold(rng):
     for n in (3, 5):
         settings_ = random_settings(rng, (50, n))
-        settings_[:, 0, 0] = SIGMA_Z.as_array()
+        settings_[:, 0, 0] = Z
         values = np.abs(mabk_value(settings_))
         assert values.max() <= theorem1_bound(n) + 1e-9
         assert values.max() < gme_bound(n, n - 1)
 
 
 def test_all_z_settings_give_zero_value():
-    settings_ = as_settings([(SIGMA_Z, SIGMA_Z)] * 3)
+    settings_ = np.array([(Z, Z)] * 3)
     assert mabk_value(settings_) == 0.0
 
 
@@ -175,11 +183,10 @@ def test_negating_first_party_flips_each_term_but_not_the_value(rng):
         flipped[:, 0] *= -1.0
         assert np.array_equal(mabk_value(flipped), -mabk_value(settings_))
         for term in mabk_expression(n).terms:
-            obs, flipped_obs = (
-                [BlochVector(*s[0, i, x]) for i, x in enumerate(term.inputs)]
-                for s in (settings_, flipped)
+            blochs, flipped_blochs = (
+                term_blochs(s[0], term.inputs) for s in (settings_, flipped)
             )
-            assert ghz_expectation(n, flipped_obs) == -ghz_expectation(n, obs)
+            assert ghz_expectation(n, flipped_blochs) == -ghz_expectation(n, blochs)
 
 
 def test_report_value_is_absolute_weighted_sum(rng):
@@ -197,8 +204,8 @@ def test_report_value_is_absolute_weighted_sum(rng):
 def test_exact_strategy_attains_sqrt2_for_four_parties():
     # transverse strategy: every first-party term vanishes (all bob z-components
     # are zero) and the remaining half reaches its quantum maximum
-    a1 = BlochVector(math.cos(math.pi / 4), -math.sin(math.pi / 4), 0.0)
-    settings_ = as_settings([(SIGMA_Z, a1)] + [(SIGMA_X, SIGMA_Y)] * 3)
+    a1 = (math.cos(math.pi / 4), -math.sin(math.pi / 4), 0.0)
+    settings_ = np.array([(Z, a1)] + [(X, Y)] * 3)
     assert abs(mabk_value(settings_)) == pytest.approx(math.sqrt(2.0), abs=1e-12)
     # independent dense confirmation
     assert abs(dense_value(4, settings_)) == pytest.approx(math.sqrt(2.0), abs=1e-12)

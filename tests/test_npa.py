@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_bloch
+from conftest import Z, random_bloch
 from mabkcert.blochopt import OptimizerConfig, maximize_unconstrained_mabk
 from mabkcert.correlators import mabk_value
 from mabkcert.mabk import mabk_expression
@@ -25,7 +25,7 @@ from mabkcert.npa import (
     npa_upper_bound,
     reduce_structure,
 )
-from mabkcert.pauli import SIGMA_Z
+from mabkcert.pauli import observable_product_matrix
 from mabkcert.sdp import solve, verify_certificate
 from mabkcert.stabilizer import ghz_dense
 
@@ -49,6 +49,7 @@ def letter_strategy():
 def test_canonicalize_examples():
     assert canonicalize([B0_1, A0]) == (A0, B0_1)
     assert canonicalize([A0, A0]) == ()
+    assert canonicalize([A0, A1, A1, A0]) == ()
     assert canonicalize([A0, A1, A1, B2_1]) == (A0, B2_1)
 
 
@@ -165,7 +166,7 @@ def test_projector_correlation_operator_expands_to_pairwise_mean(rng):
     # C = P+ Q+ R+ + P- Q- R- has tr(C rho) = (1 + <PQ> + <PR> + <QR>) / 4
     # for dichotomic P, Q, R; checked on random observables and a random state
     for _ in range(10):
-        mats = [random_bloch(rng).matrix() for _ in range(3)]
+        mats = [observable_product_matrix([random_bloch(rng)]) for _ in range(3)]
         eye = np.eye(2)
         plus = [(eye + m) / 2 for m in mats]
         minus = [(eye - m) / 2 for m in mats]
@@ -191,14 +192,14 @@ def test_projector_correlation_operator_expands_to_pairwise_mean(rng):
 
 def _honest_observables(rng):
     """Dense 2x2 observables per (party, input); key inputs pinned to sigma_z."""
-    z = SIGMA_Z.matrix()
+    z = observable_product_matrix([Z])
     obs = {}
     for party, count in enumerate(SCENARIO):
         for inp in range(count):
             if (party == 0 and inp == 0) or inp == KEY_INPUT:
                 obs[(party, inp)] = z
             else:
-                obs[(party, inp)] = random_bloch(rng).matrix()
+                obs[(party, inp)] = observable_product_matrix([random_bloch(rng)])
     return obs
 
 

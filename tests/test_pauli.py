@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mabkcert.pauli import (
-    BlochVector,
     PauliLetter,
     PauliString,
     dense_matrix,
     identity_string,
     letter_mul,
+    observable_product_matrix,
     pauli_string,
     string_mul,
     trace_coeff,
@@ -156,17 +156,16 @@ def test_dense_guard():
         dense_matrix(identity_string(13))
 
 
-def test_bloch_vector_normalization():
-    BlochVector(0.0, 0.0, 1.0)
-    BlochVector(0.6, 0.8, 0.0)
-    with pytest.raises(ValueError, match="not normalized"):
-        BlochVector(1.0, 1.0, 0.0)
-
-
 def test_bloch_components_and_matrix():
-    b = BlochVector(0.6, 0.0, 0.8)
-    assert b.component(PauliLetter.X) == 0.6
-    assert b.component(PauliLetter.I) == 0.0
-    m = b.matrix()
+    m = observable_product_matrix([(0.6, 0.0, 0.8)])
+    components = [np.trace(m @ dense_matrix(pauli_string(l))) / 2 for l in "IXYZ"]
+    assert np.allclose(components, [0.0, 0.6, 0.0, 0.8], atol=1e-15)
     assert np.allclose(m, m.conj().T)
     assert np.allclose(m @ m, np.eye(2))
+    # one row per party, qubit 0 leftmost
+    assert np.array_equal(
+        observable_product_matrix([(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)]),
+        dense_matrix(pauli_string("XZ")),
+    )
+    with pytest.raises(ValueError, match="shape"):
+        observable_product_matrix((0.0, 0.0, 1.0))
