@@ -31,7 +31,7 @@ SEED_DEFAULT = 20240811
 # 2^(2*floor(n/2)) terms, so the work grows fourfold with every two parties.
 MAX_PARTIES = 10
 # Caps sized from the per-unit cost at n = 10: a theorem1 trial takes about
-# 1.4 us, an optimize restart about 0.75 s and 1 MB of batched arrays.
+# 1.4 us, an optimize restart about 0.09 s and 0.4 MB of batched arrays.
 MAX_TRIALS = 1_000_000
 MAX_RESTARTS = 200
 # theorem1 draws and evaluates its trials in blocks of this many; at n = 10 a

@@ -13,11 +13,14 @@ vector is always a float array whose last axis holds (x, y, z).
 A settings choice is a float array of shape (..., N, 2, 3) whose entry
 ``[..., i, x]`` is party i's Bloch vector for input x.  ``mabk_value`` gathers
 each MABK term's Bloch vectors from it, calls the kernel and weights the terms
-by their coefficients; ``mabk_gradient`` does the same with the kernel's
-gradient ``ghz_expectation_gradient`` and drives the optimizer.  Only this
-module knows the term inputs and coefficients, cached once per N.  The
-stabilizer expansion ``tr(rho O) = 2**-N * sum_S tr(O S)``
-(``identity_free_elements``) is kept as the oracle the tests compare against.
+by their coefficients, which only this module knows (cached once per N).
+``mabk_gradient`` drives the optimizer without expanding the terms: it is the
+reverse-mode derivative of the Belinskii-Klyshko pair recursion, which builds
+the same polynomial in O(N) per point.  The value stays on the term sum, since
+the recursion's value is noisier at the optimum and the optimizer's
+convergence test pays for that noise.  The stabilizer expansion
+``tr(rho O) = 2**-N * sum_S tr(O S)`` (``identity_free_elements``) is kept as
+the oracle the tests compare against.
 
 With the first observable pinned to sigma_z its transverse factor is exactly
 zero, so for odd N every such correlator is exactly ``0.0`` and for even N it
@@ -75,29 +78,6 @@ def ghz_expectation_batch(n: int, blochs: np.ndarray) -> np.ndarray:
     return value
 
 
-def ghz_expectation_gradient(n: int, blochs: np.ndarray) -> np.ndarray:
-    """Gradient of ``ghz_expectation_batch``, shaped like ``blochs``.
-
-    Entry ``[..., i, :]`` is the derivative in party i's Bloch vector: the
-    product of the other parties' factors, in each of the two products.
-    """
-    others = _products_of_others(blochs[..., 0] + 1j * blochs[..., 1])
-    grad = np.zeros(blochs.shape)
-    grad[..., 0] = others.real
-    grad[..., 1] = -others.imag
-    if n % 2 == 0:
-        grad[..., 2] = _products_of_others(blochs[..., 2])
-    return grad
-
-
-def _products_of_others(factors: np.ndarray) -> np.ndarray:
-    """Product over the last axis of every factor but one, without division."""
-    ones = np.ones_like(factors[..., :1])
-    before = np.cumprod(np.concatenate((ones, factors[..., :-1]), axis=-1), axis=-1)
-    after = np.cumprod(np.concatenate((ones, factors[..., :0:-1]), axis=-1), axis=-1)
-    return before * after[..., ::-1]
-
-
 def honest_even_formula(n: int, bob_z: np.ndarray) -> np.ndarray:
     """Product over the last axis of the other parties' z-components.
 
@@ -127,20 +107,18 @@ def theorem1_bound(n: int) -> float:
 
 @lru_cache(maxsize=None)
 def _mabk_terms(n: int) -> tuple[np.ndarray, ...]:
-    """Party index (1, n), term inputs (T, n), coefficients (T,), weights (T, n, 2).
+    """Party index (1, n), term inputs (T, n) and coefficients (T,).
 
-    ``settings[..., party, inputs, :]`` gathers each term's Bloch vectors, and
-    ``weights[t, i, x]`` is the coefficient of term t where party i has input
-    x, else 0.  Every call shares these arrays, so they are read-only.
+    ``settings[..., party, inputs, :]`` gathers each term's Bloch vectors.
+    Every call shares these arrays, so they are read-only.
     """
     expr = mabk_expression(n)
     party = np.arange(n)[None, :]
     inputs = np.array([t.inputs for t in expr.terms], dtype=np.intp)
     coeffs = np.array([float(t.coefficient) for t in expr.terms])
-    weights = (inputs[..., None] == np.arange(2)) * coeffs[:, None, None]
-    for a in (party, inputs, coeffs, weights):
+    for a in (party, inputs, coeffs):
         a.flags.writeable = False
-    return party, inputs, coeffs, weights
+    return party, inputs, coeffs
 
 
 def _party_count(settings: np.ndarray) -> int:
@@ -159,13 +137,61 @@ def mabk_value(settings: np.ndarray) -> np.ndarray:
     score is the absolute value of the result.
     """
     n = _party_count(settings)
-    party, inputs, coeffs, _ = _mabk_terms(n)
+    party, inputs, coeffs = _mabk_terms(n)
     return ghz_expectation_batch(n, settings[..., party, inputs, :]) @ coeffs
 
 
+# (z0 - z1) times this is (b, -b), the factor of the reversed pair (m', m)
+_HALF_PAIR = np.array([0.5, -0.5])
+
+
 def mabk_gradient(settings: np.ndarray) -> np.ndarray:
-    """Gradient of ``mabk_value`` in every Bloch component, shaped like ``settings``."""
+    """Gradient of ``mabk_value`` in every Bloch component, shaped like ``settings``.
+
+    The reverse-mode derivative of the Belinskii-Klyshko pair recursion, O(N)
+    per point.  With ``z_x = b_x + i b_y`` for party i's input x, ``a = (z0 +
+    z1)/2`` and ``b = (z0 - z1)/2``, the pair starts at ``(m, m') = (z0, z1)``
+    for party 0 and every later party maps it to ``(a m + b m', a m' - b m)``;
+    the value is ``Re m`` after the last party, plus for even N the same
+    recursion run on the real ``b_z``.  The forward sweep keeps each party's
+    pair, the adjoint sweep the derivatives ``(g, g')`` of the final ``m`` in
+    it, and each party's ``dm/dz`` follows from those two.  ``m`` is
+    holomorphic in every ``z``, so d/db_x is ``Re dm/dz`` and d/db_y is
+    ``-Im dm/dz``.  The z recursion rides on a leading axis of size 2.
+    """
     n = _party_count(settings)
-    party, inputs, _, weights = _mabk_terms(n)
-    per_term = ghz_expectation_gradient(n, settings[..., party, inputs, :])
-    return np.einsum("...tic,tix->...ixc", per_term, weights)
+    z = settings[..., 0] + 1j * settings[..., 1]
+    z = np.stack((z, settings[..., 2])) if n % 2 == 0 else z[None]  # (S, ..., n, 2)
+    a = (z[..., :1] + z[..., 1:]) / 2
+    b_pair = (z[..., :1] - z[..., 1:]) * _HALF_PAIR
+
+    pair = np.empty_like(z[..., 1:, :])  # (m, m') after parties 0 .. n-2
+    pair[..., 0, :] = z[..., 0, :]
+    for k in range(1, n - 1):
+        m = pair[..., k - 1, :]
+        np.add(a[..., k, :] * m, b_pair[..., k, :] * m[..., ::-1], out=pair[..., k, :])
+
+    adj = np.empty_like(z)  # derivatives of the final m in the pair after each party
+    adj[..., -1, :] = (1.0, 0.0)
+    for k in range(n - 1, 0, -1):
+        g = adj[..., k, :]
+        np.subtract(
+            a[..., k, :] * g, b_pair[..., k, :] * g[..., ::-1], out=adj[..., k - 1, :]
+        )
+
+    # party k > 0 enters through a and b against the pair before it; party 0's
+    # pair is (z0, z1) itself, so adj[..., 0, :] already holds its dm/dz
+    m, mp = pair[..., 0], pair[..., 1]
+    g, gp = adj[..., 1:, 0], adj[..., 1:, 1]
+    da = m * g + mp * gp
+    db = mp * g - m * gp
+    dz = adj  # overwritten in place with each party's dm/dz
+    dz[..., 1:, 0] = (da + db) / 2
+    dz[..., 1:, 1] = (da - db) / 2
+
+    grad = np.zeros(settings.shape)
+    grad[..., 0] = dz[0].real
+    grad[..., 1] = -dz[0].imag
+    if n % 2 == 0:
+        grad[..., 2] = dz[1].real
+    return grad

@@ -13,6 +13,7 @@ from mabkcert.correlators import (
     gme_bound,
     honest_even_formula,
     identity_free_elements,
+    mabk_gradient,
     mabk_value,
     theorem1_bound,
 )
@@ -50,6 +51,36 @@ def dense_value(n, settings_):
             n, term_blochs(settings_, t.inputs)
         )
     return total
+
+
+def products_of_others(factors):
+    """Product over the last axis of every factor but one, without division."""
+    ones = np.ones_like(factors[..., :1])
+    before = np.cumprod(np.concatenate((ones, factors[..., :-1]), axis=-1), axis=-1)
+    after = np.cumprod(np.concatenate((ones, factors[..., :0:-1]), axis=-1), axis=-1)
+    return before * after[..., ::-1]
+
+
+def term_sum_gradient(settings_):
+    """Oracle for mabk_gradient: every term's closed-form gradient, weighted.
+
+    Per term, party i's derivative is the product of the other parties'
+    factors in each of the two products of the closed form; the coefficient
+    then goes to the input that party i has in the term.
+    """
+    n = settings_.shape[-3]
+    terms = mabk_expression(n).terms
+    inputs = np.array([t.inputs for t in terms])
+    coeffs = np.array([float(t.coefficient) for t in terms])
+    blochs = settings_[..., np.arange(n), inputs, :]  # (..., T, n, 3)
+    transverse = products_of_others(blochs[..., 0] + 1j * blochs[..., 1])
+    per_term = np.zeros(blochs.shape)
+    per_term[..., 0] = transverse.real
+    per_term[..., 1] = -transverse.imag
+    if n % 2 == 0:
+        per_term[..., 2] = products_of_others(blochs[..., 2])
+    weights = (inputs[..., None] == np.arange(2)) * coeffs[:, None, None]
+    return np.einsum("...tic,tix->...ixc", per_term, weights)
 
 
 def test_pairwise_key_correlations_are_perfect():
@@ -201,6 +232,33 @@ def test_report_value_is_absolute_weighted_sum(rng):
             )
 
 
+@pytest.mark.parametrize("n", range(3, 11))
+def test_mabk_gradient_matches_term_sum_oracle(rng, n):
+    for shape in ((), (5,), (2, 3)):
+        for pinned in (False, True):
+            settings_ = random_settings(rng, (*shape, n))
+            if pinned:
+                settings_[..., 0, 0, :] = Z
+            grad = mabk_gradient(settings_)
+            assert grad.shape == settings_.shape
+            assert np.abs(grad - term_sum_gradient(settings_)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(7, 11))
+def test_mabk_gradient_matches_central_differences(n):
+    # the value is linear in each Bloch component, so the central difference
+    # is exact up to rounding; N = 8 and 10 check the z-component sweep
+    rng = np.random.default_rng([n, 3])
+    settings_ = random_settings(rng, (2, n))
+    h = 1e-6
+    steps = h * np.eye(6 * n).reshape(6 * n, n, 2, 3)
+    probes = settings_[:, None] + steps
+    back = settings_[:, None] - steps
+    numeric = (mabk_value(probes) - mabk_value(back)) / (2 * h)
+    grad = mabk_gradient(settings_).reshape(2, 6 * n)
+    assert np.abs(grad - numeric).max() < 1e-8
+
+
 def test_exact_strategy_attains_sqrt2_for_four_parties():
     # transverse strategy: every first-party term vanishes (all bob z-components
     # are zero) and the remaining half reaches its quantum maximum
@@ -232,5 +290,6 @@ def test_theorem1_bound_values():
 
 def test_settings_party_count_must_match():
     for shape in ((1, 2, 3), (3, 3, 3), (2, 3)):
-        with pytest.raises(ValueError, match="parties"):
-            mabk_value(np.zeros(shape))
+        for function in (mabk_value, mabk_gradient):
+            with pytest.raises(ValueError, match="parties"):
+                function(np.zeros(shape))
