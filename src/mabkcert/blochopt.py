@@ -31,6 +31,8 @@ _STEP_GROWTH = 1.3
 _MAX_STEP = 2.0
 # A restart has converged when no angle derivative exceeds this.
 _CONVERGENCE_TOL = 1e-8
+# Restart values within this relative distance of the best count as tied.
+_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,10 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    best_value: float
-    best_settings: np.ndarray  # (n, 2, 3): party i's Bloch vector for input x
+    best_value: float  # the largest per-restart value
+    # (n, 2, 3): party i's Bloch vector for input x, from the first restart
+    # whose value is within _TIE_TOL (relative) of best_value
+    best_settings: np.ndarray
     per_restart_values: tuple[float, ...]
     converged_count: int
 
@@ -176,10 +180,14 @@ def _maximize(n: int, honest: bool, config: OptimizerConfig | None) -> Optimizat
     values = np.where(plus_wins, f_plus, f_minus)
     winner_converged = np.where(plus_wins, conv_plus, conv_minus)
 
-    best = int(np.argmax(values))
+    # several restarts reach the optimum up to rounding; the settings come
+    # from the first of them, so a last-bit change in the kernel cannot swap
+    # the reported strategy
+    top = float(values.max())
+    best = int(np.flatnonzero(values >= top - _TIE_TOL * max(1.0, abs(top)))[0])
     best_angles = x_plus[best] if plus_wins[best] else x_minus[best]
     return OptimizationResult(
-        best_value=float(values[best]),
+        best_value=top,
         best_settings=objective.observables(best_angles),
         per_restart_values=tuple(float(v) for v in values),
         converged_count=int(winner_converged.sum()),

@@ -11,13 +11,29 @@ with symmetric basis matrices ``F_i`` of disjoint support.  The Lagrange dual is
     subject to  <F_i, Z> = -c_i  for all i,   Z >= 0,
 
 so any dual-feasible ``Z`` certifies ``c . y <= <F0, Z>``.  The solver runs the
-HKM primal-dual iteration: the barrier parameter is reduced geometrically
-(factor 0.3), each step solves the Schur system ``H dy = mu * <F_i, S^-1> + c``
-with ``H_ij = <F_i, sym(S^-1 F_j Z)>``, and step lengths are chosen by the
-fraction-to-boundary rule (0.98) with positive-definiteness checked through
-symmetric (Cholesky-based) factorizations.  Every ``y_i`` is free: a moment
-with a fixed value is not a variable, and callers fold it into ``F0``
-themselves, as ``npa.lower_to_sdp`` does for the perfect-correlation pins.
+HKM primal-dual iteration with Mehrotra's predictor-corrector step (Mehrotra
+1992; with the HKM direction as in SDPT3, Toh, Todd & Tutuncu 1999).  Each
+iteration assembles and Cholesky-factors the Schur matrix
+``H_ij = <F_i, sym(W F_j Z)>``, ``W = S^-1``, once, and solves with that one
+factor twice:
+
+* predictor: ``H dy = c``, the affine step toward ``mu = 0``, whose step
+  lengths to the boundary give ``mu_aff``;
+* corrector: ``H dy = sigma mu <F_i, W> + c - <F_i, W dS_aff dZ_aff>``, with
+  the centering parameter ``sigma = min(1, max((mu_aff / mu)^3,
+  0.1 |gap| / (d mu)))``.  The floor keeps ``sigma mu`` at no less than a
+  tenth of the per-dimension duality gap: without it ``mu`` can collapse
+  while a lagging dual residual holds the gap up, and ``Z`` loses
+  definiteness before the gap closes.
+
+The corrector's step lengths follow the fraction-to-boundary rule (0.98), with
+positive-definiteness checked through symmetric (Cholesky-based)
+factorizations.  Each ``SdpSolution.trace`` row is ``(mu, primal, dual, gap,
+dual residual, alpha_p, alpha_d, sigma)`` for one iteration; the last row of
+an optimal solve takes no step and carries zeros in its last three fields.
+Every ``y_i`` is free: a moment with a fixed value is not a variable, and
+callers fold it into ``F0`` themselves, as ``npa.lower_to_sdp`` does for the
+perfect-correlation pins.
 
 The iterates are dense; ``SdpProblem.basis`` is the only form of the basis:
 one CSR matrix of shape (m, d*d) whose row ``i`` is ``F_i`` flattened, so the
@@ -37,7 +53,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, eigvalsh, solve_triangular
 from scipy.sparse import csr_matrix
 
-MU_REDUCTION = 0.3
+CENTERING_FLOOR = 0.1
 FRACTION_TO_BOUNDARY = 0.98
 CERT_EIG_FLOOR = -1e-9
 CERT_STATIONARITY_TOL = 1e-7
@@ -181,21 +197,18 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
             and mu <= tol * 10.0
         ):
             status = "optimal"
-            trace.append((mu, primal, dual, gap, rd_inf, 0.0, 0.0))
+            trace.append((mu, primal, dual, gap, rd_inf, 0.0, 0.0, 0.0))
             break
 
-        mu_target = MU_REDUCTION * mu
-
         # Schur matrix H_ij = <F_i, sym(W F_j Z)> = <F_i, W F_j Z>, as every F_i
-        # is symmetric; assembled column by column
+        # is symmetric; assembled column by column and factored once per
+        # iteration, for both the predictor and the corrector solve
         h = np.empty((m, m))
         for j, (rj, cj, vj) in enumerate(columns):
             h[:, j] = problem.adjoint((w[:, rj] * vj) @ z[cj, :])
         h = 0.5 * (h + h.T)
         ridge = 1e-14 * max(1.0, float(h.diagonal().max()))
         h[np.diag_indices_from(h)] += ridge
-
-        rhs = mu_target * problem.adjoint(w) + c
         try:
             hc = cho_factor(h, lower=True)
         except np.linalg.LinAlgError as exc:
@@ -203,10 +216,28 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
                 f"Schur complement factorization failed at iteration {it}",
                 {"iteration": it, "mu": mu, "trace": tuple(trace)},
             ) from exc
-        dy = cho_solve(hc, rhs)
 
+        # predictor: the affine-scaling step, aimed at mu = 0
+        dy_aff = cho_solve(hc, c)
+        ds_aff = problem.combination(dy_aff)
+        dz_aff = -z - w @ ds_aff @ z
+        dz_aff = 0.5 * (dz_aff + dz_aff.T)
+        s_aff = s + min(1.0, _max_step(ls, ds_aff)) * ds_aff
+        z_aff = z + min(1.0, _max_step(lz, dz_aff)) * dz_aff
+        mu_aff = float(np.tensordot(s_aff, z_aff)) / d
+
+        # centering: Mehrotra's (mu_aff / mu)^3, floored so that sigma * mu
+        # never falls below a tenth of the per-dimension gap
+        floor = CENTERING_FLOOR * abs(gap) / (d * mu)
+        sigma = min(1.0, max((mu_aff / mu) ** 3, floor))
+
+        # corrector: the same factor, with the second-order term W dS_aff dZ_aff
+        second_order = w @ ds_aff @ dz_aff
+        dy = cho_solve(
+            hc, sigma * mu * problem.adjoint(w) + c - problem.adjoint(second_order)
+        )
         ds = problem.combination(dy)
-        dz = mu_target * w - z - w @ ds @ z
+        dz = sigma * mu * w - z - w @ ds @ z - second_order
         dz = 0.5 * (dz + dz.T)
 
         alpha_p = min(1.0, FRACTION_TO_BOUNDARY * _max_step(ls, ds))
@@ -215,7 +246,7 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
         y = y + alpha_p * dy
         s = f0 + problem.combination(y)
         z = z + alpha_d * dz
-        trace.append((mu, primal, dual, gap, rd_inf, alpha_p, alpha_d))
+        trace.append((mu, primal, dual, gap, rd_inf, alpha_p, alpha_d, sigma))
 
     if status != "optimal":
         raise SdpSolverError(

@@ -75,6 +75,27 @@ def test_best_is_max_of_restarts():
     assert 0 <= result.converged_count <= QUICK.restarts
 
 
+def test_best_settings_come_from_the_first_tied_restart():
+    # honest N=3 at QUICK: restarts tie at the optimum 1.0 up to rounding, and
+    # the first of them is not the argmax, so argmax would pick another one
+    result = maximize_honest_mabk(3, QUICK)
+    values = np.array(result.per_restart_values)
+    top = values.max()
+    tied = np.flatnonzero(values >= top - 1e-12 * max(1.0, abs(top)))
+    first = int(tied[0])
+    assert len(tied) > 1 and values[first] < top
+    assert abs(mabk_value(result.best_settings)) == pytest.approx(
+        values[first], abs=1e-15
+    )
+    # the counter scheme replays restarts 0..first exactly, and among them
+    # restart `first` is the best: the same settings come back
+    prefix = maximize_honest_mabk(
+        3, OptimizerConfig(restarts=first + 1, seed=QUICK.seed)
+    )
+    assert prefix.best_value == values[first]
+    assert np.array_equal(prefix.best_settings, result.best_settings)
+
+
 def test_honest_does_not_exceed_unconstrained():
     honest = maximize_honest_mabk(3, QUICK)
     free = maximize_unconstrained_mabk(3, QUICK)

@@ -164,6 +164,18 @@ def test_npa_level2_constrained(capsys):
     assert payload["results"]["certificate"]["verified"]
 
 
+@pytest.mark.parametrize("pinned", [True, False])
+@pytest.mark.parametrize("level", ["2", "3"])
+def test_every_npa_problem_converges_at_the_smallest_tol(capsys, level, pinned):
+    # no --tol the CLI accepts can end in a numerical failure (exit 3)
+    argv = ["npa", "--level", level, "--tol", str(cli.MIN_TOL), "--format", "json"]
+    if pinned:
+        argv.append("--perfect-correlations")
+    code, out, _ = run(capsys, *argv)
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["results"]["certificate"]["verified"]
+
+
 def test_csv_is_a_flat_verdict_table(capsys):
     code, out, _ = run(
         capsys, "theorem1", "--n", "3", "--trials", "10", "--format", "csv"

@@ -358,6 +358,31 @@ def test_lowering_refuses_an_objective_class_outside_the_matrix():
         lower_to_sdp(reduced, np.array([0.0, 0.0, 1.0]))
 
 
+@pytest.fixture(scope="module")
+def reproduce_runs():
+    """The four N=3 bounds at the tolerances reproduce-paper uses."""
+    return {
+        (level, pinned): npa_upper_bound(level, with_constraint=pinned, tol=tol)
+        for level, tol in ((2, 1e-9), (3, 1e-8))
+        for pinned in (True, False)
+    }
+
+
+@pytest.mark.parametrize("pinned", [True, False])
+def test_level2_solves_stay_within_the_iteration_budget(reproduce_runs, pinned):
+    # the predictor-corrector step needs 12; a fixed mu reduction needed 21
+    assert reproduce_runs[(2, pinned)].solution.iterations <= 15
+
+
+@pytest.mark.parametrize("pinned", [True, False])
+@pytest.mark.parametrize("level", [2, 3])
+def test_certified_bounds_are_sound_and_tight(reproduce_runs, level, pinned):
+    target = math.sqrt(2.0) if pinned else 2.0
+    result = reproduce_runs[(level, pinned)]
+    assert result.verified
+    assert target <= result.certified_bound <= target + 1e-7
+
+
 def test_level2_bounds():
     unconstrained = npa_upper_bound(2, with_constraint=False)
     constrained = npa_upper_bound(2, with_constraint=True)

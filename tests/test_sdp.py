@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mabkcert import sdp
 from mabkcert.sdp import (
     SdpProblem,
     SdpSolverError,
@@ -124,6 +125,29 @@ def test_weak_duality_along_the_run():
     assert sol.bound >= sol.primal_objective - 1e-9
     assert sol.duality_gap >= -1e-9
     assert len(sol.trace) == sol.iterations
+
+
+def test_trace_rows_carry_the_centering_parameter():
+    sol = solve(random_disjoint_instance(11))
+    assert all(len(row) == 8 for row in sol.trace)
+    *steps, last = sol.trace
+    # sigma, the eighth field, is in (0, 1] on every step; the final row of an
+    # optimal solve takes no step and carries zero step lengths and sigma
+    assert steps and all(0.0 < row[7] <= 1.0 for row in steps)
+    assert last[5:] == (0.0, 0.0, 0.0)
+
+
+def test_one_schur_factorization_per_step(monkeypatch):
+    calls = []
+    cho_factor = sdp.cho_factor
+
+    def counting_cho_factor(*args, **kwargs):
+        calls.append(1)
+        return cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(sdp, "cho_factor", counting_cho_factor)
+    sol = solve(random_disjoint_instance(23))
+    assert len(calls) == sol.iterations - 1
 
 
 def test_verify_certificate_rejects_perturbed_dual():
