@@ -37,8 +37,9 @@ MAX_RESTARTS = 200
 # theorem1 draws and evaluates its trials in blocks of this many; at n = 10 a
 # block's arrays take about 8 MB, a single draw of every trial 661 MB.
 THEOREM1_BLOCK = 8192
-# Smallest npa --tol: every level-2/3 problem converges at 1e-13 (in 16 to 29
-# iterations), but at 1e-14 both pinned problems break down before reaching it.
+# Smallest npa --tol: every level-2/3 orbit problem converges at 1e-12 (in 15
+# to 24 iterations) and at 1e-13 (16 to 26), but at 1e-14 both pinned problems
+# break down before reaching it.
 MIN_TOL = 1e-12
 EXIT_OK = 0
 EXIT_USAGE = 2

@@ -51,12 +51,32 @@ row groups and the class merges are connected components, computed on arrays
 and labelled by their smallest member.  ``lower_to_sdp`` then turns the
 reduced class matrix into ``F0`` (the pinned entries) and the CSR basis of
 ``sdp.SdpProblem`` (one variable per free class) by array indexing.
+
+The solve runs on symmetry orbits (Gatermann & Parrilo 2004; Tavakoli, Rosset
+& Renou 2019).  Let a permutation ``g`` of the kept rows map ``F0`` to
+``F0``, each ``F_v`` onto one ``F_tau(v)`` and ``c`` to itself.  Then ``g``
+maps feasible points to feasible points of equal objective, and by convexity
+the average of a feasible point over the group ``G`` of such permutations is
+feasible, has the same objective and is constant on the orbits of ``tau``.
+The problem with one variable per orbit, whose basis rows and ``c`` are
+summed over the orbit, therefore has the same optimum.  Its dual ``Z`` only
+satisfies each orbit's summed stationarity condition; averaged over ``G`` it
+stays PSD, keeps ``<F0, Z>`` and meets ``<F_v, Z> = -c_v`` for every ``v``,
+because each ``<F_v, Z>`` becomes the mean over ``v``'s orbit and ``c`` is
+constant there.  So the averaged ``Z`` is a certificate for the unreduced
+problem, and ``verify_certificate`` and ``certified_upper_bound`` check it on
+that problem: a wrong symmetry would leave stationarity residuals that the
+first refuses and the second charges, so the symmetry is never trusted.
+MABK is symmetric under every party permutation and the pins under those
+that fix the first party; ``party_symmetries`` takes the permutations that
+keep the pruned scenario and keeps those that pass the check on the lowered
+problem.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -144,23 +164,67 @@ class MomentMatrixStructure:
 
 
 def build_moment_structure(monomials: list[Word]) -> MomentMatrixStructure:
+    """Entry classes of the moment matrix, numbered by first row-major appearance.
+
+    A canonical word is the concatenation of its per-party sub-words, so the
+    entry ``canonicalize(reverse(u) . v)`` is, party by party, the reduced
+    product ``reverse(u_p) . v_p``, and its canonical reversal reverses each
+    product.  Each pair of distinct sub-words is reduced once; the per-party
+    products combine into mixed-radix codes of the entry word and of its
+    reversal, and the smaller code names the class.
+    """
     if not monomials or monomials[0] != ():
         raise ValueError("monomial list must contain the identity first")
     d = len(monomials)
-    class_ids: dict[Word, int] = {}
-    reps: list[Word] = []
-    class_of = np.empty((d, d), dtype=np.int32)
-    for i, u in enumerate(monomials):
-        ru = tuple(reversed(u))
-        for j, v in enumerate(monomials):
-            key = _class_key(canonicalize(ru + v))
-            idx = class_ids.get(key)
-            if idx is None:
-                idx = len(reps)
-                class_ids[key] = idx
-                reps.append(key)
-            class_of[i, j] = idx
-    return MomentMatrixStructure(tuple(monomials), class_of, tuple(reps))
+    n_parties = 1 + max((letter.party for w in monomials for letter in w), default=0)
+    code = np.zeros(d * d, dtype=np.int64)
+    rev_code = np.zeros(d * d, dtype=np.int64)
+    radix = 1
+    per_party = []  # (entry product codes, product words, code of the reversal)
+    for party in range(n_parties):
+        subwords: dict[Word, int] = {}
+        index = np.array(
+            [
+                subwords.setdefault(
+                    tuple(letter for letter in w if letter.party == party),
+                    len(subwords),
+                )
+                for w in monomials
+            ]
+        )
+        products: dict[Word, int] = {}
+        table = np.empty((len(subwords), len(subwords)), dtype=np.int64)
+        for s, a in subwords.items():
+            for t, b in subwords.items():
+                word = canonicalize(tuple(reversed(s)) + t)
+                table[a, b] = products.setdefault(word, len(products))
+                products.setdefault(tuple(reversed(word)), len(products))
+        reverse = np.array([products[tuple(reversed(w))] for w in products])
+        entry = table[np.ix_(index, index)].ravel()
+        code += radix * entry
+        rev_code += radix * reverse[entry]
+        radix *= len(products)
+        if radix > np.iinfo(np.int64).max:
+            raise ValueError("too many distinct entry words for 64-bit codes")
+        per_party.append((entry, list(products), reverse))
+
+    _, first, inverse = np.unique(
+        np.minimum(code, rev_code), return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)  # the classes in order of first appearance
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    # each class's representative, min(word, reversal) as _class_key takes it
+    firsts = first[order]
+    words = [()] * len(order)
+    reversals = [()] * len(order)
+    for entry, products, reverse in per_party:
+        codes = entry[firsts]
+        words = [w + products[c] for w, c in zip(words, codes)]
+        reversals = [w + products[c] for w, c in zip(reversals, reverse[codes])]
+    reps = tuple(map(min, words, reversals))
+    class_of = rank[inverse].reshape(d, d).astype(np.int32)
+    return MomentMatrixStructure(tuple(monomials), class_of, reps)
 
 
 def encode_objective(
@@ -233,6 +297,7 @@ class ReducedMoments:
     class_matrix: np.ndarray  # (k, k) of root class ids
     pinned_roots: dict[int, float]
     root_of: np.ndarray  # (n_classes,) map class id -> root id
+    row_of: np.ndarray  # (d,) map basis row -> the kept row of its group
 
 
 def reduce_structure(
@@ -277,6 +342,7 @@ def reduce_structure(
         classes[class_of[np.ix_(kept, kept)]].astype(np.int32),
         pinned_roots,
         classes.astype(np.int32),
+        rows,
     )
 
 
@@ -320,6 +386,111 @@ def lower_to_sdp(
     return SdpProblem(f0=fixed[cm], basis=basis, c=by_root[order]), const
 
 
+def _variable_permutation(problem: SdpProblem, rows: np.ndarray) -> np.ndarray | None:
+    """The variable map of a row permutation that leaves ``problem`` invariant.
+
+    Row ``i`` goes to row ``rows[i]``.  That is a symmetry when it maps ``F0``
+    to ``F0``, the entries of each ``F_v`` onto those of one ``F_w`` with the
+    same values, and ``c_v`` to ``c_w = c_v``; the map ``v -> w`` is returned,
+    or None if any of this fails.
+    """
+    k, m = problem.dimension, problem.n_vars
+    if not np.array_equal(np.sort(rows), np.arange(k)):
+        return None
+    if not np.array_equal(problem.f0[np.ix_(rows, rows)], problem.f0):
+        return None
+    entries = problem.basis.tocoo()
+    var_at = np.full(k * k, -1)
+    var_at[entries.col] = entries.row
+    value_at = np.zeros(k * k)
+    value_at[entries.col] = entries.data
+    i, j = np.divmod(entries.col, k)
+    image = rows[i] * k + rows[j]
+    target = var_at[image]
+    variables = np.full(m, -1)
+    variables[entries.row] = target
+    if (
+        (target < 0).any()
+        or not np.array_equal(variables[entries.row], target)
+        or not np.array_equal(value_at[image], entries.data)
+        or not np.array_equal(np.sort(variables), np.arange(m))
+        or not np.array_equal(problem.c[variables], problem.c)
+    ):
+        return None
+    return variables
+
+
+def party_symmetries(
+    scenario: tuple[int, ...],
+    structure: MomentMatrixStructure,
+    reduced: ReducedMoments,
+    problem: SdpProblem,
+) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
+    """Party permutations that leave the lowered problem invariant.
+
+    A candidate relabels party ``p`` as ``parties[p]`` and keeps the scenario.
+    It permutes the basis words, hence the row groups of ``reduced`` and the
+    kept rows; ``_variable_permutation`` then checks that this row permutation
+    is a symmetry of ``problem``.  Each one that is maps to its permutations of
+    the kept rows and of the variables.
+    """
+    index = {w: i for i, w in enumerate(structure.basis)}
+    kept = np.array(reduced.kept_rows)
+    position = np.full(structure.dimension, -1)
+    position[kept] = np.arange(len(kept))
+    found = {}
+    for parties in itertools.permutations(range(len(scenario))):
+        if tuple(scenario[p] for p in parties) != scenario:
+            continue
+        image = [
+            index[canonicalize([OperatorLetter(parties[p], x) for p, x in w])]
+            for w in structure.basis
+        ]
+        rows = position[reduced.row_of[np.array(image)[kept]]]
+        variables = _variable_permutation(problem, rows)
+        if variables is not None:
+            found[parties] = (rows, variables)
+    return found
+
+
+def solve_on_orbits(
+    problem: SdpProblem,
+    symmetries: list[tuple[np.ndarray, np.ndarray]],
+    tol: float,
+) -> SdpSolution:
+    """Solve ``problem`` with one variable per orbit; lift the solution back.
+
+    ``symmetries`` is a group of (row, variable) permutations of ``problem``.
+    The orbit problem sums the basis rows and ``c`` over each orbit; its ``y``
+    spreads back over the orbits, and its ``Z``, averaged over the group, is a
+    dual point of ``problem`` itself (see the module docstring).
+    """
+    m = problem.n_vars
+    orbit = _min_labels(
+        m,
+        np.tile(np.arange(m), len(symmetries)),
+        np.concatenate([variables for _, variables in symmetries]),
+    )
+    _, orbit_of = np.unique(orbit, return_inverse=True)
+    merge = csr_matrix(
+        (np.ones(m), (orbit_of, np.arange(m))), shape=(orbit_of.max() + 1, m)
+    )
+    solution = solve(
+        SdpProblem(f0=problem.f0, basis=merge @ problem.basis, c=merge @ problem.c),
+        tol=tol,
+    )
+    z = solution.dual_matrix
+    z = sum(z[np.ix_(rows, rows)] for rows, _ in symmetries) / len(symmetries)
+    bound = float(np.tensordot(problem.f0, z))
+    return replace(
+        solution,
+        y=solution.y[orbit_of],
+        dual_matrix=z,
+        bound=bound,
+        duality_gap=bound - solution.primal_objective,
+    )
+
+
 @dataclass(frozen=True)
 class NpaResult:
     bound: float
@@ -344,6 +515,9 @@ def npa_upper_bound(
     preserving the feasible moment set (and the key-setting pins, once each
     key observable is negated along with it), so the maximum of the signed
     objective equals the maximum of its negation.
+
+    The solve runs on the orbits of the party symmetries of the lowered
+    problem; the certificate is checked on the lowered problem itself.
     """
     if level < 2:
         raise ValueError("hierarchy level must be at least 2 for the objective")
@@ -369,7 +543,8 @@ def npa_upper_bound(
 
     reduced = reduce_structure(structure, pinned)
     problem, const = lower_to_sdp(reduced, objective)
-    solution = solve(problem, tol=tol)
+    symmetries = party_symmetries(scenario, structure, reduced, problem)
+    solution = solve_on_orbits(problem, list(symmetries.values()), tol)
     verified = verify_certificate(problem, solution)
     certified = certified_upper_bound(problem, solution)
     return NpaResult(

@@ -88,23 +88,6 @@ class SdpProblem:
     def n_vars(self) -> int:
         return self.basis.shape[0]
 
-    @classmethod
-    def from_dense(
-        cls, f0: np.ndarray, mats: list[np.ndarray], c: np.ndarray
-    ) -> "SdpProblem":
-        for i, m in enumerate(mats):
-            if not np.allclose(m, m.T):
-                raise ValueError(f"basis matrix {i} is not symmetric")
-        d = f0.shape[0]
-        return cls(
-            f0=np.array(f0, dtype=float),
-            basis=csr_matrix(np.array(mats, dtype=float).reshape(len(mats), d * d)),
-            c=np.array(c, dtype=float),
-        )
-
-    def basis_matrix(self, i: int) -> np.ndarray:
-        return self.basis[i].toarray().reshape(self.dimension, self.dimension)
-
     def adjoint(self, z: np.ndarray) -> np.ndarray:
         """``<F_i, Z>`` for every i."""
         return self.basis @ z.ravel()

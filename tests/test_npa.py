@@ -1,5 +1,6 @@
 """Moment structure, perfect-correlation encoding, and certified bounds."""
 
+import dataclasses
 import itertools
 import math
 
@@ -15,6 +16,7 @@ from mabkcert.npa import (
     KEY_INPUT,
     OperatorLetter,
     ReducedMoments,
+    _class_key,
     build_moment_structure,
     canonicalize,
     default_scenario,
@@ -23,6 +25,7 @@ from mabkcert.npa import (
     generate_monomials,
     lower_to_sdp,
     npa_upper_bound,
+    party_symmetries,
     reduce_structure,
 )
 from mabkcert.pauli import observable_product_matrix
@@ -84,6 +87,38 @@ def test_monomials_identity_first_and_deterministic():
     b = generate_monomials(SCENARIO, 2)
     assert a == b
     assert a[0] == ()
+
+
+def _loop_moment_structure(monomials):
+    """The moment structure entry by entry: the class of every
+    ``canonicalize(reverse(u) . v)``, numbered by first row-major appearance."""
+    d = len(monomials)
+    class_ids, reps = {}, []
+    class_of = np.empty((d, d), dtype=np.int32)
+    for i, u in enumerate(monomials):
+        ru = tuple(reversed(u))
+        for j, v in enumerate(monomials):
+            key = _class_key(canonicalize(ru + v))
+            if key not in class_ids:
+                class_ids[key] = len(reps)
+                reps.append(key)
+            class_of[i, j] = class_ids[key]
+    return class_of, tuple(reps)
+
+
+@pytest.mark.parametrize(
+    "scenario, level",
+    [((2, 3, 3), level) for level in (1, 2, 3)]
+    + [((2, 2, 2), level) for level in (1, 2, 3)]
+    + [(default_scenario(4), 2)],
+)
+def test_array_builder_matches_the_loop_oracle(scenario, level):
+    monomials = generate_monomials(scenario, level)
+    structure = build_moment_structure(monomials)
+    class_of, reps = _loop_moment_structure(monomials)
+    assert structure.class_of.dtype == class_of.dtype
+    assert np.array_equal(structure.class_of, class_of)
+    assert structure.class_representatives == reps
 
 
 def test_structure_diagonal_and_symmetry():
@@ -309,7 +344,7 @@ def _reference_reduction(structure, pinned):
                 join(classes, class_of[rows[a], c], class_of[a, c])
     kept = sorted(set(rows))
     matrix = [[classes[class_of[a, b]] for b in kept] for a in kept]
-    return tuple(kept), np.array(matrix), value, np.array(classes)
+    return tuple(kept), np.array(matrix), value, np.array(classes), np.array(rows)
 
 
 def test_reduction_matches_the_loop_reference():
@@ -322,11 +357,12 @@ def test_reduction_matches_the_loop_reference():
     for pins in pin_sets:
         pins = {structure.identity_class: 1.0, **pins}
         reduced = reduce_structure(structure, pins)
-        kept, matrix, value, classes = _reference_reduction(structure, pins)
+        kept, matrix, value, classes, rows = _reference_reduction(structure, pins)
         assert reduced.kept_rows == kept
         assert np.array_equal(reduced.class_matrix, matrix)
         assert reduced.pinned_roots == value
         assert np.array_equal(reduced.root_of, classes)
+        assert np.array_equal(reduced.row_of, rows)
 
 
 def test_reduction_refuses_pins_that_the_merges_contradict():
@@ -351,11 +387,66 @@ def test_lowering_refuses_an_objective_class_outside_the_matrix():
         class_matrix=np.array([[0, 1], [1, 0]], dtype=np.int32),
         pinned_roots={0: 1.0},
         root_of=np.arange(3, dtype=np.int32),
+        row_of=np.arange(2),
     )
     problem, const = lower_to_sdp(reduced, np.array([0.0, 2.0, 0.0]))
     assert problem.n_vars == 1 and problem.c.tolist() == [2.0] and const == 0.0
     with pytest.raises(ValueError, match="objective class missing"):
         lower_to_sdp(reduced, np.array([0.0, 0.0, 1.0]))
+
+
+def _key_pairs(n_parties):
+    """The pair words pinned by encode_perfect_correlation."""
+    keys = [A0] + [OperatorLetter(p, KEY_INPUT) for p in range(1, n_parties)]
+    return list(itertools.combinations(keys, 2))
+
+
+def _lowered(scenario, level, pinned_words=()):
+    """npa_upper_bound's lowered problem, before any symmetry: the pruned
+    ``scenario``, with the given words pinned to one."""
+    structure = build_moment_structure(generate_monomials(scenario, level))
+    objective = encode_objective(mabk_expression(len(scenario)), structure)
+    lookup = {rep: k for k, rep in enumerate(structure.class_representatives)}
+    pinned = {structure.identity_class: 1.0}
+    pinned.update({lookup[w]: 1.0 for w in pinned_words})
+    reduced = reduce_structure(structure, pinned)
+    problem, const = lower_to_sdp(reduced, objective)
+    return structure, reduced, problem, const
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_detected_party_groups(level):
+    pinned = _lowered(SCENARIO, level, _key_pairs(3))
+    assert set(party_symmetries(SCENARIO, *pinned[:3])) == {(0, 1, 2), (0, 2, 1)}
+    free = _lowered((2, 2, 2), level)
+    assert set(party_symmetries((2, 2, 2), *free[:3])) == set(
+        itertools.permutations(range(3))
+    )
+
+
+def test_a_one_sided_pin_leaves_only_the_identity():
+    lowered = _lowered(SCENARIO, 2, [(A0, B2_1)])
+    assert list(party_symmetries(SCENARIO, *lowered[:3])) == [(0, 1, 2)]
+
+
+def test_an_asymmetric_problem_shrinks_the_group():
+    # tilting one variable's objective coefficient, or the values of its
+    # basis entries, leaves only the permutations that fix that variable
+    structure, reduced, problem, _ = _lowered((2, 2, 2), 2)
+    full = party_symmetries((2, 2, 2), structure, reduced, problem)
+    fixed = np.arange(problem.n_vars)
+    v = int(np.flatnonzero(np.any([t != fixed for _, t in full.values()], 0))[0])
+    c = problem.c.copy()
+    c[v] += 1.0
+    basis = problem.basis.copy()
+    basis.data[basis.indptr[v] : basis.indptr[v + 1]] = 0.5
+    for tilted in (
+        dataclasses.replace(problem, c=c),
+        dataclasses.replace(problem, basis=basis),
+    ):
+        found = party_symmetries((2, 2, 2), structure, reduced, tilted)
+        assert (0, 1, 2) in found and len(found) < len(full)
+        assert all(variables[v] == v for _, variables in found.values())
 
 
 @pytest.fixture(scope="module")
@@ -381,6 +472,65 @@ def test_certified_bounds_are_sound_and_tight(reproduce_runs, level, pinned):
     result = reproduce_runs[(level, pinned)]
     assert result.verified
     assert target <= result.certified_bound <= target + 1e-7
+
+
+@pytest.mark.parametrize("pinned", [True, False])
+@pytest.mark.parametrize("level", [2, 3])
+def test_orbit_bound_equals_the_unreduced_solve(reproduce_runs, level, pinned):
+    scenario = SCENARIO if pinned else (2, 2, 2)
+    _, _, problem, const = _lowered(scenario, level, _key_pairs(3) if pinned else ())
+    tol = 1e-9 if level == 2 else 1e-8
+    result = reproduce_runs[(level, pinned)]
+    unreduced = solve(problem, tol=tol).bound + const
+    assert result.n_moment_classes == problem.n_vars
+    assert result.bound == pytest.approx(unreduced, abs=1e-8)
+
+
+@pytest.mark.parametrize("pinned", [True, False])
+def test_four_party_orbit_bound_equals_the_unreduced_solve(pinned):
+    scenario = default_scenario(4) if pinned else (2, 2, 2, 2)
+    _, _, problem, const = _lowered(scenario, 2, _key_pairs(4) if pinned else ())
+    result = npa_upper_bound(2, pinned, tol=1e-8, n_parties=4)
+    unreduced = solve(problem, tol=1e-8).bound + const
+    assert result.verified
+    assert result.bound == pytest.approx(unreduced, abs=1e-8)
+
+
+def _group_average(problem, solution, perms):
+    z = solution.dual_matrix
+    z = sum(z[np.ix_(rows, rows)] for rows in perms) / len(perms)
+    return dataclasses.replace(
+        solution, dual_matrix=z, bound=float(np.tensordot(problem.f0, z))
+    )
+
+
+def test_averaging_over_a_non_symmetry_fails_the_certificate():
+    # relabelling the first party's inputs 0 <-> 1 keeps the scenario and the
+    # moment matrix's structure but not MABK; averaging Z over it must leave
+    # stationarity residuals that verify_certificate refuses
+    structure, reduced, problem, _ = _lowered((2, 2, 2), 2)
+    solution = solve(problem)
+    index = {w: i for i, w in enumerate(structure.basis)}
+    relabel = {A0: A1, A1: A0}
+    swap = np.array(
+        [index[canonicalize([relabel.get(l, l) for l in w])] for w in structure.basis]
+    )
+    identity = np.arange(problem.dimension)
+    assert verify_certificate(problem, solution)
+    assert not verify_certificate(
+        problem, _group_average(problem, solution, [identity, swap])
+    )
+    b_c = party_symmetries((2, 2, 2), structure, reduced, problem)[(0, 2, 1)][0]
+    assert verify_certificate(
+        problem, _group_average(problem, solution, [identity, b_c])
+    )
+
+
+def test_repeated_solves_are_bit_identical():
+    first = npa_upper_bound(3, True)
+    second = npa_upper_bound(3, True)
+    assert first.bound == second.bound
+    assert first.solution.trace == second.solution.trace
 
 
 def test_level2_bounds():

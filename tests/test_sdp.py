@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from mabkcert import sdp
 from mabkcert.sdp import (
@@ -13,15 +14,32 @@ from mabkcert.sdp import (
 )
 
 
-def toy_1x1():
-    return SdpProblem.from_dense(
-        np.array([[1.0]]), [np.array([[-1.0]])], np.array([1.0])
+def dense_problem(f0, mats, c):
+    """``SdpProblem`` from a dense ``F0``, a list of dense ``F_i`` and ``c``."""
+    for i, m in enumerate(mats):
+        if not np.allclose(m, m.T):
+            raise ValueError(f"basis matrix {i} is not symmetric")
+    d = np.shape(f0)[0]
+    return SdpProblem(
+        f0=np.array(f0, dtype=float),
+        basis=csr_matrix(np.array(mats, dtype=float).reshape(len(mats), d * d)),
+        c=np.array(c, dtype=float),
     )
+
+
+def basis_matrix(problem, i):
+    """``F_i`` as a dense matrix."""
+    d = problem.dimension
+    return problem.basis[i].toarray().reshape(d, d)
+
+
+def toy_1x1():
+    return dense_problem(np.array([[1.0]]), [np.array([[-1.0]])], np.array([1.0]))
 
 
 def toy_2x2():
     f1 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return SdpProblem.from_dense(np.eye(2), [f1], np.array([1.0]))
+    return dense_problem(np.eye(2), [f1], np.array([1.0]))
 
 
 def test_toy_1x1():
@@ -57,12 +75,12 @@ def random_disjoint_data(seed):
 
 
 def random_disjoint_instance(seed):
-    return SdpProblem.from_dense(*random_disjoint_data(seed))
+    return dense_problem(*random_disjoint_data(seed))
 
 
 def grid_oracle(problem, levels=6, width=1.05, points=21):
     """Refined grid search; each unit-entry pair bounds its moment to [-1, 1]."""
-    f = [problem.basis_matrix(i) for i in range(problem.n_vars)]
+    f = [basis_matrix(problem, i) for i in range(problem.n_vars)]
     center = np.zeros(problem.n_vars)
     best_y = center
     best_val = -np.inf
@@ -108,9 +126,9 @@ def test_deterministic_bit_identical():
 
 def test_objective_scaling_invariance():
     problem = random_disjoint_instance(5)
-    scaled = SdpProblem.from_dense(
+    scaled = dense_problem(
         problem.f0,
-        [problem.basis_matrix(i) for i in range(problem.n_vars)],
+        [basis_matrix(problem, i) for i in range(problem.n_vars)],
         7.0 * problem.c,
     )
     sol = solve(problem)
@@ -189,15 +207,15 @@ def _offdiag(d, entries):
     [
         (toy_1x1(), "zero diagonal"),
         (
-            SdpProblem.from_dense(2.0 * np.eye(2), [_offdiag(2, {(0, 1): 1.0})], [1.0]),
+            dense_problem(2.0 * np.eye(2), [_offdiag(2, {(0, 1): 1.0})], [1.0]),
             "unit diagonal",
         ),
         (
-            SdpProblem.from_dense(np.eye(2), [_offdiag(2, {(0, 1): 0.5})], [1.0]),
+            dense_problem(np.eye(2), [_offdiag(2, {(0, 1): 0.5})], [1.0]),
             r"\|y_i\| <= 1",
         ),
         (
-            SdpProblem.from_dense(
+            dense_problem(
                 np.eye(3),
                 [
                     _offdiag(3, {(0, 1): 1.0, (0, 2): 1.0}),
@@ -218,7 +236,7 @@ def test_certified_bound_refuses_unchecked_assumptions(problem, reason):
 @pytest.mark.parametrize("seed", [5, 11, 23])
 def test_sparse_operator_matches_dense_basis_matrices(seed):
     f0, mats, c = random_disjoint_data(seed)
-    problem = SdpProblem.from_dense(f0, mats, c)
+    problem = dense_problem(f0, mats, c)
     rng = np.random.default_rng(seed)
     y = rng.normal(size=len(mats))
     z = rng.normal(size=f0.shape)
@@ -228,7 +246,7 @@ def test_sparse_operator_matches_dense_basis_matrices(seed):
         problem.adjoint(z), [np.tensordot(f, z) for f in mats], rtol=0.0, atol=1e-12
     )
     for i, f in enumerate(mats):
-        assert np.array_equal(problem.basis_matrix(i), f)
+        assert np.array_equal(basis_matrix(problem, i), f)
 
 
 def test_iteration_limit_raises_with_diagnostics():
@@ -241,8 +259,6 @@ def test_iteration_limit_raises_with_diagnostics():
 
 
 def test_infeasible_start_is_reported():
-    problem = SdpProblem.from_dense(
-        -np.eye(2), [np.diag([1.0, 0.0])], np.array([1.0])
-    )
+    problem = dense_problem(-np.eye(2), [np.diag([1.0, 0.0])], np.array([1.0]))
     with pytest.raises(SdpSolverError, match="strictly feasible"):
         solve(problem)
