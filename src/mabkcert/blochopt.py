@@ -10,11 +10,17 @@ signed Bell value and its exact gradient in the Bloch vectors come from
 ``correlators.mabk_value`` and ``correlators.mabk_gradient``; this module maps
 angles to the (n, 2, 3) settings array and chains the gradient through the
 angles.  There are no finite differences.  The absolute value in the MABK
-score is handled by ascending the signed objective and its negation
-separately and keeping the larger of the two.
+score is handled by ascending the signed objective from each start and its
+negation from the same start, and keeping the larger of the two.
 
-All restarts are advanced together as numpy batches; per-restart state is
-independent, so the batched run is identical to running restarts one by one.
+The ``2R`` signed ascents of R restarts run as one numpy batch whose rows
+carry their sign.  Per-row state is independent and every kernel operation is
+elementwise, so the batched run is identical to running rows one by one.  A
+row has converged when its largest angle derivative is at most
+``_CONVERGENCE_TOL`` times its |value|.  The test is relative because the
+value's rounding, and with it the smallest derivative the ascent can still
+act on, grows with |value| (2**((N-1)/2) at the free optimum).  A row also
+stops when its line search finds no step that moves it and gains enough.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 30
 _STEP_GROWTH = 1.3
 _MAX_STEP = 2.0
-# A restart has converged when no angle derivative exceeds this.
+# A row has converged when no angle derivative exceeds this times |value|.
 _CONVERGENCE_TOL = 1e-8
 # Restart values within this relative distance of the best count as tied.
 _TIE_TOL = 1e-12
@@ -53,6 +59,8 @@ class OptimizationResult:
     # whose value is within _TIE_TOL (relative) of best_value
     best_settings: np.ndarray
     per_restart_values: tuple[float, ...]
+    # restarts whose better ascent met the relative stop, not a failed line
+    # search or the iteration cap
     converged_count: int
 
 
@@ -76,9 +84,12 @@ class _MabkObjective:
 
     def observables(self, angles: np.ndarray) -> np.ndarray:
         """Angles (..., dim) -> Bloch tensor (..., n, 2, 3)."""
-        st, ct, sp, cp = self._trig(angles)
+        return self._bloch(self._trig(angles))
+
+    def _bloch(self, trig: tuple[np.ndarray, ...]) -> np.ndarray:
+        st, ct, sp, cp = trig
         bloch = np.stack((st * cp, st * sp, ct), axis=-1)  # (..., 2n, 3)
-        return bloch.reshape(angles.shape[:-1] + (self.n, 2, 3))
+        return bloch.reshape(st.shape[:-1] + (self.n, 2, 3))
 
     def value(self, angles: np.ndarray) -> np.ndarray:
         """Signed Bell value, batched over leading axes of ``angles``."""
@@ -86,9 +97,10 @@ class _MabkObjective:
 
     def gradient(self, angles: np.ndarray) -> np.ndarray:
         """Exact gradient of ``value`` with respect to ``angles``."""
-        g = mabk_gradient(self.observables(angles))
+        trig = self._trig(angles)
+        g = mabk_gradient(self._bloch(trig))
         g = g.reshape(angles.shape[:-1] + (2 * self.n, 3))
-        st, ct, sp, cp = self._trig(angles)
+        st, ct, sp, cp = trig
         grad = np.empty(angles.shape[:-1] + (4 * self.n,))
         grad[..., 0::2] = ct * (g[..., 0] * cp + g[..., 1] * sp) - st * g[..., 2]
         grad[..., 1::2] = st * (g[..., 1] * cp - g[..., 0] * sp)
@@ -107,36 +119,38 @@ def _initial_angles(objective: _MabkObjective, restarts: int, seed: int) -> np.n
 
 
 def _ascend(
-    objective: _MabkObjective, sign: float, x0: np.ndarray, config: OptimizerConfig
+    objective: _MabkObjective, sign: np.ndarray, x0: np.ndarray, config: OptimizerConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched gradient ascent of ``sign * value``; returns (x, f, converged)."""
+    """Batched ascent of ``sign[r] * value`` in each row r; returns (x, f, converged)."""
     x = x0.copy()
-    restarts = x.shape[0]
+    rows = x.shape[0]
     f = sign * objective.value(x)
-    step = np.full(restarts, 0.5)
-    done = np.zeros(restarts, dtype=bool)
-    converged = np.zeros(restarts, dtype=bool)
+    step = np.full(rows, 0.5)
+    done = np.zeros(rows, dtype=bool)
+    converged = np.zeros(rows, dtype=bool)
 
     for _ in range(config.max_iterations):
         active = ~done
         if not active.any():
             break
-        xa = x[active]
-        grad = sign * objective.gradient(xa)
+        idx_active = np.flatnonzero(active)
+        xa = x[idx_active]
+        grad = sign[idx_active, None] * objective.gradient(xa)
 
         gnorm = np.abs(grad).max(axis=1)
-        newly_conv = gnorm < _CONVERGENCE_TOL
+        newly_conv = gnorm <= _CONVERGENCE_TOL * np.abs(f[idx_active])
         if newly_conv.any():
-            idx = np.flatnonzero(active)[newly_conv]
+            idx = idx_active[newly_conv]
             done[idx] = True
             converged[idx] = True
         still = ~newly_conv
         if not still.any():
             continue
 
-        idx_live = np.flatnonzero(active)[still]
+        idx_live = idx_active[still]
         xl = xa[still]
         gl = grad[still]
+        sl = sign[idx_live]
         fl = f[idx_live]
         tl = step[idx_live]
         gsq = (gl * gl).sum(axis=1)
@@ -147,8 +161,12 @@ def _ascend(
             if not trying.any():
                 break
             cand = xl[trying] + tl[trying, None] * gl[trying]
-            fc = sign * objective.value(cand)
+            fc = sl[trying] * objective.value(cand)
             ok = fc >= fl[trying] + _ARMIJO_C1 * tl[trying] * gsq[trying]
+            # a step too short to move x passes that test once the bound is
+            # below fl's last bit; accepting it would keep the row alive,
+            # unmoved, until the iteration cap
+            ok &= (cand != xl[trying]).any(axis=1)
             sel = np.flatnonzero(trying)[ok]
             if sel.size:
                 xl[sel] = cand[ok]
@@ -173,8 +191,12 @@ def _maximize(n: int, honest: bool, config: OptimizerConfig | None) -> Optimizat
     objective = _MabkObjective(n, honest)
     x0 = _initial_angles(objective, cfg.restarts, cfg.seed)
 
-    x_plus, f_plus, conv_plus = _ascend(objective, +1.0, x0, cfg)
-    x_minus, f_minus, conv_minus = _ascend(objective, -1.0, x0, cfg)
+    # rows 0..R-1 ascend +value, rows R..2R-1 -value, from the same starts
+    sign = np.repeat([1.0, -1.0], cfg.restarts)
+    x, f, converged = _ascend(objective, sign, np.concatenate((x0, x0)), cfg)
+    x_plus, x_minus = np.split(x, 2)
+    f_plus, f_minus = np.split(f, 2)
+    conv_plus, conv_minus = np.split(converged, 2)
 
     plus_wins = f_plus >= f_minus
     values = np.where(plus_wins, f_plus, f_minus)

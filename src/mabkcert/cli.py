@@ -27,11 +27,11 @@ from . import blochopt, correlators, mabk, npa
 from .sdp import SdpSolverError
 
 SEED_DEFAULT = 20240811
-# Largest --n for mabk-show, theorem1 and optimize: the expression has
-# 2^(2*floor(n/2)) terms, so the work grows fourfold with every two parties.
+# Largest --n for mabk-show, theorem1 and optimize: the expression mabk-show
+# prints has 2^(2*floor(n/2)) terms, fourfold more with every two parties.
 MAX_PARTIES = 10
 # Caps sized from the per-unit cost at n = 10: a theorem1 trial takes about
-# 1.4 us, an optimize restart about 0.09 s and 0.4 MB of batched arrays.
+# 1.4 us, an optimize restart about 5 ms.
 MAX_TRIALS = 1_000_000
 MAX_RESTARTS = 200
 # theorem1 draws and evaluates its trials in blocks of this many; at n = 10 a

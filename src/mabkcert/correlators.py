@@ -7,20 +7,19 @@ On the N-party GHZ state ``(|0...0> + |1...1>)/sqrt(2)`` the expectation of
 
 the off-diagonal ``<0...0|O|1...1>`` element plus the two diagonal ones.
 ``ghz_expectation_batch`` evaluates it in O(N) per point over any leading
-batch axes, and every Bell value in the package goes through it.  A Bloch
-vector is always a float array whose last axis holds (x, y, z).
+batch axes; ``theorem1`` checks its correlators with it.  A Bloch vector is
+always a float array whose last axis holds (x, y, z).
 
 A settings choice is a float array of shape (..., N, 2, 3) whose entry
-``[..., i, x]`` is party i's Bloch vector for input x.  ``mabk_value`` gathers
-each MABK term's Bloch vectors from it, calls the kernel and weights the terms
-by their coefficients, which only this module knows (cached once per N).
-``mabk_gradient`` drives the optimizer without expanding the terms: it is the
-reverse-mode derivative of the Belinskii-Klyshko pair recursion, which builds
-the same polynomial in O(N) per point.  The value stays on the term sum, since
-the recursion's value is noisier at the optimum and the optimizer's
-convergence test pays for that noise.  The stabilizer expansion
-``tr(rho O) = 2**-N * sum_S tr(O S)`` (``identity_free_elements``) is kept as
-the oracle the tests compare against.
+``[..., i, x]`` is party i's Bloch vector for input x.  ``mabk_value`` and
+``mabk_gradient`` never expand the ``2**(2*floor(N/2))`` MABK terms: they
+share one forward sweep of the Belinskii-Klyshko pair recursion, which builds
+the same polynomial in O(N) elementwise operations per point, and the
+gradient adds the reverse sweep.  Every operation is elementwise, so a point's
+value does not depend on the batch it is evaluated in.  The term sum (over
+``mabk.mabk_expression``) and the stabilizer expansion ``tr(rho O) = 2**-N *
+sum_S tr(O S)`` (``identity_free_elements``) are the oracles the tests
+compare against.
 
 With the first observable pinned to sigma_z its transverse factor is exactly
 zero, so for odd N every such correlator is exactly ``0.0`` and for even N it
@@ -34,7 +33,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mabk import mabk_expression
 from .pauli import PauliLetter
 from .stabilizer import ghz_expansion
 
@@ -105,22 +103,6 @@ def theorem1_bound(n: int) -> float:
     return 2.0 ** ((n - 3) / 2)
 
 
-@lru_cache(maxsize=None)
-def _mabk_terms(n: int) -> tuple[np.ndarray, ...]:
-    """Party index (1, n), term inputs (T, n) and coefficients (T,).
-
-    ``settings[..., party, inputs, :]`` gathers each term's Bloch vectors.
-    Every call shares these arrays, so they are read-only.
-    """
-    expr = mabk_expression(n)
-    party = np.arange(n)[None, :]
-    inputs = np.array([t.inputs for t in expr.terms], dtype=np.intp)
-    coeffs = np.array([float(t.coefficient) for t in expr.terms])
-    for a in (party, inputs, coeffs):
-        a.flags.writeable = False
-    return party, inputs, coeffs
-
-
 def _party_count(settings: np.ndarray) -> int:
     if settings.ndim < 3 or settings.shape[-2:] != (2, 3) or settings.shape[-3] < 2:
         raise ValueError(
@@ -130,48 +112,57 @@ def _party_count(settings: np.ndarray) -> int:
     return settings.shape[-3]
 
 
+# (z0 - z1) times this is (b, -b), the factor of the reversed pair (m', m)
+_HALF_PAIR = np.array([0.5, -0.5])
+
+
+def _forward_sweep(settings: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The pair recursion's factors ``a``, ``(b, -b)`` and its pair after each party.
+
+    With ``z_x = b_x + i b_y`` for party i's input x, ``a = (z0 + z1)/2`` and
+    ``b = (z0 - z1)/2``, the pair starts at ``(m, m') = (z0, z1)`` for party 0
+    and every later party maps it to ``(a m + b m', a m' - b m)``; the signed
+    MABK value is ``Re m`` after the last party, plus for even N the same
+    recursion run on the real ``b_z``.  The z recursion rides on a leading
+    axis of size 2, so every array is shaped (S, ..., n, 2).
+    """
+    n = _party_count(settings)
+    z = settings[..., 0] + 1j * settings[..., 1]
+    z = np.stack((z, settings[..., 2])) if n % 2 == 0 else z[None]
+    a = (z[..., :1] + z[..., 1:]) / 2
+    b_pair = (z[..., :1] - z[..., 1:]) * _HALF_PAIR
+
+    pair = np.empty_like(z)  # (m, m') after parties 0 .. n-1
+    pair[..., 0, :] = z[..., 0, :]
+    for k in range(1, n):
+        m = pair[..., k - 1, :]
+        np.add(a[..., k, :] * m, b_pair[..., k, :] * m[..., ::-1], out=pair[..., k, :])
+    return a, b_pair, pair
+
+
 def mabk_value(settings: np.ndarray) -> np.ndarray:
     """Signed MABK value on the GHZ state, batched over leading axes.
 
     ``settings[..., i, x]`` is party i's Bloch vector for input x; the Bell
-    score is the absolute value of the result.
+    score is the absolute value of the result.  O(N) per point, through the
+    pair recursion of ``_forward_sweep``.
     """
-    n = _party_count(settings)
-    party, inputs, coeffs = _mabk_terms(n)
-    return ghz_expectation_batch(n, settings[..., party, inputs, :]) @ coeffs
-
-
-# (z0 - z1) times this is (b, -b), the factor of the reversed pair (m', m)
-_HALF_PAIR = np.array([0.5, -0.5])
+    return _forward_sweep(settings)[2][..., -1, 0].real.sum(axis=0)
 
 
 def mabk_gradient(settings: np.ndarray) -> np.ndarray:
     """Gradient of ``mabk_value`` in every Bloch component, shaped like ``settings``.
 
-    The reverse-mode derivative of the Belinskii-Klyshko pair recursion, O(N)
-    per point.  With ``z_x = b_x + i b_y`` for party i's input x, ``a = (z0 +
-    z1)/2`` and ``b = (z0 - z1)/2``, the pair starts at ``(m, m') = (z0, z1)``
-    for party 0 and every later party maps it to ``(a m + b m', a m' - b m)``;
-    the value is ``Re m`` after the last party, plus for even N the same
-    recursion run on the real ``b_z``.  The forward sweep keeps each party's
-    pair, the adjoint sweep the derivatives ``(g, g')`` of the final ``m`` in
-    it, and each party's ``dm/dz`` follows from those two.  ``m`` is
-    holomorphic in every ``z``, so d/db_x is ``Re dm/dz`` and d/db_y is
-    ``-Im dm/dz``.  The z recursion rides on a leading axis of size 2.
+    The reverse-mode derivative of the pair recursion, O(N) per point.  The
+    forward sweep (``_forward_sweep``) keeps each party's pair, the adjoint
+    sweep the derivatives ``(g, g')`` of the final ``m`` in it, and each
+    party's ``dm/dz`` follows from those two.  ``m`` is holomorphic in every
+    ``z``, so d/db_x is ``Re dm/dz`` and d/db_y is ``-Im dm/dz``.
     """
-    n = _party_count(settings)
-    z = settings[..., 0] + 1j * settings[..., 1]
-    z = np.stack((z, settings[..., 2])) if n % 2 == 0 else z[None]  # (S, ..., n, 2)
-    a = (z[..., :1] + z[..., 1:]) / 2
-    b_pair = (z[..., :1] - z[..., 1:]) * _HALF_PAIR
+    a, b_pair, pair = _forward_sweep(settings)
+    n = settings.shape[-3]
 
-    pair = np.empty_like(z[..., 1:, :])  # (m, m') after parties 0 .. n-2
-    pair[..., 0, :] = z[..., 0, :]
-    for k in range(1, n - 1):
-        m = pair[..., k - 1, :]
-        np.add(a[..., k, :] * m, b_pair[..., k, :] * m[..., ::-1], out=pair[..., k, :])
-
-    adj = np.empty_like(z)  # derivatives of the final m in the pair after each party
+    adj = np.empty_like(pair)  # derivatives of the final m in the pair after each party
     adj[..., -1, :] = (1.0, 0.0)
     for k in range(n - 1, 0, -1):
         g = adj[..., k, :]
@@ -181,7 +172,7 @@ def mabk_gradient(settings: np.ndarray) -> np.ndarray:
 
     # party k > 0 enters through a and b against the pair before it; party 0's
     # pair is (z0, z1) itself, so adj[..., 0, :] already holds its dm/dz
-    m, mp = pair[..., 0], pair[..., 1]
+    m, mp = pair[..., :-1, 0], pair[..., :-1, 1]
     g, gp = adj[..., 1:, 0], adj[..., 1:, 1]
     da = m * g + mp * gp
     db = mp * g - m * gp

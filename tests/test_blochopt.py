@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from mabkcert.blochopt import (
+    _CONVERGENCE_TOL,
     OptimizerConfig,
+    _ascend,
+    _initial_angles,
     _MabkObjective,
     maximize_honest_mabk,
     maximize_unconstrained_mabk,
@@ -58,15 +61,113 @@ def test_deterministic_given_seed():
     assert a.best_value == b.best_value
 
 
-def test_per_restart_seeding_is_a_counter_scheme():
+@pytest.mark.parametrize("honest", [True, False])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_per_restart_seeding_is_a_counter_scheme(n, honest):
     # restart r depends only on (seed, r): a longer run extends a shorter one
-    short = maximize_unconstrained_mabk(
-        3, OptimizerConfig(restarts=5, seed=424242)
+    # bit for bit, which needs a kernel whose result for one row does not
+    # depend on the shape of the batch it sits in
+    maximize = maximize_honest_mabk if honest else maximize_unconstrained_mabk
+    short = maximize(n, OptimizerConfig(restarts=7, seed=424242))
+    long = maximize(n, OptimizerConfig(restarts=40, seed=424242))
+    assert long.per_restart_values[:7] == short.per_restart_values
+
+
+@pytest.mark.parametrize("honest", [True, False])
+@pytest.mark.parametrize("n", [3, 4])
+def test_stacked_sign_ascent_equals_two_single_sign_ascents(n, honest):
+    objective = _MabkObjective(n, honest)
+    x0 = _initial_angles(objective, 9, seed=7)
+    ones = np.ones(len(x0))
+    plus = _ascend(objective, ones, x0, QUICK)
+    minus = _ascend(objective, -ones, x0, QUICK)
+    stacked = _ascend(
+        objective, np.concatenate((ones, -ones)), np.concatenate((x0, x0)), QUICK
     )
-    long = maximize_unconstrained_mabk(
-        3, OptimizerConfig(restarts=9, seed=424242)
+    for got, want_plus, want_minus in zip(stacked, plus, minus):
+        assert np.array_equal(got, np.concatenate((want_plus, want_minus)))
+
+
+@pytest.mark.parametrize("honest", [True, False])
+def test_each_restart_keeps_the_better_of_its_two_signed_ascents(honest):
+    n, config = 4, OptimizerConfig(restarts=16, seed=424242)
+    objective = _MabkObjective(n, honest)
+    x0 = _initial_angles(objective, config.restarts, config.seed)
+    ones = np.ones(config.restarts)
+    _, f_plus, conv_plus = _ascend(objective, ones, x0, config)
+    _, f_minus, conv_minus = _ascend(objective, -ones, x0, config)
+    # both signs must matter here, or the check below could not fail
+    assert (f_plus > f_minus).any() and (f_minus > f_plus).any()
+    result = (maximize_honest_mabk if honest else maximize_unconstrained_mabk)(
+        n, config
     )
-    assert long.per_restart_values[:5] == short.per_restart_values
+    plus_wins = f_plus >= f_minus
+    assert result.per_restart_values == tuple(np.where(plus_wins, f_plus, f_minus))
+    assert result.converged_count == np.where(plus_wins, conv_plus, conv_minus).sum()
+
+
+def equatorial_angles(objective, phases):
+    """Packed free-search angles of observables at theta = pi/2 and these phi."""
+    angles = np.empty(objective.dim)
+    angles[0::2] = math.pi / 2
+    angles[1::2] = np.ravel(phases)
+    return angles
+
+
+def assert_converged_at_once(objective, sign, x0):
+    config = OptimizerConfig(restarts=1, max_iterations=1)
+    x, f, converged = _ascend(objective, np.full(len(x0), sign), x0, config)
+    assert converged.all()
+    assert np.array_equal(x, x0)
+    assert np.array_equal(f, sign * objective.value(x0))
+
+
+def test_rows_at_an_optimum_converge_on_the_first_iteration():
+    # Mermin's (Y, X) at every party: the free N=3 value -2
+    mermin = _MabkObjective(3, honest=False)
+    x0 = equatorial_angles(mermin, [(math.pi / 2, 0.0)] * 3)[None]
+    assert mermin.value(x0) == pytest.approx(-2.0, abs=1e-14)
+    assert_converged_at_once(mermin, -1.0, x0)
+
+    # party 0 at phases +-pi/4 and (Y, X) elsewhere: the free N=8 value
+    # 2**3.5; the stop is relative, so the same start nudged by 1e-8, with an
+    # angle derivative near 5.7e-8, also converges
+    n = 8
+    free = _MabkObjective(n, honest=False)
+    phases = [(math.pi / 4, -math.pi / 4)] + [(math.pi / 2, 0.0)] * (n - 1)
+    optimum = equatorial_angles(free, phases)
+    x0 = np.stack((optimum, optimum + 1e-8 * np.eye(free.dim)[0]))
+    value = free.value(x0)
+    assert value == pytest.approx(2.0**3.5, abs=1e-12)
+    gnorm = np.abs(free.gradient(x0[1])).max()
+    assert 1e-8 < gnorm < _CONVERGENCE_TOL * value[1]
+    assert_converged_at_once(free, 1.0, x0)
+
+
+class Spike:
+    """Value 1 at x = 1 and 0 elsewhere, with a small constant gradient."""
+
+    def __init__(self):
+        self.gradient_calls = 0
+
+    def value(self, x):
+        return (x == 1.0).all(axis=-1).astype(float)
+
+    def gradient(self, x):
+        self.gradient_calls += 1
+        return np.full(x.shape, 2e-8)
+
+
+def test_a_row_whose_only_acceptable_step_is_null_stops():
+    # every step that moves x loses the whole value, and after 27 halvings
+    # the step no longer moves x, where Armijo's bound is below the last bit
+    # of f; that null step must end the row, not keep it to the cap
+    spike = Spike()
+    x0 = np.ones((1, 4))
+    x, f, converged = _ascend(spike, np.ones(1), x0, OptimizerConfig())
+    assert spike.gradient_calls == 1
+    assert np.array_equal(x, x0) and f.tolist() == [1.0]
+    assert not converged.any()
 
 
 def test_best_is_max_of_restarts():

@@ -61,6 +61,21 @@ def products_of_others(factors):
     return before * after[..., ::-1]
 
 
+def term_arrays(n):
+    """Each MABK term's inputs (T, n) and coefficient (T,)."""
+    terms = mabk_expression(n).terms
+    inputs = np.array([t.inputs for t in terms])
+    coeffs = np.array([float(t.coefficient) for t in terms])
+    return inputs, coeffs
+
+
+def term_sum_value(settings_):
+    """Oracle for mabk_value: the closed form of every term, weighted and summed."""
+    n = settings_.shape[-3]
+    inputs, coeffs = term_arrays(n)
+    return ghz_expectation_batch(n, settings_[..., np.arange(n), inputs, :]) @ coeffs
+
+
 def term_sum_gradient(settings_):
     """Oracle for mabk_gradient: every term's closed-form gradient, weighted.
 
@@ -69,9 +84,7 @@ def term_sum_gradient(settings_):
     then goes to the input that party i has in the term.
     """
     n = settings_.shape[-3]
-    terms = mabk_expression(n).terms
-    inputs = np.array([t.inputs for t in terms])
-    coeffs = np.array([float(t.coefficient) for t in terms])
+    inputs, coeffs = term_arrays(n)
     blochs = settings_[..., np.arange(n), inputs, :]  # (..., T, n, 3)
     transverse = products_of_others(blochs[..., 0] + 1j * blochs[..., 1])
     per_term = np.zeros(blochs.shape)
@@ -230,6 +243,18 @@ def test_report_value_is_absolute_weighted_sum(rng):
             assert values[index] == pytest.approx(
                 dense_value(n, settings_[index]), abs=1e-12
             )
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_mabk_value_matches_term_sum_oracle(rng, n):
+    for shape in ((), (5,), (2, 3)):
+        for pinned in (False, True):
+            settings_ = random_settings(rng, (*shape, n))
+            if pinned:
+                settings_[..., 0, 0, :] = Z
+            value = mabk_value(settings_)
+            assert np.shape(value) == shape
+            assert np.abs(value - term_sum_value(settings_)).max() < 1e-13
 
 
 @pytest.mark.parametrize("n", range(3, 11))
