@@ -12,8 +12,9 @@ multipartite entanglement unreachable.
 Usage:
     python scripts/honest_maximum_scan.py [--max-n 6] [--restarts 60] [--seed S]
 
-``--max-n`` must lie in [3, cli.MAX_PARTIES] and ``--restarts`` in
-[1, cli.MAX_RESTARTS]; other values exit 2 with a message.
+``--max-n`` must lie in [3, cli.MAX_PARTIES], ``--restarts`` in
+[1, cli.MAX_RESTARTS] and ``--seed`` must be >= 0; other values exit 2 with a
+message.
 """
 
 import argparse
@@ -33,6 +34,8 @@ def main() -> None:
         parser.error(f"--max-n must be in [3, {MAX_PARTIES}], got {args.max_n}")
     if not 1 <= args.restarts <= MAX_RESTARTS:
         parser.error(f"--restarts must be in [1, {MAX_RESTARTS}], got {args.restarts}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
 
     print(f"{'N':>3} {'pinned-key max':>16} {'2^((N-3)/2)':>13} {'GME threshold':>14}")
     for n in range(3, args.max_n + 1):

@@ -5,7 +5,8 @@ Usage:
     python scripts/reproduce_paper.py [--fast] [--seed SEED] [--out report.json]
 
 Equivalent to ``mabkcert reproduce-paper --format json`` with the report also
-written to a file.  Exits with the CLI's code (0 = all verdicts pass).
+written to a file.  Exits with the CLI's code (0 = all verdicts pass; 2 for
+a negative ``--seed``).
 """
 
 import argparse
@@ -22,6 +23,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=cli.SEED_DEFAULT)
     parser.add_argument("--out", type=Path, default=Path("reproduction_report.json"))
     args = parser.parse_args()
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
 
     report = cli.cmd_reproduce(args.seed, args.fast)
     payload = report.payload()

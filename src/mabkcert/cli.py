@@ -441,6 +441,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(
             f"--restarts must be in [1, {MAX_RESTARTS}], got {args.restarts}"
         )
+    if getattr(args, "seed", 0) < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     if args.command == "npa" and not (math.isfinite(args.tol) and args.tol >= MIN_TOL):
         parser.error(f"--tol must be finite and at least {MIN_TOL}, got {args.tol}")
 

@@ -15,7 +15,6 @@ a hand-derived table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,19 +58,6 @@ def ghz_expansion(n: int) -> list[PauliString]:
         )
         elements.append(string_mul(x_part, z_part))
     return elements
-
-
-@dataclass(frozen=True)
-class GhzStabilizer:
-    """Stabilizer description of the N-party GHZ state."""
-
-    n_parties: int
-    generators: tuple[PauliString, ...]
-    expansion: tuple[PauliString, ...]
-
-    @classmethod
-    def construct(cls, n: int) -> "GhzStabilizer":
-        return cls(n, tuple(ghz_generators(n)), tuple(ghz_expansion(n)))
 
 
 def ghz_vector(n: int) -> np.ndarray:

@@ -20,6 +20,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import mabk_explicit
 from mabkcert.blochopt import (
     OptimizerConfig,
     maximize_honest_mabk,
@@ -30,7 +31,6 @@ from mabkcert.mabk import (
     expected_normalization,
     expected_term_count,
     mabk_expression,
-    mabk_explicit,
     mabk_recursion_step,
 )
 from mabkcert.npa import npa_upper_bound

@@ -65,6 +65,12 @@ INVALID_ARGV = st.one_of(
         st.floats(max_value=cli.MIN_TOL, exclude_max=True),
         st.sampled_from([1e-300, float("inf"), float("nan")]),
     ).map(lambda tol: ["npa", "--level=2", f"--tol={tol!r}"]),
+    st.tuples(
+        st.sampled_from(
+            [["theorem1", "--n=3"], ["optimize", "--n=3"], ["reproduce-paper", "--fast"]]
+        ),
+        st.integers(max_value=-1),
+    ).map(lambda cmd_seed: [*cmd_seed[0], f"--seed={cmd_seed[1]}"]),
 )
 
 

@@ -1,4 +1,4 @@
-"""MABK expression construction: closed form, recursion, exact coefficients."""
+"""MABK expression construction: the recursion against the closed-form oracle."""
 
 import itertools
 from fractions import Fraction
@@ -6,18 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import hamming_weight, mabk_explicit, mabk_index_set, mabk_sign
 from mabkcert.mabk import (
     BellExpression,
     BellTerm,
-    chsh_seed,
     expected_normalization,
     expected_term_count,
-    hamming_weight,
     mabk_expression,
-    mabk_explicit,
-    mabk_index_set,
     mabk_recursion_step,
-    mabk_sign,
 )
 
 
@@ -89,7 +85,10 @@ def test_explicit_n5_counts():
 
 
 def test_seed_recursion_reproduces_explicit_n3():
-    assert mabk_recursion_step(chsh_seed()).as_dict() == mabk_explicit(3).as_dict()
+    half = Fraction(1, 2)
+    chsh = mabk_expression(2)
+    assert chsh.as_dict() == {(0, 0): half, (0, 1): half, (1, 0): half, (1, 1): -half}
+    assert mabk_recursion_step(chsh).as_dict() == mabk_explicit(3).as_dict()
 
 
 def test_recursion_n4_counts_and_coefficients():
@@ -105,12 +104,10 @@ def test_double_recursion_matches_explicit_n5():
     assert via_recursion.as_dict() == mabk_explicit(5).as_dict()
 
 
-@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_explicit_equals_recursive(n):
-    recursive = mabk_expression(2)
-    for _ in range(n - 2):
-        recursive = mabk_recursion_step(recursive)
-    assert recursive.as_dict() == mabk_explicit(n).as_dict()
+    # terms, not only the dict: their order is the order mabk-show prints
+    assert mabk_expression(n).terms == mabk_explicit(n).terms
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -28,7 +28,13 @@ def test_honest_maximum_scan_runs():
 
 @pytest.mark.parametrize(
     "argv",
-    [["--restarts", "0"], ["--restarts", "201"], ["--max-n", "2"], ["--max-n", "11"]],
+    [
+        ["--restarts", "0"],
+        ["--restarts", "201"],
+        ["--max-n", "2"],
+        ["--max-n", "11"],
+        ["--seed", "-1"],
+    ],
     ids="=".join,
 )
 def test_honest_maximum_scan_rejects_unbounded_inputs(argv):
@@ -57,3 +63,19 @@ def test_reproduce_script_writes_report(tmp_path):
     payload = json.loads(report_path.read_text())
     assert payload["command"] == "reproduce-paper"
     assert "verdicts" in payload
+
+
+def test_reproduce_script_rejects_negative_seed(tmp_path):
+    report_path = tmp_path / "report.json"
+    out = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "scripts" / "reproduce_paper.py"),
+            "--fast", "--seed", "-1", "--out", str(report_path),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 2
+    assert "--seed" in out.stderr and "Traceback" not in out.stderr
+    assert not report_path.exists()

@@ -5,9 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from mabkcert.pauli import PauliLetter, dense_matrix, identity_string, pauli_string, string_mul
+from mabkcert.pauli import dense_matrix, identity_string, pauli_string, string_mul
 from mabkcert.stabilizer import (
-    GhzStabilizer,
     expansion_sum_dense,
     ghz_dense,
     ghz_expansion,
@@ -98,11 +97,3 @@ def test_ghz_dense_pure_state():
 def test_expansion_sum_equals_projector():
     for n in (2, 3, 4):
         assert np.allclose(expansion_sum_dense(n), ghz_dense(n), atol=1e-12)
-
-
-def test_construct_dataclass():
-    g = GhzStabilizer.construct(3)
-    assert g.n_parties == 3
-    assert len(g.generators) == 3
-    assert len(g.expansion) == 8
-    assert all(l is PauliLetter.X for l in g.generators[0].letters)
