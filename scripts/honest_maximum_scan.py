@@ -20,7 +20,7 @@ message.
 import argparse
 
 from mabkcert.blochopt import OptimizerConfig, maximize_honest_mabk
-from mabkcert.cli import MAX_PARTIES, MAX_RESTARTS
+from mabkcert.cli import MAX_PARTIES, MAX_RESTARTS, SEED_DEFAULT
 from mabkcert.correlators import gme_bound
 
 
@@ -28,7 +28,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=6)
     parser.add_argument("--restarts", type=int, default=60)
-    parser.add_argument("--seed", type=int, default=20240811)
+    parser.add_argument("--seed", type=int, default=SEED_DEFAULT)
     args = parser.parse_args()
     if not 3 <= args.max_n <= MAX_PARTIES:
         parser.error(f"--max-n must be in [3, {MAX_PARTIES}], got {args.max_n}")

@@ -5,8 +5,9 @@ Usage:
     python scripts/reproduce_paper.py [--fast] [--seed SEED] [--out report.json]
 
 Equivalent to ``mabkcert reproduce-paper --format json`` with the report also
-written to a file.  Exits with the CLI's code (0 = all verdicts pass; 2 for
-a negative ``--seed``).
+written to a file.  Exits with the CLI's code (0 = all verdicts pass); a
+negative ``--seed``, or an ``--out`` that is a directory or lies in a missing
+one, exits 2 with a message before anything runs.
 """
 
 import argparse
@@ -25,6 +26,10 @@ def main() -> int:
     args = parser.parse_args()
     if args.seed < 0:
         parser.error(f"--seed must be >= 0, got {args.seed}")
+    if args.out.is_dir():
+        parser.error(f"--out must name a file, got the directory {args.out}")
+    if not args.out.parent.is_dir():
+        parser.error(f"--out: {args.out.parent} is not a directory")
 
     report = cli.cmd_reproduce(args.seed, args.fast)
     payload = report.payload()

@@ -15,12 +15,13 @@ negation from the same start, and keeping the larger of the two.
 
 The ``2R`` signed ascents of R restarts run as one numpy batch whose rows
 carry their sign.  Per-row state is independent and every kernel operation is
-elementwise, so the batched run is identical to running rows one by one.  A
-row has converged when its largest angle derivative is at most
-``_CONVERGENCE_TOL`` times its |value|.  The test is relative because the
-value's rounding, and with it the smallest derivative the ascent can still
-act on, grows with |value| (2**((N-1)/2) at the free optimum).  A row also
-stops when its line search finds no step that moves it and gains enough.
+elementwise, so the batched run is identical to running rows one by one.  Rows
+still ascending form the live set.  A row leaves it converged when its largest
+angle derivative is at most ``_CONVERGENCE_TOL`` times its |value|: relative,
+because the value's rounding, and with it the smallest derivative the ascent
+can act on, grows with |value| (2**((N-1)/2) at the free optimum).  It leaves
+unconverged when its line search finds no step that moves it and gains
+enough.  Rows still live at the iteration cap have not converged either.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ class OptimizationResult:
     best_settings: np.ndarray
     per_restart_values: tuple[float, ...]
     # restarts whose better ascent met the relative stop, not a failed line
-    # search or the iteration cap
+    # search or the iteration cap; too low at odd N >= 7, where restarts at
+    # the optimum can end on a failed line search
     converged_count: int
 
 
@@ -123,63 +125,40 @@ def _ascend(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched ascent of ``sign[r] * value`` in each row r; returns (x, f, converged)."""
     x = x0.copy()
-    rows = x.shape[0]
     f = sign * objective.value(x)
-    step = np.full(rows, 0.5)
-    done = np.zeros(rows, dtype=bool)
-    converged = np.zeros(rows, dtype=bool)
+    step = np.full(len(x), 0.5)
+    converged = np.zeros(len(x), dtype=bool)
+    live = np.arange(len(x))  # rows still ascending, in row order
 
     for _ in range(config.max_iterations):
-        active = ~done
-        if not active.any():
+        if not live.size:
             break
-        idx_active = np.flatnonzero(active)
-        xa = x[idx_active]
-        grad = sign[idx_active, None] * objective.gradient(xa)
+        grad = sign[live, None] * objective.gradient(x[live])
+        stop = np.abs(grad).max(axis=1) <= _CONVERGENCE_TOL * np.abs(f[live])
+        converged[live[stop]] = True
+        live, grad = live[~stop], grad[~stop]
+        gsq = (grad * grad).sum(axis=1)
 
-        gnorm = np.abs(grad).max(axis=1)
-        newly_conv = gnorm <= _CONVERGENCE_TOL * np.abs(f[idx_active])
-        if newly_conv.any():
-            idx = idx_active[newly_conv]
-            done[idx] = True
-            converged[idx] = True
-        still = ~newly_conv
-        if not still.any():
-            continue
-
-        idx_live = idx_active[still]
-        xl = xa[still]
-        gl = grad[still]
-        sl = sign[idx_live]
-        fl = f[idx_live]
-        tl = step[idx_live]
-        gsq = (gl * gl).sum(axis=1)
-
-        accepted = np.zeros(len(idx_live), dtype=bool)
+        moved = np.zeros(live.size, dtype=bool)
         for _bt in range(_MAX_BACKTRACKS):
-            trying = ~accepted
-            if not trying.any():
+            trying = np.flatnonzero(~moved)
+            if not trying.size:
                 break
-            cand = xl[trying] + tl[trying, None] * gl[trying]
-            fc = sl[trying] * objective.value(cand)
-            ok = fc >= fl[trying] + _ARMIJO_C1 * tl[trying] * gsq[trying]
+            rows = live[trying]
+            cand = x[rows] + step[rows, None] * grad[trying]
+            fc = sign[rows] * objective.value(cand)
+            ok = fc >= f[rows] + _ARMIJO_C1 * step[rows] * gsq[trying]
             # a step too short to move x passes that test once the bound is
-            # below fl's last bit; accepting it would keep the row alive,
+            # below f's last bit; accepting it would keep the row alive,
             # unmoved, until the iteration cap
-            ok &= (cand != xl[trying]).any(axis=1)
-            sel = np.flatnonzero(trying)[ok]
-            if sel.size:
-                xl[sel] = cand[ok]
-                fl[sel] = fc[ok]
-                accepted[sel] = True
-            tl[~accepted & trying] *= 0.5
+            ok &= (cand != x[rows]).any(axis=1)
+            x[rows[ok]] = cand[ok]
+            f[rows[ok]] = fc[ok]
+            moved[trying[ok]] = True
+            step[rows[~ok]] *= 0.5
 
-        stalled = ~accepted
-        if stalled.any():
-            done[idx_live[stalled]] = True  # line search exhausted: local stop
-        x[idx_live] = xl
-        f[idx_live] = fl
-        step[idx_live] = np.minimum(tl * _STEP_GROWTH, _MAX_STEP)
+        live = live[moved]  # an exhausted line search is a local stop
+        step[live] = np.minimum(step[live] * _STEP_GROWTH, _MAX_STEP)
 
     return x, f, converged
 
@@ -191,28 +170,24 @@ def _maximize(n: int, honest: bool, config: OptimizerConfig | None) -> Optimizat
     objective = _MabkObjective(n, honest)
     x0 = _initial_angles(objective, cfg.restarts, cfg.seed)
 
-    # rows 0..R-1 ascend +value, rows R..2R-1 -value, from the same starts
-    sign = np.repeat([1.0, -1.0], cfg.restarts)
+    # rows 0..R-1 ascend +value, rows R..2R-1 -value, from the same starts;
+    # each restart keeps its better row, the +value one on a tie
+    restarts = cfg.restarts
+    sign = np.repeat([1.0, -1.0], restarts)
     x, f, converged = _ascend(objective, sign, np.concatenate((x0, x0)), cfg)
-    x_plus, x_minus = np.split(x, 2)
-    f_plus, f_minus = np.split(f, 2)
-    conv_plus, conv_minus = np.split(converged, 2)
-
-    plus_wins = f_plus >= f_minus
-    values = np.where(plus_wins, f_plus, f_minus)
-    winner_converged = np.where(plus_wins, conv_plus, conv_minus)
+    winner = np.argmax(f.reshape(2, restarts), axis=0) * restarts + np.arange(restarts)
+    values = f[winner]
 
     # several restarts reach the optimum up to rounding; the settings come
     # from the first of them, so a last-bit change in the kernel cannot swap
     # the reported strategy
     top = float(values.max())
     best = int(np.flatnonzero(values >= top - _TIE_TOL * max(1.0, abs(top)))[0])
-    best_angles = x_plus[best] if plus_wins[best] else x_minus[best]
     return OptimizationResult(
         best_value=top,
-        best_settings=objective.observables(best_angles),
+        best_settings=objective.observables(x[winner[best]]),
         per_restart_values=tuple(float(v) for v in values),
-        converged_count=int(winner_converged.sum()),
+        converged_count=int(converged[winner].sum()),
     )
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import blochopt, correlators, mabk, npa
 from .sdp import SdpSolverError
 
-SEED_DEFAULT = 20240811
+SEED_DEFAULT = blochopt.OptimizerConfig().seed
 # Largest --n for mabk-show, theorem1 and optimize: the expression mabk-show
 # prints has 2^(2*floor(n/2)) terms, fourfold more with every two parties.
 MAX_PARTIES = 10

@@ -9,6 +9,8 @@ import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 if str(BENCH) not in sys.path:
     sys.path.insert(0, str(BENCH))
@@ -28,5 +30,6 @@ def test_every_traced_function_resolves_in_the_package():
     assert missing == []
 
 
-def test_reproduce_fast_primes():
-    workloads.ReproduceFast().prime(1)
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_every_workload_primes(name):
+    workloads.WORKLOADS[name](tiny=True).prime(1)

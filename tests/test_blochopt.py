@@ -144,6 +144,22 @@ def test_rows_at_an_optimum_converge_on_the_first_iteration():
     assert_converged_at_once(free, 1.0, x0)
 
 
+def test_rows_cut_by_the_iteration_cap_have_not_converged():
+    objective = _MabkObjective(4, honest=True)
+    x0 = _initial_angles(objective, 8, seed=7)
+    sign = np.resize([1.0, -1.0], len(x0))
+    capped = OptimizerConfig(restarts=1, max_iterations=3)
+    x, f, converged = _ascend(objective, sign, x0, capped)
+    # a row that still moves in a fourth iteration was ascending at the cap
+    longer = OptimizerConfig(restarts=1, max_iterations=4)
+    cut = np.flatnonzero((_ascend(objective, sign, x0, longer)[0] != x).any(axis=1))
+    assert cut.size
+    assert not converged[cut].any()
+    for r in cut:
+        alone = _ascend(objective, sign[r : r + 1], x0[r : r + 1], capped)
+        assert np.array_equal(alone[0][0], x[r]) and alone[1][0] == f[r]
+
+
 class Spike:
     """Value 1 at x = 1 and 0 elsewhere, with a small constant gradient."""
 

@@ -65,17 +65,23 @@ def test_reproduce_script_writes_report(tmp_path):
     assert "verdicts" in payload
 
 
-def test_reproduce_script_rejects_negative_seed(tmp_path):
-    report_path = tmp_path / "report.json"
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", "-1", "--out", "{tmp}/report.json"],
+        ["--out", "{tmp}/missing/report.json"],
+        ["--out", "{tmp}"],
+    ],
+    ids=["--seed=-1", "--out=missing-dir", "--out=dir"],
+)
+def test_reproduce_script_rejects_invalid_arguments(tmp_path, argv):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     out = subprocess.run(
-        [
-            sys.executable,
-            str(ROOT / "scripts" / "reproduce_paper.py"),
-            "--fast", "--seed", "-1", "--out", str(report_path),
-        ],
+        [sys.executable, str(ROOT / "scripts" / "reproduce_paper.py"), "--fast", *argv],
         capture_output=True,
         text=True,
     )
     assert out.returncode == 2
-    assert "--seed" in out.stderr and "Traceback" not in out.stderr
-    assert not report_path.exists()
+    assert out.stdout == ""
+    assert argv[0] in out.stderr and "Traceback" not in out.stderr
+    assert list(tmp_path.iterdir()) == []
