@@ -13,29 +13,23 @@ Usage:
     python scripts/honest_maximum_scan.py [--max-n 6] [--restarts 60] [--seed S]
 
 ``--max-n`` must lie in [3, cli.MAX_PARTIES], ``--restarts`` in
-[1, cli.MAX_RESTARTS] and ``--seed`` must be >= 0; other values exit 2 with a
-message.
+[1, cli.MAX_RESTARTS] and ``--seed`` must be >= 0; the parser refuses other
+values with exit 2 and a message, as the CLI does.
 """
 
 import argparse
 
 from mabkcert.blochopt import OptimizerConfig, maximize_honest_mabk
-from mabkcert.cli import MAX_PARTIES, MAX_RESTARTS, SEED_DEFAULT
+from mabkcert.cli import MAX_PARTIES, MAX_RESTARTS, SEED_DEFAULT, int_in
 from mabkcert.correlators import gme_bound
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-n", type=int, default=6)
-    parser.add_argument("--restarts", type=int, default=60)
-    parser.add_argument("--seed", type=int, default=SEED_DEFAULT)
+    parser.add_argument("--max-n", type=int_in(3, MAX_PARTIES), default=6)
+    parser.add_argument("--restarts", type=int_in(1, MAX_RESTARTS), default=60)
+    parser.add_argument("--seed", type=int_in(0), default=SEED_DEFAULT)
     args = parser.parse_args()
-    if not 3 <= args.max_n <= MAX_PARTIES:
-        parser.error(f"--max-n must be in [3, {MAX_PARTIES}], got {args.max_n}")
-    if not 1 <= args.restarts <= MAX_RESTARTS:
-        parser.error(f"--restarts must be in [1, {MAX_RESTARTS}], got {args.restarts}")
-    if args.seed < 0:
-        parser.error(f"--seed must be >= 0, got {args.seed}")
 
     print(f"{'N':>3} {'pinned-key max':>16} {'2^((N-3)/2)':>13} {'GME threshold':>14}")
     for n in range(3, args.max_n + 1):

@@ -6,8 +6,8 @@ Usage:
 
 Equivalent to ``mabkcert reproduce-paper --format json`` with the report also
 written to a file.  Exits with the CLI's code (0 = all verdicts pass); a
-negative ``--seed``, or an ``--out`` that is a directory or lies in a missing
-one, exits 2 with a message before anything runs.
+``--seed`` the CLI would refuse, or an ``--out`` that is a directory or lies in
+a missing one, exits 2 with a message before anything runs.
 """
 
 import argparse
@@ -21,11 +21,9 @@ from mabkcert import cli
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fast", action="store_true")
-    parser.add_argument("--seed", type=int, default=cli.SEED_DEFAULT)
+    parser.add_argument("--seed", type=cli.int_in(0), default=cli.SEED_DEFAULT)
     parser.add_argument("--out", type=Path, default=Path("reproduction_report.json"))
     args = parser.parse_args()
-    if args.seed < 0:
-        parser.error(f"--seed must be >= 0, got {args.seed}")
     if args.out.is_dir():
         parser.error(f"--out must name a file, got the directory {args.out}")
     if not args.out.parent.is_dir():

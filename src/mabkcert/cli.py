@@ -61,8 +61,19 @@ class RunReport:
     duration_ms: float = 0.0
 
     def add_verdict(
-        self, claim: str, target: float, observed: float, tolerance: float, ok: bool
+        self,
+        claim: str,
+        target: float,
+        observed: float,
+        tolerance: float,
+        at_most: bool = False,
     ) -> None:
+        """Record a verdict; it passes when ``|observed - target| <= tolerance``,
+        or with ``at_most`` when ``observed <= target + tolerance``."""
+        if at_most:
+            ok = observed <= target + tolerance
+        else:
+            ok = abs(observed - target) <= tolerance
         self.verdicts.append(
             {
                 "claim": claim,
@@ -150,25 +161,13 @@ def cmd_mabk_show(n: int) -> RunReport:
         },
     )
     report.add_verdict(
-        "term count equals 2^(2*floor(n/2))",
-        target_terms,
-        len(expr.terms),
-        0,
-        len(expr.terms) == target_terms,
+        "term count equals 2^(2*floor(n/2))", target_terms, len(expr.terms), 0
     )
     report.add_verdict(
-        "normalization equals 2^floor(n/2)",
-        target_norm,
-        expr.normalization,
-        0,
-        expr.normalization == target_norm,
+        "normalization equals 2^floor(n/2)", target_norm, expr.normalization, 0
     )
     report.add_verdict(
-        "sum of |coefficients| equals 2^floor(n/2)",
-        float(target_norm),
-        total,
-        0.0,
-        total == float(target_norm),
+        "sum of |coefficients| equals 2^floor(n/2)", float(target_norm), total, 0.0
     )
     report.duration_ms = (time.perf_counter() - t0) * 1e3
     return report
@@ -200,7 +199,7 @@ def cmd_theorem1(n: int, trials: int, seed: int) -> RunReport:
         params={"n": n, "trials": trials, "seed": seed},
         results=results,
     )
-    report.add_verdict(claim, 0.0, max_residual, 1e-12, max_residual < 1e-12)
+    report.add_verdict(claim, 0.0, max_residual, 1e-12)
     report.duration_ms = (time.perf_counter() - t0) * 1e3
     return report
 
@@ -232,33 +231,26 @@ def cmd_optimize(n: int, restarts: int, seed: int, honest_flag: bool) -> RunRepo
                 1.0,
                 value,
                 1e-4,
-                abs(value - 1.0) <= 1e-4,
             )
         elif n % 2 == 1:
-            cap = correlators.theorem1_bound(n)
             report.add_verdict(
                 "odd-N pinned-key maximum within the halved-terms cap",
-                cap,
+                correlators.theorem1_bound(n),
                 value,
                 1e-6,
-                value <= cap + 1e-6,
+                at_most=True,
             )
-        threshold = correlators.gme_bound(n, n - 1)
         report.add_verdict(
             "pinned-key maximum stays below the GME-certification threshold",
-            threshold,
+            correlators.gme_bound(n, n - 1),
             value,
             1e-6,
-            value <= threshold + 1e-6,
+            at_most=True,
         )
     else:
         target = correlators.gme_bound(n, n)
         report.add_verdict(
-            "unconstrained maximum reaches 2^((n-1)/2)",
-            target,
-            value,
-            1e-3,
-            abs(value - target) <= 1e-3,
+            "unconstrained maximum reaches 2^((n-1)/2)", target, value, 1e-3
         )
     report.duration_ms = (time.perf_counter() - t0) * 1e3
     return report
@@ -291,20 +283,10 @@ def cmd_npa(level: int, with_constraint: bool, tol: float) -> RunReport:
     if level == 2:
         if with_constraint:
             report.add_verdict(
-                "perfect-correlation bound equals sqrt(2)",
-                SQRT2,
-                result.bound,
-                1e-5,
-                abs(result.bound - SQRT2) <= 1e-5,
+                "perfect-correlation bound equals sqrt(2)", SQRT2, result.bound, 1e-5
             )
         else:
-            report.add_verdict(
-                "unconstrained bound equals 2",
-                2.0,
-                result.bound,
-                1e-5,
-                abs(result.bound - 2.0) <= 1e-5,
-            )
+            report.add_verdict("unconstrained bound equals 2", 2.0, result.bound, 1e-5)
     else:
         level2 = npa.npa_upper_bound(2, with_constraint, tol=tol)
         results["level2_bound"] = level2.bound
@@ -313,14 +295,10 @@ def cmd_npa(level: int, with_constraint: bool, tol: float) -> RunReport:
             level2.bound,
             result.bound,
             1e-6,
-            result.bound <= level2.bound + 1e-6,
+            at_most=True,
         )
     report.add_verdict(
-        "dual certificate verified",
-        1.0,
-        1.0 if result.verified else 0.0,
-        0.0,
-        result.verified,
+        "dual certificate verified", 1.0, 1.0 if result.verified else 0.0, 0.0
     )
     report.duration_ms = (time.perf_counter() - t0) * 1e3
     return report
@@ -362,6 +340,29 @@ def cmd_reproduce(seed: int, fast: bool) -> RunReport:
     return report
 
 
+def int_in(low: int, high: float = math.inf):
+    """argparse ``type`` for an integer in ``[low, high]``; others exit 2."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if not low <= value <= high:
+            bounds = f"in [{low}, {high}]" if high < math.inf else f">= {low}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+    return integer
+
+
+def tolerance(text: str) -> float:
+    """argparse ``type`` for ``npa --tol``: finite and at least ``MIN_TOL``."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= MIN_TOL):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and at least {MIN_TOL}, got {value}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mabkcert",
@@ -389,74 +390,56 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser(
         "mabk-show", parents=[common], help="print a Bell expression and its counts"
     )
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int_in(2, MAX_PARTIES), required=True)
+    p.set_defaults(run=lambda a: cmd_mabk_show(a.n))
 
     p = subs.add_parser(
         "theorem1", parents=[common], help="residuals of the pinned-key correlators"
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=SEED_DEFAULT)
+    p.add_argument("--n", type=int_in(3, MAX_PARTIES), required=True)
+    p.add_argument("--trials", type=int_in(0, MAX_TRIALS), default=1000)
+    p.add_argument("--seed", type=int_in(0), default=SEED_DEFAULT)
+    p.set_defaults(run=lambda a: cmd_theorem1(a.n, a.trials, a.seed))
 
     p = subs.add_parser(
         "optimize", parents=[common], help="multi-start Bell-value maximization"
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=100)
-    p.add_argument("--seed", type=int, default=SEED_DEFAULT)
+    p.add_argument("--n", type=int_in(3, MAX_PARTIES), required=True)
+    p.add_argument("--restarts", type=int_in(1, MAX_RESTARTS), default=100)
+    p.add_argument("--seed", type=int_in(0), default=SEED_DEFAULT)
     p.add_argument("--honest", action="store_true", help="pin A0 to sigma_z")
+    p.set_defaults(run=lambda a: cmd_optimize(a.n, a.restarts, a.seed, a.honest))
 
     p = subs.add_parser(
         "npa", parents=[common], help="certified moment-hierarchy upper bound"
     )
     p.add_argument("--level", type=int, required=True, choices=(2, 3))
     p.add_argument("--perfect-correlations", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=tolerance, default=1e-9)
+    p.set_defaults(run=lambda a: cmd_npa(a.level, a.perfect_correlations, a.tol))
 
     p = subs.add_parser(
         "reproduce-paper",
         parents=[common],
         help="run the complete claim-verification suite",
     )
-    p.add_argument("--seed", type=int, default=SEED_DEFAULT)
+    p.add_argument("--seed", type=int_in(0), default=SEED_DEFAULT)
     p.add_argument(
         "--fast",
         action="store_true",
         help="fewer restarts and no level-3 solves",
     )
+    p.set_defaults(run=lambda a: cmd_reproduce(a.seed, a.fast))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    if args.command in ("mabk-show", "theorem1", "optimize"):
-        low = 2 if args.command == "mabk-show" else 3
-        if not low <= args.n <= MAX_PARTIES:
-            parser.error(f"--n must be in [{low}, {MAX_PARTIES}], got {args.n}")
-    if args.command == "theorem1" and not 0 <= args.trials <= MAX_TRIALS:
-        parser.error(f"--trials must be in [0, {MAX_TRIALS}], got {args.trials}")
-    if args.command == "optimize" and not 1 <= args.restarts <= MAX_RESTARTS:
-        parser.error(
-            f"--restarts must be in [1, {MAX_RESTARTS}], got {args.restarts}"
-        )
-    if getattr(args, "seed", 0) < 0:
-        parser.error(f"--seed must be >= 0, got {args.seed}")
-    if args.command == "npa" and not (math.isfinite(args.tol) and args.tol >= MIN_TOL):
-        parser.error(f"--tol must be finite and at least {MIN_TOL}, got {args.tol}")
-
+    # each run looks its cmd_* up in the module globals at call time, so a
+    # wrapper installed there sees every call
     try:
-        if args.command == "mabk-show":
-            report = cmd_mabk_show(args.n)
-        elif args.command == "theorem1":
-            report = cmd_theorem1(args.n, args.trials, args.seed)
-        elif args.command == "optimize":
-            report = cmd_optimize(args.n, args.restarts, args.seed, args.honest)
-        elif args.command == "npa":
-            report = cmd_npa(args.level, args.perfect_correlations, args.tol)
-        else:
-            report = cmd_reproduce(args.seed, args.fast)
+        report = args.run(args)
     except (SdpSolverError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         diagnostics = dict(getattr(exc, "diagnostics", {}))

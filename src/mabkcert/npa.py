@@ -41,16 +41,18 @@ one.  Those pairwise equalities are what this module pins.
 Pinning a correlator ``<P Q> = 1`` forces the moment-matrix rows of any two
 basis monomials ``u`` and ``v`` with ``M_uu = M_vv = M_uv = 1`` to coincide
 (the Gram vectors have vanishing distance), so the pinned problem has no
-strictly feasible point.  ``reduce_structure`` therefore iterates exactly that
-implication: rows joined by a pinned unit entry are identified, their entry
-classes are merged columnwise, and newly pinned classes are propagated until
-a fixpoint.  Every identification is forced for every feasible matrix of the
-pinned problem, so the reduced problem has the same optimal value, and after
-deduplication the reduced ``M(0) = I`` is strictly feasible again.  Both the
-row groups and the class merges are connected components, computed on arrays
-and labelled by their smallest member.  ``lower_to_sdp`` then turns the
-reduced class matrix into ``F0`` (the pinned entries) and the CSR basis of
-``sdp.SdpProblem`` (one variable per free class) by array indexing.
+strictly feasible point.  Every pin in this module has the value one (the
+identity and the pairwise key correlators), so a pin is just a class id, and
+``reduce_structure`` iterates exactly that implication: rows joined by a
+pinned entry are identified, their entry classes are merged columnwise, and
+newly pinned classes are propagated until a fixpoint.  Every identification
+is forced for every feasible matrix of the pinned problem, so the reduced
+problem has the same optimal value, and after deduplication the reduced
+``M(0) = I`` is strictly feasible again.  Both the row groups and the class
+merges are connected components, computed on arrays and labelled by their
+smallest member.  ``lower_to_sdp`` then turns the reduced class matrix into
+``F0`` (ones at the pinned entries) and the CSR basis of ``sdp.SdpProblem``
+(one variable per free class) by array indexing.
 
 The solve runs on symmetry orbits (Gatermann & Parrilo 2004; Tavakoli, Rosset
 & Renou 2019).  Let a permutation ``g`` of the kept rows map ``F0`` to
@@ -254,18 +256,16 @@ def _key_letters(n_parties: int) -> list[OperatorLetter]:
 
 def encode_perfect_correlation(
     structure: MomentMatrixStructure, n_parties: int = 3
-) -> dict[int, float]:
-    """Pairwise key-setting correlators pinned to one (see module docstring).
-
-    Returns the pinned moment classes, each mapped to its value 1.
-    """
+) -> list[int]:
+    """The moment classes of the pairwise key-setting correlators, which the
+    perfect correlations pin to one (see module docstring)."""
     lookup = {rep: k for k, rep in enumerate(structure.class_representatives)}
-    pinned: dict[int, float] = {}
+    pinned = []
     for a, b in itertools.combinations(_key_letters(n_parties), 2):
         key = _class_key(canonicalize((a, b)))
         if key not in lookup:
             raise ValueError(f"pair moment {key} missing; level too low")
-        pinned[lookup[key]] = 1.0
+        pinned.append(lookup[key])
     return pinned
 
 
@@ -295,15 +295,15 @@ class ReducedMoments:
 
     kept_rows: tuple[int, ...]
     class_matrix: np.ndarray  # (k, k) of root class ids
-    pinned_roots: dict[int, float]
+    pinned: np.ndarray  # (n_classes,) bool: root classes pinned to one
     root_of: np.ndarray  # (n_classes,) map class id -> root id
     row_of: np.ndarray  # (d,) map basis row -> the kept row of its group
 
 
 def reduce_structure(
-    structure: MomentMatrixStructure, pinned: dict[int, float]
+    structure: MomentMatrixStructure, pinned: list[int]
 ) -> ReducedMoments:
-    """Merge rows forced equal by unit pins; value-preserving (see module doc).
+    """Merge rows forced equal by the classes ``pinned`` to one (see module doc).
 
     Rows and classes are labelled by the smallest member of their group.  Each
     round joins the rows linked by an entry pinned to one, then merges each
@@ -313,22 +313,12 @@ def reduce_structure(
     """
     d, n = structure.dimension, structure.n_classes
     class_of = structure.class_of
-    pin_ids = np.fromiter(pinned, dtype=np.intp, count=len(pinned))
-    pin_vals = np.fromiter(pinned.values(), dtype=float, count=len(pinned))
+    pin_ids = np.asarray(pinned, dtype=np.intp)
     rows, classes = np.arange(d), np.arange(n)
     while True:
-        # the pinned value of every root class, NaN where unpinned
-        roots = classes[pin_ids]
-        value = np.full(n, np.nan)
-        value[roots] = pin_vals
-        clash = np.flatnonzero(np.abs(value[roots] - pin_vals) > 1e-12)
-        if clash.size:
-            c = clash[0]
-            raise ValueError(
-                f"inconsistent pins for one moment class: {pin_vals[c]} vs"
-                f" {value[roots[c]]}"
-            )
-        a, b = np.nonzero(value[classes[class_of]] == 1.0)
+        is_pinned = np.zeros(n, dtype=bool)
+        is_pinned[classes[pin_ids]] = True
+        a, b = np.nonzero(is_pinned[classes[class_of]])
         merged = _min_labels(d, a, b)
         if np.array_equal(merged, rows):
             break
@@ -336,11 +326,10 @@ def reduce_structure(
         classes = _min_labels(n, class_of[rows].ravel(), class_of.ravel())
 
     kept = np.flatnonzero(rows == np.arange(d))
-    pinned_roots = {int(r): float(value[r]) for r in np.flatnonzero(~np.isnan(value))}
     return ReducedMoments(
         tuple(kept.tolist()),
         classes[class_of[np.ix_(kept, kept)]].astype(np.int32),
-        pinned_roots,
+        is_pinned,
         classes.astype(np.int32),
         rows,
     )
@@ -354,19 +343,17 @@ def lower_to_sdp(
     Free root classes become variables numbered by first appearance in the
     row-major upper triangle; pinned ones go into ``F0``.
     """
-    cm = reduced.class_matrix
+    cm, pinned = reduced.class_matrix, reduced.pinned
     k = cm.shape[0]
-    pin = np.full(len(reduced.root_of), np.nan)
-    pin[list(reduced.pinned_roots)] = list(reduced.pinned_roots.values())
-    fixed = np.nan_to_num(pin)
+    fixed = pinned.astype(float)  # every pin has the value one
 
     i, j = np.triu_indices(k)
     root = cm[i, j]
-    free = np.isnan(pin[root])
+    free = ~pinned[root]
     i, j, root = i[free], j[free], root[free]
     roots, first = np.unique(root, return_index=True)
     order = roots[np.argsort(first)]  # the free roots in variable order
-    var_of = np.full(len(pin), -1)
+    var_of = np.full(len(pinned), -1)
     var_of[order] = np.arange(len(order))
     var = var_of[root]
     off = i != j
@@ -378,8 +365,8 @@ def lower_to_sdp(
         shape=(len(order), k * k),
     )
 
-    by_root = np.bincount(reduced.root_of, weights=objective, minlength=len(pin))
-    missing = (var_of < 0) & np.isnan(pin)
+    by_root = np.bincount(reduced.root_of, weights=objective, minlength=len(pinned))
+    missing = (var_of < 0) & ~pinned
     if missing[reduced.root_of[objective != 0.0]].any():
         raise ValueError("objective class missing from the reduced matrix")
     const = float(by_root @ fixed)
@@ -537,9 +524,9 @@ def npa_upper_bound(
     structure = build_moment_structure(monomials)
     objective = encode_objective(expr, structure)
 
-    pinned: dict[int, float] = {structure.identity_class: 1.0}
+    pinned = [structure.identity_class]
     if with_constraint:
-        pinned.update(encode_perfect_correlation(structure, n_parties))
+        pinned += encode_perfect_correlation(structure, n_parties)
 
     reduced = reduce_structure(structure, pinned)
     problem, const = lower_to_sdp(reduced, objective)

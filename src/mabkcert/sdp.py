@@ -99,7 +99,8 @@ class SdpProblem:
 
 @dataclass(frozen=True)
 class SdpSolution:
-    """Solver output; ``bound`` is the dual objective (a certified upper bound)."""
+    """An optimal solve (``solve`` raises on every other exit); ``bound`` is
+    the dual objective (a certified upper bound)."""
 
     y: np.ndarray
     primal_objective: float
@@ -107,7 +108,6 @@ class SdpSolution:
     dual_matrix: np.ndarray
     duality_gap: float
     iterations: int
-    status: str
     trace: tuple[tuple[float, ...], ...] = field(repr=False, default=())
 
 
@@ -144,8 +144,6 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
     ]
     trace: list[tuple[float, ...]] = []
 
-    status = "max_iter"
-    it = 0
     for it in range(1, max_iter + 1):
         try:
             ls = cholesky(s, lower=True)
@@ -179,7 +177,6 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
             and rd_inf <= max(tol, 1e-10) * 100.0
             and mu <= tol * 10.0
         ):
-            status = "optimal"
             trace.append((mu, primal, dual, gap, rd_inf, 0.0, 0.0, 0.0))
             break
 
@@ -230,8 +227,7 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
         s = f0 + problem.combination(y)
         z = z + alpha_d * dz
         trace.append((mu, primal, dual, gap, rd_inf, alpha_p, alpha_d, sigma))
-
-    if status != "optimal":
+    else:
         raise SdpSolverError(
             f"iteration limit {max_iter} reached (gap {trace[-1][3]:.3e},"
             f" residual {trace[-1][4]:.3e})",
@@ -247,7 +243,6 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
         dual_matrix=z,
         duality_gap=bound - primal,
         iterations=it,
-        status=status,
         trace=tuple(trace),
     )
 
@@ -259,8 +254,6 @@ def verify_certificate(problem: SdpProblem, solution: SdpSolution) -> bool:
     feasibility (stationarity) residuals are below 1e-7 for every free
     variable, and the reported bound matches the recomputed dual objective.
     """
-    if solution.status != "optimal":
-        return False
     z = solution.dual_matrix
     lam_min = float(eigvalsh(0.5 * (z + z.T))[0])
     if lam_min < CERT_EIG_FLOOR:

@@ -82,6 +82,32 @@ def test_invalid_inputs_exit_with_usage_error(argv):
     assert exc.value.code == cli.EXIT_USAGE
 
 
+def _passes(verdict, at_most):
+    """The pass rule of ``RunReport.add_verdict``, from the reported fields."""
+    observed, target, tolerance = (
+        verdict["observed"], verdict["target"], verdict["tolerance"]
+    )
+    if at_most:
+        return observed <= target + tolerance
+    return abs(observed - target) <= tolerance
+
+
+def test_equality_verdicts_pass_up_to_the_tolerance_and_no_further():
+    report = cli.RunReport("test", {}, {})
+    for observed in (0.75, 1.0, 1.25):
+        report.add_verdict("at the edge", 1.0, observed, 0.25)
+    for observed in (np.nextafter(0.75, -np.inf), np.nextafter(1.25, np.inf)):
+        report.add_verdict("just beyond", 1.0, observed, 0.25)
+    assert [v["pass"] for v in report.verdicts] == [True] * 3 + [False] * 2
+
+
+def test_at_most_verdicts_pass_however_far_below():
+    report = cli.RunReport("test", {}, {})
+    for observed in (-1e300, 0.0, 1.25, np.nextafter(1.25, np.inf)):
+        report.add_verdict("at most", 1.0, observed, 0.25, at_most=True)
+    assert [v["pass"] for v in report.verdicts] == [True, True, True, False]
+
+
 def _theorem1_oracle(n, trials, seed):
     """Largest residual and the trials, one at a time through the scalar correlator."""
     rng = np.random.default_rng(seed)
@@ -218,6 +244,11 @@ def test_reproduce_paper_fast(capsys):
     assert failing == [
         "optimize: four-party pinned-key maximum equals the classical bound"
     ]
+    # each verdict's pass follows from its reported fields: bounds stated as
+    # "within", "below" or "at most" by the at_most rule, the rest by equality
+    for v in payload["verdicts"]:
+        at_most = any(word in v["claim"] for word in ("within", "below", "at most"))
+        assert v["pass"] == _passes(v, at_most), v
     # nested reports carry no duration, keeping the payload reproducible
     for sub in payload["results"]["reports"]:
         assert "duration_ms" not in sub

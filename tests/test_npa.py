@@ -194,7 +194,6 @@ def test_perfect_correlation_pins_three_pair_moments():
         (A0, B2_2),
         (B2_1, B2_2),
     }
-    assert all(v == 1.0 for v in pinned.values())
 
 
 def test_projector_correlation_operator_expands_to_pairwise_mean(rng):
@@ -272,8 +271,7 @@ def test_ghz_honest_strategy_is_a_feasibility_witness(rng):
         assert values[cid] == pytest.approx(1.0, abs=1e-12)
 
     # classes merged by the reduction take equal values on the witness
-    pins = {structure.identity_class: 1.0, **pinned}
-    reduced = reduce_structure(structure, pins)
+    reduced = reduce_structure(structure, [structure.identity_class, *pinned])
     roots: dict[int, list[int]] = {}
     for cid in range(structure.n_classes):
         roots.setdefault(int(reduced.root_of[cid]), []).append(cid)
@@ -293,7 +291,7 @@ def test_ghz_honest_strategy_is_a_feasibility_witness(rng):
 
 def test_unconstrained_reduction_is_a_no_op():
     structure = build_moment_structure(generate_monomials(SCENARIO, 2))
-    reduced = reduce_structure(structure, {structure.identity_class: 1.0})
+    reduced = reduce_structure(structure, [structure.identity_class])
     assert reduced.kept_rows == tuple(range(structure.dimension))
     assert np.array_equal(reduced.class_matrix, structure.class_of)
 
@@ -303,14 +301,13 @@ def test_unconstrained_reduction_is_a_no_op():
 )
 def test_constrained_reduction_restores_interior(level, kept, n_vars):
     structure = build_moment_structure(generate_monomials(SCENARIO, level))
-    pins = {structure.identity_class: 1.0}
-    pins.update(encode_perfect_correlation(structure, 3))
+    pins = [structure.identity_class, *encode_perfect_correlation(structure, 3)]
     reduced = reduce_structure(structure, pins)
     assert len(reduced.kept_rows) == kept
     # fixpoint: no two kept rows are still joined by an entry pinned to one
     cm = reduced.class_matrix
     for i, j in zip(*np.triu_indices(kept, 1)):
-        assert reduced.pinned_roots.get(int(cm[i, j])) != 1.0
+        assert not reduced.pinned[cm[i, j]]
     problem, const = lower_to_sdp(reduced, np.zeros(structure.n_classes))
     assert problem.n_vars == n_vars
     assert np.array_equal(problem.f0, np.eye(problem.dimension))
@@ -331,11 +328,11 @@ def _reference_reduction(structure, pinned):
         return low != high
 
     while True:
-        value = {classes[cid]: v for cid, v in pinned.items()}
+        roots = {classes[cid] for cid in pinned}
         merged = False
         for a in range(d):
             for b in range(a + 1, d):
-                if value.get(classes[class_of[a, b]]) == 1.0:
+                if classes[class_of[a, b]] in roots:
                     merged |= join(rows, a, b)
         if not merged:
             break
@@ -344,48 +341,32 @@ def _reference_reduction(structure, pinned):
                 join(classes, class_of[rows[a], c], class_of[a, c])
     kept = sorted(set(rows))
     matrix = [[classes[class_of[a, b]] for b in kept] for a in kept]
-    return tuple(kept), np.array(matrix), value, np.array(classes), np.array(rows)
+    mask = np.isin(np.arange(structure.n_classes), list(roots))
+    return tuple(kept), np.array(matrix), mask, np.array(classes), np.array(rows)
 
 
 def test_reduction_matches_the_loop_reference():
     structure = build_moment_structure(generate_monomials(SCENARIO, 2))
     rng = np.random.default_rng(3)
     pin_sets = [encode_perfect_correlation(structure, 3)] + [
-        {int(c): 1.0 for c in rng.choice(structure.n_classes, 3, replace=False)}
-        for _ in range(8)
+        rng.choice(structure.n_classes, 3, replace=False).tolist() for _ in range(8)
     ]
     for pins in pin_sets:
-        pins = {structure.identity_class: 1.0, **pins}
+        pins = [structure.identity_class, *pins]
         reduced = reduce_structure(structure, pins)
-        kept, matrix, value, classes, rows = _reference_reduction(structure, pins)
+        kept, matrix, mask, classes, rows = _reference_reduction(structure, pins)
         assert reduced.kept_rows == kept
         assert np.array_equal(reduced.class_matrix, matrix)
-        assert reduced.pinned_roots == value
+        assert np.array_equal(reduced.pinned, mask)
         assert np.array_equal(reduced.root_of, classes)
         assert np.array_equal(reduced.row_of, rows)
-
-
-def test_reduction_refuses_pins_that_the_merges_contradict():
-    # <A0 B2> = 1 merges the rows of A0 and B2, and with them <A0> and <B2>
-    structure = build_moment_structure(generate_monomials(SCENARIO, 2))
-    lookup = {rep: k for k, rep in enumerate(structure.class_representatives)}
-    pins = {
-        structure.identity_class: 1.0,
-        lookup[(A0, B2_1)]: 1.0,
-        lookup[(A0,)]: 1.0,
-        lookup[(B2_1,)]: -1.0,
-    }
-    with pytest.raises(ValueError, match="inconsistent pins"):
-        reduce_structure(structure, pins)
-    del pins[lookup[(B2_1,)]]
-    reduce_structure(structure, pins)
 
 
 def test_lowering_refuses_an_objective_class_outside_the_matrix():
     reduced = ReducedMoments(
         kept_rows=(0, 1),
         class_matrix=np.array([[0, 1], [1, 0]], dtype=np.int32),
-        pinned_roots={0: 1.0},
+        pinned=np.array([True, False, False]),
         root_of=np.arange(3, dtype=np.int32),
         row_of=np.arange(2),
     )
@@ -407,8 +388,7 @@ def _lowered(scenario, level, pinned_words=()):
     structure = build_moment_structure(generate_monomials(scenario, level))
     objective = encode_objective(mabk_expression(len(scenario)), structure)
     lookup = {rep: k for k, rep in enumerate(structure.class_representatives)}
-    pinned = {structure.identity_class: 1.0}
-    pinned.update({lookup[w]: 1.0 for w in pinned_words})
+    pinned = [structure.identity_class] + [lookup[w] for w in pinned_words]
     reduced = reduce_structure(structure, pinned)
     problem, const = lower_to_sdp(reduced, objective)
     return structure, reduced, problem, const
@@ -550,7 +530,7 @@ def test_pruning_unused_letters_keeps_the_bound(n_parties):
         generate_monomials(default_scenario(n_parties), 2)
     )
     objective = encode_objective(mabk_expression(n_parties), structure)
-    reduced = reduce_structure(structure, {structure.identity_class: 1.0})
+    reduced = reduce_structure(structure, [structure.identity_class])
     problem, const = lower_to_sdp(reduced, objective)
     full = solve(problem)
     pruned = npa_upper_bound(2, with_constraint=False, n_parties=n_parties)
@@ -563,11 +543,8 @@ def test_max_equals_minus_min():
     structure = build_moment_structure(generate_monomials(SCENARIO, 2))
     objective = encode_objective(mabk_expression(3), structure)
     for pins in (
-        {structure.identity_class: 1.0},
-        {
-            structure.identity_class: 1.0,
-            **encode_perfect_correlation(structure, 3),
-        },
+        [structure.identity_class],
+        [structure.identity_class, *encode_perfect_correlation(structure, 3)],
     ):
         reduced = reduce_structure(structure, pins)
         plus, cp = lower_to_sdp(reduced, objective)

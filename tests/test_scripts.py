@@ -34,6 +34,8 @@ def test_honest_maximum_scan_runs():
         ["--max-n", "2"],
         ["--max-n", "11"],
         ["--seed", "-1"],
+        ["--restarts", "x"],
+        ["--seed", "1.5"],
     ],
     ids="=".join,
 )
@@ -69,10 +71,11 @@ def test_reproduce_script_writes_report(tmp_path):
     "argv",
     [
         ["--seed", "-1", "--out", "{tmp}/report.json"],
+        ["--seed", "1.5", "--out", "{tmp}/report.json"],
         ["--out", "{tmp}/missing/report.json"],
         ["--out", "{tmp}"],
     ],
-    ids=["--seed=-1", "--out=missing-dir", "--out=dir"],
+    ids=["--seed=-1", "--seed=1.5", "--out=missing-dir", "--out=dir"],
 )
 def test_reproduce_script_rejects_invalid_arguments(tmp_path, argv):
     argv = [arg.format(tmp=tmp_path) for arg in argv]

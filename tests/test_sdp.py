@@ -44,7 +44,6 @@ def toy_2x2():
 
 def test_toy_1x1():
     sol = solve(toy_1x1())
-    assert sol.status == "optimal"
     assert sol.y[0] == pytest.approx(1.0, abs=1e-7)
     assert sol.bound == pytest.approx(1.0, abs=1e-7)
 
@@ -178,14 +177,6 @@ def test_verify_certificate_rejects_perturbed_dual():
 
     perturbed = dataclasses.replace(sol, dual_matrix=bad)
     assert not verify_certificate(problem, perturbed)
-
-
-def test_verify_certificate_rejects_non_optimal_status():
-    problem = toy_2x2()
-    sol = solve(problem)
-    import dataclasses
-
-    assert not verify_certificate(problem, dataclasses.replace(sol, status="max_iter"))
 
 
 def test_certified_bound_dominates_dual_objective():
