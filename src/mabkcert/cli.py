@@ -6,8 +6,8 @@ bounds, the odd-N vanishing statement, the even-N product formula, and the
 certified moment-hierarchy bounds).  Formats: human text (default), one JSON
 document (``--format json``), or a flat verdict table (``--format csv``).
 
-Exit codes: 0 all verdicts pass, 2 usage error, 3 numerical failure,
-4 verdict failure.
+Exit codes: 0 all verdicts pass, 1 the report could not be written, 2 usage
+error, 3 numerical failure, 4 verdict failure.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -42,6 +43,7 @@ THEOREM1_BLOCK = 8192
 # break down before reaching it.
 MIN_TOL = 1e-12
 EXIT_OK = 0
+EXIT_WRITE = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_VERDICT = 4
@@ -146,25 +148,26 @@ def cmd_mabk_show(n: int) -> RunReport:
     target_terms = mabk.expected_term_count(n)
     target_norm = mabk.expected_normalization(n)
     terms = [
-        {"inputs": "".join(map(str, t.inputs)), "coefficient": str(t.coefficient)}
-        for t in expr.terms
+        {"inputs": "".join(map(str, x)), "coefficient": str(c)}
+        for x, c in expr.items()
     ]
-    total = float(sum(abs(t.coefficient) for t in expr.terms))
+    normalization = max((c.denominator for c in expr.values()), default=0)
+    total = float(sum(map(abs, expr.values())))
     report = RunReport(
         command="mabk-show",
         params={"n": n},
         results={
-            "n_terms": len(expr.terms),
-            "normalization": expr.normalization,
+            "n_terms": len(expr),
+            "normalization": normalization,
             "sum_abs_coefficients": total,
             "terms": terms,
         },
     )
     report.add_verdict(
-        "term count equals 2^(2*floor(n/2))", target_terms, len(expr.terms), 0
+        "term count equals 2^(2*floor(n/2))", target_terms, len(expr), 0
     )
     report.add_verdict(
-        "normalization equals 2^floor(n/2)", target_norm, expr.normalization, 0
+        "normalization equals 2^floor(n/2)", target_norm, normalization, 0
     )
     report.add_verdict(
         "sum of |coefficients| equals 2^floor(n/2)", float(target_norm), total, 0.0
@@ -462,7 +465,17 @@ def main(argv: list[str] | None = None) -> int:
     if "warning" in report.results:
         print(f"warning: {report.results['warning']}", file=sys.stderr)
 
-    print(render(report, args.format))
+    text = render(report, args.format)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"cannot write the report: {exc}", file=sys.stderr)
+        # later writes, and the interpreter's flush at exit, go to devnull
+        # instead of raising again (the Python docs' note on SIGPIPE)
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_WRITE
     return EXIT_OK if report.all_pass() else EXIT_VERDICT
 
 

@@ -79,12 +79,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .mabk import BellExpression, mabk_expression
+from .mabk import BitString, mabk_expression
 from .sdp import (
     SdpProblem,
     SdpSolution,
@@ -230,20 +231,20 @@ def build_moment_structure(monomials: list[Word]) -> MomentMatrixStructure:
 
 
 def encode_objective(
-    expr: BellExpression, structure: MomentMatrixStructure
+    expr: dict[BitString, Fraction], structure: MomentMatrixStructure
 ) -> np.ndarray:
     """Coefficient vector over moment classes for a full-correlation expression."""
     lookup = {rep: k for k, rep in enumerate(structure.class_representatives)}
     out = np.zeros(structure.n_classes)
-    for term in expr.terms:
-        word = tuple(OperatorLetter(p, x) for p, x in enumerate(term.inputs))
+    for inputs, coefficient in expr.items():
+        word = tuple(OperatorLetter(p, x) for p, x in enumerate(inputs))
         key = _class_key(canonicalize(word))
         if key not in lookup:
             raise ValueError(
                 f"objective monomial {key} not present in the moment structure;"
                 " increase the hierarchy level"
             )
-        out[lookup[key]] += float(term.coefficient)
+        out[lookup[key]] += float(coefficient)
     return out
 
 
@@ -511,8 +512,8 @@ def npa_upper_bound(
     expr = mabk_expression(n_parties)
     letters = {
         OperatorLetter(party, inp)
-        for term in expr.terms
-        for party, inp in enumerate(term.inputs)
+        for inputs in expr
+        for party, inp in enumerate(inputs)
     }
     if with_constraint:
         letters.update(_key_letters(n_parties))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mabkcert.mabk import BellExpression, BellTerm, BitString
+from mabkcert.mabk import BitString
 
 # A Bloch vector is a float array (x, y, z); Z is sigma_z's.
 Z = (0.0, 0.0, 1.0)
@@ -54,7 +54,7 @@ def mabk_sign(n: int, x: BitString) -> int:
     return -1 if xi.numerator % 2 else 1
 
 
-def mabk_explicit(n: int) -> BellExpression:
+def mabk_explicit(n: int) -> dict[BitString, Fraction]:
     """The paper's closed-form MABK expression for odd n >= 3.
 
     The oracle for ``mabk.mabk_expression``, which builds every N by the
@@ -62,11 +62,7 @@ def mabk_explicit(n: int) -> BellExpression:
     """
     _require_odd(n)
     norm = 2 ** ((n - 1) // 2)
-    terms = tuple(
-        BellTerm(Fraction(mabk_sign(n, x), norm), x)
-        for x in sorted(mabk_index_set(n))
-    )
-    return BellExpression(n, terms, norm)
+    return {x: Fraction(mabk_sign(n, x), norm) for x in sorted(mabk_index_set(n))}
 
 
 @pytest.fixture

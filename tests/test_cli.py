@@ -1,13 +1,15 @@
 """CLI: schemas, exit codes, reproducibility."""
 
 import json
+import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import Z, random_bloch
-from mabkcert import cli, correlators
+from mabkcert import cli, correlators, mabk
 from mabkcert.correlators import ghz_expectation, honest_even_formula
 from mabkcert.sdp import SdpSolverError
 
@@ -18,11 +20,38 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_mabk_show_text(capsys):
-    code, out, _ = run(capsys, "mabk-show", "--n", "3")
+@pytest.mark.parametrize("n", range(2, cli.MAX_PARTIES + 1))
+def test_mabk_show_text(capsys, n):
+    code, out, _ = run(capsys, "mabk-show", "--n", str(n))
     assert code == cli.EXIT_OK
-    assert "n_terms: 4" in out
-    assert "[PASS]" in out and "[FAIL]" not in out
+    assert f"n_terms: {4 ** (n // 2)}\n" in out
+    assert out.count("[PASS]") == 3 and "[FAIL]" not in out
+
+
+def test_mabk_show_reports_a_broken_expression_as_fail(capsys, monkeypatch):
+    # CHSH with its (1, 1) term dropped and the recursion's halving removed
+    broken = {(0, 0): Fraction(1), (0, 1): Fraction(1), (1, 0): Fraction(1)}
+    monkeypatch.setattr(mabk, "mabk_expression", lambda n: dict(broken))
+    code, out, err = run(capsys, "mabk-show", "--n", "2", "--format", "json")
+    assert code == cli.EXIT_VERDICT
+    assert "Traceback" not in err
+    verdicts = json.loads(out)["verdicts"]
+    assert [v["observed"] for v in verdicts] == [3, 1, 3.0]
+    assert [v["target"] for v in verdicts] == [4, 2, 2.0]
+    assert not any(v["pass"] for v in verdicts)
+
+
+def test_closed_pipe_on_stdout_exits_1_with_one_stderr_line(capsys, monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to write_end raises BrokenPipeError
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr("sys.stdout", stdout)
+        code = cli.main(["mabk-show", "--n", "10", "--format", "json"])
+        # main put devnull in the pipe's place, so a later flush is silent
+        print("after the report", file=stdout, flush=True)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_WRITE == 1
+    assert err == "cannot write the report: [Errno 32] Broken pipe\n"
 
 
 def test_mabk_show_json_schema(capsys):

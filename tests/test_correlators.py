@@ -46,9 +46,9 @@ def random_settings(rng, shape):
 def dense_value(n, settings_):
     """Signed MABK value as the dense-matrix sum over the expression's terms."""
     total = 0.0
-    for t in mabk_expression(n).terms:
-        total += float(t.coefficient) * dense_expectation(
-            n, term_blochs(settings_, t.inputs)
+    for inputs, coefficient in mabk_expression(n).items():
+        total += float(coefficient) * dense_expectation(
+            n, term_blochs(settings_, inputs)
         )
     return total
 
@@ -63,9 +63,9 @@ def products_of_others(factors):
 
 def term_arrays(n):
     """Each MABK term's inputs (T, n) and coefficient (T,)."""
-    terms = mabk_expression(n).terms
-    inputs = np.array([t.inputs for t in terms])
-    coeffs = np.array([float(t.coefficient) for t in terms])
+    expr = mabk_expression(n)
+    inputs = np.array(list(expr))
+    coeffs = np.array([float(c) for c in expr.values()])
     return inputs, coeffs
 
 
@@ -226,9 +226,9 @@ def test_negating_first_party_flips_each_term_but_not_the_value(rng):
         flipped = settings_.copy()
         flipped[:, 0] *= -1.0
         assert np.array_equal(mabk_value(flipped), -mabk_value(settings_))
-        for term in mabk_expression(n).terms:
+        for inputs in mabk_expression(n):
             blochs, flipped_blochs = (
-                term_blochs(s[0], term.inputs) for s in (settings_, flipped)
+                term_blochs(s[0], inputs) for s in (settings_, flipped)
             )
             assert ghz_expectation(n, flipped_blochs) == -ghz_expectation(n, blochs)
 
