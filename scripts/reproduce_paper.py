@@ -7,7 +7,8 @@ Usage:
 Equivalent to ``mabkcert reproduce-paper --format json`` with the report also
 written to a file.  Exits with the CLI's code (0 = all verdicts pass); a
 ``--seed`` the CLI would refuse, or an ``--out`` that is a directory or lies in
-a missing one, exits 2 with a message before anything runs.
+a missing one, exits 2 with a message before anything runs.  If the report
+file or stdout cannot be written, the script exits 1 with one stderr line.
 """
 
 import argparse
@@ -30,15 +31,19 @@ def main() -> int:
         parser.error(f"--out: {args.out.parent} is not a directory")
 
     report = cli.cmd_reproduce(args.seed, args.fast)
-    payload = report.payload()
-    args.out.write_text(json.dumps(payload, indent=2) + "\n")
+    if not cli.write_report(json.dumps(report.payload(), indent=2), args.out):
+        return cli.EXIT_WRITE
 
     n_pass = sum(1 for v in report.verdicts if v["pass"])
-    print(f"report written to {args.out}")
-    print(f"verdicts: {n_pass}/{len(report.verdicts)} pass")
+    lines = [
+        f"report written to {args.out}",
+        f"verdicts: {n_pass}/{len(report.verdicts)} pass",
+    ]
     for v in report.verdicts:
         status = "PASS" if v["pass"] else "FAIL"
-        print(f"  [{status}] {v['claim']}")
+        lines.append(f"  [{status}] {v['claim']}")
+    if not cli.write_report("\n".join(lines)):
+        return cli.EXIT_WRITE
     return cli.EXIT_OK if report.all_pass() else cli.EXIT_VERDICT
 
 

@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -140,6 +141,27 @@ def render(report: RunReport, fmt: str) -> str:
     if fmt == "csv":
         return _render_csv(report)
     return _render_text(report)
+
+
+def write_report(text: str, path: Path | None = None) -> bool:
+    """Write ``text`` and a newline to ``path``, or print it to stdout.
+
+    On failure, one stderr line and False.  A failed stdout is replaced by
+    devnull, so later writes, and the interpreter's flush at exit, do not
+    raise again (the Python docs' note on SIGPIPE).
+    """
+    try:
+        if path is None:
+            print(text, flush=True)
+        else:
+            path.write_text(text + "\n")
+    except OSError as exc:
+        print(f"cannot write the report: {exc}", file=sys.stderr)
+        if path is None:
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return False
+    return True
 
 
 def cmd_mabk_show(n: int) -> RunReport:
@@ -465,16 +487,7 @@ def main(argv: list[str] | None = None) -> int:
     if "warning" in report.results:
         print(f"warning: {report.results['warning']}", file=sys.stderr)
 
-    text = render(report, args.format)
-    try:
-        print(text)
-        sys.stdout.flush()
-    except OSError as exc:
-        print(f"cannot write the report: {exc}", file=sys.stderr)
-        # later writes, and the interpreter's flush at exit, go to devnull
-        # instead of raising again (the Python docs' note on SIGPIPE)
-        with open(os.devnull, "wb") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
+    if not write_report(render(report, args.format)):
         return EXIT_WRITE
     return EXIT_OK if report.all_pass() else EXIT_VERDICT
 

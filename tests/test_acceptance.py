@@ -34,8 +34,13 @@ from mabkcert.mabk import (
     mabk_recursion_step,
 )
 from mabkcert.npa import npa_upper_bound
-from mabkcert.pauli import dense_matrix, observable_product_matrix
-from mabkcert.stabilizer import ghz_dense, ghz_expansion, ghz_vector
+from mabkcert.stabilizer import (
+    dense_matrix,
+    ghz_dense,
+    ghz_expansion,
+    ghz_vector,
+    observable_product_matrix,
+)
 
 SEED = 20240811
 SQRT2 = math.sqrt(2.0)
@@ -210,8 +215,8 @@ def test_criterion_7_structural_identities():
         assert max(c.denominator for c in expr.values()) == expected_normalization(n)
     for n in range(2, 7):
         v = ghz_vector(n)
-        for element in ghz_expansion(n):
-            assert np.max(np.abs(dense_matrix(element) @ v - v)) < 1e-12
+        for sign, word in ghz_expansion(n):
+            assert np.max(np.abs(sign * dense_matrix(word) @ v - v)) < 1e-12
     rng = np.random.default_rng(SEED + 2)
     for n in range(2, 7):
         for _ in range(20):

@@ -18,13 +18,12 @@ from mabkcert.correlators import (
     theorem1_bound,
 )
 from mabkcert.mabk import mabk_expression
-from mabkcert.pauli import PauliLetter, observable_product_matrix
-from mabkcert.stabilizer import ghz_dense, ghz_expansion
+from mabkcert.stabilizer import ghz_dense, ghz_expansion, observable_product_matrix
 
 X = (1.0, 0.0, 0.0)
 Y = (0.0, 1.0, 0.0)
 # Bloch component of each letter, the identity's in an appended zero column
-COLUMN = {PauliLetter.X: 0, PauliLetter.Y: 1, PauliLetter.Z: 2, PauliLetter.I: 3}
+COLUMN = {"X": 0, "Y": 1, "Z": 2, "I": 3}
 
 
 def dense_expectation(n, blochs):
@@ -182,9 +181,9 @@ def test_identity_skip_rule_matches_full_expansion_sum(rng):
                 blochs[0] = Z
             padded = np.hstack([blochs, np.zeros((n, 1))])
             full = 0.0
-            for element in ghz_expansion(n):
-                prod = 1.0 if element.phase_power == 0 else -1.0
-                for b, letter in zip(padded, element.letters):
+            for sign, word in ghz_expansion(n):
+                prod = float(sign)
+                for b, letter in zip(padded, word):
                     prod *= b[COLUMN[letter]]
                 full += prod
             axes, signs = identity_free_elements(n)

@@ -28,9 +28,8 @@ from mabkcert.npa import (
     party_symmetries,
     reduce_structure,
 )
-from mabkcert.pauli import observable_product_matrix
 from mabkcert.sdp import solve, verify_certificate
-from mabkcert.stabilizer import ghz_dense
+from mabkcert.stabilizer import ghz_dense, observable_product_matrix
 
 A0 = OperatorLetter(0, 0)
 A1 = OperatorLetter(0, 1)

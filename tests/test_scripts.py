@@ -1,6 +1,8 @@
 """The experiment scripts stay runnable."""
 
+import contextlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,31 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+NEEDS_DEV_FULL = pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="needs /dev/full"
+)
+UNWRITABLE = [pytest.param("dev-full", marks=NEEDS_DEV_FULL), "closed-pipe"]
+
+
+@contextlib.contextmanager
+def unwritable_stdout(kind):
+    """A child's stdout on which every write fails."""
+    if kind == "dev-full":
+        with open("/dev/full", "wb") as full:
+            yield full
+        return
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to write_end raises BrokenPipeError
+    try:
+        yield write_end
+    finally:
+        os.close(write_end)
+
+
+def assert_one_write_error_line(stderr):
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in stderr
+    assert lines[0].startswith("cannot write the report: [Errno ")
 
 
 def test_honest_maximum_scan_runs():
@@ -88,3 +115,41 @@ def test_reproduce_script_rejects_invalid_arguments(tmp_path, argv):
     assert out.stdout == ""
     assert argv[0] in out.stderr and "Traceback" not in out.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", UNWRITABLE)
+@pytest.mark.parametrize(
+    "script, argv",
+    [
+        ("honest_maximum_scan.py", ["--max-n", "3", "--restarts", "1"]),
+        ("reproduce_paper.py", ["--fast", "--out", "{tmp}/report.json"]),
+    ],
+    ids=["scan", "reproduce"],
+)
+def test_scripts_exit_1_on_unwritable_stdout(tmp_path, script, argv, kind):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    with unwritable_stdout(kind) as stdout:
+        out = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / script), *argv],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert out.returncode == 1
+    assert_one_write_error_line(out.stderr)
+
+
+@NEEDS_DEV_FULL
+def test_reproduce_script_exits_1_on_unwritable_out():
+    out = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "scripts" / "reproduce_paper.py"),
+            "--fast", "--out", "/dev/full",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert_one_write_error_line(out.stderr)
