@@ -14,6 +14,7 @@ file or stdout cannot be written, the script exits 1 with one stderr line.
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from mabkcert import cli
@@ -30,7 +31,9 @@ def main() -> int:
     if not args.out.parent.is_dir():
         parser.error(f"--out: {args.out.parent} is not a directory")
 
+    t0 = time.perf_counter()
     report = cli.cmd_reproduce(args.seed, args.fast)
+    report.duration_ms = (time.perf_counter() - t0) * 1e3
     if not cli.write_report(json.dumps(report.payload(), indent=2), args.out):
         return cli.EXIT_WRITE
 

@@ -61,7 +61,7 @@ class RunReport:
     params: dict
     results: dict
     verdicts: list[dict] = field(default_factory=list)
-    duration_ms: float = 0.0
+    duration_ms: float | None = None  # wall time, set by the caller that times it
 
     def add_verdict(
         self,
@@ -90,14 +90,14 @@ class RunReport:
     def all_pass(self) -> bool:
         return all(v["pass"] for v in self.verdicts)
 
-    def payload(self, include_duration: bool = True) -> dict:
+    def payload(self) -> dict:
         out = {
             "command": self.command,
             "params": self.params,
             "results": self.results,
             "verdicts": self.verdicts,
         }
-        if include_duration:
+        if self.duration_ms is not None:
             out["duration_ms"] = round(self.duration_ms, 3)
         return out
 
@@ -113,7 +113,8 @@ def _render_text(report: RunReport) -> str:
             f"[{status}] {v['claim']}: observed {v['observed']}"
             f" (target {v['target']}, tolerance {v['tolerance']})"
         )
-    lines.append(f"duration_ms: {report.duration_ms:.3f}")
+    if report.duration_ms is not None:
+        lines.append(f"duration_ms: {report.duration_ms:.3f}")
     return "\n".join(lines)
 
 
@@ -165,7 +166,6 @@ def write_report(text: str, path: Path | None = None) -> bool:
 
 
 def cmd_mabk_show(n: int) -> RunReport:
-    t0 = time.perf_counter()
     expr = mabk.mabk_expression(n)
     target_terms = mabk.expected_term_count(n)
     target_norm = mabk.expected_normalization(n)
@@ -194,12 +194,10 @@ def cmd_mabk_show(n: int) -> RunReport:
     report.add_verdict(
         "sum of |coefficients| equals 2^floor(n/2)", float(target_norm), total, 0.0
     )
-    report.duration_ms = (time.perf_counter() - t0) * 1e3
     return report
 
 
 def cmd_theorem1(n: int, trials: int, seed: int) -> RunReport:
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     max_residual = 0.0
     for start in range(0, trials, THEOREM1_BLOCK):
@@ -225,12 +223,10 @@ def cmd_theorem1(n: int, trials: int, seed: int) -> RunReport:
         results=results,
     )
     report.add_verdict(claim, 0.0, max_residual, 1e-12)
-    report.duration_ms = (time.perf_counter() - t0) * 1e3
     return report
 
 
 def cmd_optimize(n: int, restarts: int, seed: int, honest_flag: bool) -> RunReport:
-    t0 = time.perf_counter()
     config = blochopt.OptimizerConfig(restarts=restarts, seed=seed)
     if honest_flag:
         result = blochopt.maximize_honest_mabk(n, config)
@@ -277,12 +273,10 @@ def cmd_optimize(n: int, restarts: int, seed: int, honest_flag: bool) -> RunRepo
         report.add_verdict(
             "unconstrained maximum reaches 2^((n-1)/2)", target, value, 1e-3
         )
-    report.duration_ms = (time.perf_counter() - t0) * 1e3
     return report
 
 
 def cmd_npa(level: int, with_constraint: bool, tol: float) -> RunReport:
-    t0 = time.perf_counter()
     result = npa.npa_upper_bound(level, with_constraint, tol=tol)
     results = {
         "bound": result.bound,
@@ -325,12 +319,10 @@ def cmd_npa(level: int, with_constraint: bool, tol: float) -> RunReport:
     report.add_verdict(
         "dual certificate verified", 1.0, 1.0 if result.verified else 0.0, 0.0
     )
-    report.duration_ms = (time.perf_counter() - t0) * 1e3
     return report
 
 
 def cmd_reproduce(seed: int, fast: bool) -> RunReport:
-    t0 = time.perf_counter()
     restarts = 30 if fast else 100
     sub: list[RunReport] = []
     for n in range(3, 9):
@@ -355,13 +347,12 @@ def cmd_reproduce(seed: int, fast: bool) -> RunReport:
         params={"seed": seed, "fast": fast, "restarts": restarts},
         results={
             "n_commands": len(sub),
-            "reports": [r.payload(include_duration=False) for r in sub],
+            "reports": [r.payload() for r in sub],
         },
     )
     for r in sub:
         for v in r.verdicts:
             report.verdicts.append({**v, "claim": f"{r.command}: {v['claim']}"})
-    report.duration_ms = (time.perf_counter() - t0) * 1e3
     return report
 
 
@@ -461,6 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     # each run looks its cmd_* up in the module globals at call time, so a
     # wrapper installed there sees every call
     try:
@@ -475,6 +467,7 @@ def main(argv: list[str] | None = None) -> int:
         if diagnostics:
             print(f"diagnostics: {diagnostics}", file=sys.stderr)
         return EXIT_NUMERICAL
+    report.duration_ms = (time.perf_counter() - t0) * 1e3
 
     if args.verbose:
         print(

@@ -1,11 +1,11 @@
 """Moment-matrix relaxation for party-local dichotomic observables.
 
-The full scenario gives the first party two inputs and every other party
-three, the third input being the key setting (``default_scenario``).
-``npa_upper_bound`` keeps only the letters that occur in the objective or in a
-pin: each party's input count is one more than its largest such input.  The
-unpinned problems thereby drop every key input; the pinned ones use all
-letters.  Pruning leaves the bound unchanged:
+The first party has two inputs and every other party three, the third input
+(``KEY_INPUT``) being the key setting.  ``npa_upper_bound`` keeps only the
+letters that occur in the objective or in a pin: each party's input count is
+one more than its largest such input.  The unpinned problems thereby drop
+every key input; the pinned ones use all letters.  Pruning leaves the bound
+unchanged:
 
 - The pruned basis is a subset of the full one, so the pruned moment matrix
   is a principal submatrix of the full one and every feasible full matrix
@@ -25,7 +25,10 @@ stable-sorting letters by party (different parties commute) and cancelling
 adjacent equal letters (squares are the identity).  The moment matrix over a
 monomial basis has entry class ``canonicalize(reverse(u) . v)``; classes are
 additionally identified under word reversal, which is valid for the real
-symmetric relaxation and can only loosen the bound.
+symmetric relaxation and can only loosen the bound.  ``class_of`` is the only
+record of the classes: ``MomentMatrixStructure.class_id`` reads a word's class
+off the entry of its two halves, and the objective and the pins look their
+words up through it.
 
 Perfect correlations in the key settings are the statement that the operator
 
@@ -71,14 +74,15 @@ that problem: a wrong symmetry would leave stationarity residuals that the
 first refuses and the second charges, so the symmetry is never trusted.
 MABK is symmetric under every party permutation and the pins under those
 that fix the first party; ``party_symmetries`` takes the permutations that
-keep the pruned scenario and keeps those that pass the check on the lowered
-problem.
+map every basis word into the basis and keeps those that pass the check on the
+lowered problem.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -103,13 +107,6 @@ class OperatorLetter(NamedTuple):
 
 
 Word = tuple[OperatorLetter, ...]
-
-
-def default_scenario(n_parties: int = 3) -> tuple[int, ...]:
-    """Input counts per party: two for the first party, three for the rest."""
-    if n_parties < 2:
-        raise ValueError("need at least two parties")
-    return (2,) + (3,) * (n_parties - 1)
 
 
 def canonicalize(word: tuple[OperatorLetter, ...] | list[OperatorLetter]) -> Word:
@@ -139,10 +136,9 @@ def generate_monomials(scenario: tuple[int, ...], level: int) -> list[Word]:
     return sorted(seen, key=lambda w: (len(w), w))
 
 
-def _class_key(word: Word) -> Word:
-    """Representative of {word, reversed word} (moments are reversal-symmetric)."""
-    rev = canonicalize(tuple(reversed(word)))
-    return min(word, rev)
+def _n_parties(words) -> int:
+    """One more than the largest party that occurs in ``words``."""
+    return 1 + max((letter.party for w in words for letter in w), default=0)
 
 
 @dataclass(frozen=True)
@@ -151,7 +147,6 @@ class MomentMatrixStructure:
 
     basis: tuple[Word, ...]
     class_of: np.ndarray  # (d, d) int array of class ids
-    class_representatives: tuple[Word, ...]
 
     @property
     def dimension(self) -> int:
@@ -159,11 +154,34 @@ class MomentMatrixStructure:
 
     @property
     def n_classes(self) -> int:
-        return len(self.class_representatives)
+        return int(self.class_of.max()) + 1
 
     @property
     def identity_class(self) -> int:
         return int(self.class_of[0, 0])
+
+    @cached_property
+    def index(self) -> dict[Word, int]:
+        """The row of each basis word."""
+        return {w: i for i, w in enumerate(self.basis)}
+
+    def class_id(self, word: Word) -> int:
+        """The moment class of ``word``, which has at most one letter per party,
+        in party order.
+
+        For such a word split into halves ``u . v``, ``reverse(u)`` has the
+        same letters, each of a different party, so it canonicalizes to ``u``,
+        and ``canonicalize(reverse(u) . v) = u . v``: the word is the entry at
+        row ``u`` and column ``v``.
+        """
+        half = len(word) // 2
+        u, v = word[:half], word[half:]
+        if u not in self.index or v not in self.index:
+            raise ValueError(
+                f"monomial {word} not present in the moment structure;"
+                " increase the hierarchy level"
+            )
+        return int(self.class_of[self.index[u], self.index[v]])
 
 
 def build_moment_structure(monomials: list[Word]) -> MomentMatrixStructure:
@@ -179,12 +197,10 @@ def build_moment_structure(monomials: list[Word]) -> MomentMatrixStructure:
     if not monomials or monomials[0] != ():
         raise ValueError("monomial list must contain the identity first")
     d = len(monomials)
-    n_parties = 1 + max((letter.party for w in monomials for letter in w), default=0)
     code = np.zeros(d * d, dtype=np.int64)
     rev_code = np.zeros(d * d, dtype=np.int64)
     radix = 1
-    per_party = []  # (entry product codes, product words, code of the reversal)
-    for party in range(n_parties):
+    for party in range(_n_parties(monomials)):
         subwords: dict[Word, int] = {}
         index = np.array(
             [
@@ -209,7 +225,6 @@ def build_moment_structure(monomials: list[Word]) -> MomentMatrixStructure:
         radix *= len(products)
         if radix > np.iinfo(np.int64).max:
             raise ValueError("too many distinct entry words for 64-bit codes")
-        per_party.append((entry, list(products), reverse))
 
     _, first, inverse = np.unique(
         np.minimum(code, rev_code), return_index=True, return_inverse=True
@@ -217,34 +232,18 @@ def build_moment_structure(monomials: list[Word]) -> MomentMatrixStructure:
     order = np.argsort(first)  # the classes in order of first appearance
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    # each class's representative, min(word, reversal) as _class_key takes it
-    firsts = first[order]
-    words = [()] * len(order)
-    reversals = [()] * len(order)
-    for entry, products, reverse in per_party:
-        codes = entry[firsts]
-        words = [w + products[c] for w, c in zip(words, codes)]
-        reversals = [w + products[c] for w, c in zip(reversals, reverse[codes])]
-    reps = tuple(map(min, words, reversals))
     class_of = rank[inverse].reshape(d, d).astype(np.int32)
-    return MomentMatrixStructure(tuple(monomials), class_of, reps)
+    return MomentMatrixStructure(tuple(monomials), class_of)
 
 
 def encode_objective(
     expr: dict[BitString, Fraction], structure: MomentMatrixStructure
 ) -> np.ndarray:
     """Coefficient vector over moment classes for a full-correlation expression."""
-    lookup = {rep: k for k, rep in enumerate(structure.class_representatives)}
     out = np.zeros(structure.n_classes)
     for inputs, coefficient in expr.items():
         word = tuple(OperatorLetter(p, x) for p, x in enumerate(inputs))
-        key = _class_key(canonicalize(word))
-        if key not in lookup:
-            raise ValueError(
-                f"objective monomial {key} not present in the moment structure;"
-                " increase the hierarchy level"
-            )
-        out[lookup[key]] += float(coefficient)
+        out[structure.class_id(word)] += float(coefficient)
     return out
 
 
@@ -255,19 +254,12 @@ def _key_letters(n_parties: int) -> list[OperatorLetter]:
     ]
 
 
-def encode_perfect_correlation(
-    structure: MomentMatrixStructure, n_parties: int = 3
-) -> list[int]:
-    """The moment classes of the pairwise key-setting correlators, which the
-    perfect correlations pin to one (see module docstring)."""
-    lookup = {rep: k for k, rep in enumerate(structure.class_representatives)}
-    pinned = []
-    for a, b in itertools.combinations(_key_letters(n_parties), 2):
-        key = _class_key(canonicalize((a, b)))
-        if key not in lookup:
-            raise ValueError(f"pair moment {key} missing; level too low")
-        pinned.append(lookup[key])
-    return pinned
+def encode_perfect_correlation(structure: MomentMatrixStructure) -> list[int]:
+    """The moment classes of the pairwise key-setting correlators of every
+    party of the basis, which the perfect correlations pin to one (see module
+    docstring)."""
+    letters = _key_letters(_n_parties(structure.basis))
+    return [structure.class_id(pair) for pair in itertools.combinations(letters, 2)]
 
 
 def _min_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -409,31 +401,30 @@ def _variable_permutation(problem: SdpProblem, rows: np.ndarray) -> np.ndarray |
 
 
 def party_symmetries(
-    scenario: tuple[int, ...],
-    structure: MomentMatrixStructure,
-    reduced: ReducedMoments,
-    problem: SdpProblem,
+    structure: MomentMatrixStructure, reduced: ReducedMoments, problem: SdpProblem
 ) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
     """Party permutations that leave the lowered problem invariant.
 
-    A candidate relabels party ``p`` as ``parties[p]`` and keeps the scenario.
-    It permutes the basis words, hence the row groups of ``reduced`` and the
-    kept rows; ``_variable_permutation`` then checks that this row permutation
-    is a symmetry of ``problem``.  Each one that is maps to its permutations of
-    the kept rows and of the variables.
+    A candidate relabels party ``p`` as ``parties[p]`` and maps every basis
+    word into the basis.  It permutes the basis words, hence the row groups of
+    ``reduced`` and the kept rows; ``_variable_permutation`` then checks that
+    this row permutation is a symmetry of ``problem``.  Each one that is maps
+    to its permutations of the kept rows and of the variables.
     """
-    index = {w: i for i, w in enumerate(structure.basis)}
     kept = np.array(reduced.kept_rows)
     position = np.full(structure.dimension, -1)
     position[kept] = np.arange(len(kept))
     found = {}
-    for parties in itertools.permutations(range(len(scenario))):
-        if tuple(scenario[p] for p in parties) != scenario:
+    for parties in itertools.permutations(range(_n_parties(structure.basis))):
+        try:
+            image = [
+                structure.index[
+                    canonicalize([OperatorLetter(parties[p], x) for p, x in w])
+                ]
+                for w in structure.basis
+            ]
+        except KeyError:
             continue
-        image = [
-            index[canonicalize([OperatorLetter(parties[p], x) for p, x in w])]
-            for w in structure.basis
-        ]
         rows = position[reduced.row_of[np.array(image)[kept]]]
         variables = _variable_permutation(problem, rows)
         if variables is not None:
@@ -469,13 +460,11 @@ def solve_on_orbits(
     )
     z = solution.dual_matrix
     z = sum(z[np.ix_(rows, rows)] for rows, _ in symmetries) / len(symmetries)
-    bound = float(np.tensordot(problem.f0, z))
     return replace(
         solution,
         y=solution.y[orbit_of],
         dual_matrix=z,
-        bound=bound,
-        duality_gap=bound - solution.primal_objective,
+        bound=float(np.tensordot(problem.f0, z)),
     )
 
 
@@ -527,11 +516,11 @@ def npa_upper_bound(
 
     pinned = [structure.identity_class]
     if with_constraint:
-        pinned += encode_perfect_correlation(structure, n_parties)
+        pinned += encode_perfect_correlation(structure)
 
     reduced = reduce_structure(structure, pinned)
     problem, const = lower_to_sdp(reduced, objective)
-    symmetries = party_symmetries(scenario, structure, reduced, problem)
+    symmetries = party_symmetries(structure, reduced, problem)
     solution = solve_on_orbits(problem, list(symmetries.values()), tol)
     verified = verify_certificate(problem, solution)
     certified = certified_upper_bound(problem, solution)

@@ -106,9 +106,12 @@ class SdpSolution:
     primal_objective: float
     bound: float
     dual_matrix: np.ndarray
-    duality_gap: float
     iterations: int
     trace: tuple[tuple[float, ...], ...] = field(repr=False, default=())
+
+    @property
+    def duality_gap(self) -> float:
+        return self.bound - self.primal_objective
 
 
 def _max_step(x_chol: np.ndarray, delta: np.ndarray) -> float:
@@ -234,14 +237,11 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
             {"iterations": max_iter, "trace": tuple(trace)},
         )
 
-    primal = float(c @ y)
-    bound = float(np.tensordot(f0, z))
     return SdpSolution(
         y=y,
-        primal_objective=primal,
-        bound=bound,
+        primal_objective=float(c @ y),
+        bound=float(np.tensordot(f0, z)),
         dual_matrix=z,
-        duality_gap=bound - primal,
         iterations=it,
         trace=tuple(trace),
     )

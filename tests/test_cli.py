@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -308,10 +309,27 @@ def test_numerical_failure_prints_only_the_trace_tail(capsys, monkeypatch):
     assert "(30.0" not in err and "(0.0" not in err
 
 
-def test_verbose_goes_to_stderr(capsys):
-    code, out, err = run(
-        capsys, "mabk-show", "--n", "3", "--format", "json", "-vv"
-    )
-    assert code == cli.EXIT_OK
-    assert "finished" in err and "verdict" in err
-    json.loads(out)  # stdout stays pure JSON
+@pytest.mark.parametrize("verbosity", [1, 2])
+@pytest.mark.parametrize(
+    "argv",
+    [["mabk-show", "--n", "3"], ["theorem1", "--n", "3", "--trials", "0"]],
+    ids=["mabk-show", "theorem1-warning"],
+)
+def test_verbose_adds_only_stderr_lines(capsys, argv, verbosity):
+    # -v adds one timing line ahead of the usual stderr, -vv one more line per
+    # verdict; the payload is unchanged apart from its duration
+    argv = [*argv, "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    code_v, out_v, err_v = run(capsys, *argv, "-" + "v" * verbosity)
+    assert code_v == code == cli.EXIT_OK
+    quiet, loud = json.loads(out), json.loads(out_v)
+    quiet.pop("duration_ms")
+    loud.pop("duration_ms")
+    assert loud == quiet
+    usual = err.splitlines()
+    lines = err_v.splitlines()
+    added = lines[: len(lines) - len(usual)]
+    assert lines[len(added) :] == usual
+    assert len(added) == 1 + (verbosity - 1) * len(quiet["verdicts"])
+    assert re.fullmatch(rf"\[mabkcert\] {argv[0]} finished in \d+\.\d ms", added[0])
+    assert all(line.startswith("[mabkcert] verdict: {") for line in added[1:])

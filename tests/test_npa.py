@@ -16,10 +16,8 @@ from mabkcert.npa import (
     KEY_INPUT,
     OperatorLetter,
     ReducedMoments,
-    _class_key,
     build_moment_structure,
     canonicalize,
-    default_scenario,
     encode_objective,
     encode_perfect_correlation,
     generate_monomials,
@@ -36,6 +34,12 @@ A1 = OperatorLetter(0, 1)
 B0_1 = OperatorLetter(1, 0)
 B2_1 = OperatorLetter(1, KEY_INPUT)
 B2_2 = OperatorLetter(2, KEY_INPUT)
+
+
+def default_scenario(n_parties):
+    """Input counts per party: two for the first party, three for the rest."""
+    return (2,) + (3,) * (n_parties - 1)
+
 
 SCENARIO = default_scenario(3)
 
@@ -88,9 +92,15 @@ def test_monomials_identity_first_and_deterministic():
     assert a[0] == ()
 
 
+def _class_key(word):
+    """Representative of {word, reversed word} (moments are reversal-symmetric)."""
+    return min(word, canonicalize(tuple(reversed(word))))
+
+
 def _loop_moment_structure(monomials):
     """The moment structure entry by entry: the class of every
-    ``canonicalize(reverse(u) . v)``, numbered by first row-major appearance."""
+    ``canonicalize(reverse(u) . v)``, numbered by first row-major appearance,
+    and each class's representative ``_class_key``."""
     d = len(monomials)
     class_ids, reps = {}, []
     class_of = np.empty((d, d), dtype=np.int32)
@@ -105,19 +115,70 @@ def _loop_moment_structure(monomials):
     return class_of, tuple(reps)
 
 
-@pytest.mark.parametrize(
-    "scenario, level",
+ORACLE_CASES = (
     [((2, 3, 3), level) for level in (1, 2, 3)]
     + [((2, 2, 2), level) for level in (1, 2, 3)]
-    + [(default_scenario(4), 2)],
+    + [(default_scenario(4), 2)]
 )
+
+
+@pytest.mark.parametrize("scenario, level", ORACLE_CASES)
 def test_array_builder_matches_the_loop_oracle(scenario, level):
     monomials = generate_monomials(scenario, level)
     structure = build_moment_structure(monomials)
     class_of, reps = _loop_moment_structure(monomials)
     assert structure.class_of.dtype == class_of.dtype
     assert np.array_equal(structure.class_of, class_of)
-    assert structure.class_representatives == reps
+    assert structure.n_classes == len(reps)
+
+
+def _key_pairs(n_parties):
+    """The pair words pinned by encode_perfect_correlation."""
+    keys = [A0] + [OperatorLetter(p, KEY_INPUT) for p in range(1, n_parties)]
+    return list(itertools.combinations(keys, 2))
+
+
+@pytest.mark.parametrize("scenario, level", ORACLE_CASES)
+def test_class_lookups_match_the_loop_oracle(scenario, level):
+    # class_id and both encoders give every objective word and key pair the
+    # oracle's class, and refuse the words that the oracle has no class for
+    structure = build_moment_structure(generate_monomials(scenario, level))
+    _, reps = _loop_moment_structure(structure.basis)
+    oracle = {rep: k for k, rep in enumerate(reps)}
+    expr = mabk_expression(len(scenario))
+    words = [tuple(OperatorLetter(p, x) for p, x in enumerate(xs)) for xs in expr]
+    pairs = _key_pairs(len(scenario))
+    for word in words + pairs:
+        if _class_key(word) in oracle:
+            assert structure.class_id(word) == oracle[_class_key(word)]
+        else:
+            with pytest.raises(ValueError, match="increase the hierarchy level"):
+                structure.class_id(word)
+
+    if all(_class_key(w) in oracle for w in words):
+        expected = np.zeros(len(reps))
+        for word, coefficient in zip(words, expr.values()):
+            expected[oracle[_class_key(word)]] += float(coefficient)
+        assert np.array_equal(encode_objective(expr, structure), expected)
+    else:
+        with pytest.raises(ValueError, match="increase the hierarchy level"):
+            encode_objective(expr, structure)
+
+    if all(_class_key(pair) in oracle for pair in pairs):
+        expected_pins = [oracle[_class_key(pair)] for pair in pairs]
+        assert encode_perfect_correlation(structure) == expected_pins
+    else:
+        with pytest.raises(ValueError, match="increase the hierarchy level"):
+            encode_perfect_correlation(structure)
+
+
+def test_four_party_pins_are_the_six_pair_classes():
+    structure = build_moment_structure(generate_monomials(default_scenario(4), 2))
+    _, reps = _loop_moment_structure(structure.basis)
+    oracle = {rep: k for k, rep in enumerate(reps)}
+    pinned = encode_perfect_correlation(structure)
+    assert len(pinned) == 6
+    assert pinned == [oracle[_class_key(pair)] for pair in _key_pairs(4)]
 
 
 def test_structure_diagonal_and_symmetry():
@@ -129,13 +190,12 @@ def test_structure_diagonal_and_symmetry():
 
 def test_structure_entry_reduction_example():
     structure = build_moment_structure(generate_monomials(SCENARIO, 2))
-    basis = {w: i for i, w in enumerate(structure.basis)}
+    _, reps = _loop_moment_structure(structure.basis)
+    basis = structure.index
     i = basis[(A0, A1)]
     j = basis[(A0,)]
     # reverse(A0 A1) . A0 = A1 A0 A0 = A1
-    assert (
-        structure.class_representatives[structure.class_of[i, j]] == (A1,)
-    )
+    assert reps[structure.class_of[i, j]] == (A1,)
     k = basis[(B2_1,)]
     assert structure.class_of[j, k] == structure.class_of[k, j]
 
@@ -143,11 +203,8 @@ def test_structure_entry_reduction_example():
 def test_objective_encoding_matches_expression():
     structure = build_moment_structure(generate_monomials(SCENARIO, 2))
     coeffs = encode_objective(mabk_expression(3), structure)
-    nonzero = {
-        structure.class_representatives[i]: c
-        for i, c in enumerate(coeffs)
-        if c != 0.0
-    }
+    _, reps = _loop_moment_structure(structure.basis)
+    nonzero = {reps[i]: c for i, c in enumerate(coeffs) if c != 0.0}
     b1 = lambda x: OperatorLetter(1, x)
     b2 = lambda x: OperatorLetter(2, x)
     assert nonzero == {
@@ -164,11 +221,12 @@ def test_objective_encoding_respects_party_permutation():
     # the three-party expression is symmetric under exchanging the two
     # three-input parties, so the encoded functional must be too
     swap = {1: 2, 2: 1, 0: 0}
-    index = {rep: i for i, rep in enumerate(structure.class_representatives)}
+    _, reps = _loop_moment_structure(structure.basis)
+    index = {rep: i for i, rep in enumerate(reps)}
     for i, c in enumerate(coeffs):
         if c == 0.0:
             continue
-        rep = structure.class_representatives[i]
+        rep = reps[i]
         swapped = tuple(
             sorted(
                 (OperatorLetter(swap[l.party], l.input) for l in rep),
@@ -186,9 +244,10 @@ def test_objective_encoding_needs_level_two():
 
 def test_perfect_correlation_pins_three_pair_moments():
     structure = build_moment_structure(generate_monomials(SCENARIO, 2))
-    pinned = encode_perfect_correlation(structure, 3)
+    pinned = encode_perfect_correlation(structure)
+    _, reps = _loop_moment_structure(structure.basis)
     assert len(pinned) == 3
-    assert {structure.class_representatives[c] for c in pinned} == {
+    assert {reps[c] for c in pinned} == {
         (A0, B2_1),
         (A0, B2_2),
         (B2_1, B2_2),
@@ -250,9 +309,8 @@ def test_ghz_honest_strategy_is_a_feasibility_witness(rng):
     obs = _honest_observables(rng)
     rho = ghz_dense(3)
 
-    values = np.empty(structure.n_classes)
-    for k, rep in enumerate(structure.class_representatives):
-        values[k] = _word_value(rep, obs, rho).real
+    _, reps = _loop_moment_structure(structure.basis)
+    values = np.array([_word_value(rep, obs, rho).real for rep in reps])
 
     # same-class entries agree with the direct entry evaluation
     for i, u in enumerate(structure.basis[:12]):
@@ -265,7 +323,7 @@ def test_ghz_honest_strategy_is_a_feasibility_witness(rng):
     moment_matrix = values[structure.class_of]
     assert np.linalg.eigvalsh(moment_matrix)[0] > -1e-10
 
-    pinned = encode_perfect_correlation(structure, 3)
+    pinned = encode_perfect_correlation(structure)
     for cid in pinned:
         assert values[cid] == pytest.approx(1.0, abs=1e-12)
 
@@ -300,7 +358,7 @@ def test_unconstrained_reduction_is_a_no_op():
 )
 def test_constrained_reduction_restores_interior(level, kept, n_vars):
     structure = build_moment_structure(generate_monomials(SCENARIO, level))
-    pins = [structure.identity_class, *encode_perfect_correlation(structure, 3)]
+    pins = [structure.identity_class, *encode_perfect_correlation(structure)]
     reduced = reduce_structure(structure, pins)
     assert len(reduced.kept_rows) == kept
     # fixpoint: no two kept rows are still joined by an entry pinned to one
@@ -347,7 +405,7 @@ def _reference_reduction(structure, pinned):
 def test_reduction_matches_the_loop_reference():
     structure = build_moment_structure(generate_monomials(SCENARIO, 2))
     rng = np.random.default_rng(3)
-    pin_sets = [encode_perfect_correlation(structure, 3)] + [
+    pin_sets = [encode_perfect_correlation(structure)] + [
         rng.choice(structure.n_classes, 3, replace=False).tolist() for _ in range(8)
     ]
     for pins in pin_sets:
@@ -375,19 +433,13 @@ def test_lowering_refuses_an_objective_class_outside_the_matrix():
         lower_to_sdp(reduced, np.array([0.0, 0.0, 1.0]))
 
 
-def _key_pairs(n_parties):
-    """The pair words pinned by encode_perfect_correlation."""
-    keys = [A0] + [OperatorLetter(p, KEY_INPUT) for p in range(1, n_parties)]
-    return list(itertools.combinations(keys, 2))
-
-
 def _lowered(scenario, level, pinned_words=()):
     """npa_upper_bound's lowered problem, before any symmetry: the pruned
     ``scenario``, with the given words pinned to one."""
     structure = build_moment_structure(generate_monomials(scenario, level))
     objective = encode_objective(mabk_expression(len(scenario)), structure)
-    lookup = {rep: k for k, rep in enumerate(structure.class_representatives)}
-    pinned = [structure.identity_class] + [lookup[w] for w in pinned_words]
+    pinned = [structure.identity_class]
+    pinned += [structure.class_id(word) for word in pinned_words]
     reduced = reduce_structure(structure, pinned)
     problem, const = lower_to_sdp(reduced, objective)
     return structure, reduced, problem, const
@@ -396,23 +448,23 @@ def _lowered(scenario, level, pinned_words=()):
 @pytest.mark.parametrize("level", [2, 3])
 def test_detected_party_groups(level):
     pinned = _lowered(SCENARIO, level, _key_pairs(3))
-    assert set(party_symmetries(SCENARIO, *pinned[:3])) == {(0, 1, 2), (0, 2, 1)}
+    assert set(party_symmetries(*pinned[:3])) == {(0, 1, 2), (0, 2, 1)}
     free = _lowered((2, 2, 2), level)
-    assert set(party_symmetries((2, 2, 2), *free[:3])) == set(
+    assert set(party_symmetries(*free[:3])) == set(
         itertools.permutations(range(3))
     )
 
 
 def test_a_one_sided_pin_leaves_only_the_identity():
     lowered = _lowered(SCENARIO, 2, [(A0, B2_1)])
-    assert list(party_symmetries(SCENARIO, *lowered[:3])) == [(0, 1, 2)]
+    assert list(party_symmetries(*lowered[:3])) == [(0, 1, 2)]
 
 
 def test_an_asymmetric_problem_shrinks_the_group():
     # tilting one variable's objective coefficient, or the values of its
     # basis entries, leaves only the permutations that fix that variable
     structure, reduced, problem, _ = _lowered((2, 2, 2), 2)
-    full = party_symmetries((2, 2, 2), structure, reduced, problem)
+    full = party_symmetries(structure, reduced, problem)
     fixed = np.arange(problem.n_vars)
     v = int(np.flatnonzero(np.any([t != fixed for _, t in full.values()], 0))[0])
     c = problem.c.copy()
@@ -423,7 +475,7 @@ def test_an_asymmetric_problem_shrinks_the_group():
         dataclasses.replace(problem, c=c),
         dataclasses.replace(problem, basis=basis),
     ):
-        found = party_symmetries((2, 2, 2), structure, reduced, tilted)
+        found = party_symmetries(structure, reduced, tilted)
         assert (0, 1, 2) in found and len(found) < len(full)
         assert all(variables[v] == v for _, variables in found.values())
 
@@ -489,7 +541,7 @@ def test_averaging_over_a_non_symmetry_fails_the_certificate():
     # stationarity residuals that verify_certificate refuses
     structure, reduced, problem, _ = _lowered((2, 2, 2), 2)
     solution = solve(problem)
-    index = {w: i for i, w in enumerate(structure.basis)}
+    index = structure.index
     relabel = {A0: A1, A1: A0}
     swap = np.array(
         [index[canonicalize([relabel.get(l, l) for l in w])] for w in structure.basis]
@@ -499,7 +551,7 @@ def test_averaging_over_a_non_symmetry_fails_the_certificate():
     assert not verify_certificate(
         problem, _group_average(problem, solution, [identity, swap])
     )
-    b_c = party_symmetries((2, 2, 2), structure, reduced, problem)[(0, 2, 1)][0]
+    b_c = party_symmetries(structure, reduced, problem)[(0, 2, 1)][0]
     assert verify_certificate(
         problem, _group_average(problem, solution, [identity, b_c])
     )
@@ -543,7 +595,7 @@ def test_max_equals_minus_min():
     objective = encode_objective(mabk_expression(3), structure)
     for pins in (
         [structure.identity_class],
-        [structure.identity_class, *encode_perfect_correlation(structure, 3)],
+        [structure.identity_class, *encode_perfect_correlation(structure)],
     ):
         reduced = reduce_structure(structure, pins)
         plus, cp = lower_to_sdp(reduced, objective)
