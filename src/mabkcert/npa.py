@@ -54,8 +54,8 @@ problem has the same optimal value, and after deduplication the reduced
 ``M(0) = I`` is strictly feasible again.  Both the row groups and the class
 merges are connected components, computed on arrays and labelled by their
 smallest member.  ``lower_to_sdp`` then turns the reduced class matrix into
-``F0`` (ones at the pinned entries) and the CSR basis of ``sdp.SdpProblem``
-(one variable per free class) by array indexing.
+``F0`` (ones at the pinned entries) and the upper-triangle basis entries of
+``sdp.SdpProblem`` (one variable per free class) by array indexing.
 
 The solve runs on symmetry orbits (Gatermann & Parrilo 2004; Tavakoli, Rosset
 & Renou 2019).  Let a permutation ``g`` of the kept rows map ``F0`` to
@@ -87,7 +87,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .mabk import BitString, mabk_expression
 from .sdp import (
@@ -349,21 +348,16 @@ def lower_to_sdp(
     var_of = np.full(len(pinned), -1)
     var_of[order] = np.arange(len(order))
     var = var_of[root]
-    off = i != j
-    basis = csr_matrix(
-        (
-            np.ones(len(var) + off.sum()),
-            (np.append(var, var[off]), np.append(i * k + j, j[off] * k + i[off])),
-        ),
-        shape=(len(order), k * k),
-    )
 
     by_root = np.bincount(reduced.root_of, weights=objective, minlength=len(pinned))
     missing = (var_of < 0) & ~pinned
     if missing[reduced.root_of[objective != 0.0]].any():
         raise ValueError("objective class missing from the reduced matrix")
     const = float(by_root @ fixed)
-    return SdpProblem(f0=fixed[cm], basis=basis, c=by_root[order]), const
+    problem = SdpProblem(
+        f0=fixed[cm], var=var, row=i, col=j, value=np.ones(len(var)), c=by_root[order]
+    )
+    return problem, const
 
 
 def _variable_permutation(problem: SdpProblem, rows: np.ndarray) -> np.ndarray | None:
@@ -372,27 +366,29 @@ def _variable_permutation(problem: SdpProblem, rows: np.ndarray) -> np.ndarray |
     Row ``i`` goes to row ``rows[i]``.  That is a symmetry when it maps ``F0``
     to ``F0``, the entries of each ``F_v`` onto those of one ``F_w`` with the
     same values, and ``c_v`` to ``c_w = c_v``; the map ``v -> w`` is returned,
-    or None if any of this fails.
+    or None if any of this fails.  The basis matrices are symmetric, so it
+    suffices to map each upper-triangle entry to the upper-triangle position
+    of its image.
     """
     k, m = problem.dimension, problem.n_vars
     if not np.array_equal(np.sort(rows), np.arange(k)):
         return None
     if not np.array_equal(problem.f0[np.ix_(rows, rows)], problem.f0):
         return None
-    entries = problem.basis.tocoo()
+    position = problem.row * k + problem.col
     var_at = np.full(k * k, -1)
-    var_at[entries.col] = entries.row
+    var_at[position] = problem.var
     value_at = np.zeros(k * k)
-    value_at[entries.col] = entries.data
-    i, j = np.divmod(entries.col, k)
-    image = rows[i] * k + rows[j]
+    value_at[position] = problem.value
+    i, j = rows[problem.row], rows[problem.col]
+    image = np.minimum(i, j) * k + np.maximum(i, j)
     target = var_at[image]
     variables = np.full(m, -1)
-    variables[entries.row] = target
+    variables[problem.var] = target
     if (
         (target < 0).any()
-        or not np.array_equal(variables[entries.row], target)
-        or not np.array_equal(value_at[image], entries.data)
+        or not np.array_equal(variables[problem.var], target)
+        or not np.array_equal(value_at[image], problem.value)
         or not np.array_equal(np.sort(variables), np.arange(m))
         or not np.array_equal(problem.c[variables], problem.c)
     ):
@@ -440,9 +436,10 @@ def solve_on_orbits(
     """Solve ``problem`` with one variable per orbit; lift the solution back.
 
     ``symmetries`` is a group of (row, variable) permutations of ``problem``.
-    The orbit problem sums the basis rows and ``c`` over each orbit; its ``y``
-    spreads back over the orbits, and its ``Z``, averaged over the group, is a
-    dual point of ``problem`` itself (see the module docstring).
+    The orbit problem relabels each basis entry's variable by its orbit and
+    sums ``c`` over each orbit; its ``y`` spreads back over the orbits, and
+    its ``Z``, averaged over the group, is a dual point of ``problem`` itself
+    (see the module docstring).
     """
     m = problem.n_vars
     orbit = _min_labels(
@@ -451,11 +448,12 @@ def solve_on_orbits(
         np.concatenate([variables for _, variables in symmetries]),
     )
     _, orbit_of = np.unique(orbit, return_inverse=True)
-    merge = csr_matrix(
-        (np.ones(m), (orbit_of, np.arange(m))), shape=(orbit_of.max() + 1, m)
-    )
     solution = solve(
-        SdpProblem(f0=problem.f0, basis=merge @ problem.basis, c=merge @ problem.c),
+        replace(
+            problem,
+            var=orbit_of[problem.var],
+            c=np.bincount(orbit_of, weights=problem.c),
+        ),
         tol=tol,
     )
     z = solution.dual_matrix

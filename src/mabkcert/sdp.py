@@ -35,23 +35,26 @@ Every ``y_i`` is free: a moment with a fixed value is not a variable, and
 callers fold it into ``F0`` themselves, as ``npa.lower_to_sdp`` does for the
 perfect-correlation pins.
 
-The iterates are dense; ``SdpProblem.basis`` is the only form of the basis:
-one CSR matrix of shape (m, d*d) whose row ``i`` is ``F_i`` flattened, so the
-adjoint ``<F_i, Z>`` is ``basis @ vec(Z)``, ``sum y_i F_i`` is
-``basis.T @ y`` reshaped, and each Schur column is one sparse product with a
-dense ``W F_j Z`` (the column-wise sparse evaluation of Fujisawa, Kojima &
-Nakata 1997).  Everything is deterministic: fixed elimination order, no
-randomized pivoting, so identical inputs produce bit-identical iteration
-traces.
+The iterates are dense.  ``SdpProblem`` holds the basis as upper-triangle
+entry arrays: entry ``e`` puts ``value[e]`` at ``(row[e], col[e])`` and at
+``(col[e], row[e])`` of ``F_var[e]``, so every ``F_i`` is symmetric by
+construction.  This module alone turns them into an operator:
+``SdpProblem.operator``, built once per problem, is one CSR matrix of shape
+(m, d*d) whose row ``i`` is ``F_i`` flattened, so the adjoint ``<F_i, Z>`` is
+``operator @ vec(Z)``, ``sum y_i F_i`` is ``operator.T @ y`` reshaped, and each
+Schur column is one sparse product with a dense ``W F_j Z`` (the column-wise
+sparse evaluation of Fujisawa, Kojima & Nakata 1997).  scipy is imported by the
+functions that need it, not by the module, so importing ``sdp`` loads no
+scipy.  Everything is deterministic: fixed elimination order, no randomized
+pivoting, so identical inputs produce bit-identical iteration traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, eigvalsh, solve_triangular
-from scipy.sparse import csr_matrix
 
 CENTERING_FLOOR = 0.1
 FRACTION_TO_BOUNDARY = 0.98
@@ -71,14 +74,35 @@ class SdpSolverError(RuntimeError):
 class SdpProblem:
     """Dual-form LMI data: ``M(y) = F0 + sum y_i F_i`` must stay PSD.
 
-    ``basis`` is one sparse matrix of shape (m, d*d) whose row ``i`` is ``F_i``
-    flattened, so ``basis @ vec(Z)`` is the adjoint ``<F_i, Z>`` and
-    ``basis.T @ y`` is ``vec(sum y_i F_i)``.
+    Basis entry ``e`` puts ``value[e]`` at ``(row[e], col[e])`` and
+    ``(col[e], row[e])`` of ``F_var[e]``; ``row[e] <= col[e]``, so a diagonal
+    entry is counted once.  Malformed entries raise ``ValueError``.
     """
 
     f0: np.ndarray
-    basis: csr_matrix
+    var: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    value: np.ndarray
     c: np.ndarray
+
+    def __post_init__(self) -> None:
+        d, m = self.dimension, self.n_vars
+        lengths = {len(a) for a in (self.var, self.row, self.col, self.value)}
+        if len(lengths) > 1:
+            raise ValueError("basis entry arrays var/row/col/value differ in length")
+        checks = (
+            (self.row > self.col, "lies below the diagonal"),
+            ((self.row < 0) | (self.col >= d), f"has row or col outside range({d})"),
+            ((self.var < 0) | (self.var >= m), f"has var outside range({m})"),
+        )
+        for bad, what in checks:
+            if bad.any():
+                e = int(np.flatnonzero(bad)[0])
+                raise ValueError(
+                    f"basis entry {e} (var {self.var[e]}, row {self.row[e]},"
+                    f" col {self.col[e]}) {what}"
+                )
 
     @property
     def dimension(self) -> int:
@@ -86,15 +110,26 @@ class SdpProblem:
 
     @property
     def n_vars(self) -> int:
-        return self.basis.shape[0]
+        return len(self.c)
+
+    @cached_property
+    def operator(self):
+        """The CSR matrix of shape (m, d*d) whose row ``i`` is ``F_i`` flattened."""
+        from scipy.sparse import csr_matrix
+
+        d, off = self.dimension, self.row != self.col
+        var = np.append(self.var, self.var[off])
+        flat = np.append(self.row * d + self.col, self.col[off] * d + self.row[off])
+        value = np.append(self.value, self.value[off])
+        return csr_matrix((value, (var, flat)), shape=(self.n_vars, d * d))
 
     def adjoint(self, z: np.ndarray) -> np.ndarray:
         """``<F_i, Z>`` for every i."""
-        return self.basis @ z.ravel()
+        return self.operator @ z.ravel()
 
     def combination(self, y: np.ndarray) -> np.ndarray:
         """``sum_i y_i F_i``."""
-        return (self.basis.T @ y).reshape(self.dimension, self.dimension)
+        return (self.operator.T @ y).reshape(self.dimension, self.dimension)
 
 
 @dataclass(frozen=True)
@@ -116,6 +151,8 @@ class SdpSolution:
 
 def _max_step(x_chol: np.ndarray, delta: np.ndarray) -> float:
     """Largest alpha with X + alpha*Delta still PSD, via L^-1 Delta L^-T."""
+    from scipy.linalg import eigvalsh, solve_triangular
+
     a = solve_triangular(x_chol, delta, lower=True)
     t = solve_triangular(x_chol, a.T, lower=True)
     lam_min = float(eigvalsh(0.5 * (t + t.T))[0])
@@ -126,6 +163,8 @@ def _max_step(x_chol: np.ndarray, delta: np.ndarray) -> float:
 
 def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSolution:
     """Run the interior-point iteration until gap and residuals drop below tol."""
+    from scipy.linalg import cho_factor, cho_solve, cholesky
+
     d, m = problem.dimension, problem.n_vars
     f0, c = problem.f0, problem.c
 
@@ -140,7 +179,8 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
         ) from exc
     z = np.eye(d)
     # per basis matrix F_j: its entry rows, entry columns and values
-    ptr, flat, vals = problem.basis.indptr, problem.basis.indices, problem.basis.data
+    operator = problem.operator
+    ptr, flat, vals = operator.indptr, operator.indices, operator.data
     columns = [
         (*np.divmod(flat[ptr[j] : ptr[j + 1]], d), vals[ptr[j] : ptr[j + 1]])
         for j in range(m)
@@ -254,6 +294,8 @@ def verify_certificate(problem: SdpProblem, solution: SdpSolution) -> bool:
     feasibility (stationarity) residuals are below 1e-7 for every free
     variable, and the reported bound matches the recomputed dual objective.
     """
+    from scipy.linalg import eigvalsh
+
     z = solution.dual_matrix
     lam_min = float(eigvalsh(0.5 * (z + z.T))[0])
     if lam_min < CERT_EIG_FLOOR:
@@ -280,18 +322,18 @@ def _check_certifiable(problem: SdpProblem) -> None:
     d = problem.dimension
     if not np.array_equal(np.diag(problem.f0), np.ones(d)):
         raise ValueError("certified bound needs F0 with a unit diagonal")
-    entries = problem.basis.tocoo()
-    rows, cols = np.divmod(entries.col, d)
-    if np.any(rows == cols):
+    row, col = problem.row, problem.col
+    if np.any(row == col):
         raise ValueError("certified bound needs basis matrices with a zero diagonal")
-    sharers = problem.basis.getnnz(axis=0)[entries.col]
+    position = row * d + col
+    sharers = np.bincount(position, minlength=d * d)[position]
     anchors = (
         (sharers == 1)
-        & (problem.f0.ravel()[entries.col] == 0.0)
-        & (np.abs(entries.data) >= 1.0)
+        & (problem.f0[row, col] == 0.0)
+        & (np.abs(problem.value) >= 1.0)
     )
     anchored = np.zeros(problem.n_vars, dtype=bool)
-    anchored[entries.row[anchors]] = True
+    anchored[problem.var[anchors]] = True
     if not anchored.all():
         raise ValueError(
             f"certified bound needs |y_i| <= 1, not implied for variables"
@@ -308,6 +350,8 @@ def certified_upper_bound(problem: SdpProblem, solution: SdpSolution) -> float:
     at a price of ``e * tr F0``.  ``_check_certifiable`` raises ``ValueError``
     unless the problem's structure implies both assumptions.
     """
+    from scipy.linalg import eigvalsh
+
     _check_certifiable(problem)
     z = solution.dual_matrix
     residual = problem.c + problem.adjoint(z)

@@ -469,11 +469,10 @@ def test_an_asymmetric_problem_shrinks_the_group():
     v = int(np.flatnonzero(np.any([t != fixed for _, t in full.values()], 0))[0])
     c = problem.c.copy()
     c[v] += 1.0
-    basis = problem.basis.copy()
-    basis.data[basis.indptr[v] : basis.indptr[v + 1]] = 0.5
+    value = np.where(problem.var == v, 0.5, problem.value)
     for tilted in (
         dataclasses.replace(problem, c=c),
-        dataclasses.replace(problem, basis=basis),
+        dataclasses.replace(problem, value=value),
     ):
         found = party_symmetries(structure, reduced, tilted)
         assert (0, 1, 2) in found and len(found) < len(full)

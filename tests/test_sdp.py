@@ -2,9 +2,8 @@
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
+import scipy.linalg
 
-from mabkcert import sdp
 from mabkcert.sdp import (
     SdpProblem,
     SdpSolverError,
@@ -19,18 +18,22 @@ def dense_problem(f0, mats, c):
     for i, m in enumerate(mats):
         if not np.allclose(m, m.T):
             raise ValueError(f"basis matrix {i} is not symmetric")
-    d = np.shape(f0)[0]
+    upper = np.triu(np.array(mats, dtype=float))
+    var, row, col = np.nonzero(upper)
     return SdpProblem(
         f0=np.array(f0, dtype=float),
-        basis=csr_matrix(np.array(mats, dtype=float).reshape(len(mats), d * d)),
+        var=var,
+        row=row,
+        col=col,
+        value=upper[var, row, col],
         c=np.array(c, dtype=float),
     )
 
 
 def basis_matrix(problem, i):
-    """``F_i`` as a dense matrix."""
+    """``F_i`` as a dense matrix, read off the solver's operator."""
     d = problem.dimension
-    return problem.basis[i].toarray().reshape(d, d)
+    return problem.operator[i].toarray().reshape(d, d)
 
 
 def toy_1x1():
@@ -155,14 +158,15 @@ def test_trace_rows_carry_the_centering_parameter():
 
 
 def test_one_schur_factorization_per_step(monkeypatch):
+    # solve imports cho_factor from scipy.linalg when it is called
     calls = []
-    cho_factor = sdp.cho_factor
+    cho_factor = scipy.linalg.cho_factor
 
     def counting_cho_factor(*args, **kwargs):
         calls.append(1)
         return cho_factor(*args, **kwargs)
 
-    monkeypatch.setattr(sdp, "cho_factor", counting_cho_factor)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counting_cho_factor)
     sol = solve(random_disjoint_instance(23))
     assert len(calls) == sol.iterations - 1
 
@@ -238,6 +242,29 @@ def test_sparse_operator_matches_dense_basis_matrices(seed):
     )
     for i, f in enumerate(mats):
         assert np.array_equal(basis_matrix(problem, i), f)
+
+
+@pytest.mark.parametrize(
+    "entries, reason",
+    [
+        ({"row": [1], "col": [0]}, "below the diagonal"),
+        ({"row": [0], "col": [2]}, r"outside range\(2\)"),
+        ({"row": [-1], "col": [1]}, r"outside range\(2\)"),
+        ({"var": [1]}, r"var outside range\(1\)"),
+        ({"var": [-1]}, r"var outside range\(1\)"),
+        ({"value": [1.0, 1.0]}, "differ in length"),
+    ],
+    ids=["below-diagonal", "col-2", "row-minus-1", "var-1", "var-minus-1", "lengths"],
+)
+def test_problem_refuses_malformed_entries(entries, reason):
+    # one well-formed entry of a 2x2 problem with one variable, then one defect
+    fields = {"var": [0], "row": [0], "col": [1], "value": [1.0], **entries}
+    with pytest.raises(ValueError, match=reason):
+        SdpProblem(
+            f0=np.eye(2),
+            c=np.array([1.0]),
+            **{name: np.array(a) for name, a in fields.items()},
+        )
 
 
 def test_iteration_limit_raises_with_diagnostics():
