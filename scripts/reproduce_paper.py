@@ -6,13 +6,16 @@ Usage:
 
 Equivalent to ``mabkcert reproduce-paper --format json`` with the report also
 written to a file.  Exits with the CLI's code (0 = all verdicts pass); a
-``--seed`` the CLI would refuse, or an ``--out`` that is a directory or lies in
-a missing one, exits 2 with a message before anything runs.  If the report
-file or stdout cannot be written, the script exits 1 with one stderr line.
+``--seed`` the CLI would refuse, or an ``--out`` that is a directory, lies in a
+missing one or is not writable (an existing file the user may not write, or a
+new file in a directory the user may not write), exits 2 with a message
+before anything runs.  If the report file or stdout still cannot be written
+(a full disk, for example), the script exits 1 with one stderr line.
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -30,6 +33,9 @@ def main() -> int:
         parser.error(f"--out must name a file, got the directory {args.out}")
     if not args.out.parent.is_dir():
         parser.error(f"--out: {args.out.parent} is not a directory")
+    target = args.out if args.out.exists() else args.out.parent
+    if not os.access(target, os.W_OK):
+        parser.error(f"--out: {target} is not writable")
 
     t0 = time.perf_counter()
     report = cli.cmd_reproduce(args.seed, args.fast)

@@ -1,27 +1,33 @@
 """Multi-start maximization of MABK values over measurement Bloch vectors.
 
-Observables are parameterized by spherical angles, so every candidate is a
-unit Bloch vector by construction; the pinned key observable of the honest
-search is the slot theta = phi = 0, which is sigma_z exactly.  Each restart
-draws its starting angles from ``numpy.random.default_rng([seed,
-restart_index])`` (the documented counter scheme: results depend only on (n,
-restarts, seed)) and runs a local ascent with Armijo backtracking.  The
-signed Bell value and its exact gradient in the Bloch vectors come from
-``correlators.mabk_value`` and ``correlators.mabk_gradient``; this module maps
-angles to the (n, 2, 3) settings array and chains the gradient through the
-angles.  There are no finite differences.  The absolute value in the MABK
-score is handled by ascending the signed objective from each start and its
-negation from the same start, and keeping the larger of the two.
+A candidate is the (n, 2, 3) settings array of ``correlators``; the honest
+search pins slot (party 0, input 0) to sigma_z's (0, 0, 1) and never writes
+it.  Restart r maps spherical angles drawn from
+``numpy.random.default_rng([seed, r])`` to its start (the documented counter
+scheme: results depend only on (n, restarts, seed)).
 
-The ``2R`` signed ascents of R restarts run as one numpy batch whose rows
-carry their sign.  Per-row state is independent and every kernel operation is
-elementwise, so the batched run is identical to running rows one by one.  Rows
-still ascending form the live set.  A row leaves it converged when its largest
-angle derivative is at most ``_CONVERGENCE_TOL`` times its |value|: relative,
-because the value's rounding, and with it the smallest derivative the ascent
-can act on, grows with |value| (2**((N-1)/2) at the free optimum).  It leaves
-unconverged when its line search finds no step that moves it and gains
-enough.  Rows still live at the iteration cap have not converged either.
+The ascent is a party-wise seesaw.  The value on GHZ is linear in each
+party's pair of Bloch vectors, ``v = g_{i,0} . b_{i,0} + g_{i,1} . b_{i,1}``,
+and the coefficients ``g_{i,x} = dv/db_{i,x}`` (``mabk_gradient``) do not
+depend on that pair.  So the best pair given the other parties is exact: each
+free slot becomes ``g/|g|`` (a slot with ``g = 0`` is kept), after which ``v``
+is the sum of the free ``|g_{i,x}|`` plus the pinned slot's fixed term, and
+no step lowers it.  A sweep steps party 0, then parties 1..n-1 in turn, each
+on a fresh gradient.  No step depends on the value's scale.
+
+The score is |v|, so each start ascends the signed objective ``sign * v``.
+The honest search runs both signs from every start and keeps the better, as
+``2R`` signed rows of one batch.  The free search runs only ``+v``: negating
+party 0 negates ``v`` bit for bit, so the ``-v`` seesaw, which steps party 0
+first, is the mirror of the ``+v`` one.  Rows are independent and every
+kernel operation is elementwise, so a batch equals its rows run one by one.
+
+At the start of a sweep a row stops, converged, when the largest tangent part
+``|g - (g . b) b|`` over its free slots is at most ``_CONVERGENCE_TOL`` times
+|v|: relative, because the rounding of v, and with it the smallest gradient a
+sweep can act on, grows with |v|.  A row whose sweep does not raise its value
+stops unconverged at its pre-sweep point, as does a row still live after
+``max_iterations`` sweeps.
 """
 
 from __future__ import annotations
@@ -32,11 +38,7 @@ import numpy as np
 
 from .correlators import mabk_gradient, mabk_value
 
-_ARMIJO_C1 = 1e-4
-_MAX_BACKTRACKS = 30
-_STEP_GROWTH = 1.3
-_MAX_STEP = 2.0
-# A row has converged when no angle derivative exceeds this times |value|.
+# A row has converged when no free slot's tangent gradient exceeds this times |value|.
 _CONVERGENCE_TOL = 1e-8
 # Restart values within this relative distance of the best count as tied.
 _TIE_TOL = 1e-12
@@ -46,7 +48,7 @@ _TIE_TOL = 1e-12
 class OptimizerConfig:
     restarts: int = 100
     seed: int = 20240811
-    max_iterations: int = 400
+    max_iterations: int = 400  # seesaw sweeps per row
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
@@ -60,105 +62,91 @@ class OptimizationResult:
     # whose value is within _TIE_TOL (relative) of best_value
     best_settings: np.ndarray
     per_restart_values: tuple[float, ...]
-    # restarts whose better ascent met the relative stop, not a failed line
-    # search or the iteration cap; too low at odd N >= 7, where restarts at
-    # the optimum can end on a failed line search
+    # restarts whose better ascent met the relative stop, not a sweep that
+    # could not raise its value or the sweep cap
     converged_count: int
 
 
-class _MabkObjective:
-    """Batched signed MABK value and its gradient as functions of packed angles."""
-
-    def __init__(self, n: int, honest: bool):
-        self.n = n
-        self.honest = honest
-        self.n_obs = 2 * n - 1 if honest else 2 * n
-        self.dim = 2 * self.n_obs
-
-    def _trig(self, angles: np.ndarray) -> tuple[np.ndarray, ...]:
-        """sin/cos of theta and phi for all 2n observables, pinned slot first."""
-        if self.honest:
-            pinned = np.zeros(angles.shape[:-1] + (2,))
-            angles = np.concatenate((pinned, angles), axis=-1)
-        theta = angles[..., 0::2]
-        phi = angles[..., 1::2]
-        return np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
-
-    def observables(self, angles: np.ndarray) -> np.ndarray:
-        """Angles (..., dim) -> Bloch tensor (..., n, 2, 3)."""
-        return self._bloch(self._trig(angles))
-
-    def _bloch(self, trig: tuple[np.ndarray, ...]) -> np.ndarray:
-        st, ct, sp, cp = trig
-        bloch = np.stack((st * cp, st * sp, ct), axis=-1)  # (..., 2n, 3)
-        return bloch.reshape(st.shape[:-1] + (self.n, 2, 3))
-
-    def value(self, angles: np.ndarray) -> np.ndarray:
-        """Signed Bell value, batched over leading axes of ``angles``."""
-        return mabk_value(self.observables(angles))
-
-    def gradient(self, angles: np.ndarray) -> np.ndarray:
-        """Exact gradient of ``value`` with respect to ``angles``."""
-        trig = self._trig(angles)
-        g = mabk_gradient(self._bloch(trig))
-        g = g.reshape(angles.shape[:-1] + (2 * self.n, 3))
-        st, ct, sp, cp = trig
-        grad = np.empty(angles.shape[:-1] + (4 * self.n,))
-        grad[..., 0::2] = ct * (g[..., 0] * cp + g[..., 1] * sp) - st * g[..., 2]
-        grad[..., 1::2] = st * (g[..., 1] * cp - g[..., 0] * sp)
-        return grad[..., 4 * self.n - self.dim :]
+def _bloch(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Unit Bloch vectors (..., 3) at spherical angles theta and phi."""
+    st = np.sin(theta)
+    return np.stack((st * np.cos(phi), st * np.sin(phi), np.cos(theta)), axis=-1)
 
 
-def _initial_angles(objective: _MabkObjective, restarts: int, seed: int) -> np.ndarray:
-    angles = np.empty((restarts, objective.dim))
+def _free_slots(n: int, honest: bool) -> np.ndarray:
+    """(n, 2) mask of the slots the seesaw writes: all but the pinned key."""
+    free = np.ones((n, 2), dtype=bool)
+    free[0, 0] = not honest
+    return free
+
+
+def _initial_settings(n: int, honest: bool, restarts: int, seed: int) -> np.ndarray:
+    """Starting settings (restarts, n, 2, 3); restart r draws from rng([seed, r])."""
+    n_obs = 2 * n - int(honest)
+    angles = np.zeros((restarts, 2, 2 * n))  # theta, phi; the pinned slot 0 is z
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        theta = rng.uniform(0.0, np.pi, objective.n_obs)
-        phi = rng.uniform(0.0, 2.0 * np.pi, objective.n_obs)
-        angles[r, 0::2] = theta
-        angles[r, 1::2] = phi
-    return angles
+        angles[r, 0, 2 * n - n_obs :] = rng.uniform(0.0, np.pi, n_obs)
+        angles[r, 1, 2 * n - n_obs :] = rng.uniform(0.0, 2.0 * np.pi, n_obs)
+    return _bloch(angles[:, 0], angles[:, 1]).reshape(restarts, n, 2, 3)
+
+
+def _tangent_norm(
+    settings: np.ndarray, grad: np.ndarray, free: np.ndarray
+) -> np.ndarray:
+    """Largest ``|g - (g . b) b|`` over the free slots of each row."""
+    radial = (grad * settings).sum(axis=-1, keepdims=True) * settings
+    tangent = np.linalg.norm(grad - radial, axis=-1)
+    return np.where(free, tangent, 0.0).max(axis=(-2, -1))
+
+
+def _party_step(
+    settings: np.ndarray, grad: np.ndarray, k: int, free: np.ndarray
+) -> None:
+    """Set party k's free slots with a nonzero gradient to ``g/|g|``, in place."""
+    g = grad[:, k]
+    norm = np.linalg.norm(g, axis=-1, keepdims=True)
+    np.divide(g, norm, out=settings[:, k], where=free[k, :, None] & (norm > 0))
+
+
+def _sweep(
+    settings: np.ndarray, sign: np.ndarray, grad: np.ndarray, free: np.ndarray
+) -> None:
+    """One seesaw sweep of ``sign * value``, in place; ``grad`` is its gradient now.
+
+    Party 0 steps on ``grad``, every later party on a fresh gradient.
+    """
+    s = sign[:, None, None, None]
+    for k in range(settings.shape[1]):
+        if k:
+            grad = s * mabk_gradient(settings)
+        _party_step(settings, grad, k, free)
 
 
 def _ascend(
-    objective: _MabkObjective, sign: np.ndarray, x0: np.ndarray, config: OptimizerConfig
+    x0: np.ndarray, sign: np.ndarray, free: np.ndarray, config: OptimizerConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched ascent of ``sign[r] * value`` in each row r; returns (x, f, converged)."""
+    """Batched seesaw of ``sign[r] * value`` in each row r; returns (x, f, converged)."""
     x = x0.copy()
-    f = sign * objective.value(x)
-    step = np.full(len(x), 0.5)
+    f = sign * mabk_value(x)
     converged = np.zeros(len(x), dtype=bool)
     live = np.arange(len(x))  # rows still ascending, in row order
 
     for _ in range(config.max_iterations):
         if not live.size:
             break
-        grad = sign[live, None] * objective.gradient(x[live])
-        stop = np.abs(grad).max(axis=1) <= _CONVERGENCE_TOL * np.abs(f[live])
+        trial = x[live]
+        grad = sign[live, None, None, None] * mabk_gradient(trial)
+        stop = _tangent_norm(trial, grad, free) <= _CONVERGENCE_TOL * np.abs(f[live])
         converged[live[stop]] = True
-        live, grad = live[~stop], grad[~stop]
-        gsq = (grad * grad).sum(axis=1)
+        live, trial = live[~stop], trial[~stop]
 
-        moved = np.zeros(live.size, dtype=bool)
-        for _bt in range(_MAX_BACKTRACKS):
-            trying = np.flatnonzero(~moved)
-            if not trying.size:
-                break
-            rows = live[trying]
-            cand = x[rows] + step[rows, None] * grad[trying]
-            fc = sign[rows] * objective.value(cand)
-            ok = fc >= f[rows] + _ARMIJO_C1 * step[rows] * gsq[trying]
-            # a step too short to move x passes that test once the bound is
-            # below f's last bit; accepting it would keep the row alive,
-            # unmoved, until the iteration cap
-            ok &= (cand != x[rows]).any(axis=1)
-            x[rows[ok]] = cand[ok]
-            f[rows[ok]] = fc[ok]
-            moved[trying[ok]] = True
-            step[rows[~ok]] *= 0.5
-
-        live = live[moved]  # an exhausted line search is a local stop
-        step[live] = np.minimum(step[live] * _STEP_GROWTH, _MAX_STEP)
+        _sweep(trial, sign[live], grad[~stop], free)
+        ft = sign[live] * mabk_value(trial)
+        up = ft > f[live]  # a sweep that cannot raise the value is a local stop
+        live = live[up]
+        x[live] = trial[up]
+        f[live] = ft[up]
 
     return x, f, converged
 
@@ -167,15 +155,19 @@ def _maximize(n: int, honest: bool, config: OptimizerConfig | None) -> Optimizat
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     cfg = config if config is not None else OptimizerConfig()
-    objective = _MabkObjective(n, honest)
-    x0 = _initial_angles(objective, cfg.restarts, cfg.seed)
-
-    # rows 0..R-1 ascend +value, rows R..2R-1 -value, from the same starts;
-    # each restart keeps its better row, the +value one on a tie
     restarts = cfg.restarts
-    sign = np.repeat([1.0, -1.0], restarts)
-    x, f, converged = _ascend(objective, sign, np.concatenate((x0, x0)), cfg)
-    winner = np.argmax(f.reshape(2, restarts), axis=0) * restarts + np.arange(restarts)
+    x0 = _initial_settings(n, honest, restarts, cfg.seed)
+
+    # rows 0..R-1 ascend +value and, in the honest search, rows R..2R-1 -value
+    # from the same starts (the free -value seesaw mirrors the +value one);
+    # each restart keeps its better row, the +value one on a tie
+    signs = np.array([1.0, -1.0] if honest else [1.0])
+    sign = np.repeat(signs, restarts)
+    x, f, converged = _ascend(
+        np.tile(x0, (len(signs), 1, 1, 1)), sign, _free_slots(n, honest), cfg
+    )
+    winner = np.argmax(f.reshape(len(signs), restarts), axis=0) * restarts
+    winner += np.arange(restarts)
     values = f[winner]
 
     # several restarts reach the optimum up to rounding; the settings come
@@ -185,7 +177,7 @@ def _maximize(n: int, honest: bool, config: OptimizerConfig | None) -> Optimizat
     best = int(np.flatnonzero(values >= top - _TIE_TOL * max(1.0, abs(top)))[0])
     return OptimizationResult(
         best_value=top,
-        best_settings=objective.observables(x[winner[best]]),
+        best_settings=x[winner[best]],
         per_restart_values=tuple(float(v) for v in values),
         converged_count=int(converged[winner].sum()),
     )

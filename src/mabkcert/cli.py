@@ -33,7 +33,7 @@ SEED_DEFAULT = blochopt.OptimizerConfig().seed
 # prints has 2^(2*floor(n/2)) terms, fourfold more with every two parties.
 MAX_PARTIES = 10
 # Caps sized from the per-unit cost at n = 10: a theorem1 trial takes about
-# 1.4 us, an optimize restart about 5 ms.
+# 1.4 us, an optimize restart about 0.4 ms.
 MAX_TRIALS = 1_000_000
 MAX_RESTARTS = 200
 # theorem1 draws and evaluates its trials in blocks of this many; at n = 10 a

@@ -1,34 +1,50 @@
-"""Multi-start ascent: determinism, bound compliance, quick value checks."""
+"""Multi-start seesaw: determinism, bound compliance, quick value checks."""
 
 import math
 
 import numpy as np
 import pytest
 
+from mabkcert import blochopt
 from mabkcert.blochopt import (
     _CONVERGENCE_TOL,
     OptimizerConfig,
     _ascend,
-    _initial_angles,
-    _MabkObjective,
+    _bloch,
+    _free_slots,
+    _initial_settings,
+    _party_step,
+    _sweep,
+    _tangent_norm,
     maximize_honest_mabk,
     maximize_unconstrained_mabk,
 )
-from mabkcert.correlators import mabk_value, theorem1_bound
+from mabkcert.correlators import mabk_gradient, mabk_value, theorem1_bound
 
 QUICK = OptimizerConfig(restarts=12, seed=424242)
 
 
 def test_angles_to_bloch_axes():
-    # (theta, phi) per observable, in party-major order: z, x, y, then zeros
-    objective = _MabkObjective(3, honest=False)
-    angles = np.zeros(objective.dim)
-    angles[:6] = [0.0, 1.23, math.pi / 2, 0.0, math.pi / 2, math.pi / 2]
-    settings_ = objective.observables(angles)
-    assert settings_.shape == (3, 2, 3)
-    assert settings_[0, 0] == pytest.approx([0.0, 0.0, 1.0], abs=1e-15)
-    assert settings_[0, 1] == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
-    assert settings_[1, 0] == pytest.approx([0.0, 1.0, 0.0], abs=1e-15)
+    # (theta, phi) -> z, x, y
+    theta = np.array([0.0, math.pi / 2, math.pi / 2])
+    phi = np.array([1.23, 0.0, math.pi / 2])
+    axes = _bloch(theta, phi)
+    assert axes == pytest.approx(np.eye(3)[[2, 0, 1]], abs=1e-15)
+
+    # restart r maps the draws of rng([seed, r]), thetas then phis, one per
+    # observable in party-major order; the honest start's pinned slot is z
+    for honest in (True, False):
+        n, n_obs = 3, 6 - honest
+        starts = _initial_settings(n, honest, 4, seed=7)
+        assert starts.shape == (4, n, 2, 3)
+        for r in range(4):
+            rng = np.random.default_rng([7, r])
+            theta = rng.uniform(0.0, np.pi, n_obs)
+            phi = rng.uniform(0.0, 2.0 * np.pi, n_obs)
+            want = _bloch(theta, phi).reshape(-1, 3)
+            assert np.array_equal(starts[r].reshape(-1, 3)[honest:], want)
+        if honest:
+            assert starts[:, 0, 0].tolist() == [[0.0, 0.0, 1.0]] * 4
 
 
 def test_config_validation():
@@ -42,16 +58,25 @@ def test_config_validation():
 @pytest.mark.parametrize("honest", [True, False])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_exact_gradient_matches_central_differences(n, honest):
-    # angles range over [-2pi, 2pi] because the ascent leaves [0, pi]: a
-    # gradient that assumed sin(theta) >= 0 would pass on [0, pi] only
-    objective = _MabkObjective(n, honest)
-    rng = np.random.default_rng([n, honest])
-    angles = rng.uniform(-2 * np.pi, 2 * np.pi, size=(6, objective.dim))
+    # the stop rule's tangent norm is the value's derivative along the great
+    # circle through a free slot in its steepest direction, largest over the
+    # free slots; the honest search's pinned slot is not one of them
+    x = _initial_settings(n, honest, 6, seed=n)
+    free = _free_slots(n, honest)
+    grad = mabk_gradient(x)
     h = 1e-6
-    probes = angles[:, None, :] + h * np.eye(objective.dim)
-    back = angles[:, None, :] - h * np.eye(objective.dim)
-    numeric = (objective.value(probes) - objective.value(back)) / (2 * h)
-    assert np.abs(objective.gradient(angles) - numeric).max() < 1e-8
+    slopes = np.zeros((len(x), n, 2))
+    for i, inp in zip(*np.nonzero(free)):
+        b, g = x[:, i, inp], grad[:, i, inp]
+        t = g - (g * b).sum(axis=-1, keepdims=True) * b
+        u = t / np.linalg.norm(t, axis=-1, keepdims=True)
+        ends = []
+        for step in (h, -h):
+            y = x.copy()
+            y[:, i, inp] = b * np.cos(step) + u * np.sin(step)
+            ends.append(mabk_value(y))
+        slopes[:, i, inp] = (ends[0] - ends[1]) / (2 * h)
+    assert np.abs(_tangent_norm(x, grad, free) - slopes.max(axis=(1, 2))).max() < 1e-8
 
 
 def test_deterministic_given_seed():
@@ -76,28 +101,48 @@ def test_per_restart_seeding_is_a_counter_scheme(n, honest):
 @pytest.mark.parametrize("honest", [True, False])
 @pytest.mark.parametrize("n", [3, 4])
 def test_stacked_sign_ascent_equals_two_single_sign_ascents(n, honest):
-    objective = _MabkObjective(n, honest)
-    x0 = _initial_angles(objective, 9, seed=7)
+    x0 = _initial_settings(n, honest, 9, seed=7)
+    free = _free_slots(n, honest)
     ones = np.ones(len(x0))
-    plus = _ascend(objective, ones, x0, QUICK)
-    minus = _ascend(objective, -ones, x0, QUICK)
+    plus = _ascend(x0, ones, free, QUICK)
+    minus = _ascend(x0, -ones, free, QUICK)
     stacked = _ascend(
-        objective, np.concatenate((ones, -ones)), np.concatenate((x0, x0)), QUICK
+        np.concatenate((x0, x0)), np.concatenate((ones, -ones)), free, QUICK
     )
     for got, want_plus, want_minus in zip(stacked, plus, minus):
         assert np.array_equal(got, np.concatenate((want_plus, want_minus)))
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
+def test_the_free_minus_seesaw_mirrors_the_plus_one(n):
+    # negating party 0 negates the value bit for bit, and party 0 steps first,
+    # so the free -v seesaw ends at the +v one with party 0 negated: the free
+    # search runs only its R +v rows
+    x0 = _initial_settings(n, False, 24, seed=n)
+    free = _free_slots(n, False)
+    ones = np.ones(len(x0))
+    x_plus, f_plus, conv_plus = _ascend(x0, ones, free, OptimizerConfig())
+    x_minus, f_minus, conv_minus = _ascend(x0, -ones, free, OptimizerConfig())
+    x_plus[:, 0] *= -1
+    assert np.array_equal(x_minus, x_plus)
+    assert np.array_equal(f_minus, f_plus)
+    assert np.array_equal(conv_minus, conv_plus)
+
+
 @pytest.mark.parametrize("honest", [True, False])
 def test_each_restart_keeps_the_better_of_its_two_signed_ascents(honest):
     n, config = 4, OptimizerConfig(restarts=16, seed=424242)
-    objective = _MabkObjective(n, honest)
-    x0 = _initial_angles(objective, config.restarts, config.seed)
+    x0 = _initial_settings(n, honest, config.restarts, config.seed)
+    free = _free_slots(n, honest)
     ones = np.ones(config.restarts)
-    _, f_plus, conv_plus = _ascend(objective, ones, x0, config)
-    _, f_minus, conv_minus = _ascend(objective, -ones, x0, config)
-    # both signs must matter here, or the check below could not fail
-    assert (f_plus > f_minus).any() and (f_minus > f_plus).any()
+    _, f_plus, conv_plus = _ascend(x0, ones, free, config)
+    _, f_minus, conv_minus = _ascend(x0, -ones, free, config)
+    if honest:
+        # both signs must matter here, or the check below could not fail
+        assert (f_plus > f_minus).any() and (f_minus > f_plus).any()
+    else:
+        # the mirror: the two signed seesaws tie, and the +v one is kept
+        assert np.array_equal(f_plus, f_minus)
     result = (maximize_honest_mabk if honest else maximize_unconstrained_mabk)(
         n, config
     )
@@ -106,84 +151,139 @@ def test_each_restart_keeps_the_better_of_its_two_signed_ascents(honest):
     assert result.converged_count == np.where(plus_wins, conv_plus, conv_minus).sum()
 
 
-def equatorial_angles(objective, phases):
-    """Packed free-search angles of observables at theta = pi/2 and these phi."""
-    angles = np.empty(objective.dim)
-    angles[0::2] = math.pi / 2
-    angles[1::2] = np.ravel(phases)
-    return angles
+@pytest.mark.parametrize("honest", [True, False])
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_a_party_step_reaches_the_sum_of_its_gradient_norms(n, honest):
+    # the value is linear in a party's pair, so the step g/|g| lands on
+    # sum |g| over the free slots, plus the pinned slot's fixed term
+    free = _free_slots(n, honest)
+    for k in range(n):
+        x = _initial_settings(n, honest, 20, seed=100 + k)
+        grad = mabk_gradient(x)
+        want = np.where(free[k], np.linalg.norm(grad[:, k], axis=-1), 0.0).sum(-1)
+        if honest and k == 0:
+            want += (grad[:, 0, 0] * x[:, 0, 0]).sum(axis=-1)
+        _party_step(x, grad, k, free)
+        assert mabk_value(x) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        if honest:
+            assert x[:, 0, 0].tolist() == [[0.0, 0.0, 1.0]] * len(x)
 
 
-def assert_converged_at_once(objective, sign, x0):
+@pytest.mark.parametrize("honest", [True, False])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_a_sweep_never_lowers_the_value(n, honest):
+    x = _initial_settings(n, honest, 200, seed=n)
+    sign = np.resize([1.0, -1.0], len(x))
+    free = _free_slots(n, honest)
+    for sweep in range(5):
+        before = sign * mabk_value(x)
+        _sweep(x, sign, sign[:, None, None, None] * mabk_gradient(x), free)
+        after = sign * mabk_value(x)
+        if sweep == 0:
+            assert (after > before).all()  # no random start is a fixed point
+        # once at a fixed point, a sweep reproduces the value up to rounding
+        assert (after >= before - 1e-14 * np.abs(before)).all()
+
+
+def equatorial(phases):
+    """Settings (1, n, 2, 3) of observables at theta = pi/2 and these phi."""
+    phases = np.array(phases, dtype=float)
+    return _bloch(np.full(phases.shape, math.pi / 2), phases)[None]
+
+
+def assert_converged_at_once(sign, x0, free):
     config = OptimizerConfig(restarts=1, max_iterations=1)
-    x, f, converged = _ascend(objective, np.full(len(x0), sign), x0, config)
+    x, f, converged = _ascend(x0, np.full(len(x0), sign), free, config)
     assert converged.all()
     assert np.array_equal(x, x0)
-    assert np.array_equal(f, sign * objective.value(x0))
+    assert np.array_equal(f, sign * mabk_value(x0))
 
 
 def test_rows_at_an_optimum_converge_on_the_first_iteration():
     # Mermin's (Y, X) at every party: the free N=3 value -2
-    mermin = _MabkObjective(3, honest=False)
-    x0 = equatorial_angles(mermin, [(math.pi / 2, 0.0)] * 3)[None]
-    assert mermin.value(x0) == pytest.approx(-2.0, abs=1e-14)
-    assert_converged_at_once(mermin, -1.0, x0)
+    x0 = equatorial([(math.pi / 2, 0.0)] * 3)
+    assert mabk_value(x0) == pytest.approx(-2.0, abs=1e-14)
+    assert_converged_at_once(-1.0, x0, _free_slots(3, False))
 
     # party 0 at phases +-pi/4 and (Y, X) elsewhere: the free N=8 value
-    # 2**3.5; the stop is relative, so the same start nudged by 1e-8, with an
-    # angle derivative near 5.7e-8, also converges
+    # 2**3.5; the stop is relative, so the same start with party 0's first
+    # vector tilted by 1e-8 off the plane, a tangent gradient near 5.7e-8,
+    # also converges
     n = 8
-    free = _MabkObjective(n, honest=False)
-    phases = [(math.pi / 4, -math.pi / 4)] + [(math.pi / 2, 0.0)] * (n - 1)
-    optimum = equatorial_angles(free, phases)
-    x0 = np.stack((optimum, optimum + 1e-8 * np.eye(free.dim)[0]))
-    value = free.value(x0)
+    free = _free_slots(n, False)
+    optimum = equatorial([(math.pi / 4, -math.pi / 4)] + [(math.pi / 2, 0.0)] * 7)
+    tilted = optimum.copy()
+    tilted[0, 0, 0] = _bloch(math.pi / 2 + 1e-8, math.pi / 4)
+    x0 = np.concatenate((optimum, tilted))
+    value = mabk_value(x0)
     assert value == pytest.approx(2.0**3.5, abs=1e-12)
-    gnorm = np.abs(free.gradient(x0[1])).max()
-    assert 1e-8 < gnorm < _CONVERGENCE_TOL * value[1]
-    assert_converged_at_once(free, 1.0, x0)
+    tangent = _tangent_norm(tilted, mabk_gradient(tilted), free)[0]
+    assert 1e-8 < tangent < _CONVERGENCE_TOL * value[1]
+    assert_converged_at_once(1.0, x0, free)
 
 
 def test_rows_cut_by_the_iteration_cap_have_not_converged():
-    objective = _MabkObjective(4, honest=True)
-    x0 = _initial_angles(objective, 8, seed=7)
+    # the cap counts sweeps
+    x0 = _initial_settings(4, True, 8, seed=7)
+    free = _free_slots(4, True)
     sign = np.resize([1.0, -1.0], len(x0))
-    capped = OptimizerConfig(restarts=1, max_iterations=3)
-    x, f, converged = _ascend(objective, sign, x0, capped)
-    # a row that still moves in a fourth iteration was ascending at the cap
-    longer = OptimizerConfig(restarts=1, max_iterations=4)
-    cut = np.flatnonzero((_ascend(objective, sign, x0, longer)[0] != x).any(axis=1))
+    capped = OptimizerConfig(restarts=1, max_iterations=2)
+    x, f, converged = _ascend(x0, sign, free, capped)
+    # a row that still moves in a third sweep was ascending at the cap
+    longer = OptimizerConfig(restarts=1, max_iterations=3)
+    cut = np.flatnonzero((_ascend(x0, sign, free, longer)[0] != x).any(axis=(1, 2, 3)))
     assert cut.size
     assert not converged[cut].any()
     for r in cut:
-        alone = _ascend(objective, sign[r : r + 1], x0[r : r + 1], capped)
+        alone = _ascend(x0[r : r + 1], sign[r : r + 1], free, capped)
         assert np.array_equal(alone[0][0], x[r]) and alone[1][0] == f[r]
 
 
 class Spike:
-    """Value 1 at x = 1 and 0 elsewhere, with a small constant gradient."""
+    """Value 1 at the start and 0 elsewhere, with a constant gradient along x."""
 
-    def __init__(self):
+    def __init__(self, start):
+        self.start = start
         self.gradient_calls = 0
 
-    def value(self, x):
-        return (x == 1.0).all(axis=-1).astype(float)
+    def value(self, settings):
+        return (settings == self.start).all(axis=(-3, -2, -1)).astype(float)
 
-    def gradient(self, x):
+    def gradient(self, settings):
         self.gradient_calls += 1
-        return np.full(x.shape, 2e-8)
+        return np.broadcast_to([1.0, 0.0, 0.0], settings.shape).copy()
 
 
-def test_a_row_whose_only_acceptable_step_is_null_stops():
-    # every step that moves x loses the whole value, and after 27 halvings
-    # the step no longer moves x, where Armijo's bound is below the last bit
-    # of f; that null step must end the row, not keep it to the cap
-    spike = Spike()
-    x0 = np.ones((1, 4))
-    x, f, converged = _ascend(spike, np.ones(1), x0, OptimizerConfig())
-    assert spike.gradient_calls == 1
+def test_a_sweep_that_cannot_raise_the_value_ends_the_row_unconverged(monkeypatch):
+    # the start's tangent gradient fails the stop test, and the sweep that
+    # follows loses the whole value: the row must leave after that one sweep,
+    # unconverged and back at its start, not stay live to the cap
+    n = 4
+    x0 = np.broadcast_to([0.0, 0.0, 1.0], (1, n, 2, 3)).copy()
+    spike = Spike(x0)
+    monkeypatch.setattr(blochopt, "mabk_value", spike.value)
+    monkeypatch.setattr(blochopt, "mabk_gradient", spike.gradient)
+    x, f, converged = _ascend(x0, np.ones(1), _free_slots(n, True), OptimizerConfig())
+    assert spike.gradient_calls == n  # one sweep: one gradient per party
     assert np.array_equal(x, x0) and f.tolist() == [1.0]
     assert not converged.any()
+
+
+@pytest.mark.parametrize("n", [25, 29])
+def test_honest_large_n_reaches_the_cap(n):
+    # the seesaw's step does not scale with the value, which is about 1e-5
+    # of the cap at a random start here
+    result = maximize_honest_mabk(n, OptimizerConfig(restarts=16, seed=1))
+    assert result.best_value == pytest.approx(theorem1_bound(n), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_every_restart_at_the_optimum_counts_as_converged(n):
+    result = maximize_honest_mabk(n, OptimizerConfig(restarts=100, seed=1))
+    cap = theorem1_bound(n)
+    at_cap = sum(v == pytest.approx(cap, rel=1e-12) for v in result.per_restart_values)
+    assert at_cap == 100
+    assert result.converged_count == 100
 
 
 def test_best_is_max_of_restarts():

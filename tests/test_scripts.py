@@ -3,11 +3,14 @@
 import contextlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from mabkcert import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 NEEDS_DEV_FULL = pytest.mark.skipif(
@@ -153,3 +156,49 @@ def test_reproduce_script_exits_1_on_unwritable_out():
     assert out.returncode == 1
     assert out.stdout == ""
     assert_one_write_error_line(out.stderr)
+
+
+@pytest.mark.parametrize("read_only", ["file", "directory"])
+def test_reproduce_script_refuses_a_read_only_out(
+    tmp_path, monkeypatch, capsys, read_only
+):
+    # an existing --out the user may not write, or a new one in a directory
+    # the user may not write, is refused before the suite runs
+    out = tmp_path / "report.json"
+    if read_only == "file":
+        out.write_text("old\n")
+        locked, mode = out, 0o444
+    else:
+        locked, mode = tmp_path, 0o555
+    locked.chmod(mode)
+    if os.access(locked, os.W_OK):
+        # root may write any file whatever its mode: check as a user who may not
+        real_access = os.access
+
+        def access(path, how, **kwargs):
+            if how & os.W_OK and Path(path) == locked:
+                return False
+            return real_access(path, how, **kwargs)
+
+        monkeypatch.setattr(os, "access", access)
+
+    def run_suite(*args):
+        raise AssertionError("the suite ran")
+
+    main = runpy.run_path(str(ROOT / "scripts" / "reproduce_paper.py"))["main"]
+    monkeypatch.setattr(cli, "cmd_reproduce", run_suite)
+    argv = ["reproduce_paper.py", "--fast", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+    finally:
+        locked.chmod(0o755 if locked.is_dir() else 0o644)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--out: {locked} is not writable" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["report.json"] if read_only == "file" else []
+    )
+    if read_only == "file":
+        assert out.read_text() == "old\n"
