@@ -1,11 +1,12 @@
 """MABK Bell expressions on GHZ states, with certified moment-hierarchy bounds.
 
-Layers, bottom up: the GHZ stabilizer expansion in closed form and the dense
-matrix oracles (`stabilizer`, used by the tests only), MABK Bell expressions
-with dyadic coefficients (`mabk`), GHZ correlators, Bell values and bounds
-(`correlators`), multi-start Bloch-vector optimization (`blochopt`), the
-moment-matrix relaxation (`npa`), a small interior-point LMI solver with dual
-certificates (`sdp`), and a CLI (`cli`).  Import the submodules directly.
+Layers, bottom up: the GHZ stabilizer expansion in closed form (`stabilizer`,
+read only by the tests' stabilizer-sum oracle; the dense-matrix oracles live
+in the tests), MABK Bell expressions with dyadic coefficients (`mabk`), GHZ
+correlators, Bell values and bounds (`correlators`), multi-start Bloch-vector
+optimization (`blochopt`), the moment-matrix relaxation (`npa`), a small
+interior-point LMI solver with dual certificates (`sdp`), and a CLI (`cli`).
+Import the submodules directly.
 """
 
 __version__ = "0.1.0"

@@ -15,12 +15,14 @@ is the sum of the free ``|g_{i,x}|`` plus the pinned slot's fixed term, and
 no step lowers it.  A sweep steps party 0, then parties 1..n-1 in turn, each
 on a fresh gradient.  No step depends on the value's scale.
 
-The score is |v|, so each start ascends the signed objective ``sign * v``.
-The honest search runs both signs from every start and keeps the better, as
-``2R`` signed rows of one batch.  The free search runs only ``+v``: negating
-party 0 negates ``v`` bit for bit, so the ``-v`` seesaw, which steps party 0
-first, is the mirror of the ``+v`` one.  Rows are independent and every
-kernel operation is elementwise, so a batch equals its rows run one by one.
+The score is |v|, but the seesaw ascends ``+v`` only.  Negating one party's
+pair negates ``v`` and every other party's gradient bit for bit, so the
+``-v`` seesaw from a start is the ``+v`` seesaw from its mirror in that party.
+The honest search, whose party 0 is pinned, ascends its R starts and then
+their party-1 mirrors, negates party 1 back and keeps each restart's better
+row.  The free search runs its R starts alone: their party-0 mirrors equal
+them after party 0's first step.  Rows are independent and every kernel
+operation is elementwise, so a batch equals its rows run one by one.
 
 At the start of a sweep a row stops, converged, when the largest tangent part
 ``|g - (g . b) b|`` over its free slots is at most ``_CONVERGENCE_TOL`` times
@@ -109,26 +111,23 @@ def _party_step(
     np.divide(g, norm, out=settings[:, k], where=free[k, :, None] & (norm > 0))
 
 
-def _sweep(
-    settings: np.ndarray, sign: np.ndarray, grad: np.ndarray, free: np.ndarray
-) -> None:
-    """One seesaw sweep of ``sign * value``, in place; ``grad`` is its gradient now.
+def _sweep(settings: np.ndarray, grad: np.ndarray, free: np.ndarray) -> None:
+    """One seesaw sweep of the value, in place; ``grad`` is its gradient now.
 
     Party 0 steps on ``grad``, every later party on a fresh gradient.
     """
-    s = sign[:, None, None, None]
     for k in range(settings.shape[1]):
         if k:
-            grad = s * mabk_gradient(settings)
+            grad = mabk_gradient(settings)
         _party_step(settings, grad, k, free)
 
 
 def _ascend(
-    x0: np.ndarray, sign: np.ndarray, free: np.ndarray, config: OptimizerConfig
+    x0: np.ndarray, free: np.ndarray, config: OptimizerConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched seesaw of ``sign[r] * value`` in each row r; returns (x, f, converged)."""
+    """Batched seesaw of the value in each row; returns (x, f, converged)."""
     x = x0.copy()
-    f = sign * mabk_value(x)
+    f = mabk_value(x)
     converged = np.zeros(len(x), dtype=bool)
     live = np.arange(len(x))  # rows still ascending, in row order
 
@@ -136,13 +135,13 @@ def _ascend(
         if not live.size:
             break
         trial = x[live]
-        grad = sign[live, None, None, None] * mabk_gradient(trial)
+        grad = mabk_gradient(trial)
         stop = _tangent_norm(trial, grad, free) <= _CONVERGENCE_TOL * np.abs(f[live])
         converged[live[stop]] = True
         live, trial = live[~stop], trial[~stop]
 
-        _sweep(trial, sign[live], grad[~stop], free)
-        ft = sign[live] * mabk_value(trial)
+        _sweep(trial, grad[~stop], free)
+        ft = mabk_value(trial)
         up = ft > f[live]  # a sweep that cannot raise the value is a local stop
         live = live[up]
         x[live] = trial[up]
@@ -158,15 +157,15 @@ def _maximize(n: int, honest: bool, config: OptimizerConfig | None) -> Optimizat
     restarts = cfg.restarts
     x0 = _initial_settings(n, honest, restarts, cfg.seed)
 
-    # rows 0..R-1 ascend +value and, in the honest search, rows R..2R-1 -value
-    # from the same starts (the free -value seesaw mirrors the +value one);
-    # each restart keeps its better row, the +value one on a tie
-    signs = np.array([1.0, -1.0] if honest else [1.0])
-    sign = np.repeat(signs, restarts)
-    x, f, converged = _ascend(
-        np.tile(x0, (len(signs), 1, 1, 1)), sign, _free_slots(n, honest), cfg
-    )
-    winner = np.argmax(f.reshape(len(signs), restarts), axis=0) * restarts
+    # in the honest search, rows R..2R-1 ascend the starts with party 1
+    # negated, that is -value from the same starts; party 1 is negated back
+    # and each restart keeps its better row, the unmirrored one on a tie
+    if honest:
+        x0 = np.concatenate((x0, x0))
+        x0[restarts:, 1] *= -1
+    x, f, converged = _ascend(x0, _free_slots(n, honest), cfg)
+    x[restarts:, 1] *= -1
+    winner = np.argmax(f.reshape(-1, restarts), axis=0) * restarts
     winner += np.arange(restarts)
     values = f[winner]
 

@@ -214,13 +214,10 @@ def cmd_theorem1(n: int, trials: int, seed: int) -> RunReport:
         if n % 2 == 1
         else "pinned-key correlator equals the product of z-components"
     )
-    results = {"n": n, "trials": trials, "max_residual": max_residual}
-    if trials == 0:
-        results["warning"] = "no trials requested; verdict is vacuous"
     report = RunReport(
         command="theorem1",
         params={"n": n, "trials": trials, "seed": seed},
-        results=results,
+        results={"n": n, "trials": trials, "max_residual": max_residual},
     )
     report.add_verdict(claim, 0.0, max_residual, 1e-12)
     return report
@@ -413,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         "theorem1", parents=[common], help="residuals of the pinned-key correlators"
     )
     p.add_argument("--n", type=int_in(3, MAX_PARTIES), required=True)
-    p.add_argument("--trials", type=int_in(0, MAX_TRIALS), default=1000)
+    p.add_argument("--trials", type=int_in(1, MAX_TRIALS), default=1000)
     p.add_argument("--seed", type=int_in(0), default=SEED_DEFAULT)
     p.set_defaults(run=lambda a: cmd_theorem1(a.n, a.trials, a.seed))
 
@@ -477,8 +474,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.verbose > 1:
             for v in report.verdicts:
                 print(f"[mabkcert] verdict: {v}", file=sys.stderr)
-    if "warning" in report.results:
-        print(f"warning: {report.results['warning']}", file=sys.stderr)
 
     if not write_report(render(report, args.format)):
         return EXIT_WRITE

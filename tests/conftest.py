@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mabkcert.mabk import BitString
+from mabkcert.stabilizer import ghz_expansion
 
 # A Bloch vector is a float array (x, y, z); Z is sigma_z's.
 Z = (0.0, 0.0, 1.0)
@@ -63,6 +64,67 @@ def mabk_explicit(n: int) -> dict[BitString, Fraction]:
     _require_odd(n)
     norm = 2 ** ((n - 1) // 2)
     return {x: Fraction(mabk_sign(n, x), norm) for x in sorted(mabk_index_set(n))}
+
+
+# Dense oracles.  Matrices are built by successive ``np.kron`` with qubit 0
+# as the most significant bit, so basis state ``|b0 b1 ... >`` has column
+# index ``sum(b_i * 2**(N-1-i))``.  Tests rely on this ordering bit-for-bit.
+
+DENSE_QUBIT_LIMIT = 12
+
+_LETTER_MATRIX = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+# sigma_x, sigma_y, sigma_z on the first axis: tensordot(b, _SIGMA, 1) is b . sigma
+_SIGMA = np.stack([_LETTER_MATRIX[letter] for letter in "XYZ"])
+
+
+def _dense_guard(n: int) -> None:
+    if n > DENSE_QUBIT_LIMIT:
+        raise ValueError(f"dense guard: {n} qubits exceeds {DENSE_QUBIT_LIMIT}")
+
+
+def dense_matrix(word: str) -> np.ndarray:
+    """Dense ``2**N x 2**N`` matrix of a Pauli word such as ``"XZI"``."""
+    _dense_guard(len(word))
+    m = np.array([[1.0 + 0.0j]])
+    for letter in word:
+        m = np.kron(m, _LETTER_MATRIX[letter])
+    return m
+
+
+def observable_product_matrix(blochs: np.ndarray) -> np.ndarray:
+    """Dense Kronecker product over the rows of an (n, 3) array of ``b[i] . sigma``."""
+    blochs = np.asarray(blochs, dtype=float)
+    if blochs.ndim != 2 or blochs.shape[1] != 3:
+        raise ValueError(f"expected shape (n, 3), got {blochs.shape}")
+    m = np.array([[1.0 + 0.0j]])
+    for b in blochs:
+        m = np.kron(m, np.tensordot(b, _SIGMA, axes=1))
+    return m
+
+
+def ghz_vector(n: int) -> np.ndarray:
+    """State vector ``(|0...0> + |1...1>)/sqrt(2)`` in the package's bit order."""
+    _dense_guard(n)
+    v = np.zeros(2**n, dtype=complex)
+    v[0] = v[-1] = 1.0 / np.sqrt(2.0)
+    return v
+
+
+def ghz_dense(n: int) -> np.ndarray:
+    """Rank-1 GHZ projector as a dense ``2**N x 2**N`` matrix."""
+    v = ghz_vector(n)
+    return np.outer(v, v.conj())
+
+
+def expansion_sum_dense(n: int) -> np.ndarray:
+    """``2**-N`` times the signed sum of the expansion (must equal ghz_dense)."""
+    total = sum(sign * dense_matrix(word) for sign, word in ghz_expansion(n))
+    return total / 2**n
 
 
 @pytest.fixture

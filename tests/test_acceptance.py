@@ -20,7 +20,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import mabk_explicit
+from conftest import (
+    dense_matrix,
+    ghz_dense,
+    ghz_vector,
+    mabk_explicit,
+    observable_product_matrix,
+)
 from mabkcert.blochopt import (
     OptimizerConfig,
     maximize_honest_mabk,
@@ -34,13 +40,7 @@ from mabkcert.mabk import (
     mabk_recursion_step,
 )
 from mabkcert.npa import npa_upper_bound
-from mabkcert.stabilizer import (
-    dense_matrix,
-    ghz_dense,
-    ghz_expansion,
-    ghz_vector,
-    observable_product_matrix,
-)
+from mabkcert.stabilizer import ghz_expansion
 
 SEED = 20240811
 SQRT2 = math.sqrt(2.0)

@@ -24,6 +24,13 @@ from mabkcert.correlators import mabk_gradient, mabk_value, theorem1_bound
 QUICK = OptimizerConfig(restarts=12, seed=424242)
 
 
+def mirrored(x, party=1):
+    """A copy of settings x with one party's pair negated: the value negated."""
+    y = x.copy()
+    y[:, party] *= -1
+    return y
+
+
 def test_angles_to_bloch_axes():
     # (theta, phi) -> z, x, y
     theta = np.array([0.0, math.pi / 2, math.pi / 2])
@@ -100,30 +107,33 @@ def test_per_restart_seeding_is_a_counter_scheme(n, honest):
 
 @pytest.mark.parametrize("honest", [True, False])
 @pytest.mark.parametrize("n", [3, 4])
-def test_stacked_sign_ascent_equals_two_single_sign_ascents(n, honest):
+def test_a_batch_equals_its_rows_ascended_alone(n, honest):
+    # the honest search's batch: the starts, then their party-1 mirrors
     x0 = _initial_settings(n, honest, 9, seed=7)
+    x0 = np.concatenate((x0, mirrored(x0)))
     free = _free_slots(n, honest)
-    ones = np.ones(len(x0))
-    plus = _ascend(x0, ones, free, QUICK)
-    minus = _ascend(x0, -ones, free, QUICK)
-    stacked = _ascend(
-        np.concatenate((x0, x0)), np.concatenate((ones, -ones)), free, QUICK
-    )
-    for got, want_plus, want_minus in zip(stacked, plus, minus):
-        assert np.array_equal(got, np.concatenate((want_plus, want_minus)))
+    batch = _ascend(x0, free, QUICK)
+    for r in range(len(x0)):
+        alone = _ascend(x0[r : r + 1], free, QUICK)
+        for got, want in zip(batch, alone):
+            assert np.array_equal(got[r], want[0])
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
 def test_the_free_minus_seesaw_mirrors_the_plus_one(n):
-    # negating party 0 negates the value bit for bit, and party 0 steps first,
-    # so the free -v seesaw ends at the +v one with party 0 negated: the free
-    # search runs only its R +v rows
+    # the -v seesaw from a start is the +v one from its party-1 mirror, with
+    # party 1 negated back.  In the free search party 0 steps first and its
+    # gradient does not see party 0's sign, so the party-0 mirror ascends to
+    # the start's end point, and the -v seesaw ends at the +v one with party
+    # 0 negated: the free search runs only its R starts
     x0 = _initial_settings(n, False, 24, seed=n)
     free = _free_slots(n, False)
-    ones = np.ones(len(x0))
-    x_plus, f_plus, conv_plus = _ascend(x0, ones, free, OptimizerConfig())
-    x_minus, f_minus, conv_minus = _ascend(x0, -ones, free, OptimizerConfig())
-    x_plus[:, 0] *= -1
+    plus = _ascend(x0, free, OptimizerConfig())
+    for got, want in zip(_ascend(mirrored(x0, 0), free, OptimizerConfig()), plus):
+        assert np.array_equal(got, want)
+    x_plus, f_plus, conv_plus = plus
+    x_minus, f_minus, conv_minus = _ascend(mirrored(x0), free, OptimizerConfig())
+    x_minus[:, :2] *= -1  # party 1 back, then the party-0 mirror
     assert np.array_equal(x_minus, x_plus)
     assert np.array_equal(f_minus, f_plus)
     assert np.array_equal(conv_minus, conv_plus)
@@ -131,24 +141,34 @@ def test_the_free_minus_seesaw_mirrors_the_plus_one(n):
 
 @pytest.mark.parametrize("honest", [True, False])
 def test_each_restart_keeps_the_better_of_its_two_signed_ascents(honest):
-    n, config = 4, OptimizerConfig(restarts=16, seed=424242)
+    # the +v ascent of a start and the +v ascent of its party-1 mirror, which
+    # is the start's -v ascent; at this seed the honest search's best restart
+    # is won by its mirror
+    n, config = 4, OptimizerConfig(restarts=16, seed=4)
     x0 = _initial_settings(n, honest, config.restarts, config.seed)
     free = _free_slots(n, honest)
-    ones = np.ones(config.restarts)
-    _, f_plus, conv_plus = _ascend(x0, ones, free, config)
-    _, f_minus, conv_minus = _ascend(x0, -ones, free, config)
+    x_plus, f_plus, conv_plus = _ascend(x0, free, config)
+    x_minus, f_minus, conv_minus = _ascend(mirrored(x0), free, config)
+    x_minus = mirrored(x_minus)  # party 1 back
     if honest:
-        # both signs must matter here, or the check below could not fail
+        # both rows must matter here, or the check below could not fail
         assert (f_plus > f_minus).any() and (f_minus > f_plus).any()
     else:
-        # the mirror: the two signed seesaws tie, and the +v one is kept
+        # the mirror: the two ascents tie, and the start's is kept
         assert np.array_equal(f_plus, f_minus)
     result = (maximize_honest_mabk if honest else maximize_unconstrained_mabk)(
         n, config
     )
     plus_wins = f_plus >= f_minus
-    assert result.per_restart_values == tuple(np.where(plus_wins, f_plus, f_minus))
+    values = np.where(plus_wins, f_plus, f_minus)
+    assert result.per_restart_values == tuple(values)
     assert result.converged_count == np.where(plus_wins, conv_plus, conv_minus).sum()
+    # the reported settings are the first tied restart's winning row
+    top = values.max()
+    best = int(np.flatnonzero(values >= top - 1e-12 * max(1.0, top))[0])
+    assert plus_wins[best] != honest
+    want = (x_plus if plus_wins[best] else x_minus)[best]
+    assert np.array_equal(result.best_settings, want)
 
 
 @pytest.mark.parametrize("honest", [True, False])
@@ -172,13 +192,14 @@ def test_a_party_step_reaches_the_sum_of_its_gradient_norms(n, honest):
 @pytest.mark.parametrize("honest", [True, False])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_a_sweep_never_lowers_the_value(n, honest):
+    # every second row is a party-1 mirror: the -v case
     x = _initial_settings(n, honest, 200, seed=n)
-    sign = np.resize([1.0, -1.0], len(x))
+    x[1::2, 1] *= -1
     free = _free_slots(n, honest)
     for sweep in range(5):
-        before = sign * mabk_value(x)
-        _sweep(x, sign, sign[:, None, None, None] * mabk_gradient(x), free)
-        after = sign * mabk_value(x)
+        before = mabk_value(x)
+        _sweep(x, mabk_gradient(x), free)
+        after = mabk_value(x)
         if sweep == 0:
             assert (after > before).all()  # no random start is a fixed point
         # once at a fixed point, a sweep reproduces the value up to rounding
@@ -191,19 +212,20 @@ def equatorial(phases):
     return _bloch(np.full(phases.shape, math.pi / 2), phases)[None]
 
 
-def assert_converged_at_once(sign, x0, free):
+def assert_converged_at_once(x0, free):
     config = OptimizerConfig(restarts=1, max_iterations=1)
-    x, f, converged = _ascend(x0, np.full(len(x0), sign), free, config)
+    x, f, converged = _ascend(x0, free, config)
     assert converged.all()
     assert np.array_equal(x, x0)
-    assert np.array_equal(f, sign * mabk_value(x0))
+    assert np.array_equal(f, mabk_value(x0))
 
 
 def test_rows_at_an_optimum_converge_on_the_first_iteration():
-    # Mermin's (Y, X) at every party: the free N=3 value -2
+    # Mermin's (Y, X) at every party: the free N=3 value -2, whose -v optimum
+    # the seesaw meets as the party-1 mirror at +2
     x0 = equatorial([(math.pi / 2, 0.0)] * 3)
     assert mabk_value(x0) == pytest.approx(-2.0, abs=1e-14)
-    assert_converged_at_once(-1.0, x0, _free_slots(3, False))
+    assert_converged_at_once(mirrored(x0), _free_slots(3, False))
 
     # party 0 at phases +-pi/4 and (Y, X) elsewhere: the free N=8 value
     # 2**3.5; the stop is relative, so the same start with party 0's first
@@ -219,23 +241,24 @@ def test_rows_at_an_optimum_converge_on_the_first_iteration():
     assert value == pytest.approx(2.0**3.5, abs=1e-12)
     tangent = _tangent_norm(tilted, mabk_gradient(tilted), free)[0]
     assert 1e-8 < tangent < _CONVERGENCE_TOL * value[1]
-    assert_converged_at_once(1.0, x0, free)
+    assert_converged_at_once(x0, free)
 
 
 def test_rows_cut_by_the_iteration_cap_have_not_converged():
     # the cap counts sweeps
+    # every second row is a party-1 mirror: the -v case
     x0 = _initial_settings(4, True, 8, seed=7)
+    x0[1::2, 1] *= -1
     free = _free_slots(4, True)
-    sign = np.resize([1.0, -1.0], len(x0))
     capped = OptimizerConfig(restarts=1, max_iterations=2)
-    x, f, converged = _ascend(x0, sign, free, capped)
+    x, f, converged = _ascend(x0, free, capped)
     # a row that still moves in a third sweep was ascending at the cap
     longer = OptimizerConfig(restarts=1, max_iterations=3)
-    cut = np.flatnonzero((_ascend(x0, sign, free, longer)[0] != x).any(axis=(1, 2, 3)))
+    cut = np.flatnonzero((_ascend(x0, free, longer)[0] != x).any(axis=(1, 2, 3)))
     assert cut.size
     assert not converged[cut].any()
     for r in cut:
-        alone = _ascend(x0[r : r + 1], sign[r : r + 1], free, capped)
+        alone = _ascend(x0[r : r + 1], free, capped)
         assert np.array_equal(alone[0][0], x[r]) and alone[1][0] == f[r]
 
 
@@ -263,7 +286,7 @@ def test_a_sweep_that_cannot_raise_the_value_ends_the_row_unconverged(monkeypatc
     spike = Spike(x0)
     monkeypatch.setattr(blochopt, "mabk_value", spike.value)
     monkeypatch.setattr(blochopt, "mabk_gradient", spike.gradient)
-    x, f, converged = _ascend(x0, np.ones(1), _free_slots(n, True), OptimizerConfig())
+    x, f, converged = _ascend(x0, _free_slots(n, True), OptimizerConfig())
     assert spike.gradient_calls == n  # one sweep: one gradient per party
     assert np.array_equal(x, x0) and f.tolist() == [1.0]
     assert not converged.any()

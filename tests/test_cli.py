@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import Z, random_bloch
 from mabkcert import cli, correlators, mabk
@@ -89,7 +89,7 @@ INVALID_ARGV = st.one_of(
         st.integers(max_value=0), st.integers(min_value=cli.MAX_RESTARTS + 1)
     ).map(lambda r: ["optimize", "--n=3", f"--restarts={r}"]),
     st.one_of(
-        st.integers(max_value=-1), st.integers(min_value=cli.MAX_TRIALS + 1)
+        st.integers(max_value=0), st.integers(min_value=cli.MAX_TRIALS + 1)
     ).map(lambda t: ["theorem1", "--n=3", f"--trials={t}"]),
     st.one_of(
         st.floats(max_value=cli.MIN_TOL, exclude_max=True),
@@ -106,6 +106,7 @@ INVALID_ARGV = st.one_of(
 
 @settings(max_examples=80, deadline=None)
 @given(INVALID_ARGV)
+@example(["theorem1", "--n=3", "--trials=0"])  # no trials would pass vacuously
 def test_invalid_inputs_exit_with_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -175,15 +176,6 @@ def test_theorem1_passes_odd_and_even(capsys, monkeypatch):
         # the oracle's trials, up to the rounding of the vector norm
         assert len(evaluated) == 4
         assert np.allclose(np.concatenate(evaluated), drawn, rtol=0.0, atol=1e-15)
-
-
-def test_theorem1_zero_trials_warns_but_passes(capsys):
-    code, out, err = run(
-        capsys, "theorem1", "--n", "5", "--trials", "0", "--format", "json"
-    )
-    assert code == cli.EXIT_OK
-    assert "vacuous" in json.loads(out)["results"]["warning"]
-    assert "warning" in err
 
 
 def test_optimize_unconstrained_small(capsys):
@@ -312,8 +304,8 @@ def test_numerical_failure_prints_only_the_trace_tail(capsys, monkeypatch):
 @pytest.mark.parametrize("verbosity", [1, 2])
 @pytest.mark.parametrize(
     "argv",
-    [["mabk-show", "--n", "3"], ["theorem1", "--n", "3", "--trials", "0"]],
-    ids=["mabk-show", "theorem1-warning"],
+    [["mabk-show", "--n", "3"], ["theorem1", "--n", "3", "--trials", "10"]],
+    ids=["mabk-show", "theorem1"],
 )
 def test_verbose_adds_only_stderr_lines(capsys, argv, verbosity):
     # -v adds one timing line ahead of the usual stderr, -vv one more line per

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import Z, bloch_with_z, random_bloch
+from conftest import (
+    Z,
+    bloch_with_z,
+    ghz_dense,
+    observable_product_matrix,
+    random_bloch,
+)
 from mabkcert.correlators import (
     ghz_expectation,
     ghz_expectation_batch,
@@ -18,7 +24,7 @@ from mabkcert.correlators import (
     theorem1_bound,
 )
 from mabkcert.mabk import mabk_expression
-from mabkcert.stabilizer import ghz_dense, ghz_expansion, observable_product_matrix
+from mabkcert.stabilizer import ghz_expansion
 
 X = (1.0, 0.0, 0.0)
 Y = (0.0, 1.0, 0.0)
@@ -230,6 +236,21 @@ def test_negating_first_party_flips_each_term_but_not_the_value(rng):
                 term_blochs(s[0], inputs) for s in (settings_, flipped)
             )
             assert ghz_expectation(n, flipped_blochs) == -ghz_expectation(n, blochs)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_negating_a_party_negates_the_value_and_the_other_gradients(rng, n):
+    # bit for bit, which is what lets the optimizer ascend -v as +v from a
+    # start with one party negated
+    settings_ = random_settings(rng, (16, n))
+    value, grad = mabk_value(settings_), mabk_gradient(settings_)
+    for k in range(n):
+        flipped = settings_.copy()
+        flipped[:, k] *= -1.0
+        others = -grad
+        others[:, k] = grad[:, k]
+        assert np.array_equal(mabk_value(flipped), -value)
+        assert np.array_equal(mabk_gradient(flipped), others)
 
 
 def test_report_value_is_absolute_weighted_sum(rng):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import Z, random_bloch
+from conftest import Z, ghz_dense, observable_product_matrix, random_bloch
 from mabkcert.blochopt import OptimizerConfig, maximize_unconstrained_mabk
 from mabkcert.correlators import mabk_value
 from mabkcert.mabk import mabk_expression
@@ -27,7 +27,6 @@ from mabkcert.npa import (
     reduce_structure,
 )
 from mabkcert.sdp import solve, verify_certificate
-from mabkcert.stabilizer import ghz_dense, observable_product_matrix
 
 A0 = OperatorLetter(0, 0)
 A1 = OperatorLetter(0, 1)

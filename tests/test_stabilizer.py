@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from mabkcert.stabilizer import (
+from conftest import (
     dense_matrix,
     expansion_sum_dense,
     ghz_dense,
-    ghz_expansion,
     ghz_vector,
     observable_product_matrix,
 )
+from mabkcert.stabilizer import ghz_expansion
 
 
 def test_expansion_n3_selected_elements():
