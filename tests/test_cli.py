@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import Z, random_bloch
 from mabkcert import cli, correlators, mabk
@@ -106,11 +106,20 @@ INVALID_ARGV = st.one_of(
 
 @settings(max_examples=80, deadline=None)
 @given(INVALID_ARGV)
-@example(["theorem1", "--n=3", "--trials=0"])  # no trials would pass vacuously
 def test_invalid_inputs_exit_with_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == cli.EXIT_USAGE
+
+
+def test_theorem1_zero_trials_is_a_usage_error(capsys):
+    # no trials would pass vacuously, so the parser refuses 0 before any work
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["theorem1", "--n", "5", "--trials", "0", "--format", "json"])
+    out = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_USAGE
+    assert out.out == ""
+    assert "argument --trials: must be in [1, " in out.err
 
 
 def _passes(verdict, at_most):
