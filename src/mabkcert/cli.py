@@ -39,9 +39,9 @@ MAX_RESTARTS = 200
 # theorem1 draws and evaluates its trials in blocks of this many; at n = 10 a
 # block's arrays take about 8 MB, a single draw of every trial 661 MB.
 THEOREM1_BLOCK = 8192
-# Smallest npa --tol: every level-2/3 orbit problem converges at 1e-12 (in 15
-# to 24 iterations) and at 1e-13 (16 to 26), but at 1e-14 both pinned problems
-# break down before reaching it.
+# Smallest npa --tol: every level-2/3 block problem converges at 1e-12 (in 15
+# or 16 iterations) and at 1e-13 (16 to 23), but at 1e-14 all but the level-2
+# unpinned one break down before reaching it.
 MIN_TOL = 1e-12
 EXIT_OK = 0
 EXIT_WRITE = 1
@@ -62,6 +62,8 @@ class RunReport:
     results: dict
     verdicts: list[dict] = field(default_factory=list)
     duration_ms: float | None = None  # wall time, set by the caller that times it
+    # stderr lines for -vv (solver timings and the like), never in the payload
+    diagnostics: list[str] = field(default_factory=list)
 
     def add_verdict(
         self,
@@ -273,7 +275,12 @@ def cmd_optimize(n: int, restarts: int, seed: int, honest_flag: bool) -> RunRepo
     return report
 
 
-def cmd_npa(level: int, with_constraint: bool, tol: float) -> RunReport:
+def cmd_npa(
+    level: int, with_constraint: bool, tol: float, level2_bound: float | None = None
+) -> RunReport:
+    """The certified bound at ``level``.  A level-3 report checks monotonicity
+    against ``level2_bound``, the level-2 bound of the same problem, and
+    solves that problem at ``tol`` itself when none is given."""
     result = npa.npa_upper_bound(level, with_constraint, tol=tol)
     results = {
         "bound": result.bound,
@@ -304,17 +311,27 @@ def cmd_npa(level: int, with_constraint: bool, tol: float) -> RunReport:
         else:
             report.add_verdict("unconstrained bound equals 2", 2.0, result.bound, 1e-5)
     else:
-        level2 = npa.npa_upper_bound(2, with_constraint, tol=tol)
-        results["level2_bound"] = level2.bound
+        if level2_bound is None:
+            level2_bound = npa.npa_upper_bound(2, with_constraint, tol=tol).bound
+        results["level2_bound"] = level2_bound
         report.add_verdict(
             "hierarchy monotonicity: level-3 bound at most the level-2 bound",
-            level2.bound,
+            level2_bound,
             result.bound,
             1e-6,
             at_most=True,
         )
     report.add_verdict(
         "dual certificate verified", 1.0, 1.0 if result.verified else 0.0, 0.0
+    )
+    solution = result.solution
+    report.diagnostics.append(
+        f"npa level {level}, perfect_correlations={with_constraint}:"
+        f" blocks {solution.block_sizes}, {solution.iterations} iterations,"
+        f" Schur assembly {solution.schur_s:.4f} s,"
+        f" factorizations {solution.factor_s:.4f} s,"
+        f" step lengths {solution.step_s:.4f} s,"
+        f" final dual residual {solution.dual_residual:.3e}"
     )
     return report
 
@@ -333,11 +350,12 @@ def cmd_reproduce(seed: int, fast: bool) -> RunReport:
     sub.append(cmd_optimize(5, restarts, seed, honest_flag=True))
     for n in (3, 4, 5):
         sub.append(cmd_optimize(n, restarts, seed, honest_flag=False))
-    sub.append(cmd_npa(2, True, 1e-9))
-    sub.append(cmd_npa(2, False, 1e-9))
+    level2 = [cmd_npa(2, pc, 1e-9) for pc in (True, False)]
+    sub += level2
     if not fast:
-        sub.append(cmd_npa(3, True, 1e-8))
-        sub.append(cmd_npa(3, False, 1e-8))
+        for r in level2:
+            pc, bound = r.params["perfect_correlations"], r.results["bound"]
+            sub.append(cmd_npa(3, pc, 1e-8, level2_bound=bound))
 
     report = RunReport(
         command="reproduce-paper",
@@ -350,6 +368,7 @@ def cmd_reproduce(seed: int, fast: bool) -> RunReport:
     for r in sub:
         for v in r.verdicts:
             report.verdicts.append({**v, "claim": f"{r.command}: {v['claim']}"})
+        report.diagnostics += r.diagnostics
     return report
 
 
@@ -474,6 +493,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.verbose > 1:
             for v in report.verdicts:
                 print(f"[mabkcert] verdict: {v}", file=sys.stderr)
+            for line in report.diagnostics:
+                print(f"[mabkcert] {line}", file=sys.stderr)
 
     if not write_report(render(report, args.format)):
         return EXIT_WRITE

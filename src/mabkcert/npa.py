@@ -57,25 +57,34 @@ smallest member.  ``lower_to_sdp`` then turns the reduced class matrix into
 ``F0`` (ones at the pinned entries) and the upper-triangle basis entries of
 ``sdp.SdpProblem`` (one variable per free class) by array indexing.
 
-The solve runs on symmetry orbits (Gatermann & Parrilo 2004; Tavakoli, Rosset
-& Renou 2019).  Let a permutation ``g`` of the kept rows map ``F0`` to
-``F0``, each ``F_v`` onto one ``F_tau(v)`` and ``c`` to itself.  Then ``g``
-maps feasible points to feasible points of equal objective, and by convexity
-the average of a feasible point over the group ``G`` of such permutations is
-feasible, has the same objective and is constant on the orbits of ``tau``.
-The problem with one variable per orbit, whose basis rows and ``c`` are
-summed over the orbit, therefore has the same optimum.  Its dual ``Z`` only
-satisfies each orbit's summed stationarity condition; averaged over ``G`` it
-stays PSD, keeps ``<F0, Z>`` and meets ``<F_v, Z> = -c_v`` for every ``v``,
-because each ``<F_v, Z>`` becomes the mean over ``v``'s orbit and ``c`` is
-constant there.  So the averaged ``Z`` is a certificate for the unreduced
-problem, and ``verify_certificate`` and ``certified_upper_bound`` check it on
-that problem: a wrong symmetry would leave stationarity residuals that the
-first refuses and the second charges, so the symmetry is never trusted.
-MABK is symmetric under every party permutation and the pins under those
-that fix the first party; ``party_symmetries`` takes the permutations that
-map every basis word into the basis and keeps those that pass the check on the
-lowered problem.
+The solve runs on symmetry orbits, in symmetry-adapted blocks (Gatermann &
+Parrilo 2004; Tavakoli, Rosset & Renou 2019).  Let a permutation ``g`` of the
+kept rows map ``F0`` to ``F0``, each ``F_v`` onto one ``F_tau(v)`` and ``c``
+to itself.  Then ``g`` maps feasible points to feasible points of equal
+objective, and by convexity the average of a feasible point over the group
+``G`` of such permutations is feasible, has the same objective and is
+constant on the orbits of ``tau``.  The problem with one variable per orbit,
+whose basis rows and ``c`` are summed over the orbit, therefore has the same
+optimum.  Its ``F0`` and orbit basis matrices ``F_J`` commute with every
+row permutation matrix of ``G``, so ``symmetry_adapted_bases`` finds one
+orthonormal basis ``Q_c`` per irreducible type of ``G``'s action on the rows,
+each spanning an invariant subspace of every ``F_J`` on which ``F_J`` has,
+up to multiplicity, all its eigenvalues; the other copies of each type have
+the same ones.  The solve therefore runs on the blocks ``Q_c^T F Q_c`` with
+the same feasible set.  Its block dual lifts to ``Z = sum_c Q_c Z_c Q_c^T``,
+which meets each orbit's summed stationarity condition exactly for any
+bases, as ``<F_J, Z> = sum_c <Q_c^T F_J Q_c, Z_c>``: bases that missed an
+invariant subspace could only restrict the dual and loosen the bound.
+Averaged over ``G``, ``Z`` stays PSD, keeps ``<F0, Z>`` and meets ``<F_v, Z>
+= -c_v`` for every ``v``, because each ``<F_v, Z>`` becomes the mean over
+``v``'s orbit and ``c`` is constant there.  So the averaged ``Z`` is a
+certificate for the unreduced problem, and ``verify_certificate`` and
+``certified_upper_bound`` check it on that problem: a wrong symmetry would
+leave stationarity residuals that the first refuses and the second charges,
+so the symmetry is never trusted.  MABK is symmetric under every party
+permutation and the pins under those that fix the first party;
+``party_symmetries`` takes the permutations that map every basis word into
+the basis and keeps those that pass the check on the lowered problem.
 """
 
 from __future__ import annotations
@@ -98,6 +107,13 @@ from .sdp import (
 )
 
 KEY_INPUT = 2  # the key-generation setting of every party after the first
+# Seed of the group-algebra weights of symmetry_adapted_bases: fixed, so that
+# repeated solves are bit-identical.
+GROUP_ALGEBRA_SEED = 0
+# Block entries below this modulus are rounding residue of exact zeros and
+# are dropped: in the N=3 and N=4 problems that residue is at most 3e-16 and
+# every other block entry at least 0.09.
+BLOCK_ENTRY_FLOOR = 1e-12
 
 
 class OperatorLetter(NamedTuple):
@@ -428,18 +444,130 @@ def party_symmetries(
     return found
 
 
+def _cluster(values: np.ndarray, tol: float) -> np.ndarray:
+    """Cluster labels of ``values``: in sorted order, a gap above ``tol``
+    starts the next cluster, so equal values up to rounding share a label."""
+    order = np.argsort(values, kind="stable")
+    labels = np.empty(len(values), dtype=np.intp)
+    labels[order] = np.cumsum(np.diff(values[order], prepend=-np.inf) > tol) - 1
+    return labels
+
+
+def _orbit_eigenspaces(images: np.ndarray, weights: np.ndarray) -> tuple:
+    """Eigenvalues and eigenvectors of ``A`` on one row orbit, and each
+    eigenvector's eigenvalue under ``C`` (see ``symmetry_adapted_bases``);
+    ``images[g]`` are the orbit positions that group element ``g`` moves the
+    orbit's rows to."""
+    from scipy.linalg import eigh
+
+    size = images.shape[1]
+    a = np.zeros((size, size))
+    for weight, image in zip(weights, images):
+        a[image, np.arange(size)] += weight
+    a += a.T
+    central = np.zeros((size, size))
+    for image in images:
+        central[np.ix_(image, image)] += a
+    lam, vec = eigh(a)
+    return lam, vec, np.einsum("ia,ij,ja->a", vec, central, vec) / len(images)
+
+
+def symmetry_adapted_bases(row_permutations: list[np.ndarray]) -> list[np.ndarray]:
+    """Orthonormal bases, one per irreducible type of a row permutation group,
+    that block-diagonalize every symmetric matrix the group fixes.
+
+    With ``P_g e_i = e_{g(i)}``, a matrix ``F`` fixed by the group commutes
+    with every ``P_g``, hence with the symmetric group-algebra element ``A =
+    sum_g r_g (P_g + P_g^T)`` (seeded weights ``r_g`` in [1, 2)), and maps
+    each eigenspace of ``A`` into itself.  For generic weights those
+    eigenspaces are, for each irreducible type of multiplicity ``m`` and
+    dimension ``n``, ``n`` spaces of dimension ``m`` on which every fixed
+    ``F`` acts alike (Gatermann & Parrilo 2004), so one of them per type
+    carries all of ``F``'s eigenvalues.  The type of an eigenvector is its
+    eigenvalue under the central element ``C``, the group average of
+    ``P_g A P_g^T``.  ``A`` and ``C`` act on each row orbit alone, so both
+    are diagonalized orbit by orbit, once per distinct action on an orbit,
+    and every basis vector lives on one orbit.  Eigenvalues closer than 1e-8
+    of ``A``'s norm bound are taken as equal; the kept eigenspace of each
+    type is the one of smallest eigenvalue.
+    """
+    perms = np.asarray(row_permutations)
+    n_group, k = perms.shape
+    orbit = _min_labels(k, np.tile(np.arange(k), n_group), perms.ravel())
+    weights = np.random.default_rng(GROUP_ALGEBRA_SEED).uniform(1.0, 2.0, n_group)
+    actions: dict[bytes, tuple] = {}
+    supports, vectors, eigenvalues, types = [], [], [], []
+    for root in np.unique(orbit):
+        rows = np.flatnonzero(orbit == root)
+        images = np.searchsorted(rows, perms[:, rows])
+        key = images.tobytes()
+        if key not in actions:
+            actions[key] = _orbit_eigenspaces(images, weights)
+        lam, vec, gamma = actions[key]
+        supports += [rows] * len(rows)
+        vectors += list(vec.T)
+        eigenvalues.append(lam)
+        types.append(gamma)
+    tol = 1e-8 * 2.0 * weights.sum()
+    copy = _cluster(np.concatenate(eigenvalues), tol)
+    kind = _cluster(np.concatenate(types), tol)
+    bases = []
+    for t in range(kind.max() + 1):
+        kept = np.flatnonzero((kind == t) & (copy == copy[kind == t].min()))
+        q = np.zeros((k, len(kept)))
+        for column, v in enumerate(kept):
+            q[supports[v], column] = vectors[v]
+        bases.append(q)
+    return bases
+
+
+def _block_problem(problem: SdpProblem, bases: list[np.ndarray]) -> SdpProblem:
+    """``problem`` restricted to the spans of ``bases``, one diagonal block
+    each: block ``c`` holds ``Q_c^T F Q_c`` for ``F0`` and every ``F_i``,
+    whose entries below ``BLOCK_ENTRY_FLOOR`` in modulus (rounding left over
+    where the exact entry is zero) are dropped."""
+    from scipy.linalg import block_diag
+    from scipy.sparse import csr_matrix, kron
+
+    var, row, col, value, f0 = [], [], [], [], []
+    start = 0
+    for q in bases:
+        b = q.shape[1]
+        sparse_q = csr_matrix(q)
+        entries = (problem.operator @ kron(sparse_q, sparse_q)).tocoo()
+        i, j = np.divmod(entries.col, b)
+        keep = (i <= j) & (np.abs(entries.data) > BLOCK_ENTRY_FLOOR)
+        var.append(entries.row[keep])
+        row.append(i[keep] + start)
+        col.append(j[keep] + start)
+        value.append(entries.data[keep])
+        f0.append(q.T @ problem.f0 @ q)
+        start += b
+    return SdpProblem(
+        f0=block_diag(*f0),
+        var=np.concatenate(var),
+        row=np.concatenate(row),
+        col=np.concatenate(col),
+        value=np.concatenate(value),
+        c=problem.c,
+        blocks=tuple(q.shape[1] for q in bases),
+    )
+
+
 def solve_on_orbits(
     problem: SdpProblem,
     symmetries: list[tuple[np.ndarray, np.ndarray]],
     tol: float,
 ) -> SdpSolution:
-    """Solve ``problem`` with one variable per orbit; lift the solution back.
+    """Solve ``problem`` with one variable per orbit, in symmetry-adapted
+    blocks; lift the solution back.
 
     ``symmetries`` is a group of (row, variable) permutations of ``problem``.
     The orbit problem relabels each basis entry's variable by its orbit and
-    sums ``c`` over each orbit; its ``y`` spreads back over the orbits, and
-    its ``Z``, averaged over the group, is a dual point of ``problem`` itself
-    (see the module docstring).
+    sums ``c`` over each orbit; ``symmetry_adapted_bases`` splits it into one
+    block per irreducible type.  Its ``y`` spreads back over the orbits, and
+    its block ``Z``, lifted to ``sum_c Q_c Z_c Q_c^T`` and averaged over the
+    group, is a dual point of ``problem`` itself (see the module docstring).
     """
     m = problem.n_vars
     orbit = _min_labels(
@@ -448,15 +576,13 @@ def solve_on_orbits(
         np.concatenate([variables for _, variables in symmetries]),
     )
     _, orbit_of = np.unique(orbit, return_inverse=True)
-    solution = solve(
-        replace(
-            problem,
-            var=orbit_of[problem.var],
-            c=np.bincount(orbit_of, weights=problem.c),
-        ),
-        tol=tol,
+    orbits = replace(
+        problem, var=orbit_of[problem.var], c=np.bincount(orbit_of, weights=problem.c)
     )
-    z = solution.dual_matrix
+    bases = symmetry_adapted_bases([rows for rows, _ in symmetries])
+    solution = solve(_block_problem(orbits, bases), tol=tol)
+    q = np.hstack(bases)
+    z = q @ solution.dual_matrix @ q.T
     z = sum(z[np.ix_(rows, rows)] for rows, _ in symmetries) / len(symmetries)
     return replace(
         solution,

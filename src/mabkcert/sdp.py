@@ -1,21 +1,23 @@
-"""Small deterministic primal-dual interior-point solver for LMI problems.
+"""Small deterministic primal-dual interior-point solver for block LMI problems.
 
 Problem form:
 
     maximize    c . y
     subject to  M(y) = F0 + sum_i y_i F_i  is positive semidefinite
 
-with symmetric basis matrices ``F_i`` of disjoint support.  The Lagrange dual is
+with symmetric basis matrices ``F_i``, all block-diagonal with one fixed
+list of diagonal block sizes (one block is the plain LMI).  The Lagrange dual
+is
 
     minimize    <F0, Z>
     subject to  <F_i, Z> = -c_i  for all i,   Z >= 0,
 
-so any dual-feasible ``Z`` certifies ``c . y <= <F0, Z>``.  The solver runs the
-HKM primal-dual iteration with Mehrotra's predictor-corrector step (Mehrotra
-1992; with the HKM direction as in SDPT3, Toh, Todd & Tutuncu 1999).  Each
-iteration assembles and Cholesky-factors the Schur matrix
-``H_ij = <F_i, sym(W F_j Z)>``, ``W = S^-1``, once, and solves with that one
-factor twice:
+so any dual-feasible ``Z`` certifies ``c . y <= <F0, Z>``; an optimal ``Z`` is
+block-diagonal too.  The solver runs the HKM primal-dual iteration with
+Mehrotra's predictor-corrector step (Mehrotra 1992; with the HKM direction as
+in SDPT3, Toh, Todd & Tutuncu 1999).  Each iteration assembles and
+Cholesky-factors the Schur matrix ``H_ij = <F_i, sym(W F_j Z)>``,
+``W = S^-1``, once, and solves with that one factor twice:
 
 * predictor: ``H dy = c``, the affine step toward ``mu = 0``, whose step
   lengths to the boundary give ``mu_aff``;
@@ -24,7 +26,10 @@ factor twice:
   0.1 |gap| / (d mu)))``.  The floor keeps ``sigma mu`` at no less than a
   tenth of the per-dimension duality gap: without it ``mu`` can collapse
   while a lagging dual residual holds the gap up, and ``Z`` loses
-  definiteness before the gap closes.
+  definiteness before the gap closes.  The corrector's ``dy`` is refined
+  once against the operator, ``<F_i, W dS Z>``, which the assembled ``H``
+  only approximates; without that step the dual residual grows a
+  thousandfold as ``mu`` falls below 1e-12.
 
 The corrector's step lengths follow the fraction-to-boundary rule (0.98), with
 positive-definiteness checked through symmetric (Cholesky-based)
@@ -35,15 +40,24 @@ Every ``y_i`` is free: a moment with a fixed value is not a variable, and
 callers fold it into ``F0`` themselves, as ``npa.lower_to_sdp`` does for the
 perfect-correlation pins.
 
-The iterates are dense.  ``SdpProblem`` holds the basis as upper-triangle
-entry arrays: entry ``e`` puts ``value[e]`` at ``(row[e], col[e])`` and at
-``(col[e], row[e])`` of ``F_var[e]``, so every ``F_i`` is symmetric by
-construction.  This module alone turns them into an operator:
-``SdpProblem.operator``, built once per problem, is one CSR matrix of shape
-(m, d*d) whose row ``i`` is ``F_i`` flattened, so the adjoint ``<F_i, Z>`` is
-``operator @ vec(Z)``, ``sum y_i F_i`` is ``operator.T @ y`` reshaped, and each
-Schur column is one sparse product with a dense ``W F_j Z`` (the column-wise
-sparse evaluation of Fujisawa, Kojima & Nakata 1997).  scipy is imported by the
+``SdpProblem`` holds the basis as upper-triangle entry arrays: entry ``e`` puts
+``value[e]`` at ``(row[e], col[e])`` and at ``(col[e], row[e])`` of
+``F_var[e]``, so every ``F_i`` is symmetric by construction, and ``blocks``
+lists the diagonal block sizes, which no entry and no nonzero of ``F0`` may
+cross.  This module alone turns the entries into operators: ``SdpProblem.
+operator`` is one CSR matrix of shape (m, d*d) whose row ``i`` is ``F_i``
+flattened, so the adjoint ``<F_i, Z>`` is ``operator @ vec(Z)`` and
+``sum y_i F_i`` is ``operator.T @ y`` reshaped; ``solve`` builds the same
+operator per block, of shape (m, b*b), and keeps every iterate as a list of
+dense blocks.  The Schur matrix is a sum over the blocks.  Within a block, the
+column of ``F_j`` is ``<F_i, W F_j Z>`` for all ``i`` (the column-wise sparse
+evaluation of Fujisawa, Kojima & Nakata 1997), and ``W F_j Z`` is a
+(b, e) by (e, b) product over the ``e`` entries of ``F_j`` in that block.  The
+block's columns, sorted by ``e``, are cut into chunks of at most
+``SCHUR_SCRATCH`` floats of products: each run of equal ``e`` in a chunk is one
+batched ``np.matmul`` into the chunk's buffer, and the block's operator,
+repeated along a diagonal, takes all the chunk's adjoints in one sparse
+product, so no Python loop runs per column.  scipy is imported by the
 functions that need it, not by the module, so importing ``sdp`` loads no
 scipy.  Everything is deterministic: fixed elimination order, no randomized
 pivoting, so identical inputs produce bit-identical iteration traces.
@@ -51,6 +65,7 @@ pivoting, so identical inputs produce bit-identical iteration traces.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -60,6 +75,10 @@ CENTERING_FLOOR = 0.1
 FRACTION_TO_BOUNDARY = 0.98
 CERT_EIG_FLOOR = -1e-9
 CERT_STATIONARITY_TOL = 1e-7
+# Floats of W F_j Z products in one Schur chunk (256 kB): the chunk's buffer,
+# its gathered entries and its stacked operator are the Schur assembly's
+# scratch, a few times this size, beside the Schur matrix itself.
+SCHUR_SCRATCH = 1 << 15
 
 
 class SdpSolverError(RuntimeError):
@@ -70,13 +89,28 @@ class SdpSolverError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
+def _csr(var, flat, mirror, value, shape):
+    """CSR matrix with ``value[e]`` at ``(var[e], flat[e])`` and, where the two
+    differ, at ``(var[e], mirror[e])``: the flattened positions of an
+    upper-triangle entry and of its mirror image."""
+    from scipy.sparse import csr_matrix
+
+    off = flat != mirror
+    var = np.append(var, var[off])
+    flat = np.append(flat, mirror[off])
+    value = np.append(value, value[off])
+    return csr_matrix((value, (var, flat)), shape=shape)
+
+
 @dataclass(frozen=True)
 class SdpProblem:
     """Dual-form LMI data: ``M(y) = F0 + sum y_i F_i`` must stay PSD.
 
     Basis entry ``e`` puts ``value[e]`` at ``(row[e], col[e])`` and
     ``(col[e], row[e])`` of ``F_var[e]``; ``row[e] <= col[e]``, so a diagonal
-    entry is counted once.  Malformed entries raise ``ValueError``.
+    entry is counted once.  ``blocks`` are the sizes of the diagonal blocks
+    (empty: one block); no entry and no nonzero of ``F0`` may lie outside
+    them.  Malformed entries raise ``ValueError``.
     """
 
     f0: np.ndarray
@@ -85,12 +119,16 @@ class SdpProblem:
     col: np.ndarray
     value: np.ndarray
     c: np.ndarray
+    blocks: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         d, m = self.dimension, self.n_vars
         lengths = {len(a) for a in (self.var, self.row, self.col, self.value)}
         if len(lengths) > 1:
             raise ValueError("basis entry arrays var/row/col/value differ in length")
+        sizes = self.block_sizes
+        if min(sizes) < 1 or sum(sizes) != d:
+            raise ValueError(f"block sizes {sizes} do not partition range({d})")
         checks = (
             (self.row > self.col, "lies below the diagonal"),
             ((self.row < 0) | (self.col >= d), f"has row or col outside range({d})"),
@@ -103,6 +141,16 @@ class SdpProblem:
                     f"basis entry {e} (var {self.var[e]}, row {self.row[e]},"
                     f" col {self.col[e]}) {what}"
                 )
+        block_of = np.repeat(np.arange(len(sizes)), sizes)
+        crossing = block_of[self.row] != block_of[self.col]
+        if crossing.any():
+            e = int(np.flatnonzero(crossing)[0])
+            raise ValueError(
+                f"basis entry {e} (var {self.var[e]}, row {self.row[e]},"
+                f" col {self.col[e]}) lies outside the blocks {sizes}"
+            )
+        if np.any(self.f0[block_of[:, None] != block_of]):
+            raise ValueError(f"F0 has a nonzero outside the blocks {sizes}")
 
     @property
     def dimension(self) -> int:
@@ -112,30 +160,31 @@ class SdpProblem:
     def n_vars(self) -> int:
         return len(self.c)
 
+    @property
+    def block_sizes(self) -> tuple[int, ...]:
+        return self.blocks or (self.dimension,)
+
     @cached_property
     def operator(self):
         """The CSR matrix of shape (m, d*d) whose row ``i`` is ``F_i`` flattened."""
-        from scipy.sparse import csr_matrix
-
-        d, off = self.dimension, self.row != self.col
-        var = np.append(self.var, self.var[off])
-        flat = np.append(self.row * d + self.col, self.col[off] * d + self.row[off])
-        value = np.append(self.value, self.value[off])
-        return csr_matrix((value, (var, flat)), shape=(self.n_vars, d * d))
+        d = self.dimension
+        flat, mirror = self.row * d + self.col, self.col * d + self.row
+        return _csr(self.var, flat, mirror, self.value, (self.n_vars, d * d))
 
     def adjoint(self, z: np.ndarray) -> np.ndarray:
         """``<F_i, Z>`` for every i."""
         return self.operator @ z.ravel()
 
-    def combination(self, y: np.ndarray) -> np.ndarray:
-        """``sum_i y_i F_i``."""
-        return (self.operator.T @ y).reshape(self.dimension, self.dimension)
-
 
 @dataclass(frozen=True)
 class SdpSolution:
     """An optimal solve (``solve`` raises on every other exit); ``bound`` is
-    the dual objective (a certified upper bound)."""
+    the dual objective (a certified upper bound).
+
+    ``schur_s``, ``factor_s`` and ``step_s`` are the seconds the solve spent
+    assembling Schur matrices, in Cholesky factorizations (of ``S``, ``Z`` and
+    the Schur matrix, and ``W = S^-1``) and in step lengths to the boundary.
+    """
 
     y: np.ndarray
     primal_objective: float
@@ -143,66 +192,211 @@ class SdpSolution:
     dual_matrix: np.ndarray
     iterations: int
     trace: tuple[tuple[float, ...], ...] = field(repr=False, default=())
+    block_sizes: tuple[int, ...] = ()
+    schur_s: float = 0.0
+    factor_s: float = 0.0
+    step_s: float = 0.0
 
     @property
     def duality_gap(self) -> float:
         return self.bound - self.primal_objective
 
+    @property
+    def dual_residual(self) -> float:
+        """The largest ``|c_i + <F_i, Z>|`` of the last iteration."""
+        return self.trace[-1][4]
 
-def _max_step(x_chol: np.ndarray, delta: np.ndarray) -> float:
-    """Largest alpha with X + alpha*Delta still PSD, via L^-1 Delta L^-T."""
-    from scipy.linalg import eigvalsh, solve_triangular
 
-    a = solve_triangular(x_chol, delta, lower=True)
-    t = solve_triangular(x_chol, a.T, lower=True)
-    lam_min = float(eigvalsh(0.5 * (t + t.T))[0])
+@dataclass(frozen=True)
+class _Block:
+    """One diagonal block: its ``F0`` and its Schur columns.
+
+    The columns are the variables with entries in the block, in order of
+    entry count, cut into chunks of ``width``.  A chunk's products ``W F_j Z``
+    fill a (width, b, b) buffer, one batched matmul per run of equal entry
+    count; ``stacked``, the block's (m, b*b) operator repeated ``width`` times
+    along the diagonal, then takes all their adjoints in one sparse product.
+    A chunk is ``(variables, runs)``, each run ``(start, rows, cols, values)``
+    with (n, e) arrays: the entries of n variables of e entries each, from
+    buffer row ``start`` on."""
+
+    f0: np.ndarray
+    width: int
+    stacked: object
+    chunks: tuple[tuple[np.ndarray, tuple[tuple[int, ...], ...]], ...]
+
+
+def _block(f0: np.ndarray, operator) -> _Block:
+    """The block with ``F0`` block ``f0`` and (m, b*b) operator ``operator``."""
+    from scipy.sparse import csr_matrix
+
+    b = len(f0)
+
+    ptr, counts = operator.indptr, np.diff(operator.indptr)
+    rows, cols = np.divmod(operator.indices, b)
+    order = np.flatnonzero(counts)
+    order = order[np.argsort(counts[order], kind="stable")]
+    width = max(1, min(len(order), SCHUR_SCRATCH // (b * b)))
+    chunks = []
+    for first in range(0, len(order), width):
+        variables = order[first : first + width]
+        runs = []
+        for e in np.unique(counts[variables]):
+            run = np.flatnonzero(counts[variables] == e)
+            at = ptr[variables[run], None] + np.arange(e)
+            runs.append((int(run[0]), rows[at], cols[at], operator.data[at]))
+        chunks.append((variables, tuple(runs)))
+    m, nnz = operator.shape[0], operator.nnz
+    copies = np.arange(width, dtype=ptr.dtype)[:, None]
+    indices = operator.indices + b * b * copies
+    indptr = np.append(ptr[:-1] + nnz * copies, ptr.dtype.type(width * nnz))
+    stacked = csr_matrix(
+        (np.tile(operator.data, width), indices.ravel(), indptr),
+        shape=(width * m, width * b * b),
+    )
+    return _Block(f0, width, stacked, tuple(chunks))
+
+
+def _blocks(problem: SdpProblem) -> tuple[object, list[_Block]]:
+    """The CSR matrix of shape (m, sum b*b) whose row ``i`` holds the blocks
+    of ``F_i``, each flattened, one after another; and each block's data."""
+    sizes = np.array(problem.block_sizes)
+    starts = np.cumsum(sizes) - sizes
+    offsets = np.cumsum(sizes * sizes) - sizes * sizes
+    block = np.repeat(np.arange(len(sizes)), sizes)[problem.row]
+    row, col = problem.row - starts[block], problem.col - starts[block]
+    at, b = offsets[block], sizes[block]
+    operator = _csr(
+        problem.var,
+        at + row * b + col,
+        at + col * b + row,
+        problem.value,
+        (problem.n_vars, int(sizes @ sizes)),
+    )
+    blocks = []
+    for b, start, offset in zip(sizes, starts, offsets):
+        f0 = problem.f0[start : start + b, start : start + b]
+        blocks.append(_block(f0, operator[:, offset : offset + b * b]))
+    return operator, blocks
+
+
+def _schur_matrix(
+    blocks: list[_Block], w: list[np.ndarray], z: list[np.ndarray], h: np.ndarray
+) -> None:
+    """Write ``H_ij = <F_i, sym(W F_j Z)> = <F_i, W F_j Z>``, as every ``F_i``
+    is symmetric, summed over the blocks, into the (m, m) array ``h``; each
+    chunk of columns is one batched product ``W F_j Z`` per run and one sparse
+    adjoint."""
+    m = len(h)
+    ht = np.zeros((m, m))  # row j is column j of H
+    for blk, wb, zb in zip(blocks, w, z):
+        w_cols = np.ascontiguousarray(wb.T)  # row r is column r of W
+        products = np.zeros((blk.width, *wb.shape))
+        for variables, runs in blk.chunks:
+            for start, rows, cols, values in runs:
+                left = w_cols[rows] * values[..., None]
+                out = products[start : start + len(rows)]
+                np.matmul(left.transpose(0, 2, 1), zb[cols], out=out)
+            # rows past the chunk's variables hold stale products, whose
+            # adjoints are cut off: the stacked operator is block-diagonal
+            adjoints = (blk.stacked @ products.ravel()).reshape(blk.width, m)
+            ht[variables] += adjoints[: len(variables)]
+    np.add(ht, ht.T, out=h)
+    h *= 0.5
+
+
+def _cholesky(xs: list[np.ndarray]) -> list[np.ndarray]:
+    """Lower Cholesky factors of every block; LinAlgError if one is not PD."""
+    from scipy.linalg.lapack import dpotrf
+
+    factors = []
+    for x in xs:
+        factor, info = dpotrf(x, lower=1)
+        if info:
+            raise np.linalg.LinAlgError(f"dpotrf info {info}")
+        factors.append(factor)
+    return factors
+
+
+def _max_step(chols: list[np.ndarray], deltas: list[np.ndarray]) -> float:
+    """Largest alpha with every block X + alpha*Delta still PSD, via the
+    smallest eigenvalue of L^-1 Delta L^-T.
+
+    The eigenvalue comes from LAPACK's MRRR driver, which scipy's
+    ``eigvalsh`` uses too; with numpy's divide-and-conquer ``eigvalsh`` the
+    level-3 pinned NPA solve lost Z's definiteness at tol 1e-12."""
+    from scipy.linalg.lapack import dsyevr, dtrtrs
+
+    lam_min = 0.0
+    for x_chol, delta in zip(chols, deltas):
+        a = dtrtrs(x_chol, delta, lower=1)[0]
+        t = _sym(dtrtrs(x_chol, a.T, lower=1)[0])
+        smallest = dsyevr(t, compute_v=0, range="I", iu=1, lower=1)[0][0]
+        lam_min = min(lam_min, float(smallest))
     if lam_min >= 0.0:
         return np.inf
     return -1.0 / lam_min
 
 
+def _inner(xs: list[np.ndarray], ys: list[np.ndarray]) -> float:
+    return sum(float(np.vdot(x, y)) for x, y in zip(xs, ys))
+
+
+def _sym(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (x + x.T)
+
+
 def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSolution:
     """Run the interior-point iteration until gap and residuals drop below tol."""
-    from scipy.linalg import cho_factor, cho_solve, cholesky
+    from scipy.linalg import block_diag, cho_factor, cho_solve
+    from scipy.linalg.lapack import dpotrs
 
-    d, m = problem.dimension, problem.n_vars
-    f0, c = problem.f0, problem.c
+    d, m, c = problem.dimension, problem.n_vars, problem.c
+    sizes = problem.block_sizes
+    operator, blocks = _blocks(problem)
+    operator_t = operator.T.tocsr()
+    cuts = np.cumsum([b * b for b in sizes])[:-1]
+    f0 = [blk.f0 for blk in blocks]
+
+    def adjoint(xs: list[np.ndarray]) -> np.ndarray:
+        return operator @ np.concatenate([x.ravel() for x in xs])
+
+    def combination(v: np.ndarray) -> list[np.ndarray]:
+        flat = np.split(operator_t @ v, cuts)
+        return [x.reshape(b, b) for x, b in zip(flat, sizes)]
 
     y = np.zeros(m)
-    s = f0 + problem.combination(y)
+    s = [x.copy() for x in f0]
     try:
-        cholesky(s, lower=True)
+        _cholesky(s)
     except np.linalg.LinAlgError as exc:
         raise SdpSolverError(
             "no strictly feasible start: M(0) is not positive definite",
             {"dimension": d, "n_vars": m},
         ) from exc
-    z = np.eye(d)
-    # per basis matrix F_j: its entry rows, entry columns and values
-    operator = problem.operator
-    ptr, flat, vals = operator.indptr, operator.indices, operator.data
-    columns = [
-        (*np.divmod(flat[ptr[j] : ptr[j + 1]], d), vals[ptr[j] : ptr[j + 1]])
-        for j in range(m)
-    ]
+    z = [np.eye(b) for b in sizes]
+    h = np.empty((m, m))
     trace: list[tuple[float, ...]] = []
+    schur_s = factor_s = step_s = 0.0
 
     for it in range(1, max_iter + 1):
+        t0 = time.perf_counter()
         try:
-            ls = cholesky(s, lower=True)
-            lz = cholesky(z, lower=True)
+            ls = _cholesky(s)
+            lz = _cholesky(z)
         except np.linalg.LinAlgError as exc:
             raise SdpSolverError(
                 f"factorization failure at iteration {it}",
                 {"iteration": it, "trace": tuple(trace)},
             ) from exc
-        w = cho_solve((ls, True), np.eye(d))
+        w = [dpotrs(x, np.eye(len(x)), lower=1)[0] for x in ls]
+        factor_s += time.perf_counter() - t0
 
-        mu = float(np.tensordot(s, z)) / d
+        mu = _inner(s, z) / d
         primal = float(c @ y)
-        dual = float(np.tensordot(f0, z))
+        dual = _inner(f0, z)
         gap = dual - primal
-        rd = c + problem.adjoint(z)  # want <F_i, Z> = -c_i
+        rd = c + adjoint(z)  # want <F_i, Z> = -c_i
         rd_inf = float(np.abs(rd).max()) if m else 0.0
 
         # weak duality with the residual-corrected dual objective: by the exact
@@ -223,31 +417,35 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
             trace.append((mu, primal, dual, gap, rd_inf, 0.0, 0.0, 0.0))
             break
 
-        # Schur matrix H_ij = <F_i, sym(W F_j Z)> = <F_i, W F_j Z>, as every F_i
-        # is symmetric; assembled column by column and factored once per
-        # iteration, for both the predictor and the corrector solve
-        h = np.empty((m, m))
-        for j, (rj, cj, vj) in enumerate(columns):
-            h[:, j] = problem.adjoint((w[:, rj] * vj) @ z[cj, :])
-        h = 0.5 * (h + h.T)
+        # the Schur matrix, factored once per iteration, for both the
+        # predictor and the corrector solve; it is factored in place, through
+        # its Fortran-ordered transpose (h is symmetric), so that one (m, m)
+        # array serves every iteration
+        t0 = time.perf_counter()
+        _schur_matrix(blocks, w, z, h)
         ridge = 1e-14 * max(1.0, float(h.diagonal().max()))
         h[np.diag_indices_from(h)] += ridge
+        schur_s += time.perf_counter() - t0
+        t0 = time.perf_counter()
         try:
-            hc = cho_factor(h, lower=True)
+            hc = cho_factor(h.T, lower=True, overwrite_a=True)
         except np.linalg.LinAlgError as exc:
             raise SdpSolverError(
                 f"Schur complement factorization failed at iteration {it}",
                 {"iteration": it, "mu": mu, "trace": tuple(trace)},
             ) from exc
+        factor_s += time.perf_counter() - t0
 
         # predictor: the affine-scaling step, aimed at mu = 0
         dy_aff = cho_solve(hc, c)
-        ds_aff = problem.combination(dy_aff)
-        dz_aff = -z - w @ ds_aff @ z
-        dz_aff = 0.5 * (dz_aff + dz_aff.T)
-        s_aff = s + min(1.0, _max_step(ls, ds_aff)) * ds_aff
-        z_aff = z + min(1.0, _max_step(lz, dz_aff)) * dz_aff
-        mu_aff = float(np.tensordot(s_aff, z_aff)) / d
+        ds_aff = combination(dy_aff)
+        dz_aff = [_sym(-zb - wb @ dsb @ zb) for zb, wb, dsb in zip(z, w, ds_aff)]
+        t0 = time.perf_counter()
+        a_p = min(1.0, _max_step(ls, ds_aff))
+        a_d = min(1.0, _max_step(lz, dz_aff))
+        step_s += time.perf_counter() - t0
+        s_aff = [sb + a_p * dsb for sb, dsb in zip(s, ds_aff)]
+        mu_aff = _inner(s_aff, [zb + a_d * dzb for zb, dzb in zip(z, dz_aff)]) / d
 
         # centering: Mehrotra's (mu_aff / mu)^3, floored so that sigma * mu
         # never falls below a tenth of the per-dimension gap
@@ -255,20 +453,29 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
         sigma = min(1.0, max((mu_aff / mu) ** 3, floor))
 
         # corrector: the same factor, with the second-order term W dS_aff dZ_aff
-        second_order = w @ ds_aff @ dz_aff
-        dy = cho_solve(
-            hc, sigma * mu * problem.adjoint(w) + c - problem.adjoint(second_order)
-        )
-        ds = problem.combination(dy)
-        dz = sigma * mu * w - z - w @ ds @ z - second_order
-        dz = 0.5 * (dz + dz.T)
+        second_order = [wb @ dsb @ dzb for wb, dsb, dzb in zip(w, ds_aff, dz_aff)]
+        rhs = sigma * mu * adjoint(w) + c - adjoint(second_order)
+        dy = cho_solve(hc, rhs)
+        ds = combination(dy)
+        # one step of iterative refinement: H dy should equal <F_i, W dS Z>,
+        # but the assembled H is symmetrized and ridged and drifts from it as
+        # mu falls, and the dual residual grows with the drift
+        applied = adjoint([wb @ dsb @ zb for wb, dsb, zb in zip(w, ds, z)])
+        dy = dy + cho_solve(hc, rhs - applied)
+        ds = combination(dy)
+        dz = [
+            _sym(sigma * mu * wb - zb - wb @ dsb @ zb - sob)
+            for wb, zb, dsb, sob in zip(w, z, ds, second_order)
+        ]
 
+        t0 = time.perf_counter()
         alpha_p = min(1.0, FRACTION_TO_BOUNDARY * _max_step(ls, ds))
         alpha_d = min(1.0, FRACTION_TO_BOUNDARY * _max_step(lz, dz))
+        step_s += time.perf_counter() - t0
 
         y = y + alpha_p * dy
-        s = f0 + problem.combination(y)
-        z = z + alpha_d * dz
+        s = [f0b + sb for f0b, sb in zip(f0, combination(y))]
+        z = [zb + alpha_d * dzb for zb, dzb in zip(z, dz)]
         trace.append((mu, primal, dual, gap, rd_inf, alpha_p, alpha_d, sigma))
     else:
         raise SdpSolverError(
@@ -280,10 +487,14 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
     return SdpSolution(
         y=y,
         primal_objective=float(c @ y),
-        bound=float(np.tensordot(f0, z)),
-        dual_matrix=z,
+        bound=_inner(f0, z),
+        dual_matrix=block_diag(*z),
         iterations=it,
         trace=tuple(trace),
+        block_sizes=sizes,
+        schur_s=schur_s,
+        factor_s=factor_s,
+        step_s=step_s,
     )
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import Z, random_bloch
-from mabkcert import cli, correlators, mabk
+from mabkcert import cli, correlators, mabk, npa
 from mabkcert.correlators import ghz_expectation, honest_even_formula
 from mabkcert.sdp import SdpSolverError
 
@@ -283,6 +283,49 @@ def test_reproduce_paper_fast(capsys):
     # nested reports carry no duration, keeping the payload reproducible
     for sub in payload["results"]["reports"]:
         assert "duration_ms" not in sub
+
+
+def test_full_reproduce_solves_each_level2_problem_once(monkeypatch):
+    # the level-3 monotonicity verdicts reuse the level-2 bounds at 1e-9
+    calls = []
+    upper_bound = npa.npa_upper_bound
+
+    def counting(level, with_constraint, **kwargs):
+        calls.append((level, with_constraint))
+        return upper_bound(level, with_constraint, **kwargs)
+
+    monkeypatch.setattr(cli.npa, "npa_upper_bound", counting)
+    report = cli.cmd_reproduce(cli.SEED_DEFAULT, fast=False)
+    assert sorted(calls) == [(2, False), (2, True), (3, False), (3, True)]
+    assert len(report.verdicts) == 40
+    npa_reports = [r for r in report.results["reports"] if r["command"] == "npa"]
+    bounds = {
+        (r["params"]["level"], r["params"]["perfect_correlations"]): r["results"]
+        for r in npa_reports
+    }
+    for pinned in (True, False):
+        assert bounds[(3, pinned)]["level2_bound"] == bounds[(2, pinned)]["bound"]
+    assert sum("blocks (" in line for line in report.diagnostics) == 4
+
+
+def test_npa_vv_prints_solver_diagnostics_outside_the_payload(capsys):
+    argv = ["npa", "--level", "2", "--perfect-correlations", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    code_v, out_v, err_v = run(capsys, *argv, "-vv")
+    assert code_v == code == cli.EXIT_OK
+    quiet, loud = json.loads(out), json.loads(out_v)
+    quiet.pop("duration_ms")
+    loud.pop("duration_ms")
+    assert loud == quiet
+    assert re.search(
+        r"^\[mabkcert\] npa level 2, perfect_correlations=True: blocks \(\d+(, \d+)*\),"
+        r" \d+ iterations, Schur assembly \d\.\d{4} s, factorizations \d\.\d{4} s,"
+        r" step lengths \d\.\d{4} s, final dual residual \d\.\d{3}e[-+]\d+$",
+        err_v,
+        re.MULTILINE,
+    )
+    _, _, err_once = run(capsys, *argv, "-v")
+    assert "blocks" not in err_once
 
 
 def test_numerical_failure_exit_code(capsys, monkeypatch):

@@ -25,6 +25,7 @@ from mabkcert.npa import (
     npa_upper_bound,
     party_symmetries,
     reduce_structure,
+    symmetry_adapted_bases,
 )
 from mabkcert.sdp import solve, verify_certificate
 
@@ -523,6 +524,100 @@ def test_four_party_orbit_bound_equals_the_unreduced_solve(pinned):
     unreduced = solve(problem, tol=1e-8).bound + const
     assert result.verified
     assert result.bound == pytest.approx(unreduced, abs=1e-8)
+
+
+@pytest.fixture(scope="module")
+def four_party_runs():
+    """The two N=4 level-2 bounds at the default tolerance."""
+    return {pinned: npa_upper_bound(2, pinned, n_parties=4) for pinned in (True, False)}
+
+
+# certified_bound - bound at the default tolerances, measured at most 3.3e-11
+# on these six problems; without the group average of Z the stationarity
+# residuals it charges make it 1e-9 and more (9.8e-9 for N=3 level-2 pinned
+# on a solve without blocks), when the certificate verifies at all
+CERTIFIED_MARGIN = 1e-10
+
+
+@pytest.mark.parametrize("pinned", [True, False])
+@pytest.mark.parametrize("case", ["n3-level2", "n3-level3", "n4-level2"])
+def test_certified_bound_stays_within_the_margin(
+    reproduce_runs, four_party_runs, case, pinned
+):
+    result = {
+        "n3-level2": reproduce_runs[(2, pinned)],
+        "n3-level3": reproduce_runs[(3, pinned)],
+        "n4-level2": four_party_runs[pinned],
+    }[case]
+    assert result.verified
+    assert 0.0 <= result.certified_bound - result.bound < CERTIFIED_MARGIN
+
+
+def _orbit_basis_matrices(problem, symmetries):
+    """The dense F0 and orbit-summed basis matrices of ``problem``."""
+    k = problem.dimension
+    orbit = np.min([variables for _, variables in symmetries], axis=0)
+    matrices = [problem.f0]
+    for root in np.unique(orbit):
+        f = np.zeros((k, k))
+        entry = orbit[problem.var] == root
+        f[problem.row[entry], problem.col[entry]] = problem.value[entry]
+        f[problem.col[entry], problem.row[entry]] = problem.value[entry]
+        matrices.append(f)
+    return matrices
+
+
+DECOMPOSITION_CASES = {
+    "n3-level2-pinned": (SCENARIO, 2, _key_pairs(3), {1}),
+    "n3-level2-free": ((2, 2, 2), 2, (), {1, 2}),
+    "n3-level3-pinned": (SCENARIO, 3, _key_pairs(3), {1}),
+    "n3-level3-free": ((2, 2, 2), 3, (), {1, 2}),
+    "n4-level2-pinned": (default_scenario(4), 2, _key_pairs(4), {1, 2}),
+    "n4-level2-free": ((2, 2, 2, 2), 2, (), {1, 2, 3}),
+}
+
+
+@pytest.mark.parametrize("case", DECOMPOSITION_CASES)
+def test_symmetry_adapted_bases_block_diagonalize_the_orbit_problem(case):
+    scenario, level, pins, irrep_dimensions = DECOMPOSITION_CASES[case]
+    structure, reduced, problem, _ = _lowered(scenario, level, pins)
+    symmetries = list(party_symmetries(structure, reduced, problem).values())
+    perms = [rows for rows, _ in symmetries]
+    bases = symmetry_adapted_bases(perms)
+    q = np.hstack(bases)
+    assert np.allclose(q.T @ q, np.eye(q.shape[1]), rtol=0.0, atol=1e-12)
+    # each basis spans an invariant subspace of F0 and of every orbit matrix,
+    # so every one of them is block-diagonal in q
+    for f in _orbit_basis_matrices(problem, symmetries):
+        for basis in bases:
+            fq = f @ basis
+            assert np.abs(fq - basis @ (basis.T @ fq)).max() < 1e-12
+    # the group moves each basis through d copies of its type, d the
+    # dimension of the irreducible representation; together they span all rows
+    spans = []
+    for basis in bases:
+        images = []
+        for rows in perms:
+            image = np.empty_like(basis)
+            image[rows] = basis
+            images.append(image)
+        spans.append(np.linalg.matrix_rank(np.hstack(images), tol=1e-9))
+    dims = [span // basis.shape[1] for span, basis in zip(spans, bases)]
+    assert [d * basis.shape[1] for d, basis in zip(dims, bases)] == spans
+    assert sum(spans) == problem.dimension
+    assert set(dims) == irrep_dimensions
+
+
+def test_pinned_level3_solve_runs_on_two_blocks(reproduce_runs):
+    solution = reproduce_runs[(3, True)].solution
+    assert sorted(solution.block_sizes) == [41, 54]
+    assert reproduce_runs[(3, True)].reduced_size == 95
+
+
+def test_symmetry_adapted_bases_of_the_trivial_group_are_the_identity():
+    assert [b.tolist() for b in symmetry_adapted_bases([np.arange(4)])] == [
+        np.eye(4).tolist()
+    ]
 
 
 def _group_average(problem, solution, perms):

@@ -1,9 +1,12 @@
 """Interior-point solver: toy instances, grid oracle, certificates, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from mabkcert import sdp
 from mabkcert.sdp import (
     SdpProblem,
     SdpSolverError,
@@ -236,7 +239,8 @@ def test_sparse_operator_matches_dense_basis_matrices(seed):
     y = rng.normal(size=len(mats))
     z = rng.normal(size=f0.shape)
     dense = f0 + sum(yi * f for yi, f in zip(y, mats))
-    assert np.allclose(f0 + problem.combination(y), dense, rtol=0.0, atol=1e-12)
+    combination = (problem.operator.T @ y).reshape(f0.shape)
+    assert np.allclose(f0 + combination, dense, rtol=0.0, atol=1e-12)
     assert np.allclose(
         problem.adjoint(z), [np.tensordot(f, z) for f in mats], rtol=0.0, atol=1e-12
     )
@@ -280,3 +284,88 @@ def test_infeasible_start_is_reported():
     problem = dense_problem(-np.eye(2), [np.diag([1.0, 0.0])], np.array([1.0]))
     with pytest.raises(SdpSolverError, match="strictly feasible"):
         solve(problem)
+
+
+def block_diagonal_instance(seeds):
+    """The random instances of ``seeds`` side by side on the diagonal, their
+    basis matrices sharing the three variables, with the blocks declared."""
+    data = [random_disjoint_data(seed) for seed in seeds]
+    f0 = scipy.linalg.block_diag(*(f for f, _, _ in data))
+    mats = [scipy.linalg.block_diag(*parts) for parts in zip(*(m for _, m, _ in data))]
+    problem = dense_problem(f0, mats, sum(c for _, _, c in data))
+    return dataclasses.replace(problem, blocks=tuple(len(f) for f, _, _ in data))
+
+
+def test_blocks_solve_like_one_block():
+    blocks = block_diagonal_instance([3, 11, 23])
+    one = solve(dataclasses.replace(blocks, blocks=()))
+    split = solve(blocks)
+    assert split.block_sizes == (5, 5, 5) and one.block_sizes == (15,)
+    assert split.bound == pytest.approx(one.bound, abs=1e-9)
+    assert split.iterations == one.iterations
+    assert verify_certificate(blocks, split)
+    z = split.dual_matrix
+    for a in range(3):
+        for b in range(3):
+            if a != b:
+                assert not z[5 * a : 5 * a + 5, 5 * b : 5 * b + 5].any()
+
+
+def test_solutions_record_where_the_time_went():
+    sol = solve(block_diagonal_instance([5, 9]))
+    assert min(sol.schur_s, sol.factor_s, sol.step_s) > 0.0
+    assert sol.dual_residual == sol.trace[-1][4] < 1e-7
+
+
+@pytest.mark.parametrize("scratch", [1, 60, sdp.SCHUR_SCRATCH])
+def test_schur_matrix_matches_the_dense_formula(monkeypatch, scratch):
+    # chunks of one column, chunks cut inside a run of equal entry counts
+    # (60 floats are two columns of a 5x5 block), and the default; every
+    # variable has entries in every block, some on the diagonal
+    monkeypatch.setattr(sdp, "SCHUR_SCRATCH", scratch)
+    rng = np.random.default_rng(7)
+    sizes, m = (5, 1, 4), 6
+    mats = []
+    for _ in range(m):
+        parts = []
+        for b in sizes:
+            part = np.triu(rng.normal(size=(b, b)) * (rng.random((b, b)) < 0.4))
+            parts.append(part + np.triu(part, 1).T)
+        mats.append(scipy.linalg.block_diag(*parts))
+    problem = dataclasses.replace(
+        dense_problem(np.eye(sum(sizes)), mats, np.ones(m)), blocks=sizes
+    )
+    _, blocks = sdp._blocks(problem)
+    w, z = [], []
+    for b in sizes:
+        x, y = rng.normal(size=(2, b, b))
+        w.append(x @ x.T + np.eye(b))
+        z.append(y @ y.T + np.eye(b))
+    dense_w, dense_z = scipy.linalg.block_diag(*w), scipy.linalg.block_diag(*z)
+    dense = np.array(
+        [[np.tensordot(fi, dense_w @ fj @ dense_z) for fj in mats] for fi in mats]
+    )
+    h = np.empty((m, m))
+    sdp._schur_matrix(blocks, w, z, h)
+    assert np.allclose(h, 0.5 * (dense + dense.T), rtol=1e-13, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "f0, entries, blocks, reason",
+    [
+        (np.eye(3), {"row": [0], "col": [2]}, (2, 1), "outside the blocks"),
+        (np.eye(3) + np.eye(3, k=2), {}, (2, 1), "F0 has a nonzero outside"),
+        (np.eye(3), {}, (2, 2), "do not partition"),
+        (np.eye(3), {}, (3, 0), "do not partition"),
+    ],
+    ids=["entry", "f0", "sum", "empty-block"],
+)
+def test_problem_refuses_entries_outside_its_blocks(f0, entries, blocks, reason):
+    fields = {"var": [0], "row": [0], "col": [1], "value": [1.0], **entries}
+    with pytest.raises(ValueError, match=reason):
+        SdpProblem(
+            f0=f0,
+            c=np.array([1.0]),
+            blocks=blocks,
+            **{name: np.array(a) for name, a in fields.items()},
+        )
