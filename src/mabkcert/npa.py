@@ -550,7 +550,6 @@ def _block_problem(problem: SdpProblem, bases: list[np.ndarray]) -> SdpProblem:
         col=np.concatenate(col),
         value=np.concatenate(value),
         c=problem.c,
-        blocks=tuple(q.shape[1] for q in bases),
     )
 
 

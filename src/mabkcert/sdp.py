@@ -5,9 +5,8 @@ Problem form:
     maximize    c . y
     subject to  M(y) = F0 + sum_i y_i F_i  is positive semidefinite
 
-with symmetric basis matrices ``F_i``, all block-diagonal with one fixed
-list of diagonal block sizes (one block is the plain LMI).  The Lagrange dual
-is
+with symmetric basis matrices ``F_i``, all block-diagonal with the same
+diagonal blocks (one block is the plain LMI).  The Lagrange dual is
 
     minimize    <F0, Z>
     subject to  <F_i, Z> = -c_i  for all i,   Z >= 0,
@@ -41,26 +40,24 @@ callers fold it into ``F0`` themselves, as ``npa.lower_to_sdp`` does for the
 perfect-correlation pins.
 
 ``SdpProblem`` holds the basis as upper-triangle entry arrays: entry ``e`` puts
-``value[e]`` at ``(row[e], col[e])`` and at ``(col[e], row[e])`` of
-``F_var[e]``, so every ``F_i`` is symmetric by construction, and ``blocks``
-lists the diagonal block sizes, which no entry and no nonzero of ``F0`` may
-cross.  This module alone turns the entries into operators: ``SdpProblem.
-operator`` is one CSR matrix of shape (m, d*d) whose row ``i`` is ``F_i``
-flattened, so the adjoint ``<F_i, Z>`` is ``operator @ vec(Z)`` and
-``sum y_i F_i`` is ``operator.T @ y`` reshaped; ``solve`` builds the same
-operator per block, of shape (m, b*b), and keeps every iterate as a list of
-dense blocks.  The Schur matrix is a sum over the blocks.  Within a block, the
-column of ``F_j`` is ``<F_i, W F_j Z>`` for all ``i`` (the column-wise sparse
-evaluation of Fujisawa, Kojima & Nakata 1997), and ``W F_j Z`` is a
-(b, e) by (e, b) product over the ``e`` entries of ``F_j`` in that block.  The
-block's columns, sorted by ``e``, are cut into chunks of at most
-``SCHUR_SCRATCH`` floats of products: each run of equal ``e`` in a chunk is one
-batched ``np.matmul`` into the chunk's buffer, and the block's operator,
-repeated along a diagonal, takes all the chunk's adjoints in one sparse
-product, so no Python loop runs per column.  scipy is imported by the
-functions that need it, not by the module, so importing ``sdp`` loads no
-scipy.  Everything is deterministic: fixed elimination order, no randomized
-pivoting, so identical inputs produce bit-identical iteration traces.
+``value[e]`` at ``(row[e], col[e])`` and ``(col[e], row[e])`` of ``F_var[e]``,
+so every ``F_i`` is symmetric by construction.  ``SdpProblem.block_sizes``
+reads the diagonal blocks off the entries: the finest cut that no entry and no
+nonzero of ``F0`` crosses (the aggregate sparsity pattern of Fukuda, Kojima,
+Murota & Nakata 2000, cut into intervals).  Only this module turns entries
+into operators: ``SdpProblem.operator`` is the CSR matrix of shape (m, d*d)
+whose row ``i`` is ``F_i`` flattened, and ``solve`` builds one of shape
+(m, b*b) per block and keeps every iterate as a list of dense blocks.  The
+Schur matrix is a sum over the blocks.  Within a block the column of ``F_j``
+is ``<F_i, W F_j Z>`` for all ``i`` (Fujisawa, Kojima & Nakata 1997), and
+``W F_j Z`` is a (b, e) by (e, b) product over the ``e`` entries of ``F_j``
+there.  The columns, sorted by ``e``, are cut into chunks of at most
+``SCHUR_SCRATCH`` floats of products and padded to each chunk's largest ``e``
+with zero-valued entries, so a chunk is one batched ``np.matmul`` and one
+sparse product with the block operator repeated along a diagonal.  scipy is
+imported by the functions that need it.  Everything is deterministic: fixed
+elimination order, no randomized pivoting, so identical inputs produce
+bit-identical iteration traces.
 """
 
 from __future__ import annotations
@@ -108,9 +105,7 @@ class SdpProblem:
 
     Basis entry ``e`` puts ``value[e]`` at ``(row[e], col[e])`` and
     ``(col[e], row[e])`` of ``F_var[e]``; ``row[e] <= col[e]``, so a diagonal
-    entry is counted once.  ``blocks`` are the sizes of the diagonal blocks
-    (empty: one block); no entry and no nonzero of ``F0`` may lie outside
-    them.  Malformed entries raise ``ValueError``.
+    entry is counted once.  Malformed entries raise ``ValueError``.
     """
 
     f0: np.ndarray
@@ -119,16 +114,12 @@ class SdpProblem:
     col: np.ndarray
     value: np.ndarray
     c: np.ndarray
-    blocks: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         d, m = self.dimension, self.n_vars
         lengths = {len(a) for a in (self.var, self.row, self.col, self.value)}
         if len(lengths) > 1:
             raise ValueError("basis entry arrays var/row/col/value differ in length")
-        sizes = self.block_sizes
-        if min(sizes) < 1 or sum(sizes) != d:
-            raise ValueError(f"block sizes {sizes} do not partition range({d})")
         checks = (
             (self.row > self.col, "lies below the diagonal"),
             ((self.row < 0) | (self.col >= d), f"has row or col outside range({d})"),
@@ -141,16 +132,6 @@ class SdpProblem:
                     f"basis entry {e} (var {self.var[e]}, row {self.row[e]},"
                     f" col {self.col[e]}) {what}"
                 )
-        block_of = np.repeat(np.arange(len(sizes)), sizes)
-        crossing = block_of[self.row] != block_of[self.col]
-        if crossing.any():
-            e = int(np.flatnonzero(crossing)[0])
-            raise ValueError(
-                f"basis entry {e} (var {self.var[e]}, row {self.row[e]},"
-                f" col {self.col[e]}) lies outside the blocks {sizes}"
-            )
-        if np.any(self.f0[block_of[:, None] != block_of]):
-            raise ValueError(f"F0 has a nonzero outside the blocks {sizes}")
 
     @property
     def dimension(self) -> int:
@@ -160,9 +141,17 @@ class SdpProblem:
     def n_vars(self) -> int:
         return len(self.c)
 
-    @property
+    @cached_property
     def block_sizes(self) -> tuple[int, ...]:
-        return self.blocks or (self.dimension,)
+        """The finest cut of ``range(d)`` into diagonal blocks that no basis
+        entry and no nonzero of ``F0``, in either triangle, crosses."""
+        d = self.dimension
+        reach = np.arange(d)
+        i, j = np.nonzero(self.f0)
+        np.maximum.at(reach, np.minimum(i, j), np.maximum(i, j))
+        np.maximum.at(reach, self.row, self.col)
+        ends = np.flatnonzero(np.maximum.accumulate(reach) == np.arange(d)) + 1
+        return tuple(np.diff(ends, prepend=0).tolist())
 
     @cached_property
     def operator(self):
@@ -209,21 +198,19 @@ class SdpSolution:
 
 @dataclass(frozen=True)
 class _Block:
-    """One diagonal block: its ``F0`` and its Schur columns.
-
-    The columns are the variables with entries in the block, in order of
-    entry count, cut into chunks of ``width``.  A chunk's products ``W F_j Z``
-    fill a (width, b, b) buffer, one batched matmul per run of equal entry
-    count; ``stacked``, the block's (m, b*b) operator repeated ``width`` times
-    along the diagonal, then takes all their adjoints in one sparse product.
-    A chunk is ``(variables, runs)``, each run ``(start, rows, cols, values)``
-    with (n, e) arrays: the entries of n variables of e entries each, from
-    buffer row ``start`` on."""
+    """One diagonal block: its ``F0`` and its Schur columns, the variables
+    with entries in the block by entry count, cut into chunks.  A chunk is
+    ``(variables, rows, cols, values)`` with (n, e) arrays, ``e`` its largest
+    entry count: row ``k`` holds the entries of ``variables[k]``, padded with
+    zero-valued copies of its first entry.  ``stacked`` is the block operator
+    repeated ``width`` times along the diagonal; ``scratch_size`` counts the
+    floats of a chunk's products and gathered operands."""
 
     f0: np.ndarray
     width: int
     stacked: object
-    chunks: tuple[tuple[np.ndarray, tuple[tuple[int, ...], ...]], ...]
+    chunks: tuple[tuple[np.ndarray, ...], ...]
+    scratch_size: int
 
 
 def _block(f0: np.ndarray, operator) -> _Block:
@@ -231,7 +218,6 @@ def _block(f0: np.ndarray, operator) -> _Block:
     from scipy.sparse import csr_matrix
 
     b = len(f0)
-
     ptr, counts = operator.indptr, np.diff(operator.indptr)
     rows, cols = np.divmod(operator.indices, b)
     order = np.flatnonzero(counts)
@@ -240,12 +226,11 @@ def _block(f0: np.ndarray, operator) -> _Block:
     chunks = []
     for first in range(0, len(order), width):
         variables = order[first : first + width]
-        runs = []
-        for e in np.unique(counts[variables]):
-            run = np.flatnonzero(counts[variables] == e)
-            at = ptr[variables[run], None] + np.arange(e)
-            runs.append((int(run[0]), rows[at], cols[at], operator.data[at]))
-        chunks.append((variables, tuple(runs)))
+        slot = np.arange(counts[variables].max())
+        real = slot < counts[variables, None]
+        at = ptr[variables, None] + np.where(real, slot, 0)
+        values = np.where(real, operator.data[at], 0.0)
+        chunks.append((variables, rows[at], cols[at], values))
     m, nnz = operator.shape[0], operator.nnz
     copies = np.arange(width, dtype=ptr.dtype)[:, None]
     indices = operator.indices + b * b * copies
@@ -254,7 +239,8 @@ def _block(f0: np.ndarray, operator) -> _Block:
         (np.tile(operator.data, width), indices.ravel(), indptr),
         shape=(width * m, width * b * b),
     )
-    return _Block(f0, width, stacked, tuple(chunks))
+    scratch_size = width * b * (b + 2 * counts.max(initial=0))
+    return _Block(f0, width, stacked, tuple(chunks), scratch_size)
 
 
 def _blocks(problem: SdpProblem) -> tuple[object, list[_Block]]:
@@ -266,13 +252,9 @@ def _blocks(problem: SdpProblem) -> tuple[object, list[_Block]]:
     block = np.repeat(np.arange(len(sizes)), sizes)[problem.row]
     row, col = problem.row - starts[block], problem.col - starts[block]
     at, b = offsets[block], sizes[block]
-    operator = _csr(
-        problem.var,
-        at + row * b + col,
-        at + col * b + row,
-        problem.value,
-        (problem.n_vars, int(sizes @ sizes)),
-    )
+    flat, mirror = at + row * b + col, at + col * b + row
+    shape = (problem.n_vars, int(sizes @ sizes))
+    operator = _csr(problem.var, flat, mirror, problem.value, shape)
     blocks = []
     for b, start, offset in zip(sizes, starts, offsets):
         f0 = problem.f0[start : start + b, start : start + b]
@@ -281,23 +263,26 @@ def _blocks(problem: SdpProblem) -> tuple[object, list[_Block]]:
 
 
 def _schur_matrix(
-    blocks: list[_Block], w: list[np.ndarray], z: list[np.ndarray], h: np.ndarray
+    blocks: list[_Block], w: list[np.ndarray], z: list[np.ndarray], h, scratch
 ) -> None:
     """Write ``H_ij = <F_i, sym(W F_j Z)> = <F_i, W F_j Z>``, as every ``F_i``
     is symmetric, summed over the blocks, into the (m, m) array ``h``; each
-    chunk of columns is one batched product ``W F_j Z`` per run and one sparse
-    adjoint."""
+    chunk is one batched ``W F_j Z`` product, in ``scratch``, and one adjoint."""
     m = len(h)
     ht = np.zeros((m, m))  # row j is column j of H
     for blk, wb, zb in zip(blocks, w, z):
+        b = len(wb)
         w_cols = np.ascontiguousarray(wb.T)  # row r is column r of W
-        products = np.zeros((blk.width, *wb.shape))
-        for variables, runs in blk.chunks:
-            for start, rows, cols, values in runs:
-                left = w_cols[rows] * values[..., None]
-                out = products[start : start + len(rows)]
-                np.matmul(left.transpose(0, 2, 1), zb[cols], out=out)
-            # rows past the chunk's variables hold stale products, whose
+        products = scratch[: blk.width * b * b].reshape(blk.width, b, b)
+        gathers = scratch[blk.width * b * b :]
+        for variables, rows, cols, values in blk.chunks:
+            left, right = gathers[: 2 * rows.size * b].reshape(2, *rows.shape, b)
+            # mode "clip" takes into out in place, "raise" through a copy
+            np.take(w_cols, rows, axis=0, out=left, mode="clip")
+            left *= values[..., None]
+            np.take(zb, cols, axis=0, out=right, mode="clip")
+            np.matmul(left.transpose(0, 2, 1), right, out=products[: len(variables)])
+            # rows past the chunk's variables hold stale values, whose
             # adjoints are cut off: the stacked operator is block-diagonal
             adjoints = (blk.stacked @ products.ravel()).reshape(blk.width, m)
             ht[variables] += adjoints[: len(variables)]
@@ -376,6 +361,7 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
         ) from exc
     z = [np.eye(b) for b in sizes]
     h = np.empty((m, m))
+    scratch = np.zeros(max(blk.scratch_size for blk in blocks))
     trace: list[tuple[float, ...]] = []
     schur_s = factor_s = step_s = 0.0
 
@@ -422,7 +408,7 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
         # its Fortran-ordered transpose (h is symmetric), so that one (m, m)
         # array serves every iteration
         t0 = time.perf_counter()
-        _schur_matrix(blocks, w, z, h)
+        _schur_matrix(blocks, w, z, h, scratch)
         ridge = 1e-14 * max(1.0, float(h.diagonal().max()))
         h[np.diag_indices_from(h)] += ridge
         schur_s += time.perf_counter() - t0
@@ -498,6 +484,14 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
     )
 
 
+def _dual_check(problem: SdpProblem, z: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """Z's smallest eigenvalue, the residuals ``c + <F_i, Z>`` and ``<F0, Z>``."""
+    from scipy.linalg import eigvalsh
+
+    lam_min = float(eigvalsh(0.5 * (z + z.T))[0])
+    return lam_min, problem.c + problem.adjoint(z), float(np.tensordot(problem.f0, z))
+
+
 def verify_certificate(problem: SdpProblem, solution: SdpSolution) -> bool:
     """Re-check the dual certificate without trusting solver internals.
 
@@ -505,18 +499,11 @@ def verify_certificate(problem: SdpProblem, solution: SdpSolution) -> bool:
     feasibility (stationarity) residuals are below 1e-7 for every free
     variable, and the reported bound matches the recomputed dual objective.
     """
-    from scipy.linalg import eigvalsh
-
-    z = solution.dual_matrix
-    lam_min = float(eigvalsh(0.5 * (z + z.T))[0])
+    lam_min, residual, recomputed = _dual_check(problem, solution.dual_matrix)
     if lam_min < CERT_EIG_FLOOR:
         return False
-
-    residual = problem.c + problem.adjoint(z)
     if residual.size and float(np.abs(residual).max()) >= CERT_STATIONARITY_TOL:
         return False
-
-    recomputed = float(np.tensordot(problem.f0, z))
     return abs(recomputed - solution.bound) <= 1e-9 * (1.0 + abs(solution.bound))
 
 
@@ -561,12 +548,8 @@ def certified_upper_bound(problem: SdpProblem, solution: SdpSolution) -> float:
     at a price of ``e * tr F0``.  ``_check_certifiable`` raises ``ValueError``
     unless the problem's structure implies both assumptions.
     """
-    from scipy.linalg import eigvalsh
-
     _check_certifiable(problem)
-    z = solution.dual_matrix
-    residual = problem.c + problem.adjoint(z)
-    lam_min = float(eigvalsh(0.5 * (z + z.T))[0])
+    lam_min, residual, dual = _dual_check(problem, solution.dual_matrix)
     lift = max(0.0, -lam_min) * float(np.trace(problem.f0))
     slack = float(np.abs(residual).sum()) if residual.size else 0.0
-    return float(np.tensordot(problem.f0, z)) + slack + lift
+    return dual + slack + lift

@@ -1,0 +1,91 @@
+"""Seeded mutants of the package, each with the tests that must kill it.
+
+A mutant is one exact source edit: ``old`` occurs exactly once in ``file``
+(``tests/test_mutants.py`` checks this), and replacing it by ``new`` must make
+at least one of ``killers`` fail.  ``scripts/run_mutants.py`` applies each
+edit to a copy of the tree and runs its killers.
+"""
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str
+    old: str
+    new: str
+    killers: tuple[str, ...]
+
+
+def _in(test_file: str, *tests: str) -> tuple[str, ...]:
+    return tuple(f"tests/{test_file}::{test}" for test in tests)
+
+
+MUTANTS = (
+    Mutant(
+        "writable-pinned-slot",
+        "src/mabkcert/blochopt.py",
+        "    free[0, 0] = not honest\n",
+        "    free[0, 0] = True\n",
+        _in(
+            "test_blochopt.py",
+            "test_honest_three_party_respects_cap",
+            "test_a_party_step_reaches_the_sum_of_its_gradient_norms",
+        ),
+    ),
+    Mutant(
+        "skipped-party-1-negate-back",
+        "src/mabkcert/blochopt.py",
+        "    x, f, converged = _ascend(x0, _free_slots(n, honest), cfg)\n"
+        "    x[restarts:, 1] *= -1\n",
+        "    x, f, converged = _ascend(x0, _free_slots(n, honest), cfg)\n",
+        _in(
+            "test_blochopt.py",
+            "test_each_restart_keeps_the_better_of_its_two_signed_ascents",
+        ),
+    ),
+    Mutant(
+        "absolute-stop-tolerance",
+        "src/mabkcert/blochopt.py",
+        "<= _CONVERGENCE_TOL * np.abs(f[live])",
+        "<= _CONVERGENCE_TOL",
+        _in(
+            "test_blochopt.py",
+            "test_rows_at_an_optimum_converge_on_the_first_iteration",
+        ),
+    ),
+    Mutant(
+        "negated-mabk-value",
+        "src/mabkcert/correlators.py",
+        "    return _forward_sweep(settings)[2][..., -1, 0].real.sum(axis=0)\n",
+        "    return -_forward_sweep(settings)[2][..., -1, 0].real.sum(axis=0)\n",
+        _in(
+            "test_correlators.py",
+            "test_mabk_value_matches_term_sum_oracle",
+            "test_report_value_is_absolute_weighted_sum",
+        ),
+    ),
+    Mutant(
+        "skipped-z-averaging",
+        "src/mabkcert/npa.py",
+        "    z = sum(z[np.ix_(rows, rows)] for rows, _ in symmetries)"
+        " / len(symmetries)\n",
+        "",
+        _in("test_npa.py", "test_certified_bound_stays_within_the_margin"),
+    ),
+    Mutant(
+        "block-cut-ignores-f0",
+        "src/mabkcert/sdp.py",
+        "        np.maximum.at(reach, np.minimum(i, j), np.maximum(i, j))\n",
+        "",
+        _in("test_sdp.py", "test_block_sizes_are_the_finest_uncrossed_cut"),
+    ),
+    Mutant(
+        "padding-with-a-real-value",
+        "src/mabkcert/sdp.py",
+        "values = np.where(real, operator.data[at], 0.0)",
+        "values = operator.data[at]",
+        _in("test_sdp.py", "test_schur_matrix_matches_the_dense_formula"),
+    ),
+)

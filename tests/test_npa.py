@@ -608,10 +608,28 @@ def test_symmetry_adapted_bases_block_diagonalize_the_orbit_problem(case):
     assert set(dims) == irrep_dimensions
 
 
-def test_pinned_level3_solve_runs_on_two_blocks(reproduce_runs):
-    solution = reproduce_runs[(3, True)].solution
-    assert sorted(solution.block_sizes) == [41, 54]
-    assert reproduce_runs[(3, True)].reduced_size == 95
+# one block per irreducible type, one copy of each; sdp reads the blocks off
+# the entries, so a block problem that coupled two types would still solve,
+# only slower
+BLOCK_SIZES = {
+    "n3-level2-pinned": (11, 18),
+    "n3-level2-free": (8, 1, 8),
+    "n3-level3-pinned": (41, 54),
+    "n3-level3-free": (20, 5, 18),
+    "n4-level2-pinned": (14, 1, 18),
+    "n4-level2-free": (8, 1, 3, 8),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_SIZES)
+def test_orbit_solve_runs_on_the_irreducible_blocks(
+    reproduce_runs, four_party_runs, case
+):
+    n, level, pins = case.split("-")
+    runs = four_party_runs if n == "n4" else reproduce_runs
+    pinned = pins == "pinned"
+    result = runs[pinned] if n == "n4" else runs[(int(level[-1]), pinned)]
+    assert result.solution.block_sizes == BLOCK_SIZES[case]
 
 
 def test_symmetry_adapted_bases_of_the_trivial_group_are_the_identity():

@@ -1,7 +1,5 @@
 """Interior-point solver: toy instances, grid oracle, certificates, determinism."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -286,19 +284,49 @@ def test_infeasible_start_is_reported():
         solve(problem)
 
 
-def block_diagonal_instance(seeds):
-    """The random instances of ``seeds`` side by side on the diagonal, their
-    basis matrices sharing the three variables, with the blocks declared."""
+def block_diagonal_data(seeds):
+    """F0, basis matrices and c of the random instances of ``seeds`` side by
+    side on the diagonal, their basis matrices sharing the three variables."""
     data = [random_disjoint_data(seed) for seed in seeds]
     f0 = scipy.linalg.block_diag(*(f for f, _, _ in data))
     mats = [scipy.linalg.block_diag(*parts) for parts in zip(*(m for _, m, _ in data))]
-    problem = dense_problem(f0, mats, sum(c for _, _, c in data))
-    return dataclasses.replace(problem, blocks=tuple(len(f) for f, _, _ in data))
+    return f0, mats, sum(c for _, _, c in data)
+
+
+def block_diagonal_instance(seeds):
+    return dense_problem(*block_diagonal_data(seeds))
+
+
+def interleaved_instance(seeds):
+    """``block_diagonal_instance(seeds)`` with its rows dealt out in turn, so
+    that row ``k`` of instance ``a`` becomes row ``k * len(seeds) + a``."""
+    f0, mats, c = block_diagonal_data(seeds)
+    order = np.arange(len(f0)).reshape(len(seeds), -1).T.ravel()
+    ix = np.ix_(order, order)
+    return dense_problem(f0[ix], [m[ix] for m in mats], c)
+
+
+def test_block_sizes_are_the_finest_uncrossed_cut():
+    seeds = [3, 11, 23]
+    assert block_diagonal_instance(seeds).block_sizes == (5, 5, 5)
+    assert interleaved_instance(seeds).block_sizes == (15,)
+    f0, mats, c = block_diagonal_data(seeds)
+    crossed = [m.copy() for m in mats]
+    crossed[1][4, 5] = crossed[1][5, 4] = 0.5  # one basis entry across the first cut
+    assert dense_problem(f0, crossed, c).block_sizes == (10, 5)
+    low = f0.copy()
+    low[10, 5] = 0.1  # F0's lower triangle counts too
+    assert dense_problem(low, mats, c).block_sizes == (5, 10)
+    assert toy_1x1().block_sizes == (1,)
+    f1 = np.zeros((3, 3))
+    f1[0, 1] = f1[1, 0] = 1.0
+    assert dense_problem(np.eye(3), [f1], [1.0]).block_sizes == (2, 1)
 
 
 def test_blocks_solve_like_one_block():
-    blocks = block_diagonal_instance([3, 11, 23])
-    one = solve(dataclasses.replace(blocks, blocks=()))
+    seeds = [3, 11, 23]
+    blocks = block_diagonal_instance(seeds)
+    one = solve(interleaved_instance(seeds))
     split = solve(blocks)
     assert split.block_sizes == (5, 5, 5) and one.block_sizes == (15,)
     assert split.bound == pytest.approx(one.bound, abs=1e-9)
@@ -317,11 +345,12 @@ def test_solutions_record_where_the_time_went():
     assert sol.dual_residual == sol.trace[-1][4] < 1e-7
 
 
-@pytest.mark.parametrize("scratch", [1, 60, sdp.SCHUR_SCRATCH])
+@pytest.mark.parametrize("scratch", [32, 60, sdp.SCHUR_SCRATCH])
 def test_schur_matrix_matches_the_dense_formula(monkeypatch, scratch):
-    # chunks of one column, chunks cut inside a run of equal entry counts
-    # (60 floats are two columns of a 5x5 block), and the default; every
-    # variable has entries in every block, some on the diagonal
+    # chunks of one column in the 5x5 block beside chunks of two in the 4x4
+    # block (32 floats), chunks cut inside a run of equal entry counts (60
+    # floats are two columns of the 5x5 block), and the default; at each size
+    # some chunk mixes entry counts, so some of its slots are padding
     monkeypatch.setattr(sdp, "SCHUR_SCRATCH", scratch)
     rng = np.random.default_rng(7)
     sizes, m = (5, 1, 4), 6
@@ -332,10 +361,11 @@ def test_schur_matrix_matches_the_dense_formula(monkeypatch, scratch):
             part = np.triu(rng.normal(size=(b, b)) * (rng.random((b, b)) < 0.4))
             parts.append(part + np.triu(part, 1).T)
         mats.append(scipy.linalg.block_diag(*parts))
-    problem = dataclasses.replace(
-        dense_problem(np.eye(sum(sizes)), mats, np.ones(m)), blocks=sizes
-    )
-    _, blocks = sdp._blocks(problem)
+    problem = dense_problem(np.eye(sum(sizes)), mats, np.ones(m))
+    assert problem.block_sizes == sizes
+    operator, blocks = sdp._blocks(problem)
+    slots = sum(values.size for blk in blocks for *_, values in blk.chunks)
+    assert slots > operator.nnz
     w, z = [], []
     for b in sizes:
         x, y = rng.normal(size=(2, b, b))
@@ -346,26 +376,6 @@ def test_schur_matrix_matches_the_dense_formula(monkeypatch, scratch):
         [[np.tensordot(fi, dense_w @ fj @ dense_z) for fj in mats] for fi in mats]
     )
     h = np.empty((m, m))
-    sdp._schur_matrix(blocks, w, z, h)
+    scratch = np.zeros(max(blk.scratch_size for blk in blocks))
+    sdp._schur_matrix(blocks, w, z, h, scratch)
     assert np.allclose(h, 0.5 * (dense + dense.T), rtol=1e-13, atol=1e-12)
-
-
-@pytest.mark.parametrize(
-    "f0, entries, blocks, reason",
-    [
-        (np.eye(3), {"row": [0], "col": [2]}, (2, 1), "outside the blocks"),
-        (np.eye(3) + np.eye(3, k=2), {}, (2, 1), "F0 has a nonzero outside"),
-        (np.eye(3), {}, (2, 2), "do not partition"),
-        (np.eye(3), {}, (3, 0), "do not partition"),
-    ],
-    ids=["entry", "f0", "sum", "empty-block"],
-)
-def test_problem_refuses_entries_outside_its_blocks(f0, entries, blocks, reason):
-    fields = {"var": [0], "row": [0], "col": [1], "value": [1.0], **entries}
-    with pytest.raises(ValueError, match=reason):
-        SdpProblem(
-            f0=f0,
-            c=np.array([1.0]),
-            blocks=blocks,
-            **{name: np.array(a) for name, a in fields.items()},
-        )
