@@ -28,8 +28,10 @@ At the start of a sweep a row stops, converged, when the largest tangent part
 ``|g - (g . b) b|`` over its free slots is at most ``_CONVERGENCE_TOL`` times
 |v|: relative, because the rounding of v, and with it the smallest gradient a
 sweep can act on, grows with |v|.  A row whose sweep does not raise its value
-stops unconverged at its pre-sweep point, as does a row still live after
-``max_iterations`` sweeps.
+stops at its pre-sweep point: unconverged if the sweep lowered the value; if
+it left the value exactly unchanged, converged when its post-sweep point
+passes the same test.  A row still live after ``max_iterations`` sweeps stops
+unconverged.
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ class OptimizationResult:
     # whose value is within _TIE_TOL (relative) of best_value
     best_settings: np.ndarray
     per_restart_values: tuple[float, ...]
-    # restarts whose better ascent met the relative stop, not a sweep that
-    # could not raise its value or the sweep cap
+    # restarts whose better ascent met the relative stop, before a sweep or
+    # after one that kept the value exactly
     converged_count: int
 
 
@@ -130,6 +132,8 @@ def _ascend(
     f = mabk_value(x)
     converged = np.zeros(len(x), dtype=bool)
     live = np.arange(len(x))  # rows still ascending, in row order
+    tied = np.zeros(len(x), dtype=bool)  # rows whose last sweep kept the value
+    post = np.empty_like(x)  # a tied row's post-sweep point
 
     for _ in range(config.max_iterations):
         if not live.size:
@@ -142,11 +146,20 @@ def _ascend(
 
         _sweep(trial, grad[~stop], free)
         ft = mabk_value(trial)
+        tie = ft == f[live]
+        tied[live[tie]] = True
+        post[live[tie]] = trial[tie]
         up = ft > f[live]  # a sweep that cannot raise the value is a local stop
         live = live[up]
         x[live] = trial[up]
         f[live] = ft[up]
 
+    # a tied row takes the stop test at its post-sweep point, all of them in
+    # one gradient call; the row keeps its pre-sweep point, of the same value
+    rows = np.flatnonzero(tied)
+    if rows.size:
+        tangent = _tangent_norm(post[rows], mabk_gradient(post[rows]), free)
+        converged[rows] = tangent <= _CONVERGENCE_TOL * np.abs(f[rows])
     return x, f, converged
 
 

@@ -453,25 +453,6 @@ def _cluster(values: np.ndarray, tol: float) -> np.ndarray:
     return labels
 
 
-def _orbit_eigenspaces(images: np.ndarray, weights: np.ndarray) -> tuple:
-    """Eigenvalues and eigenvectors of ``A`` on one row orbit, and each
-    eigenvector's eigenvalue under ``C`` (see ``symmetry_adapted_bases``);
-    ``images[g]`` are the orbit positions that group element ``g`` moves the
-    orbit's rows to."""
-    from scipy.linalg import eigh
-
-    size = images.shape[1]
-    a = np.zeros((size, size))
-    for weight, image in zip(weights, images):
-        a[image, np.arange(size)] += weight
-    a += a.T
-    central = np.zeros((size, size))
-    for image in images:
-        central[np.ix_(image, image)] += a
-    lam, vec = eigh(a)
-    return lam, vec, np.einsum("ia,ij,ja->a", vec, central, vec) / len(images)
-
-
 def symmetry_adapted_bases(row_permutations: list[np.ndarray]) -> list[np.ndarray]:
     """Orthonormal bases, one per irreducible type of a row permutation group,
     that block-diagonalize every symmetric matrix the group fixes.
@@ -486,39 +467,41 @@ def symmetry_adapted_bases(row_permutations: list[np.ndarray]) -> list[np.ndarra
     carries all of ``F``'s eigenvalues.  The type of an eigenvector is its
     eigenvalue under the central element ``C``, the group average of
     ``P_g A P_g^T``.  ``A`` and ``C`` act on each row orbit alone, so both
-    are diagonalized orbit by orbit, once per distinct action on an orbit,
-    and every basis vector lives on one orbit.  Eigenvalues closer than 1e-8
-    of ``A``'s norm bound are taken as equal; the kept eigenspace of each
-    type is the one of smallest eigenvalue.
+    are diagonalized orbit by orbit and every basis vector lives on one
+    orbit.  The permutations form a group, so row ``i``'s orbit is ``{g(i)}``
+    and its least image labels it.  Eigenvalues closer than 1e-8 of ``A``'s
+    norm bound are taken as equal; the kept eigenspace of each type is the
+    one of smallest eigenvalue.
     """
+    from scipy.linalg import eigh
+
     perms = np.asarray(row_permutations)
     n_group, k = perms.shape
-    orbit = _min_labels(k, np.tile(np.arange(k), n_group), perms.ravel())
     weights = np.random.default_rng(GROUP_ALGEBRA_SEED).uniform(1.0, 2.0, n_group)
-    actions: dict[bytes, tuple] = {}
-    supports, vectors, eigenvalues, types = [], [], [], []
+    a = np.zeros((k, k))
+    for weight, image in zip(weights, perms):
+        a[image, np.arange(k)] += weight
+    a += a.T
+    # each orbit's eigenvectors of A, and their eigenvalues under A and C,
+    # take the next columns
+    vectors, eigenvalues, types = np.zeros((k, k)), np.zeros(k), np.zeros(k)
+    orbit, start = perms.min(axis=0), 0
     for root in np.unique(orbit):
         rows = np.flatnonzero(orbit == root)
-        images = np.searchsorted(rows, perms[:, rows])
-        key = images.tobytes()
-        if key not in actions:
-            actions[key] = _orbit_eigenspaces(images, weights)
-        lam, vec, gamma = actions[key]
-        supports += [rows] * len(rows)
-        vectors += list(vec.T)
-        eigenvalues.append(lam)
-        types.append(gamma)
+        columns = slice(start, start + len(rows))
+        start += len(rows)
+        lam, vec = eigh(a[np.ix_(rows, rows)])
+        images = perms[:, rows]  # C[i, j] averages A[g(i), g(j)], as G = G^-1
+        central = a[images[:, :, None], images[:, None, :]].sum(axis=0)
+        vectors[rows, columns], eigenvalues[columns] = vec, lam
+        types[columns] = np.einsum("ia,ij,ja->a", vec, central, vec) / n_group
     tol = 1e-8 * 2.0 * weights.sum()
-    copy = _cluster(np.concatenate(eigenvalues), tol)
-    kind = _cluster(np.concatenate(types), tol)
-    bases = []
-    for t in range(kind.max() + 1):
-        kept = np.flatnonzero((kind == t) & (copy == copy[kind == t].min()))
-        q = np.zeros((k, len(kept)))
-        for column, v in enumerate(kept):
-            q[supports[v], column] = vectors[v]
-        bases.append(q)
-    return bases
+    copy = _cluster(eigenvalues, tol)
+    kind = _cluster(types, tol)
+    return [
+        vectors.compress((kind == t) & (copy == copy[kind == t].min()), axis=1)
+        for t in range(kind.max() + 1)
+    ]
 
 
 def _block_problem(problem: SdpProblem, bases: list[np.ndarray]) -> SdpProblem:
@@ -568,12 +551,7 @@ def solve_on_orbits(
     its block ``Z``, lifted to ``sum_c Q_c Z_c Q_c^T`` and averaged over the
     group, is a dual point of ``problem`` itself (see the module docstring).
     """
-    m = problem.n_vars
-    orbit = _min_labels(
-        m,
-        np.tile(np.arange(m), len(symmetries)),
-        np.concatenate([variables for _, variables in symmetries]),
-    )
+    orbit = np.min([variables for _, variables in symmetries], axis=0)
     _, orbit_of = np.unique(orbit, return_inverse=True)
     orbits = replace(
         problem, var=orbit_of[problem.var], c=np.bincount(orbit_of, weights=problem.c)

@@ -76,6 +76,8 @@ CERT_STATIONARITY_TOL = 1e-7
 # its gathered entries and its stacked operator are the Schur assembly's
 # scratch, a few times this size, beside the Schur matrix itself.
 SCHUR_SCRATCH = 1 << 15
+# Iterations after which solve gives up with SdpSolverError.
+MAX_ITERATIONS = 120
 
 
 class SdpSolverError(RuntimeError):
@@ -331,10 +333,10 @@ def _sym(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.T)
 
 
-def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSolution:
+def solve(problem: SdpProblem, tol: float = 1e-9) -> SdpSolution:
     """Run the interior-point iteration until gap and residuals drop below tol."""
-    from scipy.linalg import block_diag, cho_factor, cho_solve
-    from scipy.linalg.lapack import dpotrs
+    from scipy.linalg import block_diag
+    from scipy.linalg.lapack import dpotrf, dpotrs
 
     d, m, c = problem.dimension, problem.n_vars, problem.c
     sizes = problem.block_sizes
@@ -365,7 +367,7 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
     trace: list[tuple[float, ...]] = []
     schur_s = factor_s = step_s = 0.0
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         t0 = time.perf_counter()
         try:
             ls = _cholesky(s)
@@ -413,17 +415,16 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
         h[np.diag_indices_from(h)] += ridge
         schur_s += time.perf_counter() - t0
         t0 = time.perf_counter()
-        try:
-            hc = cho_factor(h.T, lower=True, overwrite_a=True)
-        except np.linalg.LinAlgError as exc:
+        hc, info = dpotrf(h.T, lower=1, overwrite_a=1, clean=0)
+        if info > 0:
             raise SdpSolverError(
                 f"Schur complement factorization failed at iteration {it}",
                 {"iteration": it, "mu": mu, "trace": tuple(trace)},
-            ) from exc
+            )
         factor_s += time.perf_counter() - t0
 
         # predictor: the affine-scaling step, aimed at mu = 0
-        dy_aff = cho_solve(hc, c)
+        dy_aff = dpotrs(hc, c, lower=1)[0]
         ds_aff = combination(dy_aff)
         dz_aff = [_sym(-zb - wb @ dsb @ zb) for zb, wb, dsb in zip(z, w, ds_aff)]
         t0 = time.perf_counter()
@@ -441,13 +442,13 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
         # corrector: the same factor, with the second-order term W dS_aff dZ_aff
         second_order = [wb @ dsb @ dzb for wb, dsb, dzb in zip(w, ds_aff, dz_aff)]
         rhs = sigma * mu * adjoint(w) + c - adjoint(second_order)
-        dy = cho_solve(hc, rhs)
+        dy = dpotrs(hc, rhs, lower=1)[0]
         ds = combination(dy)
         # one step of iterative refinement: H dy should equal <F_i, W dS Z>,
         # but the assembled H is symmetrized and ridged and drifts from it as
         # mu falls, and the dual residual grows with the drift
         applied = adjoint([wb @ dsb @ zb for wb, dsb, zb in zip(w, ds, z)])
-        dy = dy + cho_solve(hc, rhs - applied)
+        dy = dy + dpotrs(hc, rhs - applied, lower=1)[0]
         ds = combination(dy)
         dz = [
             _sym(sigma * mu * wb - zb - wb @ dsb @ zb - sob)
@@ -465,9 +466,9 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 120) -> SdpSol
         trace.append((mu, primal, dual, gap, rd_inf, alpha_p, alpha_d, sigma))
     else:
         raise SdpSolverError(
-            f"iteration limit {max_iter} reached (gap {trace[-1][3]:.3e},"
+            f"iteration limit {MAX_ITERATIONS} reached (gap {trace[-1][3]:.3e},"
             f" residual {trace[-1][4]:.3e})",
-            {"iterations": max_iter, "trace": tuple(trace)},
+            {"iterations": MAX_ITERATIONS, "trace": tuple(trace)},
         )
 
     return SdpSolution(

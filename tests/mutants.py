@@ -56,6 +56,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "ties-always-converge",
+        "src/mabkcert/blochopt.py",
+        "converged[rows] = tangent <= _CONVERGENCE_TOL * np.abs(f[rows])",
+        "converged[rows] = True",
+        _in(
+            "test_blochopt.py",
+            "test_a_tie_with_a_large_post_sweep_tangent_ends_the_row_unconverged",
+        ),
+    ),
+    Mutant(
         "negated-mabk-value",
         "src/mabkcert/correlators.py",
         "    return _forward_sweep(settings)[2][..., -1, 0].real.sum(axis=0)\n",
@@ -73,6 +83,30 @@ MUTANTS = (
         " / len(symmetries)\n",
         "",
         _in("test_npa.py", "test_certified_bound_stays_within_the_margin"),
+    ),
+    Mutant(
+        "all-copies-kept",
+        "src/mabkcert/npa.py",
+        "(kind == t) & (copy == copy[kind == t].min())",
+        "kind == t",
+        _in(
+            "test_npa.py",
+            "test_symmetry_adapted_bases_block_diagonalize_the_orbit_problem"
+            "[n3-level2-free]",
+            "test_orbit_solve_runs_on_the_irreducible_blocks[n3-level2-free]",
+        ),
+    ),
+    Mutant(
+        "types-from-a",
+        "src/mabkcert/npa.py",
+        "    kind = _cluster(types, tol)\n",
+        "    kind = copy\n",
+        _in(
+            "test_npa.py",
+            "test_symmetry_adapted_bases_block_diagonalize_the_orbit_problem"
+            "[n3-level2-free]",
+            "test_orbit_solve_runs_on_the_irreducible_blocks[n3-level2-free]",
+        ),
     ),
     Mutant(
         "block-cut-ignores-f0",

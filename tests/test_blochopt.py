@@ -292,6 +292,48 @@ def test_a_sweep_that_cannot_raise_the_value_ends_the_row_unconverged(monkeypatc
     assert not converged.any()
 
 
+class Turning:
+    """Value 1 everywhere, with gradient ``(b_z, 0, -b_x)`` at each Bloch
+    vector ``b``: ``b`` turned a quarter about y, so every slot's tangent
+    gradient is 1 wherever the party step puts it."""
+
+    def __init__(self):
+        self.gradient_calls = 0
+
+    def value(self, settings):
+        return np.ones(settings.shape[:-3])
+
+    def gradient(self, settings):
+        self.gradient_calls += 1
+        turned = settings[..., [2, 1, 0]] * [1.0, 0.0, -1.0]
+        return np.ascontiguousarray(turned)
+
+
+def test_a_tie_with_a_large_post_sweep_tangent_ends_the_row_unconverged(monkeypatch):
+    # the sweep keeps the value exactly, so the row takes the stop test at its
+    # post-sweep point, one more gradient call; its tangent gradient there is
+    # still 1, so the row leaves unconverged, at its start
+    n = 4
+    x0 = np.broadcast_to([0.0, 0.0, 1.0], (1, n, 2, 3)).copy()
+    turning = Turning()
+    monkeypatch.setattr(blochopt, "mabk_value", turning.value)
+    monkeypatch.setattr(blochopt, "mabk_gradient", turning.gradient)
+    x, f, converged = _ascend(x0, _free_slots(n, True), OptimizerConfig())
+    assert turning.gradient_calls == n + 1
+    assert np.array_equal(x, x0) and f.tolist() == [1.0]
+    assert not converged.any()
+
+
+@pytest.mark.parametrize(
+    "n, maximize", [(4, maximize_honest_mabk), (8, maximize_unconstrained_mabk)]
+)
+def test_rows_whose_last_sweep_keeps_the_value_can_converge(n, maximize):
+    # at the default seed a few restarts end with a sweep that leaves the
+    # value exactly unchanged; at their post-sweep points the tangent
+    # gradient is at most 3.5e-10 of |v|, so they count as converged
+    assert maximize(n, OptimizerConfig()).converged_count == 100
+
+
 @pytest.mark.parametrize("n", [25, 29])
 def test_honest_large_n_reaches_the_cap(n):
     # the seesaw's step does not scale with the value, which is about 1e-5

@@ -159,17 +159,23 @@ def test_trace_rows_carry_the_centering_parameter():
 
 
 def test_one_schur_factorization_per_step(monkeypatch):
-    # solve imports cho_factor from scipy.linalg when it is called
-    calls = []
-    cho_factor = scipy.linalg.cho_factor
+    # solve imports dpotrf from scipy.linalg.lapack when it is called; the
+    # Schur matrix is its only (m, m) operand, and it is factored in place
+    problem = random_disjoint_instance(23)
+    m = problem.n_vars
+    assert m not in problem.block_sizes
+    dpotrf = scipy.linalg.lapack.dpotrf
+    in_place = []
 
-    def counting_cho_factor(*args, **kwargs):
-        calls.append(1)
-        return cho_factor(*args, **kwargs)
+    def counting_dpotrf(a, *args, **kwargs):
+        factor, info = dpotrf(a, *args, **kwargs)
+        if a.shape == (m, m):
+            in_place.append(np.shares_memory(factor, a))
+        return factor, info
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", counting_cho_factor)
-    sol = solve(random_disjoint_instance(23))
-    assert len(calls) == sol.iterations - 1
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", counting_dpotrf)
+    sol = solve(problem)
+    assert in_place == [True] * (sol.iterations - 1)
 
 
 def test_verify_certificate_rejects_perturbed_dual():
@@ -269,13 +275,11 @@ def test_problem_refuses_malformed_entries(entries, reason):
         )
 
 
-def test_iteration_limit_raises_with_diagnostics():
-    with pytest.raises(SdpSolverError, match="iteration limit"):
-        solve(toy_2x2(), max_iter=3)
-    try:
-        solve(toy_2x2(), max_iter=3)
-    except SdpSolverError as exc:
-        assert "trace" in exc.diagnostics
+def test_iteration_limit_raises_with_diagnostics(monkeypatch):
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 3)
+    with pytest.raises(SdpSolverError, match="iteration limit 3") as caught:
+        solve(toy_2x2())
+    assert "trace" in caught.value.diagnostics
 
 
 def test_infeasible_start_is_reported():
