@@ -2,9 +2,10 @@
 
 A candidate is the (n, 2, 3) settings array of ``correlators``; the honest
 search pins slot (party 0, input 0) to sigma_z's (0, 0, 1) and never writes
-it.  Restart r maps spherical angles drawn from
-``numpy.random.default_rng([seed, r])`` to its start (the documented counter
-scheme: results depend only on (n, restarts, seed)).
+it.  The starts map spherical angles from one ``numpy.random.default_rng(seed)``
+stream, drawn restart by restart (each restart's thetas, then its phis, one per
+free slot in party-major order), so restart r depends only on (n, honest,
+seed, r) and a longer run extends a shorter one bit for bit.
 
 The ascent is a party-wise seesaw.  The value on GHZ is linear in each
 party's pair of Bloch vectors, ``v = g_{i,0} . b_{i,0} + g_{i,1} . b_{i,1}``,
@@ -27,11 +28,10 @@ operation is elementwise, so a batch equals its rows run one by one.
 At the start of a sweep a row stops, converged, when the largest tangent part
 ``|g - (g . b) b|`` over its free slots is at most ``_CONVERGENCE_TOL`` times
 |v|: relative, because the rounding of v, and with it the smallest gradient a
-sweep can act on, grows with |v|.  A row whose sweep does not raise its value
-stops at its pre-sweep point: unconverged if the sweep lowered the value; if
-it left the value exactly unchanged, converged when its post-sweep point
-passes the same test.  A row still live after ``max_iterations`` sweeps stops
-unconverged.
+sweep can act on, grows with |v|.  A row whose sweep does not raise its value,
+by a tie or by a rounding loss, stops at its pre-sweep point, converged when
+its post-sweep point passes the same test.  A row still live after
+``max_iterations`` sweeps stops unconverged.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class OptimizationResult:
     best_settings: np.ndarray
     per_restart_values: tuple[float, ...]
     # restarts whose better ascent met the relative stop, before a sweep or
-    # after one that kept the value exactly
+    # after one that did not raise the value
     converged_count: int
 
 
@@ -85,13 +85,11 @@ def _free_slots(n: int, honest: bool) -> np.ndarray:
 
 
 def _initial_settings(n: int, honest: bool, restarts: int, seed: int) -> np.ndarray:
-    """Starting settings (restarts, n, 2, 3); restart r draws from rng([seed, r])."""
-    n_obs = 2 * n - int(honest)
-    angles = np.zeros((restarts, 2, 2 * n))  # theta, phi; the pinned slot 0 is z
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        angles[r, 0, 2 * n - n_obs :] = rng.uniform(0.0, np.pi, n_obs)
-        angles[r, 1, 2 * n - n_obs :] = rng.uniform(0.0, 2.0 * np.pi, n_obs)
+    """Starting settings (restarts, n, 2, 3), restart by restart from rng(seed)."""
+    shape = (restarts, 2, 2 * n - honest)  # thetas in [0, pi), then phis in [0, 2 pi)
+    angles = np.random.default_rng(seed).uniform(0.0, [[np.pi], [2 * np.pi]], shape)
+    # the pinned slot's angles are 0: sigma_z
+    angles = np.pad(angles, ((0, 0), (0, 0), (int(honest), 0)))
     return _bloch(angles[:, 0], angles[:, 1]).reshape(restarts, n, 2, 3)
 
 
@@ -132,8 +130,8 @@ def _ascend(
     f = mabk_value(x)
     converged = np.zeros(len(x), dtype=bool)
     live = np.arange(len(x))  # rows still ascending, in row order
-    tied = np.zeros(len(x), dtype=bool)  # rows whose last sweep kept the value
-    post = np.empty_like(x)  # a tied row's post-sweep point
+    stalled = np.zeros(len(x), dtype=bool)  # rows whose last sweep did not raise f
+    post = np.empty_like(x)  # a stalled row's post-sweep point
 
     for _ in range(config.max_iterations):
         if not live.size:
@@ -146,17 +144,16 @@ def _ascend(
 
         _sweep(trial, grad[~stop], free)
         ft = mabk_value(trial)
-        tie = ft == f[live]
-        tied[live[tie]] = True
-        post[live[tie]] = trial[tie]
         up = ft > f[live]  # a sweep that cannot raise the value is a local stop
+        stalled[live[~up]] = True
+        post[live[~up]] = trial[~up]
         live = live[up]
         x[live] = trial[up]
         f[live] = ft[up]
 
-    # a tied row takes the stop test at its post-sweep point, all of them in
-    # one gradient call; the row keeps its pre-sweep point, of the same value
-    rows = np.flatnonzero(tied)
+    # a stalled row takes the stop test at its post-sweep point, all of them
+    # in one gradient call; the row keeps its pre-sweep point, never lower
+    rows = np.flatnonzero(stalled)
     if rows.size:
         tangent = _tangent_norm(post[rows], mabk_gradient(post[rows]), free)
         converged[rows] = tangent <= _CONVERGENCE_TOL * np.abs(f[rows])

@@ -467,14 +467,12 @@ def symmetry_adapted_bases(row_permutations: list[np.ndarray]) -> list[np.ndarra
     carries all of ``F``'s eigenvalues.  The type of an eigenvector is its
     eigenvalue under the central element ``C``, the group average of
     ``P_g A P_g^T``.  ``A`` and ``C`` act on each row orbit alone, so both
-    are diagonalized orbit by orbit and every basis vector lives on one
-    orbit.  The permutations form a group, so row ``i``'s orbit is ``{g(i)}``
-    and its least image labels it.  Eigenvalues closer than 1e-8 of ``A``'s
-    norm bound are taken as equal; the kept eigenspace of each type is the
-    one of smallest eigenvalue.
+    are diagonalized orbit by orbit, all orbits of one size in one stacked
+    call, and every basis vector lives on one orbit.  The permutations form a
+    group, so row ``i``'s orbit is ``{g(i)}`` and its least image labels it.
+    Eigenvalues closer than 1e-8 of ``A``'s norm bound are taken as equal; the
+    kept eigenspace of each type is the one of smallest eigenvalue.
     """
-    from scipy.linalg import eigh
-
     perms = np.asarray(row_permutations)
     n_group, k = perms.shape
     weights = np.random.default_rng(GROUP_ALGEBRA_SEED).uniform(1.0, 2.0, n_group)
@@ -482,19 +480,20 @@ def symmetry_adapted_bases(row_permutations: list[np.ndarray]) -> list[np.ndarra
     for weight, image in zip(weights, perms):
         a[image, np.arange(k)] += weight
     a += a.T
-    # each orbit's eigenvectors of A, and their eigenvalues under A and C,
-    # take the next columns
+    # the rows sorted by orbit; each orbit's eigenvectors of A, and their
+    # eigenvalues under A and C, take the columns of its rows' positions
     vectors, eigenvalues, types = np.zeros((k, k)), np.zeros(k), np.zeros(k)
-    orbit, start = perms.min(axis=0), 0
-    for root in np.unique(orbit):
-        rows = np.flatnonzero(orbit == root)
-        columns = slice(start, start + len(rows))
-        start += len(rows)
-        lam, vec = eigh(a[np.ix_(rows, rows)])
+    orbit = perms.min(axis=0)
+    order = np.argsort(orbit, kind="stable")
+    size = np.bincount(orbit)[orbit[order]]
+    for s in np.unique(size):
+        columns = np.flatnonzero(size == s).reshape(-1, s)  # one orbit a row
+        rows = order[columns]
+        lam, vec = np.linalg.eigh(a[rows[:, :, None], rows[:, None, :]])
         images = perms[:, rows]  # C[i, j] averages A[g(i), g(j)], as G = G^-1
-        central = a[images[:, :, None], images[:, None, :]].sum(axis=0)
-        vectors[rows, columns], eigenvalues[columns] = vec, lam
-        types[columns] = np.einsum("ia,ij,ja->a", vec, central, vec) / n_group
+        central = a[images[..., :, None], images[..., None, :]].sum(axis=0)
+        vectors[rows[:, :, None], columns[:, None, :]], eigenvalues[columns] = vec, lam
+        types[columns] = np.einsum("oia,oij,oja->oa", vec, central, vec) / n_group
     tol = 1e-8 * 2.0 * weights.sum()
     copy = _cluster(eigenvalues, tol)
     kind = _cluster(types, tol)

@@ -63,6 +63,28 @@ MUTANTS = (
         _in(
             "test_blochopt.py",
             "test_a_tie_with_a_large_post_sweep_tangent_ends_the_row_unconverged",
+            "test_a_sweep_that_cannot_raise_the_value_ends_the_row_unconverged",
+        ),
+    ),
+    Mutant(
+        "decreases-end-unconverged",
+        "src/mabkcert/blochopt.py",
+        "        stalled[live[~up]] = True\n",
+        "        stalled[live[ft == f[live]]] = True\n",
+        _in(
+            "test_blochopt.py",
+            "test_a_rounding_loss_at_a_stationary_point_converges",
+        ),
+    ),
+    Mutant(
+        "thetas-then-phis",
+        "src/mabkcert/blochopt.py",
+        "uniform(0.0, [[np.pi], [2 * np.pi]], shape)",
+        "uniform(0.0, [[[np.pi]], [[2 * np.pi]]], shape[1::-1] + shape[2:])"
+        ".swapaxes(0, 1)",
+        _in(
+            "test_blochopt.py",
+            "test_per_restart_seeding_is_a_counter_scheme",
         ),
     ),
     Mutant(
