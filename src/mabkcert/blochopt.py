@@ -141,6 +141,8 @@ def _ascend(
         stop = _tangent_norm(trial, grad, free) <= _CONVERGENCE_TOL * np.abs(f[live])
         converged[live[stop]] = True
         live, trial = live[~stop], trial[~stop]
+        if not live.size:
+            break
 
         _sweep(trial, grad[~stop], free)
         ft = mabk_value(trial)

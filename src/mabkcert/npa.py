@@ -81,10 +81,13 @@ Averaged over ``G``, ``Z`` stays PSD, keeps ``<F0, Z>`` and meets ``<F_v, Z>
 certificate for the unreduced problem, and ``verify_certificate`` and
 ``certified_upper_bound`` check it on that problem: a wrong symmetry would
 leave stationarity residuals that the first refuses and the second charges,
-so the symmetry is never trusted.  MABK is symmetric under every party
-permutation and the pins under those that fix the first party;
-``party_symmetries`` takes the permutations that map every basis word into
-the basis and keeps those that pass the check on the lowered problem.
+so the symmetry is never trusted.  ``G`` is found exactly, on the problem's
+words.  Relabelling the parties commutes with canonicalization and reversal,
+so one that maps every basis word into the basis permutes the rows and the
+moment classes.  One that also maps the pin words onto themselves maps the
+pinned classes, and with them the row groups and class merges of the
+reduction, onto their own; one that also keeps every objective coefficient
+keeps ``c``.  Such a relabelling maps ``F0``, the ``F_v`` and ``c`` as above.
 """
 
 from __future__ import annotations
@@ -251,30 +254,30 @@ def build_moment_structure(monomials: list[Word]) -> MomentMatrixStructure:
     return MomentMatrixStructure(tuple(monomials), class_of)
 
 
+def objective_words(expr: dict[BitString, Fraction]) -> dict[Word, Fraction]:
+    """A full-correlation expression as a word map: one letter per party."""
+    return {
+        tuple(OperatorLetter(p, x) for p, x in enumerate(inputs)): coefficient
+        for inputs, coefficient in expr.items()
+    }
+
+
+def perfect_correlation_pins(n_parties: int) -> list[Word]:
+    """The pairwise key-setting correlators that perfect correlations pin to
+    one (see module docstring); the first party's key is its input 0."""
+    keys = [OperatorLetter(0, 0)]
+    keys += [OperatorLetter(party, KEY_INPUT) for party in range(1, n_parties)]
+    return list(itertools.combinations(keys, 2))
+
+
 def encode_objective(
-    expr: dict[BitString, Fraction], structure: MomentMatrixStructure
+    objective: dict[Word, Fraction], structure: MomentMatrixStructure
 ) -> np.ndarray:
-    """Coefficient vector over moment classes for a full-correlation expression."""
+    """Coefficient vector over moment classes of a word map."""
     out = np.zeros(structure.n_classes)
-    for inputs, coefficient in expr.items():
-        word = tuple(OperatorLetter(p, x) for p, x in enumerate(inputs))
+    for word, coefficient in objective.items():
         out[structure.class_id(word)] += float(coefficient)
     return out
-
-
-def _key_letters(n_parties: int) -> list[OperatorLetter]:
-    """Each party's key observable: input 0 of the first, KEY_INPUT of the rest."""
-    return [OperatorLetter(0, 0)] + [
-        OperatorLetter(party, KEY_INPUT) for party in range(1, n_parties)
-    ]
-
-
-def encode_perfect_correlation(structure: MomentMatrixStructure) -> list[int]:
-    """The moment classes of the pairwise key-setting correlators of every
-    party of the basis, which the perfect correlations pin to one (see module
-    docstring)."""
-    letters = _key_letters(_n_parties(structure.basis))
-    return [structure.class_id(pair) for pair in itertools.combinations(letters, 2)]
 
 
 def _min_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -376,71 +379,52 @@ def lower_to_sdp(
     return problem, const
 
 
-def _variable_permutation(problem: SdpProblem, rows: np.ndarray) -> np.ndarray | None:
-    """The variable map of a row permutation that leaves ``problem`` invariant.
-
-    Row ``i`` goes to row ``rows[i]``.  That is a symmetry when it maps ``F0``
-    to ``F0``, the entries of each ``F_v`` onto those of one ``F_w`` with the
-    same values, and ``c_v`` to ``c_w = c_v``; the map ``v -> w`` is returned,
-    or None if any of this fails.  The basis matrices are symmetric, so it
-    suffices to map each upper-triangle entry to the upper-triangle position
-    of its image.
-    """
-    k, m = problem.dimension, problem.n_vars
-    if not np.array_equal(np.sort(rows), np.arange(k)):
-        return None
-    if not np.array_equal(problem.f0[np.ix_(rows, rows)], problem.f0):
-        return None
-    position = problem.row * k + problem.col
-    var_at = np.full(k * k, -1)
-    var_at[position] = problem.var
-    value_at = np.zeros(k * k)
-    value_at[position] = problem.value
-    i, j = rows[problem.row], rows[problem.col]
-    image = np.minimum(i, j) * k + np.maximum(i, j)
-    target = var_at[image]
-    variables = np.full(m, -1)
-    variables[problem.var] = target
-    if (
-        (target < 0).any()
-        or not np.array_equal(variables[problem.var], target)
-        or not np.array_equal(value_at[image], problem.value)
-        or not np.array_equal(np.sort(variables), np.arange(m))
-        or not np.array_equal(problem.c[variables], problem.c)
-    ):
-        return None
-    return variables
-
-
 def party_symmetries(
-    structure: MomentMatrixStructure, reduced: ReducedMoments, problem: SdpProblem
+    structure: MomentMatrixStructure,
+    reduced: ReducedMoments,
+    problem: SdpProblem,
+    objective: dict[Word, Fraction],
+    pins: list[Word],
 ) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
-    """Party permutations that leave the lowered problem invariant.
+    """Party relabellings that leave the problem's words invariant, with their
+    permutations of the kept rows and of the variables of ``problem``.
 
-    A candidate relabels party ``p`` as ``parties[p]`` and maps every basis
-    word into the basis.  It permutes the basis words, hence the row groups of
-    ``reduced`` and the kept rows; ``_variable_permutation`` then checks that
-    this row permutation is a symmetry of ``problem``.  Each one that is maps
-    to its permutations of the kept rows and of the variables.
+    A candidate relabels party ``p`` as ``parties[p]``.  It is kept when it
+    maps the ``pins`` onto themselves, the ``objective`` map onto itself,
+    coefficients compared exactly, and every basis word into the basis; it is
+    then a symmetry of ``problem`` (see the module docstring), and each
+    upper-triangle entry's variable maps to that of the entry at its image.
+    An entry that lands on an ``F0`` entry (as two rows sent onto one do) or
+    a variable sent to two is a lowering bug and raises ValueError.
     """
     kept = np.array(reduced.kept_rows)
     position = np.full(structure.dimension, -1)
     position[kept] = np.arange(len(kept))
+    k = problem.dimension
+    var_at = np.full(k * k, -1)
+    var_at[problem.row * k + problem.col] = problem.var
     found = {}
     for parties in itertools.permutations(range(_n_parties(structure.basis))):
+
+        def relabel(word: Word) -> Word:
+            return canonicalize([OperatorLetter(parties[p], x) for p, x in word])
+
+        if {relabel(w) for w in pins} != set(pins):
+            continue
+        if any(objective.get(relabel(w)) != c for w, c in objective.items()):
+            continue
         try:
-            image = [
-                structure.index[
-                    canonicalize([OperatorLetter(parties[p], x) for p, x in w])
-                ]
-                for w in structure.basis
-            ]
+            image = [structure.index[relabel(w)] for w in structure.basis]
         except KeyError:
             continue
         rows = position[reduced.row_of[np.array(image)[kept]]]
-        variables = _variable_permutation(problem, rows)
-        if variables is not None:
-            found[parties] = (rows, variables)
+        i, j = rows[problem.row], rows[problem.col]
+        target = var_at[np.minimum(i, j) * k + np.maximum(i, j)]
+        variables = np.full(problem.n_vars, -1)
+        variables[problem.var] = target
+        if (target < 0).any() or not np.array_equal(variables[problem.var], target):
+            raise ValueError(f"relabelling {parties} is no symmetry of the lowering")
+        found[parties] = (rows, variables)
     return found
 
 
@@ -598,29 +582,18 @@ def npa_upper_bound(
     """
     if level < 2:
         raise ValueError("hierarchy level must be at least 2 for the objective")
-    expr = mabk_expression(n_parties)
-    letters = {
-        OperatorLetter(party, inp)
-        for inputs in expr
-        for party, inp in enumerate(inputs)
-    }
-    if with_constraint:
-        letters.update(_key_letters(n_parties))
+    objective = objective_words(mabk_expression(n_parties))
+    pins = perfect_correlation_pins(n_parties) if with_constraint else []
+    letters = {letter for word in [*objective, *pins] for letter in word}
     scenario = tuple(
         1 + max(letter.input for letter in letters if letter.party == party)
         for party in range(n_parties)
     )
-    monomials = generate_monomials(scenario, level)
-    structure = build_moment_structure(monomials)
-    objective = encode_objective(expr, structure)
-
-    pinned = [structure.identity_class]
-    if with_constraint:
-        pinned += encode_perfect_correlation(structure)
-
+    structure = build_moment_structure(generate_monomials(scenario, level))
+    pinned = [structure.identity_class] + [structure.class_id(w) for w in pins]
     reduced = reduce_structure(structure, pinned)
-    problem, const = lower_to_sdp(reduced, objective)
-    symmetries = party_symmetries(structure, reduced, problem)
+    problem, const = lower_to_sdp(reduced, encode_objective(objective, structure))
+    symmetries = party_symmetries(structure, reduced, problem, objective, pins)
     solution = solve_on_orbits(problem, list(symmetries.values()), tol)
     verified = verify_certificate(problem, solution)
     certified = certified_upper_bound(problem, solution)

@@ -88,6 +88,19 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "empty-batch-sweep",
+        "src/mabkcert/blochopt.py",
+        "        live, trial = live[~stop], trial[~stop]\n"
+        "        if not live.size:\n"
+        "            break\n",
+        "        live, trial = live[~stop], trial[~stop]\n",
+        _in(
+            "test_blochopt.py",
+            "test_rows_at_an_optimum_converge_on_the_first_iteration",
+            "test_no_gradient_batch_is_empty",
+        ),
+    ),
+    Mutant(
         "negated-mabk-value",
         "src/mabkcert/correlators.py",
         "    return _forward_sweep(settings)[2][..., -1, 0].real.sum(axis=0)\n",
@@ -105,6 +118,28 @@ MUTANTS = (
         " / len(symmetries)\n",
         "",
         _in("test_npa.py", "test_certified_bound_stays_within_the_margin"),
+    ),
+    Mutant(
+        "symmetry-ignores-objective",
+        "src/mabkcert/npa.py",
+        "        if any(objective.get(relabel(w)) != c"
+        " for w, c in objective.items()):\n            continue\n",
+        "",
+        _in("test_npa.py", "test_an_asymmetric_problem_shrinks_the_group"),
+    ),
+    Mutant(
+        "symmetry-ignores-pins",
+        "src/mabkcert/npa.py",
+        "        if {relabel(w) for w in pins} != set(pins):\n            continue\n",
+        "",
+        _in("test_npa.py", "test_a_one_sided_pin_leaves_only_the_identity"),
+    ),
+    Mutant(
+        "unchecked-variable-map",
+        "src/mabkcert/npa.py",
+        "if (target < 0).any() or not np.array_equal(variables[problem.var], target):",
+        "if False:",
+        _in("test_npa.py", "test_a_tampered_lowering_raises"),
     ),
     Mutant(
         "all-copies-kept",

@@ -213,17 +213,31 @@ def equatorial(phases):
     return _bloch(np.full(phases.shape, math.pi / 2), phases)[None]
 
 
-def assert_converged_at_once(monkeypatch, x0, free):
-    # every row meets the stop test before its first sweep: one gradient
-    # call on rows, no sweep and no post-sweep test
+def record_gradient_batches(monkeypatch):
+    """The row count of every later mabk_gradient call of blochopt."""
     batches = []
 
     def gradient(settings):
-        if len(settings):
-            batches.append(len(settings))
+        batches.append(len(settings))
         return mabk_gradient(settings)
 
     monkeypatch.setattr(blochopt, "mabk_gradient", gradient)
+    return batches
+
+
+@pytest.mark.parametrize("honest", [True, False])
+def test_no_gradient_batch_is_empty(monkeypatch, honest):
+    # rows leave the batch by the stop test or by a stalled sweep; once the
+    # last of them has left, the ascent sweeps no empty batch
+    batches = record_gradient_batches(monkeypatch)
+    blochopt._maximize(4, honest, QUICK)
+    assert batches and min(batches) > 0
+
+
+def assert_converged_at_once(monkeypatch, x0, free):
+    # every row meets the stop test before its first sweep: one gradient
+    # call on all rows, and no sweep of the empty rest, no post-sweep test
+    batches = record_gradient_batches(monkeypatch)
     config = OptimizerConfig(restarts=1, max_iterations=1)
     x, f, converged = _ascend(x0, free, config)
     assert converged.all() and batches == [len(x0)]

@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 import math
+from collections import namedtuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,11 +21,12 @@ from mabkcert.npa import (
     build_moment_structure,
     canonicalize,
     encode_objective,
-    encode_perfect_correlation,
     generate_monomials,
     lower_to_sdp,
     npa_upper_bound,
+    objective_words,
     party_symmetries,
+    perfect_correlation_pins,
     reduce_structure,
     symmetry_adapted_bases,
 )
@@ -133,15 +136,24 @@ def test_array_builder_matches_the_loop_oracle(scenario, level):
 
 
 def _key_pairs(n_parties):
-    """The pair words pinned by encode_perfect_correlation."""
+    """The pairwise key words: A0 and every later party's key input."""
     keys = [A0] + [OperatorLetter(p, KEY_INPUT) for p in range(1, n_parties)]
     return list(itertools.combinations(keys, 2))
 
 
+def _mabk_words(n_parties):
+    return objective_words(mabk_expression(n_parties))
+
+
+def _pin_classes(structure, n_parties=3):
+    """The moment classes of the perfect-correlation pins."""
+    return [structure.class_id(w) for w in perfect_correlation_pins(n_parties)]
+
+
 @pytest.mark.parametrize("scenario, level", ORACLE_CASES)
 def test_class_lookups_match_the_loop_oracle(scenario, level):
-    # class_id and both encoders give every objective word and key pair the
-    # oracle's class, and refuse the words that the oracle has no class for
+    # class_id and encode_objective give every objective word and key pair
+    # the oracle's class, and refuse the words that the oracle has no class for
     structure = build_moment_structure(generate_monomials(scenario, level))
     _, reps = _loop_moment_structure(structure.basis)
     oracle = {rep: k for k, rep in enumerate(reps)}
@@ -159,24 +171,19 @@ def test_class_lookups_match_the_loop_oracle(scenario, level):
         expected = np.zeros(len(reps))
         for word, coefficient in zip(words, expr.values()):
             expected[oracle[_class_key(word)]] += float(coefficient)
-        assert np.array_equal(encode_objective(expr, structure), expected)
+        encoded = encode_objective(objective_words(expr), structure)
+        assert np.array_equal(encoded, expected)
     else:
         with pytest.raises(ValueError, match="increase the hierarchy level"):
-            encode_objective(expr, structure)
-
-    if all(_class_key(pair) in oracle for pair in pairs):
-        expected_pins = [oracle[_class_key(pair)] for pair in pairs]
-        assert encode_perfect_correlation(structure) == expected_pins
-    else:
-        with pytest.raises(ValueError, match="increase the hierarchy level"):
-            encode_perfect_correlation(structure)
+            encode_objective(objective_words(expr), structure)
+    assert perfect_correlation_pins(len(scenario)) == pairs
 
 
 def test_four_party_pins_are_the_six_pair_classes():
     structure = build_moment_structure(generate_monomials(default_scenario(4), 2))
     _, reps = _loop_moment_structure(structure.basis)
     oracle = {rep: k for k, rep in enumerate(reps)}
-    pinned = encode_perfect_correlation(structure)
+    pinned = _pin_classes(structure, 4)
     assert len(pinned) == 6
     assert pinned == [oracle[_class_key(pair)] for pair in _key_pairs(4)]
 
@@ -202,7 +209,7 @@ def test_structure_entry_reduction_example():
 
 def test_objective_encoding_matches_expression():
     structure = build_moment_structure(generate_monomials(SCENARIO, 2))
-    coeffs = encode_objective(mabk_expression(3), structure)
+    coeffs = encode_objective(_mabk_words(3), structure)
     _, reps = _loop_moment_structure(structure.basis)
     nonzero = {reps[i]: c for i, c in enumerate(coeffs) if c != 0.0}
     b1 = lambda x: OperatorLetter(1, x)
@@ -217,7 +224,7 @@ def test_objective_encoding_matches_expression():
 
 def test_objective_encoding_respects_party_permutation():
     structure = build_moment_structure(generate_monomials(SCENARIO, 2))
-    coeffs = encode_objective(mabk_expression(3), structure)
+    coeffs = encode_objective(_mabk_words(3), structure)
     # the three-party expression is symmetric under exchanging the two
     # three-input parties, so the encoded functional must be too
     swap = {1: 2, 2: 1, 0: 0}
@@ -239,12 +246,12 @@ def test_objective_encoding_respects_party_permutation():
 def test_objective_encoding_needs_level_two():
     structure = build_moment_structure(generate_monomials(SCENARIO, 1))
     with pytest.raises(ValueError, match="increase the hierarchy level"):
-        encode_objective(mabk_expression(3), structure)
+        encode_objective(_mabk_words(3), structure)
 
 
 def test_perfect_correlation_pins_three_pair_moments():
     structure = build_moment_structure(generate_monomials(SCENARIO, 2))
-    pinned = encode_perfect_correlation(structure)
+    pinned = _pin_classes(structure)
     _, reps = _loop_moment_structure(structure.basis)
     assert len(pinned) == 3
     assert {reps[c] for c in pinned} == {
@@ -323,7 +330,7 @@ def test_ghz_honest_strategy_is_a_feasibility_witness(rng):
     moment_matrix = values[structure.class_of]
     assert np.linalg.eigvalsh(moment_matrix)[0] > -1e-10
 
-    pinned = encode_perfect_correlation(structure)
+    pinned = _pin_classes(structure)
     for cid in pinned:
         assert values[cid] == pytest.approx(1.0, abs=1e-12)
 
@@ -337,7 +344,7 @@ def test_ghz_honest_strategy_is_a_feasibility_witness(rng):
         assert max(vals) - min(vals) < 1e-10
 
     # the encoded objective evaluates to the strategy's Bell value
-    coeffs = encode_objective(mabk_expression(3), structure)
+    coeffs = encode_objective(_mabk_words(3), structure)
 
     def to_bloch(m):
         return [np.real(m[0, 1]), np.imag(m[1, 0]), np.real(m[0, 0])]
@@ -358,7 +365,7 @@ def test_unconstrained_reduction_is_a_no_op():
 )
 def test_constrained_reduction_restores_interior(level, kept, n_vars):
     structure = build_moment_structure(generate_monomials(SCENARIO, level))
-    pins = [structure.identity_class, *encode_perfect_correlation(structure)]
+    pins = [structure.identity_class, *_pin_classes(structure)]
     reduced = reduce_structure(structure, pins)
     assert len(reduced.kept_rows) == kept
     # fixpoint: no two kept rows are still joined by an entry pinned to one
@@ -405,7 +412,7 @@ def _reference_reduction(structure, pinned):
 def test_reduction_matches_the_loop_reference():
     structure = build_moment_structure(generate_monomials(SCENARIO, 2))
     rng = np.random.default_rng(3)
-    pin_sets = [encode_perfect_correlation(structure)] + [
+    pin_sets = [_pin_classes(structure)] + [
         rng.choice(structure.n_classes, 3, replace=False).tolist() for _ in range(8)
     ]
     for pins in pin_sets:
@@ -433,50 +440,67 @@ def test_lowering_refuses_an_objective_class_outside_the_matrix():
         lower_to_sdp(reduced, np.array([0.0, 0.0, 1.0]))
 
 
-def _lowered(scenario, level, pinned_words=()):
+Lowered = namedtuple("Lowered", "structure reduced problem const objective pins")
+
+
+def _lowered(scenario, level, pinned_words=(), objective=None):
     """npa_upper_bound's lowered problem, before any symmetry: the pruned
-    ``scenario``, with the given words pinned to one."""
+    ``scenario``, with the given words pinned to one, and the MABK objective
+    unless ``objective`` is given."""
+    if objective is None:
+        objective = _mabk_words(len(scenario))
+    pins = list(pinned_words)
     structure = build_moment_structure(generate_monomials(scenario, level))
-    objective = encode_objective(mabk_expression(len(scenario)), structure)
-    pinned = [structure.identity_class]
-    pinned += [structure.class_id(word) for word in pinned_words]
+    pinned = [structure.identity_class] + [structure.class_id(w) for w in pins]
     reduced = reduce_structure(structure, pinned)
-    problem, const = lower_to_sdp(reduced, objective)
-    return structure, reduced, problem, const
+    problem, const = lower_to_sdp(reduced, encode_objective(objective, structure))
+    return Lowered(structure, reduced, problem, const, objective, pins)
+
+
+def _symmetries(lowered, problem=None):
+    """party_symmetries of ``lowered``, or of ``problem`` in its place."""
+    structure, reduced, own, _, objective, pins = lowered
+    problem = own if problem is None else problem
+    return party_symmetries(structure, reduced, problem, objective, pins)
 
 
 @pytest.mark.parametrize("level", [2, 3])
 def test_detected_party_groups(level):
     pinned = _lowered(SCENARIO, level, _key_pairs(3))
-    assert set(party_symmetries(*pinned[:3])) == {(0, 1, 2), (0, 2, 1)}
+    assert set(_symmetries(pinned)) == {(0, 1, 2), (0, 2, 1)}
     free = _lowered((2, 2, 2), level)
-    assert set(party_symmetries(*free[:3])) == set(
-        itertools.permutations(range(3))
-    )
+    assert set(_symmetries(free)) == set(itertools.permutations(range(3)))
 
 
 def test_a_one_sided_pin_leaves_only_the_identity():
     lowered = _lowered(SCENARIO, 2, [(A0, B2_1)])
-    assert list(party_symmetries(*lowered[:3])) == [(0, 1, 2)]
+    assert list(_symmetries(lowered)) == [(0, 1, 2)]
 
 
 def test_an_asymmetric_problem_shrinks_the_group():
-    # tilting one variable's objective coefficient, or the values of its
-    # basis entries, leaves only the permutations that fix that variable
-    structure, reduced, problem, _ = _lowered((2, 2, 2), 2)
-    full = party_symmetries(structure, reduced, problem)
-    fixed = np.arange(problem.n_vars)
-    v = int(np.flatnonzero(np.any([t != fixed for _, t in full.values()], 0))[0])
-    c = problem.c.copy()
-    c[v] += 1.0
-    value = np.where(problem.var == v, 0.5, problem.value)
-    for tilted in (
-        dataclasses.replace(problem, c=c),
-        dataclasses.replace(problem, value=value),
-    ):
-        found = party_symmetries(structure, reduced, tilted)
-        assert (0, 1, 2) in found and len(found) < len(full)
-        assert all(variables[v] == v for _, variables in found.values())
+    # tilting the coefficient of A1 B0 C0 leaves only the relabellings that
+    # fix that word, the identity and B <-> C, and both fix its variable,
+    # the only one whose c the tilt moves
+    full = _lowered((2, 2, 2), 2)
+    word = (A1, B0_1, OperatorLetter(2, 0))
+    objective = dict(full.objective)
+    objective[word] += Fraction(1, 4)
+    tilted = _lowered((2, 2, 2), 2, objective=objective)
+    (v,) = np.flatnonzero(tilted.problem.c != full.problem.c)
+    found = _symmetries(tilted)
+    assert len(_symmetries(full)) == 6 and list(found) == [(0, 1, 2), (0, 2, 1)]
+    assert all(variables[v] == v for _, variables in found.values())
+
+
+def test_a_tampered_lowering_raises():
+    # moving one entry to another variable leaves the words symmetric but
+    # not the lowered problem: that is a lowering bug, not a smaller group
+    lowered = _lowered((2, 2, 2), 2)
+    var = lowered.problem.var.copy()
+    var[0] = 1 - var[0]
+    tampered = dataclasses.replace(lowered.problem, var=var)
+    with pytest.raises(ValueError, match="no symmetry of the lowering"):
+        _symmetries(lowered, tampered)
 
 
 @pytest.fixture(scope="module")
@@ -508,7 +532,8 @@ def test_certified_bounds_are_sound_and_tight(reproduce_runs, level, pinned):
 @pytest.mark.parametrize("level", [2, 3])
 def test_orbit_bound_equals_the_unreduced_solve(reproduce_runs, level, pinned):
     scenario = SCENARIO if pinned else (2, 2, 2)
-    _, _, problem, const = _lowered(scenario, level, _key_pairs(3) if pinned else ())
+    lowered = _lowered(scenario, level, _key_pairs(3) if pinned else ())
+    problem, const = lowered.problem, lowered.const
     tol = 1e-9 if level == 2 else 1e-8
     result = reproduce_runs[(level, pinned)]
     unreduced = solve(problem, tol=tol).bound + const
@@ -519,7 +544,8 @@ def test_orbit_bound_equals_the_unreduced_solve(reproduce_runs, level, pinned):
 @pytest.mark.parametrize("pinned", [True, False])
 def test_four_party_orbit_bound_equals_the_unreduced_solve(pinned):
     scenario = default_scenario(4) if pinned else (2, 2, 2, 2)
-    _, _, problem, const = _lowered(scenario, 2, _key_pairs(4) if pinned else ())
+    lowered = _lowered(scenario, 2, _key_pairs(4) if pinned else ())
+    problem, const = lowered.problem, lowered.const
     result = npa_upper_bound(2, pinned, tol=1e-8, n_parties=4)
     unreduced = solve(problem, tol=1e-8).bound + const
     assert result.verified
@@ -577,11 +603,44 @@ DECOMPOSITION_CASES = {
 }
 
 
+def _dense_entries(problem, weights):
+    """``sum_v weights[v] F_v`` as a dense matrix."""
+    k = problem.dimension
+    m = np.zeros((k, k))
+    values = weights[problem.var] * problem.value
+    np.add.at(m, (problem.row, problem.col), values)
+    off = problem.row != problem.col
+    np.add.at(m, (problem.col[off], problem.row[off]), values[off])
+    return m
+
+
+@pytest.mark.parametrize("case", DECOMPOSITION_CASES)
+def test_party_symmetries_leave_the_lowered_problem_invariant(case):
+    # each returned (rows, variables) maps F0 to F0, every F_v onto
+    # F_variables[v] and c to c; with distinct integer weights w_v, the dense
+    # sum_v w_v F_v names each entry's variable, and its rows relabelled are
+    # the sum with the weights w_variables[v]
+    scenario, level, pins, _ = DECOMPOSITION_CASES[case]
+    lowered = _lowered(scenario, level, pins)
+    problem = lowered.problem
+    k, m = problem.dimension, problem.n_vars
+    weights = np.arange(1.0, m + 1)
+    dense = _dense_entries(problem, weights)
+    for rows, variables in _symmetries(lowered).values():
+        assert np.array_equal(np.sort(rows), np.arange(k))
+        assert np.array_equal(np.sort(variables), np.arange(m))
+        assert np.array_equal(problem.f0[np.ix_(rows, rows)], problem.f0)
+        relabelled = _dense_entries(problem, weights[variables])
+        assert np.array_equal(dense[np.ix_(rows, rows)], relabelled)
+        assert np.array_equal(problem.c[variables], problem.c)
+
+
 @pytest.mark.parametrize("case", DECOMPOSITION_CASES)
 def test_symmetry_adapted_bases_block_diagonalize_the_orbit_problem(case):
     scenario, level, pins, irrep_dimensions = DECOMPOSITION_CASES[case]
-    structure, reduced, problem, _ = _lowered(scenario, level, pins)
-    symmetries = list(party_symmetries(structure, reduced, problem).values())
+    lowered = _lowered(scenario, level, pins)
+    problem = lowered.problem
+    symmetries = list(_symmetries(lowered).values())
     perms = [rows for rows, _ in symmetries]
     bases = symmetry_adapted_bases(perms)
     q = np.hstack(bases)
@@ -650,7 +709,8 @@ def test_averaging_over_a_non_symmetry_fails_the_certificate():
     # relabelling the first party's inputs 0 <-> 1 keeps the scenario and the
     # moment matrix's structure but not MABK; averaging Z over it must leave
     # stationarity residuals that verify_certificate refuses
-    structure, reduced, problem, _ = _lowered((2, 2, 2), 2)
+    lowered = _lowered((2, 2, 2), 2)
+    structure, problem = lowered.structure, lowered.problem
     solution = solve(problem)
     index = structure.index
     relabel = {A0: A1, A1: A0}
@@ -662,7 +722,7 @@ def test_averaging_over_a_non_symmetry_fails_the_certificate():
     assert not verify_certificate(
         problem, _group_average(problem, solution, [identity, swap])
     )
-    b_c = party_symmetries(structure, reduced, problem)[(0, 2, 1)][0]
+    b_c = _symmetries(lowered)[(0, 2, 1)][0]
     assert verify_certificate(
         problem, _group_average(problem, solution, [identity, b_c])
     )
@@ -691,7 +751,7 @@ def test_pruning_unused_letters_keeps_the_bound(n_parties):
     structure = build_moment_structure(
         generate_monomials(default_scenario(n_parties), 2)
     )
-    objective = encode_objective(mabk_expression(n_parties), structure)
+    objective = encode_objective(_mabk_words(n_parties), structure)
     reduced = reduce_structure(structure, [structure.identity_class])
     problem, const = lower_to_sdp(reduced, objective)
     full = solve(problem)
@@ -703,10 +763,10 @@ def test_pruning_unused_letters_keeps_the_bound(n_parties):
 
 def test_max_equals_minus_min():
     structure = build_moment_structure(generate_monomials(SCENARIO, 2))
-    objective = encode_objective(mabk_expression(3), structure)
+    objective = encode_objective(_mabk_words(3), structure)
     for pins in (
         [structure.identity_class],
-        [structure.identity_class, *encode_perfect_correlation(structure)],
+        [structure.identity_class, *_pin_classes(structure)],
     ):
         reduced = reduce_structure(structure, pins)
         plus, cp = lower_to_sdp(reduced, objective)
