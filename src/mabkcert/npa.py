@@ -71,7 +71,8 @@ orthonormal basis ``Q_c`` per irreducible type of ``G``'s action on the rows,
 each spanning an invariant subspace of every ``F_J`` on which ``F_J`` has,
 up to multiplicity, all its eigenvalues; the other copies of each type have
 the same ones.  The solve therefore runs on the blocks ``Q_c^T F Q_c`` with
-the same feasible set.  Its block dual lifts to ``Z = sum_c Q_c Z_c Q_c^T``,
+the same feasible set; ``sdp.SdpProblem.restricted`` builds them from the
+orbit problem.  Its block dual lifts to ``Z = sum_c Q_c Z_c Q_c^T``,
 which meets each orbit's summed stationarity condition exactly for any
 bases, as ``<F_J, Z> = sum_c <Q_c^T F_J Q_c, Z_c>``: bases that missed an
 invariant subspace could only restrict the dual and loosen the bound.
@@ -113,10 +114,6 @@ KEY_INPUT = 2  # the key-generation setting of every party after the first
 # Seed of the group-algebra weights of symmetry_adapted_bases: fixed, so that
 # repeated solves are bit-identical.
 GROUP_ALGEBRA_SEED = 0
-# Block entries below this modulus are rounding residue of exact zeros and
-# are dropped: in the N=3 and N=4 problems that residue is at most 3e-16 and
-# every other block entry at least 0.09.
-BLOCK_ENTRY_FLOOR = 1e-12
 
 
 class OperatorLetter(NamedTuple):
@@ -487,38 +484,6 @@ def symmetry_adapted_bases(row_permutations: list[np.ndarray]) -> list[np.ndarra
     ]
 
 
-def _block_problem(problem: SdpProblem, bases: list[np.ndarray]) -> SdpProblem:
-    """``problem`` restricted to the spans of ``bases``, one diagonal block
-    each: block ``c`` holds ``Q_c^T F Q_c`` for ``F0`` and every ``F_i``,
-    whose entries below ``BLOCK_ENTRY_FLOOR`` in modulus (rounding left over
-    where the exact entry is zero) are dropped."""
-    from scipy.linalg import block_diag
-    from scipy.sparse import csr_matrix, kron
-
-    var, row, col, value, f0 = [], [], [], [], []
-    start = 0
-    for q in bases:
-        b = q.shape[1]
-        sparse_q = csr_matrix(q)
-        entries = (problem.operator @ kron(sparse_q, sparse_q)).tocoo()
-        i, j = np.divmod(entries.col, b)
-        keep = (i <= j) & (np.abs(entries.data) > BLOCK_ENTRY_FLOOR)
-        var.append(entries.row[keep])
-        row.append(i[keep] + start)
-        col.append(j[keep] + start)
-        value.append(entries.data[keep])
-        f0.append(q.T @ problem.f0 @ q)
-        start += b
-    return SdpProblem(
-        f0=block_diag(*f0),
-        var=np.concatenate(var),
-        row=np.concatenate(row),
-        col=np.concatenate(col),
-        value=np.concatenate(value),
-        c=problem.c,
-    )
-
-
 def solve_on_orbits(
     problem: SdpProblem,
     symmetries: list[tuple[np.ndarray, np.ndarray]],
@@ -540,7 +505,7 @@ def solve_on_orbits(
         problem, var=orbit_of[problem.var], c=np.bincount(orbit_of, weights=problem.c)
     )
     bases = symmetry_adapted_bases([rows for rows, _ in symmetries])
-    solution = solve(_block_problem(orbits, bases), tol=tol)
+    solution = solve(orbits.restricted(bases), tol=tol)
     q = np.hstack(bases)
     z = q @ solution.dual_matrix @ q.T
     z = sum(z[np.ix_(rows, rows)] for rows, _ in symmetries) / len(symmetries)

@@ -142,6 +142,16 @@ MUTANTS = (
         _in("test_npa.py", "test_a_tampered_lowering_raises"),
     ),
     Mutant(
+        "basis-closure-raises",
+        "src/mabkcert/npa.py",
+        "        except KeyError:\n            continue\n",
+        "        except KeyError:\n            raise\n",
+        _in(
+            "test_npa.py",
+            "test_a_basis_word_without_an_image_leaves_only_the_identity",
+        ),
+    ),
+    Mutant(
         "all-copies-kept",
         "src/mabkcert/npa.py",
         "(kind == t) & (copy == copy[kind == t].min())",
@@ -162,6 +172,17 @@ MUTANTS = (
             "test_npa.py",
             "test_symmetry_adapted_bases_block_diagonalize_the_orbit_problem"
             "[n3-level2-free]",
+            "test_orbit_solve_runs_on_the_irreducible_blocks[n3-level2-free]",
+        ),
+    ),
+    Mutant(
+        "restriction-without-block-offset",
+        "src/mabkcert/sdp.py",
+        "row.append(i[keep] + start)",
+        "row.append(i[keep])",
+        _in(
+            "test_npa.py",
+            "test_restricted_blocks_are_the_dense_products[n3-level2-free]",
             "test_orbit_solve_runs_on_the_irreducible_blocks[n3-level2-free]",
         ),
     ),

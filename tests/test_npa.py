@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from conftest import Z, ghz_dense, observable_product_matrix, random_bloch
@@ -30,7 +31,7 @@ from mabkcert.npa import (
     reduce_structure,
     symmetry_adapted_bases,
 )
-from mabkcert.sdp import solve, verify_certificate
+from mabkcert.sdp import BLOCK_ENTRY_FLOOR, solve, verify_certificate
 
 A0 = OperatorLetter(0, 0)
 A1 = OperatorLetter(0, 1)
@@ -443,14 +444,15 @@ def test_lowering_refuses_an_objective_class_outside_the_matrix():
 Lowered = namedtuple("Lowered", "structure reduced problem const objective pins")
 
 
-def _lowered(scenario, level, pinned_words=(), objective=None):
+def _lowered(scenario, level, pinned_words=(), objective=None, extra_words=()):
     """npa_upper_bound's lowered problem, before any symmetry: the pruned
-    ``scenario``, with the given words pinned to one, and the MABK objective
-    unless ``objective`` is given."""
+    ``scenario``, with the given words pinned to one, the MABK objective
+    unless ``objective`` is given, and ``extra_words`` appended to the basis."""
     if objective is None:
         objective = _mabk_words(len(scenario))
     pins = list(pinned_words)
-    structure = build_moment_structure(generate_monomials(scenario, level))
+    monomials = generate_monomials(scenario, level) + list(extra_words)
+    structure = build_moment_structure(monomials)
     pinned = [structure.identity_class] + [structure.class_id(w) for w in pins]
     reduced = reduce_structure(structure, pinned)
     problem, const = lower_to_sdp(reduced, encode_objective(objective, structure))
@@ -474,6 +476,15 @@ def test_detected_party_groups(level):
 
 def test_a_one_sided_pin_leaves_only_the_identity():
     lowered = _lowered(SCENARIO, 2, [(A0, B2_1)])
+    assert list(_symmetries(lowered)) == [(0, 1, 2)]
+
+
+def test_a_basis_word_without_an_image_leaves_only_the_identity():
+    # every relabelling but the identity moves party A or B, and so sends
+    # A0 A1 B0 to a word outside the basis; the pins (none) and the MABK
+    # objective alone would keep all six
+    lowered = _lowered((2, 2, 2), 2, extra_words=[(A0, A1, B0_1)])
+    assert lowered.structure.dimension == 26
     assert list(_symmetries(lowered)) == [(0, 1, 2)]
 
 
@@ -665,6 +676,38 @@ def test_symmetry_adapted_bases_block_diagonalize_the_orbit_problem(case):
     assert [d * basis.shape[1] for d, basis in zip(dims, bases)] == spans
     assert sum(spans) == problem.dimension
     assert set(dims) == irrep_dimensions
+
+
+def _orbit_problem(problem, symmetries):
+    """``problem`` with one variable per orbit, as ``solve_on_orbits`` builds it."""
+    orbit = np.min([variables for _, variables in symmetries], axis=0)
+    _, orbit_of = np.unique(orbit, return_inverse=True)
+    return dataclasses.replace(
+        problem, var=orbit_of[problem.var], c=np.bincount(orbit_of, weights=problem.c)
+    )
+
+
+@pytest.mark.parametrize("case", DECOMPOSITION_CASES)
+def test_restricted_blocks_are_the_dense_products(case):
+    # block c of the restricted problem holds Q_c^T F Q_c for F0 and, through
+    # random weights w_v, for sum_v w_v F_v; nothing lies outside the blocks
+    scenario, level, pins, _ = DECOMPOSITION_CASES[case]
+    lowered = _lowered(scenario, level, pins)
+    symmetries = list(_symmetries(lowered).values())
+    orbits = _orbit_problem(lowered.problem, symmetries)
+    bases = symmetry_adapted_bases([rows for rows, _ in symmetries])
+    restricted = orbits.restricted(bases)
+    weights = np.random.default_rng(3).normal(size=orbits.n_vars)
+    dense, blocks = _dense_entries(orbits, weights), _dense_entries(restricted, weights)
+    sizes = [q.shape[1] for q in bases]
+    assert restricted.dimension == sum(sizes)
+    block = np.repeat(np.arange(len(bases)), sizes)
+    assert np.array_equal(block[restricted.row], block[restricted.col])
+    for f, restricted_f in [(orbits.f0, restricted.f0), (dense, blocks)]:
+        expected = scipy.linalg.block_diag(*[q.T @ f @ q for q in bases])
+        assert np.allclose(restricted_f, expected, rtol=0.0, atol=1e-12)
+    assert np.array_equal(restricted.c, orbits.c)
+    assert (np.abs(restricted.value) > BLOCK_ENTRY_FLOOR).all()
 
 
 # one block per irreducible type, one copy of each; sdp reads the blocks off

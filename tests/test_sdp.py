@@ -32,9 +32,12 @@ def dense_problem(f0, mats, c):
 
 
 def basis_matrix(problem, i):
-    """``F_i`` as a dense matrix, read off the solver's operator."""
+    """``F_i`` as a dense matrix, built from the basis entries of ``i``."""
     d = problem.dimension
-    return problem.operator[i].toarray().reshape(d, d)
+    entry = problem.var == i
+    upper = np.zeros((d, d))
+    np.add.at(upper, (problem.row[entry], problem.col[entry]), problem.value[entry])
+    return upper + np.triu(upper, 1).T
 
 
 def toy_1x1():
@@ -250,6 +253,7 @@ def test_sparse_operator_matches_dense_basis_matrices(seed):
     )
     for i, f in enumerate(mats):
         assert np.array_equal(basis_matrix(problem, i), f)
+        assert np.array_equal(problem.operator[i].toarray().reshape(f.shape), f)
 
 
 @pytest.mark.parametrize(
