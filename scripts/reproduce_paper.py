@@ -14,7 +14,6 @@ before anything runs.  If the report file or stdout still cannot be written
 """
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -40,7 +39,7 @@ def main() -> int:
     t0 = time.perf_counter()
     report = cli.cmd_reproduce(args.seed, args.fast)
     report.duration_ms = (time.perf_counter() - t0) * 1e3
-    if not cli.write_report(json.dumps(report.payload(), indent=2), args.out):
+    if not cli.write_report(cli.render(report, "json"), args.out):
         return cli.EXIT_WRITE
 
     n_pass = sum(1 for v in report.verdicts if v["pass"])

@@ -52,8 +52,6 @@ EXIT_VERDICT = 4
 # one row per iteration.
 TRACE_TAIL = 3
 
-SQRT2 = math.sqrt(2.0)
-
 
 @dataclass
 class RunReport:
@@ -304,12 +302,13 @@ def cmd_npa(
         results=results,
     )
     if level == 2:
-        if with_constraint:
-            report.add_verdict(
-                "perfect-correlation bound equals sqrt(2)", SQRT2, result.bound, 1e-5
-            )
-        else:
-            report.add_verdict("unconstrained bound equals 2", 2.0, result.bound, 1e-5)
+        # pinned, the bound is the depth-2 one: no GME is certified
+        depth, claim = (
+            (2, "perfect-correlation bound equals sqrt(2)")
+            if with_constraint
+            else (3, "unconstrained bound equals 2")
+        )
+        report.add_verdict(claim, correlators.gme_bound(3, depth), result.bound, 1e-5)
     else:
         if level2_bound is None:
             level2_bound = npa.npa_upper_bound(2, with_constraint, tol=tol).bound
@@ -341,9 +340,7 @@ def cmd_reproduce(seed: int, fast: bool) -> RunReport:
     sub: list[RunReport] = []
     for n in range(3, 9):
         sub.append(cmd_mabk_show(n))
-    for n in (3, 5, 7):
-        sub.append(cmd_theorem1(n, 1000, seed))
-    for n in (4, 6):
+    for n in (3, 5, 7, 4, 6):
         sub.append(cmd_theorem1(n, 1000, seed))
     sub.append(cmd_optimize(4, restarts, seed, honest_flag=True))
     sub.append(cmd_optimize(3, restarts, seed, honest_flag=True))

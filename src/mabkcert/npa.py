@@ -79,10 +79,11 @@ invariant subspace could only restrict the dual and loosen the bound.
 Averaged over ``G``, ``Z`` stays PSD, keeps ``<F0, Z>`` and meets ``<F_v, Z>
 = -c_v`` for every ``v``, because each ``<F_v, Z>`` becomes the mean over
 ``v``'s orbit and ``c`` is constant there.  So the averaged ``Z`` is a
-certificate for the unreduced problem, and ``verify_certificate`` and
-``certified_upper_bound`` check it on that problem: a wrong symmetry would
-leave stationarity residuals that the first refuses and the second charges,
-so the symmetry is never trusted.  ``G`` is found exactly, on the problem's
+certificate for the unreduced problem.  The bound is the block solve's own
+dual objective; ``verify_certificate`` and ``certified_upper_bound`` check
+``Z`` on the unreduced problem, the first comparing the bound with ``<F0, Z>``
+recomputed there: a wrong symmetry would leave stationarity residuals that
+the first refuses and the second charges, so the symmetry is never trusted.  ``G`` is found exactly, on the problem's
 words.  Relabelling the parties commutes with canonicalization and reversal,
 so one that maps every basis word into the basis permutes the rows and the
 moment classes.  One that also maps the pin words onto themselves maps the
@@ -497,7 +498,8 @@ def solve_on_orbits(
     sums ``c`` over each orbit; ``symmetry_adapted_bases`` splits it into one
     block per irreducible type.  Its ``y`` spreads back over the orbits, and
     its block ``Z``, lifted to ``sum_c Q_c Z_c Q_c^T`` and averaged over the
-    group, is a dual point of ``problem`` itself (see the module docstring).
+    group, is a dual point of ``problem`` itself (see the module docstring);
+    the bound stays the block solve's own.
     """
     orbit = np.min([variables for _, variables in symmetries], axis=0)
     _, orbit_of = np.unique(orbit, return_inverse=True)
@@ -509,12 +511,7 @@ def solve_on_orbits(
     q = np.hstack(bases)
     z = q @ solution.dual_matrix @ q.T
     z = sum(z[np.ix_(rows, rows)] for rows, _ in symmetries) / len(symmetries)
-    return replace(
-        solution,
-        y=solution.y[orbit_of],
-        dual_matrix=z,
-        bound=float(np.tensordot(problem.f0, z)),
-    )
+    return replace(solution, y=solution.y[orbit_of], dual_matrix=z)
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,14 @@ Cholesky-factors the Schur matrix ``H_ij = <F_i, sym(W F_j Z)>``,
   only approximates; without that step the dual residual grows a
   thousandfold as ``mu`` falls below 1e-12.
 
-The corrector's step lengths follow the fraction-to-boundary rule (0.98), with
-positive-definiteness checked through symmetric (Cholesky-based)
-factorizations.  Each ``SdpSolution.trace`` row is ``(mu, primal, dual, gap,
-dual residual, alpha_p, alpha_d, sigma)`` for one iteration; the last row of
-an optimal solve takes no step and carries zeros in its last three fields.
+Iteration 1's Cholesky factorization of ``S = M(0)``, at ``Z = I``, checks
+that the start is strictly feasible.  The corrector's step lengths follow the
+fraction-to-boundary rule (0.98).  One MRRR routine, ``_smallest_eigenvalue``,
+gives the step lengths' eigenvalues and ``Z``'s in the certificate checks,
+which recompute everything on the problem they are given.  Each
+``SdpSolution.trace`` row is ``(mu, primal, dual, gap, dual residual, alpha_p,
+alpha_d, sigma)`` for one iteration; the last row of an optimal solve takes no
+step and carries zeros in its last three fields.
 Every ``y_i`` is free: a moment with a fixed value is not a variable, and
 callers fold it into ``F0`` themselves, as ``npa.lower_to_sdp`` does for the
 perfect-correlation pins.
@@ -161,10 +164,6 @@ class SdpProblem:
         flat = np.append(self.row * d + self.col, (self.col * d + self.row)[off])
         value = np.append(self.value, self.value[off])
         return csr_matrix((value, (var, flat)), shape=(self.n_vars, d * d))
-
-    def adjoint(self, z: np.ndarray) -> np.ndarray:
-        """``<F_i, Z>`` for every i."""
-        return self.operator @ z.ravel()
 
     def restricted(self, bases: list[np.ndarray]) -> SdpProblem:
         """The problem on the spans of ``bases``, one diagonal block each:
@@ -335,21 +334,25 @@ def _cholesky(xs: list[np.ndarray]) -> list[np.ndarray]:
     return factors
 
 
+def _smallest_eigenvalue(x: np.ndarray) -> float:
+    """The smallest eigenvalue of ``sym(x)``, alone, from LAPACK's MRRR
+    driver; with numpy's divide-and-conquer driver (``dsyevd``) in the step
+    length the level-3 pinned NPA solve lost Z's definiteness at tol 1e-12."""
+    from scipy.linalg.lapack import dsyevr
+
+    return float(dsyevr(_sym(x), compute_v=0, range="I", iu=1, lower=1)[0][0])
+
+
 def _max_step(chols: list[np.ndarray], deltas: list[np.ndarray]) -> float:
     """Largest alpha with every block X + alpha*Delta still PSD, via the
-    smallest eigenvalue of L^-1 Delta L^-T.
-
-    The eigenvalue comes from LAPACK's MRRR driver, which scipy's
-    ``eigvalsh`` uses too; with numpy's divide-and-conquer ``eigvalsh`` the
-    level-3 pinned NPA solve lost Z's definiteness at tol 1e-12."""
-    from scipy.linalg.lapack import dsyevr, dtrtrs
+    ``_smallest_eigenvalue`` of L^-1 Delta L^-T."""
+    from scipy.linalg.lapack import dtrtrs
 
     lam_min = 0.0
     for x_chol, delta in zip(chols, deltas):
         a = dtrtrs(x_chol, delta, lower=1)[0]
-        t = _sym(dtrtrs(x_chol, a.T, lower=1)[0])
-        smallest = dsyevr(t, compute_v=0, range="I", iu=1, lower=1)[0][0]
-        lam_min = min(lam_min, float(smallest))
+        t = dtrtrs(x_chol, a.T, lower=1)[0]
+        lam_min = min(lam_min, _smallest_eigenvalue(t))
     if lam_min >= 0.0:
         return np.inf
     return -1.0 / lam_min
@@ -384,13 +387,6 @@ def solve(problem: SdpProblem, tol: float = 1e-9) -> SdpSolution:
 
     y = np.zeros(m)
     s = [x.copy() for x in f0]
-    try:
-        _cholesky(s)
-    except np.linalg.LinAlgError as exc:
-        raise SdpSolverError(
-            "no strictly feasible start: M(0) is not positive definite",
-            {"dimension": d, "n_vars": m},
-        ) from exc
     z = [np.eye(b) for b in sizes]
     h = np.empty((m, m))
     scratch = np.zeros(max(blk.scratch_size for blk in blocks))
@@ -403,6 +399,11 @@ def solve(problem: SdpProblem, tol: float = 1e-9) -> SdpSolution:
             ls = _cholesky(s)
             lz = _cholesky(z)
         except np.linalg.LinAlgError as exc:
+            if it == 1:  # Z = I, so S = M(0) failed
+                raise SdpSolverError(
+                    "no strictly feasible start: M(0) is not positive definite",
+                    {"dimension": d, "n_vars": m},
+                ) from exc
             raise SdpSolverError(
                 f"factorization failure at iteration {it}",
                 {"iteration": it, "trace": tuple(trace)},
@@ -517,10 +518,8 @@ def solve(problem: SdpProblem, tol: float = 1e-9) -> SdpSolution:
 
 def _dual_check(problem: SdpProblem, z: np.ndarray) -> tuple[float, np.ndarray, float]:
     """Z's smallest eigenvalue, the residuals ``c + <F_i, Z>`` and ``<F0, Z>``."""
-    from scipy.linalg import eigvalsh
-
-    lam_min = float(eigvalsh(0.5 * (z + z.T))[0])
-    return lam_min, problem.c + problem.adjoint(z), float(np.tensordot(problem.f0, z))
+    residual = problem.c + problem.operator @ z.ravel()
+    return _smallest_eigenvalue(z), residual, float(np.tensordot(problem.f0, z))
 
 
 def verify_certificate(problem: SdpProblem, solution: SdpSolution) -> bool:

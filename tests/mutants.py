@@ -120,6 +120,13 @@ MUTANTS = (
         _in("test_npa.py", "test_certified_bound_stays_within_the_margin"),
     ),
     Mutant(
+        "lift-shifts-the-dual",
+        "src/mabkcert/npa.py",
+        "    z = q @ solution.dual_matrix @ q.T\n",
+        "    z = q @ solution.dual_matrix @ q.T + 1e-11 * np.eye(len(q))\n",
+        _in("test_npa.py", "test_certified_bound_stays_within_the_margin"),
+    ),
+    Mutant(
         "symmetry-ignores-objective",
         "src/mabkcert/npa.py",
         "        if any(objective.get(relabel(w)) != c"
@@ -192,6 +199,13 @@ MUTANTS = (
         "        np.maximum.at(reach, np.minimum(i, j), np.maximum(i, j))\n",
         "",
         _in("test_sdp.py", "test_block_sizes_are_the_finest_uncrossed_cut"),
+    ),
+    Mutant(
+        "infeasible-start-unreported",
+        "src/mabkcert/sdp.py",
+        "            if it == 1:  # Z = I, so S = M(0) failed\n",
+        "            if False:\n",
+        _in("test_sdp.py", "test_infeasible_start_is_reported"),
     ),
     Mutant(
         "padding-with-a-real-value",

@@ -12,6 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from conftest import Z, ghz_dense, observable_product_matrix, random_bloch
+from mabkcert import npa
 from mabkcert.blochopt import OptimizerConfig, maximize_unconstrained_mabk
 from mabkcert.correlators import mabk_value
 from mabkcert.mabk import mabk_expression
@@ -550,6 +551,23 @@ def test_orbit_bound_equals_the_unreduced_solve(reproduce_runs, level, pinned):
     unreduced = solve(problem, tol=tol).bound + const
     assert result.n_moment_classes == problem.n_vars
     assert result.bound == pytest.approx(unreduced, abs=1e-8)
+
+
+def test_the_bound_is_the_block_solves_own(monkeypatch):
+    # the lift keeps the block solve's dual objective; <F0, Z> recomputed on
+    # the unreduced problem, which verify_certificate compares it with, is
+    # 1 ulp away here
+    block_solves = []
+
+    def recording_solve(problem, **kwargs):
+        block_solves.append(solve(problem, **kwargs))
+        return block_solves[-1]
+
+    monkeypatch.setattr(npa, "solve", recording_solve)
+    result = npa_upper_bound(2, True)
+    assert len(block_solves) == 1
+    assert result.solution.bound == block_solves[0].bound
+    assert result.verified
 
 
 @pytest.mark.parametrize("pinned", [True, False])

@@ -249,7 +249,10 @@ def test_sparse_operator_matches_dense_basis_matrices(seed):
     combination = (problem.operator.T @ y).reshape(f0.shape)
     assert np.allclose(f0 + combination, dense, rtol=0.0, atol=1e-12)
     assert np.allclose(
-        problem.adjoint(z), [np.tensordot(f, z) for f in mats], rtol=0.0, atol=1e-12
+        problem.operator @ z.ravel(),
+        [np.tensordot(f, z) for f in mats],
+        rtol=0.0,
+        atol=1e-12,
     )
     for i, f in enumerate(mats):
         assert np.array_equal(basis_matrix(problem, i), f)
@@ -284,6 +287,23 @@ def test_iteration_limit_raises_with_diagnostics(monkeypatch):
     with pytest.raises(SdpSolverError, match="iteration limit 3") as caught:
         solve(toy_2x2())
     assert "trace" in caught.value.diagnostics
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["definite", "indefinite", "1x1"])
+def test_smallest_eigenvalue_matches_numpy(kind, seed):
+    # the one routine behind the step lengths and the certificate checks
+    rng = np.random.default_rng(seed)
+    size = 1 if kind == "1x1" else int(rng.integers(2, 40))
+    low = 0.1 if kind == "definite" else -3.0
+    spectrum = rng.uniform(low, 3.0, size)
+    if kind == "indefinite":
+        spectrum[:2] = -1.0, 1.0
+    q = np.linalg.qr(rng.normal(size=(size, size)))[0]
+    x = q @ np.diag(spectrum) @ q.T
+    x = 0.5 * (x + x.T)
+    expected = np.linalg.eigvalsh(x)[0]
+    assert sdp._smallest_eigenvalue(x) == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 def test_infeasible_start_is_reported():
