@@ -10,8 +10,8 @@ directory, and its killers run there under pytest.  The killers first run on
 an unmutated copy, so a kill means the edit, not a broken test.  One line per
 mutant; exits 1 if a killer fails on the unmutated copy, if a mutant survives
 (its killers all pass) or if pytest cannot run them, 2 on an unknown NAME,
-else 0.  About 44 s for the twenty mutants on two cores; not part of
-Tier-1.
+else 0.  About 2 minutes for the twenty-three mutants on two cores; not
+part of Tier-1.
 """
 
 import os

@@ -39,9 +39,9 @@ MAX_RESTARTS = 200
 # theorem1 draws and evaluates its trials in blocks of this many; at n = 10 a
 # block's arrays take about 8 MB, a single draw of every trial 661 MB.
 THEOREM1_BLOCK = 8192
-# Smallest npa --tol: every level-2/3 block problem converges at 1e-12 (in 15
-# or 16 iterations) and at 1e-13 (16 to 23), but at 1e-14 all but the level-2
-# unpinned one break down before reaching it.
+# Smallest npa --tol: every level-2/3 orbit problem converges at 1e-12 (in 15
+# or 16 iterations) and at 1e-13 (16 to 22), with one or two BLAS threads; at
+# 1e-14 the level-3 pinned one fails to factorize at iteration 28.
 MIN_TOL = 1e-12
 EXIT_OK = 0
 EXIT_WRITE = 1
@@ -326,6 +326,8 @@ def cmd_npa(
     solution = result.solution
     report.diagnostics.append(
         f"npa level {level}, perfect_correlations={with_constraint}:"
+        f" group order {result.group_order}, {result.n_orbits} orbits,"
+        f" {result.n_zeroed} zeroed classes,"
         f" blocks {solution.block_sizes}, {solution.iterations} iterations,"
         f" Schur assembly {solution.schur_s:.4f} s,"
         f" factorizations {solution.factor_s:.4f} s,"

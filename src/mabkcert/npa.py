@@ -58,38 +58,54 @@ smallest member.  ``lower_to_sdp`` then turns the reduced class matrix into
 ``sdp.SdpProblem`` (one variable per free class) by array indexing.
 
 The solve runs on symmetry orbits, in symmetry-adapted blocks (Gatermann &
-Parrilo 2004; Tavakoli, Rosset & Renou 2019).  Let a permutation ``g`` of the
-kept rows map ``F0`` to ``F0``, each ``F_v`` onto one ``F_tau(v)`` and ``c``
-to itself.  Then ``g`` maps feasible points to feasible points of equal
-objective, and by convexity the average of a feasible point over the group
-``G`` of such permutations is feasible, has the same objective and is
-constant on the orbits of ``tau``.  The problem with one variable per orbit,
-whose basis rows and ``c`` are summed over the orbit, therefore has the same
-optimum.  Its ``F0`` and orbit basis matrices ``F_J`` commute with every
-row permutation matrix of ``G``, so ``symmetry_adapted_bases`` finds one
-orthonormal basis ``Q_c`` per irreducible type of ``G``'s action on the rows,
-each spanning an invariant subspace of every ``F_J`` on which ``F_J`` has,
-up to multiplicity, all its eigenvalues; the other copies of each type have
-the same ones.  The solve therefore runs on the blocks ``Q_c^T F Q_c`` with
-the same feasible set; ``sdp.SdpProblem.restricted`` builds them from the
-orbit problem.  Its block dual lifts to ``Z = sum_c Q_c Z_c Q_c^T``,
-which meets each orbit's summed stationarity condition exactly for any
-bases, as ``<F_J, Z> = sum_c <Q_c^T F_J Q_c, Z_c>``: bases that missed an
-invariant subspace could only restrict the dual and loosen the bound.
-Averaged over ``G``, ``Z`` stays PSD, keeps ``<F0, Z>`` and meets ``<F_v, Z>
-= -c_v`` for every ``v``, because each ``<F_v, Z>`` becomes the mean over
-``v``'s orbit and ``c`` is constant there.  So the averaged ``Z`` is a
-certificate for the unreduced problem.  The bound is the block solve's own
-dual objective; ``verify_certificate`` and ``certified_upper_bound`` check
-``Z`` on the unreduced problem, the first comparing the bound with ``<F0, Z>``
-recomputed there: a wrong symmetry would leave stationarity residuals that
-the first refuses and the second charges, so the symmetry is never trusted.  ``G`` is found exactly, on the problem's
-words.  Relabelling the parties commutes with canonicalization and reversal,
-so one that maps every basis word into the basis permutes the rows and the
-moment classes.  One that also maps the pin words onto themselves maps the
-pinned classes, and with them the row groups and class merges of the
-reduction, onto their own; one that also keeps every objective coefficient
-keeps ``c``.  Such a relabelling maps ``F0``, the ``F_v`` and ``c`` as above.
+Parrilo 2004; Tavakoli, Rosset & Renou 2019).  Let a signed permutation of the
+kept rows, ``P_g e_i = s_i e_{g(i)}``, map ``F0`` to ``F0`` (``P_g^T F0 P_g =
+F0``) and each ``F_v`` onto ``sigma_v F_tau(v)``, with ``c_tau(v) sigma_v =
+c_v``.  Then ``y -> (sigma_v y_tau(v))_v`` maps feasible points to feasible
+points of equal objective, as it takes ``M(y)`` to ``P_g^T M(y) P_g``, and by
+convexity the average of a feasible point over the group ``G`` of such maps
+is feasible, has the same objective and is fixed by ``G``: on each orbit of
+``tau``, ``y_v = t_v y_o`` with ``o`` the orbit's least member and ``t_v`` the
+sign of any element that sends ``v`` to ``o``.  A variable whose orbit holds
+its own negative (some element sends ``v`` to ``-v``) equals its own negative
+at every fixed point, so it is 0 there, and it leaves the problem; its
+``c_v = -c_v`` is 0 too.  The problem with one variable per other orbit,
+with the basis matrices ``F_J = sum_{v in J} t_v F_v`` and ``c`` summed with
+the same signs, therefore has the same optimum.  Its ``F0`` and ``F_J`` are
+fixed by every ``P_g``, so ``symmetry_adapted_bases`` finds one orthonormal
+basis ``Q_c`` per irreducible type of ``G``'s signed action on the rows, each
+spanning an invariant subspace of every ``F_J`` on which ``F_J`` has, up to
+multiplicity, all its eigenvalues; the other copies of each type have the
+same ones.  The solve therefore runs on the blocks ``Q_c^T F Q_c`` with the
+same feasible set; ``sdp.SdpProblem.restricted`` builds them from the orbit
+problem, and ``sdp.solve`` merges consecutive small blocks into larger solve
+blocks.  Its block dual lifts to ``Z = sum_c Q_c Z_c Q_c^T``, which meets
+each orbit's summed stationarity condition exactly for any bases, as ``<F_J,
+Z> = sum_c <Q_c^T F_J Q_c, Z_c>``: bases that missed an invariant subspace
+could only restrict the dual and loosen the bound.  Averaged over ``G`` as
+``|G|^-1 sum_g P_g^T Z P_g``, ``Z`` stays PSD, keeps ``<F0, Z>`` and meets
+``<F_v, Z> = -c_v`` for every ``v``: the average of ``<F_v, P_g^T Z P_g> =
+sigma_v(g) <F_tau_g(v), Z>`` over ``G`` is ``t_v <F_J, Z> / |J| = -t_v c_J /
+|J| = -c_v``, and for a variable that left the problem the signed terms
+cancel to ``0 = -c_v``.  So the averaged ``Z`` is a certificate for the
+unreduced problem.  The bound is the block solve's own dual objective;
+``verify_certificate`` and ``certified_upper_bound`` check ``Z`` on the
+unreduced problem, the first comparing the bound with ``<F0, Z>`` recomputed
+there: a wrong symmetry would leave stationarity residuals that the first
+refuses and the second charges, so the symmetry is never trusted.
+
+``G`` is found exactly, on the problem's words.  A signed letter relabelling
+(a party permutation that keeps every party's input count, an input
+permutation per party and a sign per letter) substitutes dichotomic
+operators for dichotomic operators party by party, so it commutes with
+canonicalization and with reversal and sends each word to a word times the
+product of its letters' signs.  One that maps every basis word into the
+basis therefore acts on the rows and on the moment classes as signed
+permutations.  One that also maps every pin word onto a pin word with sign
++1 maps the pinned classes, and with them the row groups and class merges of
+the reduction, onto their own; one that also maps every objective word
+``w`` onto a word whose coefficient is exactly ``sign * c_w`` keeps ``c``.
+Such a relabelling maps ``F0``, the ``F_v`` and ``c`` as above.
 """
 
 from __future__ import annotations
@@ -98,6 +114,7 @@ import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -200,6 +217,19 @@ class MomentMatrixStructure:
         return int(self.class_of[self.index[u], self.index[v]])
 
 
+def _subwords(words, n_parties: int) -> tuple[list[dict[Word, int]], np.ndarray]:
+    """Each canonical word's sub-word of every party, numbered per party in
+    order of first appearance after the empty sub-word, 0: one numbering per
+    party, and the (len(words), n_parties) array of the numbers."""
+    tables: list[dict[Word, int]] = [{(): 0} for _ in range(n_parties)]
+    index = np.zeros((len(words), n_parties), dtype=np.intp)
+    for w, word in enumerate(words):
+        for party, letters in itertools.groupby(word, attrgetter("party")):
+            table = tables[party]
+            index[w, party] = table.setdefault(tuple(letters), len(table))
+    return tables, index
+
+
 def build_moment_structure(monomials: list[Word]) -> MomentMatrixStructure:
     """Entry classes of the moment matrix, numbered by first row-major appearance.
 
@@ -216,17 +246,8 @@ def build_moment_structure(monomials: list[Word]) -> MomentMatrixStructure:
     code = np.zeros(d * d, dtype=np.int64)
     rev_code = np.zeros(d * d, dtype=np.int64)
     radix = 1
-    for party in range(_n_parties(monomials)):
-        subwords: dict[Word, int] = {}
-        index = np.array(
-            [
-                subwords.setdefault(
-                    tuple(letter for letter in w if letter.party == party),
-                    len(subwords),
-                )
-                for w in monomials
-            ]
-        )
+    tables, indices = _subwords(monomials, _n_parties(monomials))
+    for subwords, index in zip(tables, indices.T):
         products: dict[Word, int] = {}
         table = np.empty((len(subwords), len(subwords)), dtype=np.int64)
         for s, a in subwords.items():
@@ -377,53 +398,298 @@ def lower_to_sdp(
     return problem, const
 
 
-def party_symmetries(
+@dataclass(frozen=True)
+class SignedPermutations:
+    """A group of signed permutations, one element a row: element ``g`` sends
+    index ``i`` to ``image[g, i]`` with the sign ``sign[g, i]`` (+-1.0), as
+    the matrix ``P_g e_i = sign[g, i] e_{image[g, i]}``.  Element 0 is the
+    identity."""
+
+    image: np.ndarray
+    sign: np.ndarray
+
+    @property
+    def order(self) -> int:
+        return len(self.image)
+
+    @cached_property
+    def orbits(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each index's orbit and sign: a point fixed by the group has ``x_i =
+        sign_i * x_o``, ``o`` the least member of ``i``'s orbit.  An orbit
+        that holds its own negative forces ``x_o = -x_o = 0``; its members get
+        the orbit -1 and the sign 0.  The other orbits are numbered in the
+        order of their least members."""
+        least = self.image.min(axis=0)
+        at_least = self.image == least
+        plus = (at_least & (self.sign > 0)).any(axis=0)
+        minus = (at_least & (self.sign < 0)).any(axis=0)
+        live = ~(plus & minus)
+        orbit = np.full(len(least), -1)
+        orbit[live] = np.unique(least[live], return_inverse=True)[1]
+        return orbit, np.where(live, np.where(plus, 1.0, -1.0), 0.0)
+
+    @cached_property
+    def _cosets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One element per distinct image, and ``mean_K s s^T`` over the
+        elements ``K`` that fix every index."""
+        fixing = (self.image == np.arange(self.image.shape[1])).all(axis=1)
+        mask = self.sign[fixing].T @ self.sign[fixing] / fixing.sum()
+        first: dict[bytes, int] = {}
+        for g, image in enumerate(self.image):
+            first.setdefault(image.tobytes(), g)
+        chosen = list(first.values())
+        return self.image[chosen], self.sign[chosen], mask
+
+    def average(self, x: np.ndarray) -> np.ndarray:
+        """The group average of ``P_g^T x P_g``.
+
+        The elements that fix every index are sign changes ``D_k`` and form a
+        normal subgroup ``K``; the elements with the image of ``g`` are the
+        coset ``g K``, and ``P_gk = P_g D_k``.  So the average over ``g K`` is
+        ``mean_K s s^T`` times ``P_g^T x P_g`` elementwise, and the group
+        average takes one ``P_g`` per distinct image.
+        """
+        image, sign, mask = self._cosets
+        moved = x[image[:, :, None], image[:, None, :]]
+        return mask * np.einsum("gi,gij,gj->ij", sign, moved, sign) / len(image)
+
+
+class RelabellingGroup(NamedTuple):
+    """A group of signed letter relabellings, acting on the ``letters`` (every
+    ``(party, input)`` of the scenario, in sorted order), on the kept rows
+    and on the variables of a lowered problem; element ``g`` of each action
+    is the same relabelling."""
+
+    letters: tuple[OperatorLetter, ...]
+    on_letters: SignedPermutations
+    rows: SignedPermutations
+    variables: SignedPermutations
+
+
+def _lookup(keys: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The position of each of ``codes`` in the array ``keys``, or -1."""
+    order = np.argsort(keys, kind="stable")
+    at = order[np.searchsorted(keys, codes, sorter=order).clip(max=len(keys) - 1)]
+    return np.where(keys[at] == codes, at, -1)
+
+
+def _gf2_solve(a: np.ndarray, b: np.ndarray):
+    """Solve ``a x = b`` over GF(2) by Gauss-Jordan elimination, for ``a`` of
+    shape (e, n) and each row of ``b`` (k, e) as a right-hand side: the
+    solutions whose free variables are 0 (k, n), which right-hand sides are
+    solvable (k,), and a basis of the kernel of ``a`` (r, n); all bool."""
+    a, b = a.copy(), b.T.copy()
+    pivots: list[int] = []
+    for col in range(a.shape[1]):
+        r = len(pivots)
+        hits = np.flatnonzero(a[r:, col])
+        if not hits.size:
+            continue
+        swap = [r, r + hits[0]]
+        a[swap], b[swap] = a[swap[::-1]], b[swap[::-1]]
+        others = np.flatnonzero(a[:, col])
+        others = others[others != r]
+        a[others] ^= a[r]
+        b[others] ^= b[r]
+        pivots.append(col)
+    r = len(pivots)
+    solutions = np.zeros((b.shape[1], a.shape[1]), dtype=bool)
+    solutions[:, pivots] = b[:r].T
+    free = [col for col in range(a.shape[1]) if col not in pivots]
+    kernel = np.zeros((len(free), a.shape[1]), dtype=bool)
+    kernel[np.arange(len(free)), free] = True
+    kernel[:, pivots] = a[:r, free].T
+    return solutions, ~b[r:].any(axis=0), kernel
+
+
+def _letter_parity(words, offset: list[int], n_letters: int) -> np.ndarray:
+    """(len(words), n_letters) bool: whether each letter, numbered ``offset[p]
+    + x``, occurs in each word an odd number of times."""
+    cells = [
+        w * n_letters + offset[letter.party] + letter.input
+        for w, word in enumerate(words)
+        for letter in word
+    ]
+    counts = np.bincount(
+        np.array(cells, dtype=np.intp), minlength=len(words) * n_letters
+    )
+    return (counts & 1).astype(bool).reshape(len(words), n_letters)
+
+
+def _variable_action(
+    problem: SdpProblem, rows: np.ndarray, parity: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The action on the variables of ``problem`` of the row relabellings
+    ``rows`` with sign parities ``parity`` (both (n, k)): each variable's image
+    and sign parity, read off its first entry.  A relabelling that sends a
+    nonzero of ``F0`` to another value, a free entry onto ``F0`` (as two rows
+    sent onto one do) or a variable onto two signed variables is a lowering
+    bug and raises ValueError."""
+    k, row, col = problem.dimension, problem.row, problem.col
+    var_at = np.full((k, k), -1)
+    var_at[row, col] = var_at[col, row] = problem.var
+    moved = np.take(rows, row, axis=1) * k + np.take(rows, col, axis=1)
+    target = np.take(var_at, moved)
+    flip = np.take(parity, row, axis=1) ^ np.take(parity, col, axis=1)
+    first = np.empty(problem.n_vars, dtype=np.intp)
+    first[problem.var[::-1]] = np.arange(len(problem.var))[::-1]
+    variables, signs = target[:, first], flip[:, first]
+    a, b = np.nonzero(problem.f0)
+    f0_sign = 1.0 - 2.0 * (parity[:, a] ^ parity[:, b])
+    f0_kept = (problem.f0[rows[:, a], rows[:, b]] * f0_sign == problem.f0[a, b]).all()
+    if not (
+        f0_kept
+        and (target >= 0).all()
+        and np.array_equal(variables[:, problem.var], target)
+        and np.array_equal(signs[:, problem.var], flip)
+    ):
+        raise ValueError("a relabelling is no symmetry of the lowering")
+    return variables, signs
+
+
+def relabelling_group(
     structure: MomentMatrixStructure,
     reduced: ReducedMoments,
     problem: SdpProblem,
     objective: dict[Word, Fraction],
     pins: list[Word],
-) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
-    """Party relabellings that leave the problem's words invariant, with their
-    permutations of the kept rows and of the variables of ``problem``.
+) -> RelabellingGroup:
+    """The signed letter relabellings that leave the problem's words invariant,
+    with their actions on the kept rows and on the variables of ``problem``.
 
-    A candidate relabels party ``p`` as ``parties[p]``.  It is kept when it
-    maps the ``pins`` onto themselves, the ``objective`` map onto itself,
-    coefficients compared exactly, and every basis word into the basis; it is
-    then a symmetry of ``problem`` (see the module docstring), and each
-    upper-triangle entry's variable maps to that of the entry at its image.
-    An entry that lands on an ``F0`` entry (as two rows sent onto one do) or
-    a variable sent to two is a lowering bug and raises ValueError.
+    A relabelling sends letter ``(p, x)`` to ``s_px (pi(p), rho_p(x))``: a
+    party permutation ``pi`` that keeps every party's input count, an input
+    permutation ``rho_p`` per party and a sign per letter.  A word's image is
+    the product of its letters' signs times the relabelled word.  The
+    relabelling is kept when it maps every pin word onto a pin word with sign
+    +1, every objective word ``w`` onto a word whose coefficient is exactly
+    ``sign * c_w`` and every basis word into the basis; it is then a symmetry
+    of ``problem`` (see the module docstring).
+
+    Words are mixed-radix codes of their per-party sub-words, and every
+    candidate ``(pi, rho)`` relabels them through per-party sub-word tables,
+    all candidates at once.  A word's sign is the product of the signs of
+    the letters it holds an odd number of times, so for a fixed ``(pi, rho)``
+    the admissible signs solve a linear system over GF(2), one equation per
+    objective word and per pin: a particular solution plus the kernel of the
+    system, which is the same for every candidate.  The group is therefore
+    each admissible ``(pi, rho)`` with its particular signs, times every sign
+    change of the kernel.  The actions of those representatives and of the
+    kernel's basis go through ``_variable_action``'s check; every element's
+    actions are composed from theirs on the arrays.
     """
+    basis = structure.basis
+    n = _n_parties(basis)
+    tables, index = _subwords(basis, n)
+    # each party's sub-words as input tuples, numbered as in tables
+    keys = [{tuple(l.input for l in s): i for s, i in t.items()} for t in tables]
+    counts = [1 + max(max(s, default=-1) for s in key) for key in keys]
+    offset = [sum(counts[:p]) for p in range(n)]
+    letters = tuple(OperatorLetter(p, x) for p in range(n) for x in range(counts[p]))
+    perms = {c: list(itertools.permutations(range(c))) for c in set(counts)}
+
+    # the candidates (pi, rho), the identity first: the image of each party,
+    # and the number of each party's input permutation in perms
+    party_maps = [
+        pi
+        for pi in itertools.permutations(range(n))
+        if [counts[q] for q in pi] == counts
+    ]
+    choices = np.indices([len(perms[c]) for c in counts]).reshape(n, -1).T
+    party_of = np.repeat(np.array(party_maps), len(choices), axis=0)
+    perm_of = np.tile(choices, (len(party_maps), 1))
+
+    # moved[p][q, r, s]: sub-word s of party p under input permutation r and
+    # moved to party q, as a sub-word number of q, or -1 if q has none such
+    moved = []
+    for p, key in enumerate(keys):
+        table = np.full((n, len(perms[counts[p]]), len(key)), -1)
+        for r, rho in enumerate(perms[counts[p]]):
+            images = [tuple(map(rho.__getitem__, s)) for s in key]
+            for q in range(n):
+                if counts[q] == counts[p]:
+                    table[q, r] = [keys[q].get(s, -1) for s in images]
+        moved.append(table)
+    radix = np.cumprod([1, *[len(key) for key in keys[:-1]]])
+
+    def relabelled(party_of, perm_of, subwords: np.ndarray) -> np.ndarray:
+        """The codes of the words with the sub-word numbers ``subwords`` under
+        the candidates ``(party_of, perm_of)``, -1 where a sub-word has no
+        image."""
+        code = np.zeros((len(party_of), len(subwords)), dtype=np.int64)
+        outside = np.zeros(code.shape, dtype=bool)
+        for p in range(n):
+            sub = moved[p][party_of[:, p], perm_of[:, p]][:, subwords[:, p]]
+            outside |= sub < 0
+            code += sub * radix[party_of[:, p], None]
+        return np.where(outside, -1, code)
+
+    # each candidate's images of the objective words and of the pins, and
+    # the sign bit each image needs; a word maps onto one of its own map
+    equations, bits = [], []
+    keep = np.ones(len(party_of), dtype=bool)
+    for words in (objective, dict.fromkeys(pins, Fraction(1))):
+        subwords = np.array(
+            [[keys[p][tuple(l.input for l in w if l.party == p)] for p in range(n)]
+             for w in words],
+            dtype=np.intp,
+        ).reshape(len(words), n)
+        found = _lookup(subwords @ radix, relabelled(party_of, perm_of, subwords))
+        c = list(words.values())
+        needed = [[0 if b == a else 1 if b == -a else -1 for b in c] for a in c]
+        bit = np.array(needed, dtype=np.intp).reshape(len(c), len(c))[
+            np.arange(len(c)), found
+        ]
+        keep &= ((found >= 0) & (bit >= 0)).all(axis=1)
+        equations.append(_letter_parity(words, offset, len(letters)))
+        bits.append(bit)
+    party_of, perm_of = party_of[keep], perm_of[keep]
+    signs, solvable, kernel = _gf2_solve(
+        np.vstack(equations), np.hstack(bits)[keep].astype(bool)
+    )
+    party_of, perm_of, signs = party_of[solvable], perm_of[solvable], signs[solvable]
+    full_rows = _lookup(index @ radix, relabelled(party_of, perm_of, index))
+    inside = (full_rows >= 0).all(axis=1)
+    party_of, perm_of, signs = party_of[inside], perm_of[inside], signs[inside]
+
+    # the representatives' actions, then the kernel basis vectors'
     kept = np.array(reduced.kept_rows)
     position = np.full(structure.dimension, -1)
     position[kept] = np.arange(len(kept))
-    k = problem.dimension
-    var_at = np.full(k * k, -1)
-    var_at[problem.row * k + problem.col] = problem.var
-    found = {}
-    for parties in itertools.permutations(range(_n_parties(structure.basis))):
+    rows = np.vstack(
+        [
+            position[reduced.row_of[full_rows[inside][:, kept]]],
+            np.tile(np.arange(len(kept)), (len(kernel), 1)),
+        ]
+    )
+    letter_signs = np.vstack([signs, kernel])
+    row_letters = _letter_parity([basis[i] for i in kept], offset, len(letters))
+    parity = letter_signs.astype(np.intp) @ row_letters.T.astype(np.intp) & 1 == 1
+    variables, var_parity = _variable_action(problem, rows, parity)
+    letter_image = np.tile(np.arange(len(letters)), (len(rows), 1))
+    for p in range(n):
+        inputs = np.array(perms[counts[p]])[perm_of[:, p]]
+        letter_image[: len(signs), offset[p] : offset[p] + counts[p]] = (
+            np.array(offset)[party_of[:, p], None] + inputs
+        )
 
-        def relabel(word: Word) -> Word:
-            return canonicalize([OperatorLetter(parties[p], x) for p, x in word])
+    # element (e, c): representative e times the kernel combination c
+    combos = np.arange(1 << len(kernel))[:, None] >> np.arange(len(kernel)) & 1
 
-        if {relabel(w) for w in pins} != set(pins):
-            continue
-        if any(objective.get(relabel(w)) != c for w, c in objective.items()):
-            continue
-        try:
-            image = [structure.index[relabel(w)] for w in structure.basis]
-        except KeyError:
-            continue
-        rows = position[reduced.row_of[np.array(image)[kept]]]
-        i, j = rows[problem.row], rows[problem.col]
-        target = var_at[np.minimum(i, j) * k + np.maximum(i, j)]
-        variables = np.full(problem.n_vars, -1)
-        variables[problem.var] = target
-        if (target < 0).any() or not np.array_equal(variables[problem.var], target):
-            raise ValueError(f"relabelling {parties} is no symmetry of the lowering")
-        found[parties] = (rows, variables)
-    return found
+    def elements(image: np.ndarray, parity: np.ndarray) -> SignedPermutations:
+        flips = combos @ parity[len(signs) :].astype(np.intp) & 1 == 1
+        parity = parity[: len(signs), None] ^ flips
+        return SignedPermutations(
+            np.repeat(image[: len(signs)], len(combos), axis=0),
+            1.0 - 2.0 * parity.reshape(-1, image.shape[1]),
+        )
+
+    return RelabellingGroup(
+        letters,
+        elements(letter_image, letter_signs),
+        elements(rows, parity),
+        elements(variables, var_parity),
+    )
 
 
 def _cluster(values: np.ndarray, tol: float) -> np.ndarray:
@@ -435,33 +701,36 @@ def _cluster(values: np.ndarray, tol: float) -> np.ndarray:
     return labels
 
 
-def symmetry_adapted_bases(row_permutations: list[np.ndarray]) -> list[np.ndarray]:
-    """Orthonormal bases, one per irreducible type of a row permutation group,
-    that block-diagonalize every symmetric matrix the group fixes.
+def symmetry_adapted_bases(rows: SignedPermutations) -> list[np.ndarray]:
+    """Orthonormal bases, one per irreducible type of a signed row permutation
+    group, that block-diagonalize every symmetric matrix the group fixes.
 
-    With ``P_g e_i = e_{g(i)}``, a matrix ``F`` fixed by the group commutes
-    with every ``P_g``, hence with the symmetric group-algebra element ``A =
-    sum_g r_g (P_g + P_g^T)`` (seeded weights ``r_g`` in [1, 2)), and maps
-    each eigenspace of ``A`` into itself.  For generic weights those
-    eigenspaces are, for each irreducible type of multiplicity ``m`` and
-    dimension ``n``, ``n`` spaces of dimension ``m`` on which every fixed
-    ``F`` acts alike (Gatermann & Parrilo 2004), so one of them per type
-    carries all of ``F``'s eigenvalues.  The type of an eigenvector is its
-    eigenvalue under the central element ``C``, the group average of
-    ``P_g A P_g^T``.  ``A`` and ``C`` act on each row orbit alone, so both
-    are diagonalized orbit by orbit, all orbits of one size in one stacked
-    call, and every basis vector lives on one orbit.  The permutations form a
-    group, so row ``i``'s orbit is ``{g(i)}`` and its least image labels it.
-    Eigenvalues closer than 1e-8 of ``A``'s norm bound are taken as equal; the
-    kept eigenspace of each type is the one of smallest eigenvalue.
+    With ``P_g e_i = s_g(i) e_{g(i)}``, a matrix ``F`` fixed by the group
+    (``P_g F P_g^T = F``) commutes with every ``P_g``, hence with the
+    symmetric group-algebra element ``A = sum_g r_g (P_g + P_g^T)`` (seeded
+    weights ``r_g`` in [1, 2)), and maps each eigenspace of ``A`` into
+    itself.  For generic weights those eigenspaces are, for each irreducible
+    type, copies on which every fixed ``F`` acts alike (Gatermann & Parrilo
+    2004), so one of them per type carries all of ``F``'s eigenvalues.  The
+    type of an eigenvector is its eigenvalue under the central element ``C``,
+    the group average of ``P_g^T A P_g``.  ``A`` and ``C`` act on each row
+    orbit alone, so both are diagonalized orbit by orbit, all orbits of one
+    size in one stacked call, and every basis vector lives on one orbit.  The
+    elements form a group, so row ``i``'s orbit is ``{g(i)}`` and its least
+    image labels it.  Eigenvalues closer than 1e-8 of ``A``'s norm bound are
+    taken as equal; the kept eigenspace of each type is the one of smallest
+    eigenvalue.
     """
-    perms = np.asarray(row_permutations)
+    perms, signs = rows.image, rows.sign
     n_group, k = perms.shape
     weights = np.random.default_rng(GROUP_ALGEBRA_SEED).uniform(1.0, 2.0, n_group)
-    a = np.zeros((k, k))
-    for weight, image in zip(weights, perms):
-        a[image, np.arange(k)] += weight
+    a = np.bincount(
+        (perms * k + np.arange(k)).ravel(),
+        weights=(weights[:, None] * signs).ravel(),
+        minlength=k * k,
+    ).reshape(k, k)
     a += a.T
+    central = rows.average(a)
     # the rows sorted by orbit; each orbit's eigenvectors of A, and their
     # eigenvalues under A and C, take the columns of its rows' positions
     vectors, eigenvalues, types = np.zeros((k, k)), np.zeros(k), np.zeros(k)
@@ -470,48 +739,64 @@ def symmetry_adapted_bases(row_permutations: list[np.ndarray]) -> list[np.ndarra
     size = np.bincount(orbit)[orbit[order]]
     for s in np.unique(size):
         columns = np.flatnonzero(size == s).reshape(-1, s)  # one orbit a row
-        rows = order[columns]
-        lam, vec = np.linalg.eigh(a[rows[:, :, None], rows[:, None, :]])
-        images = perms[:, rows]  # C[i, j] averages A[g(i), g(j)], as G = G^-1
-        central = a[images[..., :, None], images[..., None, :]].sum(axis=0)
-        vectors[rows[:, :, None], columns[:, None, :]], eigenvalues[columns] = vec, lam
-        types[columns] = np.einsum("oia,oij,oja->oa", vec, central, vec) / n_group
+        rows_ = order[columns]
+        block = rows_[:, :, None], rows_[:, None, :]
+        lam, vec = np.linalg.eigh(a[block])
+        vectors[rows_[:, :, None], columns[:, None, :]], eigenvalues[columns] = vec, lam
+        types[columns] = np.einsum("oia,oij,oja->oa", vec, central[block], vec)
     tol = 1e-8 * 2.0 * weights.sum()
     copy = _cluster(eigenvalues, tol)
     kind = _cluster(types, tol)
-    return [
+    bases = [
         vectors.compress((kind == t) & (copy == copy[kind == t].min()), axis=1)
         for t in range(kind.max() + 1)
     ]
+    return sorted(bases, key=lambda q: -q.shape[1])
+
+
+def orbit_problem(problem: SdpProblem, variables: SignedPermutations) -> SdpProblem:
+    """``problem`` with one variable per signed orbit of ``variables``.
+
+    The variables whose orbit holds its own negative, 0 at every fixed
+    point, drop out; every other basis entry's variable ``v`` is relabelled
+    by its orbit, its value times ``v``'s orbit sign ``t_v``, and ``c`` is
+    summed over each orbit with the same signs."""
+    orbit, sign = variables.orbits
+    live = orbit[problem.var] >= 0
+    return SdpProblem(
+        f0=problem.f0,
+        var=orbit[problem.var][live],
+        row=problem.row[live],
+        col=problem.col[live],
+        value=(sign[problem.var] * problem.value)[live],
+        c=np.bincount(orbit[orbit >= 0], weights=(sign * problem.c)[orbit >= 0]),
+    )
 
 
 def solve_on_orbits(
     problem: SdpProblem,
-    symmetries: list[tuple[np.ndarray, np.ndarray]],
+    rows: SignedPermutations,
+    variables: SignedPermutations,
     tol: float,
 ) -> SdpSolution:
-    """Solve ``problem`` with one variable per orbit, in symmetry-adapted
+    """Solve ``problem`` on the signed orbits of a group, in symmetry-adapted
     blocks; lift the solution back.
 
-    ``symmetries`` is a group of (row, variable) permutations of ``problem``.
-    The orbit problem relabels each basis entry's variable by its orbit and
-    sums ``c`` over each orbit; ``symmetry_adapted_bases`` splits it into one
-    block per irreducible type.  Its ``y`` spreads back over the orbits, and
-    its block ``Z``, lifted to ``sum_c Q_c Z_c Q_c^T`` and averaged over the
-    group, is a dual point of ``problem`` itself (see the module docstring);
-    the bound stays the block solve's own.
+    ``rows`` and ``variables`` are the group's actions on the rows and on
+    the variables of ``problem``.  ``symmetry_adapted_bases`` splits the
+    ``orbit_problem`` into one block per irreducible type.  Its ``y`` spreads
+    back as ``t_v y_orbit``, 0 on the dropped variables, and its block ``Z``,
+    lifted to ``sum_c Q_c Z_c Q_c^T`` and averaged over the group, is a dual
+    point of ``problem`` itself (see the module docstring); the bound stays
+    the block solve's own.
     """
-    orbit = np.min([variables for _, variables in symmetries], axis=0)
-    _, orbit_of = np.unique(orbit, return_inverse=True)
-    orbits = replace(
-        problem, var=orbit_of[problem.var], c=np.bincount(orbit_of, weights=problem.c)
-    )
-    bases = symmetry_adapted_bases([rows for rows, _ in symmetries])
-    solution = solve(orbits.restricted(bases), tol=tol)
+    orbit, sign = variables.orbits
+    bases = symmetry_adapted_bases(rows)
+    solution = solve(orbit_problem(problem, variables).restricted(bases), tol=tol)
     q = np.hstack(bases)
     z = q @ solution.dual_matrix @ q.T
-    z = sum(z[np.ix_(rows, rows)] for rows, _ in symmetries) / len(symmetries)
-    return replace(solution, y=solution.y[orbit_of], dual_matrix=z)
+    z = rows.average(z)
+    return replace(solution, y=sign * solution.y[orbit], dual_matrix=z)
 
 
 @dataclass(frozen=True)
@@ -523,6 +808,9 @@ class NpaResult:
     basis_size: int
     reduced_size: int
     n_moment_classes: int
+    group_order: int  # of the signed relabelling group the solve ran on
+    n_orbits: int  # the orbit problem's variables
+    n_zeroed: int  # the moment classes that group forces to 0
 
 
 def npa_upper_bound(
@@ -539,8 +827,8 @@ def npa_upper_bound(
     key observable is negated along with it), so the maximum of the signed
     objective equals the maximum of its negation.
 
-    The solve runs on the orbits of the party symmetries of the lowered
-    problem; the certificate is checked on the lowered problem itself.
+    The solve runs on the orbits of the signed relabelling group of the
+    lowered problem; the certificate is checked on the lowered problem itself.
     """
     if level < 2:
         raise ValueError("hierarchy level must be at least 2 for the objective")
@@ -555,8 +843,9 @@ def npa_upper_bound(
     pinned = [structure.identity_class] + [structure.class_id(w) for w in pins]
     reduced = reduce_structure(structure, pinned)
     problem, const = lower_to_sdp(reduced, encode_objective(objective, structure))
-    symmetries = party_symmetries(structure, reduced, problem, objective, pins)
-    solution = solve_on_orbits(problem, list(symmetries.values()), tol)
+    group = relabelling_group(structure, reduced, problem, objective, pins)
+    solution = solve_on_orbits(problem, group.rows, group.variables, tol)
+    orbit, _ = group.variables.orbits
     verified = verify_certificate(problem, solution)
     certified = certified_upper_bound(problem, solution)
     return NpaResult(
@@ -567,4 +856,7 @@ def npa_upper_bound(
         basis_size=structure.dimension,
         reduced_size=problem.dimension,
         n_moment_classes=problem.n_vars,
+        group_order=group.rows.order,
+        n_orbits=int(orbit.max()) + 1,
+        n_zeroed=int((orbit < 0).sum()),
     )

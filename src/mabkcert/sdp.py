@@ -50,9 +50,12 @@ nonzero of ``F0`` crosses (the aggregate sparsity pattern of Fukuda, Kojima,
 Murota & Nakata 2000, cut into intervals).  Only this module turns entries
 into operators, and only ``SdpProblem.operator`` reads them: the CSR matrix of
 shape (m, d*d) whose row ``i`` is ``F_i`` flattened.  ``SdpProblem.restricted``
-maps it through orthonormal bases ``Q_c`` onto the problem whose diagonal
-blocks hold ``Q_c^T F Q_c``.  ``solve`` takes each block's columns of the
-operator, (m, b*b), and keeps every iterate as a list of dense blocks.  The
+maps it through orthonormal bases ``Q_c``, in one product, onto the problem
+whose diagonal blocks hold ``Q_c^T F Q_c``.  ``solve`` merges consecutive
+blocks of the finest cut into solve blocks of at most ``SOLVE_BLOCK_ROWS``
+rows, as every block costs a few LAPACK and numpy calls per iteration; it
+maps the operator's columns into the solve blocks through a position table,
+(m, b*b) per block, and keeps every iterate as a list of dense blocks.  The
 Schur matrix is a sum over the blocks.  Within a block the column of ``F_j``
 is ``<F_i, W F_j Z>`` for all ``i`` (Fujisawa, Kojima & Nakata 1997), and
 ``W F_j Z`` is a (b, e) by (e, b) product over the ``e`` entries of ``F_j``
@@ -81,6 +84,11 @@ CERT_STATIONARITY_TOL = 1e-7
 # its gathered entries and its stacked operator are the Schur assembly's
 # scratch, a few times this size, beside the Schur matrix itself.
 SCHUR_SCRATCH = 1 << 15
+# Rows of a solve block: solve merges consecutive blocks of the finest cut up
+# to this size.  Each block costs a few LAPACK and numpy calls per iteration,
+# and the level-3 pinned NPA orbit problem (62 rows in 17 blocks of 1 to 11
+# rows) solved fastest at 24 to 32 (see CHANGES.md for the sweep).
+SOLVE_BLOCK_ROWS = 32
 # Iterations after which solve gives up with SdpSolverError.
 MAX_ITERATIONS = 120
 # Entries of a restricted problem below this modulus are rounding residue of
@@ -169,31 +177,24 @@ class SdpProblem:
         """The problem on the spans of ``bases``, one diagonal block each:
         block ``c`` holds ``Q_c^T F Q_c`` for ``F0`` and every ``F_i``, whose
         entries below ``BLOCK_ENTRY_FLOOR`` in modulus (rounding left over
-        where the exact entry is zero) are dropped.  Row ``i`` of ``operator
-        @ kron(Q_c, Q_c)`` is ``Q_c^T F_i Q_c`` flattened."""
-        from scipy.linalg import block_diag
+        where the exact entry is zero) are dropped.  With ``Q`` the bases side
+        by side, row ``i`` of ``operator @ kron(Q, Q)`` is ``Q^T F_i Q``
+        flattened, and each block keeps its own rows and columns of it."""
         from scipy.sparse import csr_matrix, kron
 
-        var, row, col, value, f0 = [], [], [], [], []
-        start = 0
-        for q in bases:
-            b = q.shape[1]
-            sparse_q = csr_matrix(q)
-            entries = (self.operator @ kron(sparse_q, sparse_q)).tocoo()
-            i, j = np.divmod(entries.col, b)
-            keep = (i <= j) & (np.abs(entries.data) > BLOCK_ENTRY_FLOOR)
-            var.append(entries.row[keep])
-            row.append(i[keep] + start)
-            col.append(j[keep] + start)
-            value.append(entries.data[keep])
-            f0.append(q.T @ self.f0 @ q)
-            start += b
+        q = np.hstack(bases)
+        block = np.repeat(np.arange(len(bases)), [b.shape[1] for b in bases])
+        sparse_q = csr_matrix(q)
+        entries = (self.operator @ kron(sparse_q, sparse_q)).tocoo()
+        i, j = np.divmod(entries.col, q.shape[1])
+        keep = (i <= j) & (block[i] == block[j])
+        keep &= np.abs(entries.data) > BLOCK_ENTRY_FLOOR
         return SdpProblem(
-            f0=block_diag(*f0),
-            var=np.concatenate(var),
-            row=np.concatenate(row),
-            col=np.concatenate(col),
-            value=np.concatenate(value),
+            f0=np.where(block[:, None] == block, q.T @ self.f0 @ q, 0.0),
+            var=entries.row[keep],
+            row=i[keep],
+            col=j[keep],
+            value=entries.data[keep],
             c=self.c,
         )
 
@@ -276,20 +277,48 @@ def _block(f0: np.ndarray, operator) -> _Block:
     return _Block(f0, width, stacked, tuple(chunks), scratch_size)
 
 
-def _blocks(problem: SdpProblem) -> tuple[object, list[_Block]]:
-    """The columns of ``problem.operator`` inside the diagonal blocks: the
-    CSR matrix of shape (m, sum b*b) whose row ``i`` holds the blocks of
-    ``F_i``, each flattened, one after another; and each block's data.  The
-    blocks are contiguous, so the row-major order of the block-diagonal
-    positions is block by block, row-major within each."""
-    sizes = problem.block_sizes
-    block = np.repeat(np.arange(len(sizes)), sizes)
-    operator = problem.operator[:, np.flatnonzero(block[:, None] == block)]
-    blocks, start, offset = [], 0, 0
+def _solve_blocks(sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """Consecutive ``sizes`` merged greedily into blocks of at most
+    ``SOLVE_BLOCK_ROWS`` rows; a larger block stays alone."""
+    merged: list[int] = []
     for b in sizes:
-        f0 = problem.f0[start : start + b, start : start + b]
-        blocks.append(_block(f0, operator[:, offset : offset + b * b]))
-        start, offset = start + b, offset + b * b
+        if merged and merged[-1] + b <= SOLVE_BLOCK_ROWS:
+            merged[-1] += b
+        else:
+            merged.append(b)
+    return tuple(merged)
+
+
+def _blocks(problem: SdpProblem) -> tuple[object, list[_Block]]:
+    """The columns of ``problem.operator`` inside the solve blocks: the CSR
+    matrix of shape (m, sum b*b) whose row ``i`` holds the blocks of ``F_i``,
+    each flattened, one after another; and each block's data.  Every entry
+    lies inside a block of the finest cut, so inside a solve block, and a
+    position table of length d*d maps each column of the operator to its
+    place; the blocks are contiguous, so that map keeps the columns' order."""
+    from scipy.sparse import csr_matrix
+
+    sizes = _solve_blocks(problem.block_sizes)
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    first = np.cumsum((0, *sizes))
+    columns = np.cumsum((0, *[b * b for b in sizes]))
+    # (i, j) in block c goes to column columns[c] + i' * b_c + j', with i' and
+    # j' the positions of i and j in the block
+    local = np.arange(problem.dimension) - first[block]
+    position = columns[block, None] + local[:, None] * np.array(sizes)[block, None]
+    position = position + local
+    full = problem.operator
+    operator = csr_matrix(
+        (full.data, position.ravel()[full.indices], full.indptr),
+        shape=(problem.n_vars, columns[-1]),
+    )
+    blocks = [
+        _block(
+            problem.f0[first[c] : first[c + 1], first[c] : first[c + 1]],
+            operator[:, columns[c] : columns[c + 1]],
+        )
+        for c in range(len(sizes))
+    ]
     return operator, blocks
 
 
@@ -372,8 +401,8 @@ def solve(problem: SdpProblem, tol: float = 1e-9) -> SdpSolution:
     from scipy.linalg.lapack import dpotrf, dpotrs
 
     d, m, c = problem.dimension, problem.n_vars, problem.c
-    sizes = problem.block_sizes
     operator, blocks = _blocks(problem)
+    sizes = tuple(len(blk.f0) for blk in blocks)
     operator_t = operator.T.tocsr()
     cuts = np.cumsum([b * b for b in sizes])[:-1]
     f0 = [blk.f0 for blk in blocks]

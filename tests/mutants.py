@@ -114,8 +114,7 @@ MUTANTS = (
     Mutant(
         "skipped-z-averaging",
         "src/mabkcert/npa.py",
-        "    z = sum(z[np.ix_(rows, rows)] for rows, _ in symmetries)"
-        " / len(symmetries)\n",
+        "    z = rows.average(z)\n",
         "",
         _in("test_npa.py", "test_certified_bound_stays_within_the_margin"),
     ),
@@ -129,33 +128,62 @@ MUTANTS = (
     Mutant(
         "symmetry-ignores-objective",
         "src/mabkcert/npa.py",
-        "        if any(objective.get(relabel(w)) != c"
-        " for w, c in objective.items()):\n            continue\n",
-        "",
+        "    for words in (objective, dict.fromkeys(pins, Fraction(1))):\n",
+        "    for words in (dict.fromkeys(pins, Fraction(1)),):\n",
         _in("test_npa.py", "test_an_asymmetric_problem_shrinks_the_group"),
     ),
     Mutant(
         "symmetry-ignores-pins",
         "src/mabkcert/npa.py",
-        "        if {relabel(w) for w in pins} != set(pins):\n            continue\n",
-        "",
+        "    for words in (objective, dict.fromkeys(pins, Fraction(1))):\n",
+        "    for words in (objective,):\n",
         _in("test_npa.py", "test_a_one_sided_pin_leaves_only_the_identity"),
     ),
     Mutant(
         "unchecked-variable-map",
         "src/mabkcert/npa.py",
-        "if (target < 0).any() or not np.array_equal(variables[problem.var], target):",
-        "if False:",
+        "    if not (\n        f0_kept\n",
+        "    if False and not (\n        f0_kept\n",
         _in("test_npa.py", "test_a_tampered_lowering_raises"),
     ),
     Mutant(
         "basis-closure-raises",
         "src/mabkcert/npa.py",
-        "        except KeyError:\n            continue\n",
-        "        except KeyError:\n            raise\n",
+        "    inside = (full_rows >= 0).all(axis=1)\n",
+        "    inside = (full_rows >= 0).all(axis=1) | True\n",
         _in(
             "test_npa.py",
             "test_a_basis_word_without_an_image_leaves_only_the_identity",
+        ),
+    ),
+    Mutant(
+        "row-signs-dropped",
+        "src/mabkcert/npa.py",
+        "    parity = letter_signs.astype(np.intp) @ row_letters.T.astype(np.intp)"
+        " & 1 == 1\n",
+        "    parity = np.zeros((len(rows), len(kept)), dtype=bool)\n",
+        _in(
+            "test_npa.py",
+            "test_party_symmetries_leave_the_lowered_problem_invariant"
+            "[n3-level2-free]",
+        ),
+    ),
+    Mutant(
+        "sign-kernel-skipped",
+        "src/mabkcert/npa.py",
+        "    combos = np.arange(1 << len(kernel))[:, None] >> np.arange(len(kernel))"
+        " & 1\n",
+        "    combos = np.zeros((1, len(kernel)), dtype=np.intp)\n",
+        _in("test_npa.py", "test_signed_relabelling_group_orders[n3-level2-free]"),
+    ),
+    Mutant(
+        "self-negated-class-kept",
+        "src/mabkcert/npa.py",
+        "        live = ~(plus & minus)\n",
+        "        live = plus | minus\n",
+        _in(
+            "test_npa.py",
+            "test_self_negated_classes_leave_the_orbit_problem[n3-level2-free]",
         ),
     ),
     Mutant(
@@ -183,14 +211,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "restriction-without-block-offset",
+        "restriction-keeps-cross-block-f0",
         "src/mabkcert/sdp.py",
-        "row.append(i[keep] + start)",
-        "row.append(i[keep])",
+        "f0=np.where(block[:, None] == block, q.T @ self.f0 @ q, 0.0),",
+        "f0=q.T @ self.f0 @ q,",
         _in(
             "test_npa.py",
-            "test_restricted_blocks_are_the_dense_products[n3-level2-free]",
-            "test_orbit_solve_runs_on_the_irreducible_blocks[n3-level2-free]",
+            "test_orbit_solve_runs_on_the_irreducible_blocks[n3-level3-pinned]",
         ),
     ),
     Mutant(

@@ -318,7 +318,8 @@ def test_npa_vv_prints_solver_diagnostics_outside_the_payload(capsys):
     loud.pop("duration_ms")
     assert loud == quiet
     assert re.search(
-        r"^\[mabkcert\] npa level 2, perfect_correlations=True: blocks \(\d+(, \d+)*\),"
+        r"^\[mabkcert\] npa level 2, perfect_correlations=True: group order \d+,"
+        r" \d+ orbits, \d+ zeroed classes, blocks \(\d+(, \d+)*,?\),"
         r" \d+ iterations, Schur assembly \d\.\d{4} s, factorizations \d\.\d{4} s,"
         r" step lengths \d\.\d{4} s, final dual residual \d\.\d{3}e[-+]\d+$",
         err_v,

@@ -20,6 +20,7 @@ from mabkcert.npa import (
     KEY_INPUT,
     OperatorLetter,
     ReducedMoments,
+    SignedPermutations,
     build_moment_structure,
     canonicalize,
     encode_objective,
@@ -27,9 +28,10 @@ from mabkcert.npa import (
     lower_to_sdp,
     npa_upper_bound,
     objective_words,
-    party_symmetries,
+    orbit_problem,
     perfect_correlation_pins,
     reduce_structure,
+    relabelling_group,
     symmetry_adapted_bases,
 )
 from mabkcert.sdp import BLOCK_ENTRY_FLOOR, solve, verify_certificate
@@ -461,47 +463,149 @@ def _lowered(scenario, level, pinned_words=(), objective=None, extra_words=()):
 
 
 def _symmetries(lowered, problem=None):
-    """party_symmetries of ``lowered``, or of ``problem`` in its place."""
+    """relabelling_group of ``lowered``, or of ``problem`` in its place."""
     structure, reduced, own, _, objective, pins = lowered
     problem = own if problem is None else problem
-    return party_symmetries(structure, reduced, problem, objective, pins)
+    return relabelling_group(structure, reduced, problem, objective, pins)
+
+
+def _relabellings(group):
+    """Each element of ``group`` as a map letter -> (sign, image letter)."""
+    letters = group.letters
+    return [
+        {letter: (s, letters[i]) for letter, i, s in zip(letters, image, sign)}
+        for image, sign in zip(group.on_letters.image, group.on_letters.sign)
+    ]
+
+
+def _unsigned_elements(group, relabel):
+    """The elements of ``group`` that send each letter ``l``, with sign +1,
+    to ``relabel(l)``."""
+    return [
+        g
+        for g, r in enumerate(_relabellings(group))
+        if all(r[l] == (1.0, relabel(l)) for l in r)
+    ]
+
+
+def _party_map(relabelling):
+    """The party permutation of a relabelling, as the image of each party."""
+    parties = sorted({letter.party for letter in relabelling})
+    return tuple(relabelling[OperatorLetter(p, 0)][1].party for p in parties)
+
+
+def _unsigned_party_maps(group):
+    """The party maps of the elements without signs or input permutations."""
+    return {
+        _party_map(r)
+        for r in _relabellings(group)
+        if all(s == 1.0 and m.input == l.input for l, (s, m) in r.items())
+    }
 
 
 @pytest.mark.parametrize("level", [2, 3])
 def test_detected_party_groups(level):
+    # the unsigned relabellings that keep every input are the party groups:
+    # {id, B <-> C} pinned, S3 unpinned
     pinned = _lowered(SCENARIO, level, _key_pairs(3))
-    assert set(_symmetries(pinned)) == {(0, 1, 2), (0, 2, 1)}
+    assert _unsigned_party_maps(_symmetries(pinned)) == {(0, 1, 2), (0, 2, 1)}
     free = _lowered((2, 2, 2), level)
-    assert set(_symmetries(free)) == set(itertools.permutations(range(3)))
+    assert _unsigned_party_maps(_symmetries(free)) == set(
+        itertools.permutations(range(3))
+    )
+
+
+def _brute_force_group(lowered):
+    """Every signed letter relabelling that keeps the objective exactly, maps
+    the pins onto pins with sign +1 and the basis into the basis, word by word."""
+    structure, _, _, _, objective, pins = lowered
+    basis, pin_images = set(structure.basis), {(1, p) for p in pins}
+    coefficients = list(objective.values())
+    letters = sorted({letter for w in structure.basis for letter in w})
+    counts = [sum(letter.party == p for letter in letters) for p in range(3)]
+    found = set()
+    for parties in itertools.permutations(range(3)):
+        if [counts[q] for q in parties] != counts:
+            continue
+        for inputs in itertools.product(
+            *[itertools.permutations(range(c)) for c in counts]
+        ):
+            for signs in itertools.product((1, -1), repeat=len(letters)):
+                sign = dict(zip(letters, signs))
+
+                def relabel(word):
+                    image = [
+                        OperatorLetter(parties[l.party], inputs[l.party][l.input])
+                        for l in word
+                    ]
+                    return math.prod(sign[l] for l in word), canonicalize(image)
+
+                if not (
+                    all(
+                        objective.get(image) == s * c
+                        for (s, image), c in zip(map(relabel, objective), coefficients)
+                    )
+                    and all(relabel(w) in pin_images for w in pins)
+                    and all(relabel(w)[1] in basis for w in structure.basis)
+                ):
+                    continue
+                found.add(tuple((l, sign[l], *relabel((l,))[1][0]) for l in letters))
+    return found
+
+
+ORACLE_GROUPS = {
+    "n3-level2-free": lambda: _lowered((2, 2, 2), 2),
+    "n3-level2-pinned": lambda: _lowered(SCENARIO, 2, _key_pairs(3)),
+    "one-sided-pin": lambda: _lowered(SCENARIO, 2, [(A0, B2_1)]),
+    "extra-basis-word": lambda: _lowered((2, 2, 2), 2, extra_words=[(A0, A1, B0_1)]),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_GROUPS)
+def test_signed_group_matches_the_brute_force_oracle(case):
+    # every signed relabelling of the letters (3072 of six letters, 36864 of
+    # eight), each checked word by word, against the GF(2) enumeration
+    lowered = ORACLE_GROUPS[case]()
+    group = _symmetries(lowered)
+    enumerated = {
+        tuple((l, s, *m) for l, (s, m) in r.items()) for r in _relabellings(group)
+    }
+    assert enumerated == _brute_force_group(lowered)
 
 
 def test_a_one_sided_pin_leaves_only_the_identity():
+    # pinning A0 B2 alone breaks B <-> C: every element keeps every party
     lowered = _lowered(SCENARIO, 2, [(A0, B2_1)])
-    assert list(_symmetries(lowered)) == [(0, 1, 2)]
+    maps = {_party_map(r) for r in _relabellings(_symmetries(lowered))}
+    assert maps == {(0, 1, 2)}
 
 
 def test_a_basis_word_without_an_image_leaves_only_the_identity():
-    # every relabelling but the identity moves party A or B, and so sends
-    # A0 A1 B0 to a word outside the basis; the pins (none) and the MABK
-    # objective alone would keep all six
+    # every relabelling of the letters but the identity moves A0 A1 B0 to a
+    # word outside the basis (A0 A1 and B0 each map to themselves, up to
+    # sign, only under the identity letter permutation); the pins (none) and
+    # the MABK objective alone would keep 192 signed relabellings
     lowered = _lowered((2, 2, 2), 2, extra_words=[(A0, A1, B0_1)])
     assert lowered.structure.dimension == 26
-    assert list(_symmetries(lowered)) == [(0, 1, 2)]
+    group = _symmetries(lowered)
+    assert (group.on_letters.image == np.arange(len(group.letters))).all()
+    assert group.on_letters.order == 8  # the sign changes that keep MABK
+    assert _symmetries(_lowered((2, 2, 2), 2)).on_letters.order == 192
 
 
 def test_an_asymmetric_problem_shrinks_the_group():
-    # tilting the coefficient of A1 B0 C0 leaves only the relabellings that
-    # fix that word, the identity and B <-> C, and both fix its variable,
-    # the only one whose c the tilt moves
+    # tilting the coefficient of A1 B0 C0 to 3/4 leaves only the relabellings
+    # that fix that word with sign +1, and with it its variable, the only one
+    # whose c the tilt moves: 48 of the 192
     full = _lowered((2, 2, 2), 2)
     word = (A1, B0_1, OperatorLetter(2, 0))
     objective = dict(full.objective)
     objective[word] += Fraction(1, 4)
     tilted = _lowered((2, 2, 2), 2, objective=objective)
     (v,) = np.flatnonzero(tilted.problem.c != full.problem.c)
-    found = _symmetries(tilted)
-    assert len(_symmetries(full)) == 6 and list(found) == [(0, 1, 2), (0, 2, 1)]
-    assert all(variables[v] == v for _, variables in found.values())
+    found = _symmetries(tilted).variables
+    assert _symmetries(full).variables.order == 192 and found.order == 48
+    assert (found.image[:, v] == v).all() and (found.sign[:, v] == 1.0).all()
 
 
 def test_a_tampered_lowering_raises():
@@ -608,27 +712,25 @@ def test_certified_bound_stays_within_the_margin(
     assert 0.0 <= result.certified_bound - result.bound < CERTIFIED_MARGIN
 
 
-def _orbit_basis_matrices(problem, symmetries):
-    """The dense F0 and orbit-summed basis matrices of ``problem``."""
-    k = problem.dimension
-    orbit = np.min([variables for _, variables in symmetries], axis=0)
-    matrices = [problem.f0]
-    for root in np.unique(orbit):
-        f = np.zeros((k, k))
-        entry = orbit[problem.var] == root
-        f[problem.row[entry], problem.col[entry]] = problem.value[entry]
-        f[problem.col[entry], problem.row[entry]] = problem.value[entry]
-        matrices.append(f)
-    return matrices
+def _orbit_basis_matrices(problem, variables):
+    """The dense F0 and signed orbit basis matrices ``sum_v t_v F_v`` of
+    ``problem``."""
+    orbit, sign = variables.orbits
+    return [problem.f0] + [
+        _dense_entries(problem, np.where(orbit == o, sign, 0.0))
+        for o in range(orbit.max() + 1)
+    ]
 
 
+# scenario, level, pins and the dimensions of the irreducible types of the
+# signed relabelling group's action on the rows
 DECOMPOSITION_CASES = {
-    "n3-level2-pinned": (SCENARIO, 2, _key_pairs(3), {1}),
-    "n3-level2-free": ((2, 2, 2), 2, (), {1, 2}),
-    "n3-level3-pinned": (SCENARIO, 3, _key_pairs(3), {1}),
-    "n3-level3-free": ((2, 2, 2), 3, (), {1, 2}),
-    "n4-level2-pinned": (default_scenario(4), 2, _key_pairs(4), {1, 2}),
-    "n4-level2-free": ((2, 2, 2, 2), 2, (), {1, 2, 3}),
+    "n3-level2-pinned": (SCENARIO, 2, _key_pairs(3), {1, 4}),
+    "n3-level2-free": ((2, 2, 2), 2, (), {1, 2, 3, 6}),
+    "n3-level3-pinned": (SCENARIO, 3, _key_pairs(3), {1, 4}),
+    "n3-level3-free": ((2, 2, 2), 3, (), {1, 2, 3, 6}),
+    "n4-level2-pinned": (default_scenario(4), 2, _key_pairs(4), {1, 2, 3, 6}),
+    "n4-level2-free": ((2, 2, 2, 2), 2, (), {1, 3, 4, 6, 8, 12}),
 }
 
 
@@ -643,25 +745,102 @@ def _dense_entries(problem, weights):
     return m
 
 
+GROUP_ORDERS = {
+    "n3-level2-pinned": 32,
+    "n3-level2-free": 192,
+    "n3-level3-pinned": 32,
+    "n3-level3-free": 192,
+    "n4-level2-pinned": 384,
+    "n4-level2-free": 3072,
+}
+
+
+@pytest.mark.parametrize("case", GROUP_ORDERS)
+def test_signed_relabelling_group_orders(case):
+    # the elements are distinct, the identity comes first, and at N=3 every
+    # product of two elements is an element: the enumeration is a group
+    scenario, level, pins, _ = DECOMPOSITION_CASES[case]
+    group = _symmetries(_lowered(scenario, level, pins))
+    letters = group.on_letters
+    assert letters.order == group.rows.order == group.variables.order
+    assert letters.order == GROUP_ORDERS[case]
+    signed = letters.image * letters.sign.astype(int) + 0.5 * letters.sign
+    assert len(np.unique(signed, axis=0)) == letters.order
+    assert np.array_equal(letters.image[0], np.arange(len(group.letters)))
+    assert (letters.sign[0] == 1.0).all()
+    if case.startswith("n3"):
+        image = letters.image[:, letters.image]  # [g, h, l] = g(h(l))
+        sign = letters.sign[None, :, :] * np.take_along_axis(
+            letters.sign[:, None, :], letters.image[None, :, :], axis=2
+        )
+        products = (image * sign.astype(int) + 0.5 * sign).reshape(-1, image.shape[2])
+        assert len(np.unique(np.vstack([signed, products]), axis=0)) == letters.order
+
+
 @pytest.mark.parametrize("case", DECOMPOSITION_CASES)
 def test_party_symmetries_leave_the_lowered_problem_invariant(case):
-    # each returned (rows, variables) maps F0 to F0, every F_v onto
-    # F_variables[v] and c to c; with distinct integer weights w_v, the dense
-    # sum_v w_v F_v names each entry's variable, and its rows relabelled are
-    # the sum with the weights w_variables[v]
+    # each element of the signed relabelling group maps F0 to F0 and every
+    # F_v to sigma_v F_tau(v), with c_tau(v) sigma_v = c_v.  With (P^T F P)[i,
+    # j] = s_i s_j F[g(i), g(j)] and distinct integer weights w_v, the dense
+    # sum_v w_v F_v names each entry's variable, and P^T (sum_v w_v F_v) P is
+    # the sum with the weights sigma_v w_tau(v)
     scenario, level, pins, _ = DECOMPOSITION_CASES[case]
     lowered = _lowered(scenario, level, pins)
     problem = lowered.problem
     k, m = problem.dimension, problem.n_vars
     weights = np.arange(1.0, m + 1)
     dense = _dense_entries(problem, weights)
-    for rows, variables in _symmetries(lowered).values():
+    group = _symmetries(lowered)
+    actions = zip(
+        group.rows.image, group.rows.sign, group.variables.image, group.variables.sign
+    )
+    for rows, row_signs, variables, signs in actions:
+        flips = np.outer(row_signs, row_signs)
         assert np.array_equal(np.sort(rows), np.arange(k))
         assert np.array_equal(np.sort(variables), np.arange(m))
-        assert np.array_equal(problem.f0[np.ix_(rows, rows)], problem.f0)
-        relabelled = _dense_entries(problem, weights[variables])
-        assert np.array_equal(dense[np.ix_(rows, rows)], relabelled)
-        assert np.array_equal(problem.c[variables], problem.c)
+        assert np.array_equal(problem.f0[np.ix_(rows, rows)] * flips, problem.f0)
+        relabelled = _dense_entries(problem, signs * weights[variables])
+        assert np.array_equal(dense[np.ix_(rows, rows)] * flips, relabelled)
+        assert np.array_equal(problem.c[variables] * signs, problem.c)
+
+
+@pytest.mark.parametrize("case", DECOMPOSITION_CASES)
+def test_group_average_is_the_mean_over_every_element(case):
+    # SignedPermutations.average takes one element per coset of the sign
+    # changes; the plain mean of s s^T * X[g, g] over all elements agrees
+    scenario, level, pins, _ = DECOMPOSITION_CASES[case]
+    rows = _symmetries(_lowered(scenario, level, pins)).rows
+    x = np.random.default_rng(4).normal(size=(rows.image.shape[1],) * 2)
+    expected = sum(
+        x[np.ix_(image, image)] * np.outer(sign, sign)
+        for image, sign in zip(rows.image, rows.sign)
+    )
+    assert np.allclose(rows.average(x), expected / rows.order, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", DECOMPOSITION_CASES)
+def test_self_negated_classes_leave_the_orbit_problem(monkeypatch, case):
+    # a class that some element maps to its own negative is 0 at every
+    # symmetric point: the orbit problem has one variable per orbit of the
+    # other classes, and the lifted y is 0 on it and sigma_v y_tau(v) on all
+    block_solves = []
+
+    def recording_solve(problem, **kwargs):
+        block_solves.append(problem)
+        return solve(problem, **kwargs)
+
+    monkeypatch.setattr(npa, "solve", recording_solve)
+    scenario, level, pins, _ = DECOMPOSITION_CASES[case]
+    result = npa_upper_bound(level, bool(pins), n_parties=len(scenario))
+    group = _symmetries(_lowered(scenario, level, pins)).variables
+    m = result.n_moment_classes
+    zeroed = ((group.image == np.arange(m)) & (group.sign < 0)).any(axis=0)
+    assert zeroed.any() and result.n_zeroed == zeroed.sum()
+    orbits = np.unique(group.image.min(axis=0)[~zeroed])
+    assert block_solves[0].n_vars == result.n_orbits == len(orbits)
+    y = result.solution.y
+    assert (y[zeroed] == 0.0).all()
+    assert (group.sign * y[group.image] == y).all()
 
 
 @pytest.mark.parametrize("case", DECOMPOSITION_CASES)
@@ -669,14 +848,13 @@ def test_symmetry_adapted_bases_block_diagonalize_the_orbit_problem(case):
     scenario, level, pins, irrep_dimensions = DECOMPOSITION_CASES[case]
     lowered = _lowered(scenario, level, pins)
     problem = lowered.problem
-    symmetries = list(_symmetries(lowered).values())
-    perms = [rows for rows, _ in symmetries]
-    bases = symmetry_adapted_bases(perms)
+    group = _symmetries(lowered)
+    bases = symmetry_adapted_bases(group.rows)
     q = np.hstack(bases)
     assert np.allclose(q.T @ q, np.eye(q.shape[1]), rtol=0.0, atol=1e-12)
     # each basis spans an invariant subspace of F0 and of every orbit matrix,
     # so every one of them is block-diagonal in q
-    for f in _orbit_basis_matrices(problem, symmetries):
+    for f in _orbit_basis_matrices(problem, group.variables):
         for basis in bases:
             fq = f @ basis
             assert np.abs(fq - basis @ (basis.T @ fq)).max() < 1e-12
@@ -685,9 +863,9 @@ def test_symmetry_adapted_bases_block_diagonalize_the_orbit_problem(case):
     spans = []
     for basis in bases:
         images = []
-        for rows in perms:
+        for rows, signs in zip(group.rows.image, group.rows.sign):
             image = np.empty_like(basis)
-            image[rows] = basis
+            image[rows] = basis * signs[:, None]
             images.append(image)
         spans.append(np.linalg.matrix_rank(np.hstack(images), tol=1e-9))
     dims = [span // basis.shape[1] for span, basis in zip(spans, bases)]
@@ -696,24 +874,15 @@ def test_symmetry_adapted_bases_block_diagonalize_the_orbit_problem(case):
     assert set(dims) == irrep_dimensions
 
 
-def _orbit_problem(problem, symmetries):
-    """``problem`` with one variable per orbit, as ``solve_on_orbits`` builds it."""
-    orbit = np.min([variables for _, variables in symmetries], axis=0)
-    _, orbit_of = np.unique(orbit, return_inverse=True)
-    return dataclasses.replace(
-        problem, var=orbit_of[problem.var], c=np.bincount(orbit_of, weights=problem.c)
-    )
-
-
 @pytest.mark.parametrize("case", DECOMPOSITION_CASES)
 def test_restricted_blocks_are_the_dense_products(case):
     # block c of the restricted problem holds Q_c^T F Q_c for F0 and, through
     # random weights w_v, for sum_v w_v F_v; nothing lies outside the blocks
     scenario, level, pins, _ = DECOMPOSITION_CASES[case]
     lowered = _lowered(scenario, level, pins)
-    symmetries = list(_symmetries(lowered).values())
-    orbits = _orbit_problem(lowered.problem, symmetries)
-    bases = symmetry_adapted_bases([rows for rows, _ in symmetries])
+    group = _symmetries(lowered)
+    orbits = orbit_problem(lowered.problem, group.variables)
+    bases = symmetry_adapted_bases(group.rows)
     restricted = orbits.restricted(bases)
     weights = np.random.default_rng(3).normal(size=orbits.n_vars)
     dense, blocks = _dense_entries(orbits, weights), _dense_entries(restricted, weights)
@@ -728,16 +897,20 @@ def test_restricted_blocks_are_the_dense_products(case):
     assert (np.abs(restricted.value) > BLOCK_ENTRY_FLOOR).all()
 
 
-# one block per irreducible type, one copy of each; sdp reads the blocks off
-# the entries, so a block problem that coupled two types would still solve,
-# only slower
+# the sizes of the symmetry-adapted bases, one per irreducible type and one
+# copy of each, largest first, whose blocks the restricted problem's finest
+# cut refines (a 3-row type at level 2 pinned decouples into 2 + 1); and the
+# solve blocks that sdp merges that cut into
 BLOCK_SIZES = {
-    "n3-level2-pinned": (11, 18),
-    "n3-level2-free": (8, 1, 8),
-    "n3-level3-pinned": (41, 54),
-    "n3-level3-free": (20, 5, 18),
-    "n4-level2-pinned": (14, 1, 18),
-    "n4-level2-free": (8, 1, 3, 8),
+    "n3-level2-pinned": ((4, 3, 2, 2, 1, 1, 1, 1, 1, 1), (17,)),
+    "n3-level2-free": ((2, 1, 1, 1, 1, 1), (7,)),
+    "n3-level3-pinned": (
+        (11, 6, 6, 5, 4, 4, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 1),
+        (32, 30),
+    ),
+    "n3-level3-free": ((4, 2, 2, 2, 2, 1, 1, 1, 1), (16,)),
+    "n4-level2-pinned": ((4, 3, 1, 1, 1, 1, 1, 1, 1), (14,)),
+    "n4-level2-free": ((1, 1, 1, 1, 1, 1, 1, 1), (8,)),
 }
 
 
@@ -749,11 +922,20 @@ def test_orbit_solve_runs_on_the_irreducible_blocks(
     runs = four_party_runs if n == "n4" else reproduce_runs
     pinned = pins == "pinned"
     result = runs[pinned] if n == "n4" else runs[(int(level[-1]), pinned)]
-    assert result.solution.block_sizes == BLOCK_SIZES[case]
+    types, solve_blocks = BLOCK_SIZES[case]
+    scenario, level, pins, _ = DECOMPOSITION_CASES[case]
+    lowered = _lowered(scenario, level, pins)
+    group = _symmetries(lowered)
+    bases = symmetry_adapted_bases(group.rows)
+    assert tuple(q.shape[1] for q in bases) == types
+    cut = orbit_problem(lowered.problem, group.variables).restricted(bases).block_sizes
+    assert set(np.cumsum(types)) <= set(np.cumsum(cut))
+    assert result.solution.block_sizes == solve_blocks
 
 
 def test_symmetry_adapted_bases_of_the_trivial_group_are_the_identity():
-    assert [b.tolist() for b in symmetry_adapted_bases([np.arange(4)])] == [
+    trivial = SignedPermutations(np.arange(4)[None], np.ones((1, 4)))
+    assert [b.tolist() for b in symmetry_adapted_bases(trivial)] == [
         np.eye(4).tolist()
     ]
 
@@ -767,9 +949,10 @@ def _group_average(problem, solution, perms):
 
 
 def test_averaging_over_a_non_symmetry_fails_the_certificate():
-    # relabelling the first party's inputs 0 <-> 1 keeps the scenario and the
-    # moment matrix's structure but not MABK; averaging Z over it must leave
-    # stationarity residuals that verify_certificate refuses
+    # relabelling the first party's inputs 0 <-> 1 without signs keeps the
+    # scenario and the moment matrix's structure but not MABK, and is no
+    # element of the group; averaging Z over it must leave stationarity
+    # residuals that verify_certificate refuses
     lowered = _lowered((2, 2, 2), 2)
     structure, problem = lowered.structure, lowered.problem
     solution = solve(problem)
@@ -783,9 +966,14 @@ def test_averaging_over_a_non_symmetry_fails_the_certificate():
     assert not verify_certificate(
         problem, _group_average(problem, solution, [identity, swap])
     )
-    b_c = _symmetries(lowered)[(0, 2, 1)][0]
+    group = _symmetries(lowered)
+    assert _unsigned_elements(group, lambda l: relabel.get(l, l)) == []
+    swap_b_c = {0: 0, 1: 2, 2: 1}
+    (b_c,) = _unsigned_elements(
+        group, lambda l: OperatorLetter(swap_b_c[l.party], l.input)
+    )
     assert verify_certificate(
-        problem, _group_average(problem, solution, [identity, b_c])
+        problem, _group_average(problem, solution, [identity, group.rows.image[b_c]])
     )
 
 

@@ -351,7 +351,9 @@ def test_block_sizes_are_the_finest_uncrossed_cut():
     assert dense_problem(np.eye(3), [f1], [1.0]).block_sizes == (2, 1)
 
 
-def test_blocks_solve_like_one_block():
+def test_blocks_solve_like_one_block(monkeypatch):
+    # a cap of 5 rows keeps every 5-row block a solve block of its own
+    monkeypatch.setattr(sdp, "SOLVE_BLOCK_ROWS", 5)
     seeds = [3, 11, 23]
     blocks = block_diagonal_instance(seeds)
     one = solve(interleaved_instance(seeds))
@@ -367,6 +369,31 @@ def test_blocks_solve_like_one_block():
                 assert not z[5 * a : 5 * a + 5, 5 * b : 5 * b + 5].any()
 
 
+@pytest.mark.parametrize(
+    "cap, merged",
+    [(1, (2, 1, 3, 1, 1)), (3, (3, 3, 2)), (4, (3, 4, 1)), (32, (8,))],
+)
+def test_consecutive_blocks_merge_up_to_the_cap(monkeypatch, cap, merged):
+    # greedy, in order: a block joins the one before it while their rows stay
+    # within the cap, and a block larger than the cap solves alone; the finest
+    # cut stays the problem's, and the merged blocks solve like it
+    monkeypatch.setattr(sdp, "SOLVE_BLOCK_ROWS", cap)
+    rng = np.random.default_rng(5)
+    sizes, m = (2, 1, 3, 1, 1), 4
+    mats = []
+    for _ in range(m):
+        parts = [np.triu(rng.normal(size=(b, b)), 1) for b in sizes]
+        mats.append(scipy.linalg.block_diag(*[p + p.T for p in parts]))
+    problem = dense_problem(np.eye(sum(sizes)), mats, rng.uniform(-1.0, 1.0, m))
+    assert problem.block_sizes == sizes
+    assert sdp._solve_blocks(sizes) == merged
+    solution = solve(problem)
+    assert solution.block_sizes == merged
+    monkeypatch.setattr(sdp, "SOLVE_BLOCK_ROWS", 1)
+    assert solution.bound == pytest.approx(solve(problem).bound, abs=1e-9)
+    assert verify_certificate(problem, solution)
+
+
 def test_solutions_record_where_the_time_went():
     sol = solve(block_diagonal_instance([5, 9]))
     assert min(sol.schur_s, sol.factor_s, sol.step_s) > 0.0
@@ -380,6 +407,7 @@ def test_schur_matrix_matches_the_dense_formula(monkeypatch, scratch):
     # floats are two columns of the 5x5 block), and the default; at each size
     # some chunk mixes entry counts, so some of its slots are padding
     monkeypatch.setattr(sdp, "SCHUR_SCRATCH", scratch)
+    monkeypatch.setattr(sdp, "SOLVE_BLOCK_ROWS", 1)  # every block solves alone
     rng = np.random.default_rng(7)
     sizes, m = (5, 1, 4), 6
     mats = []
