@@ -40,8 +40,9 @@ MAX_RESTARTS = 200
 # block's arrays take about 8 MB, a single draw of every trial 661 MB.
 THEOREM1_BLOCK = 8192
 # Smallest npa --tol: every level-2/3 orbit problem converges at 1e-12 (in 15
-# or 16 iterations) and at 1e-13 (16 to 22), with one or two BLAS threads; at
-# 1e-14 the level-3 pinned one fails to factorize at iteration 28.
+# or 16 iterations), with one or two BLAS threads.  At 1e-13 the level-3
+# pinned one fails to factorize at iteration 18, where mu is 5e-15 (the others
+# converge in 16 to 19), and at 1e-14 the level-2 pinned one fails too.
 MIN_TOL = 1e-12
 EXIT_OK = 0
 EXIT_WRITE = 1

@@ -111,7 +111,7 @@ Such a relabelling maps ``F0``, the ``F_v`` and ``c`` as above.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
 from operator import attrgetter
@@ -180,6 +180,11 @@ class MomentMatrixStructure:
 
     basis: tuple[Word, ...]
     class_of: np.ndarray  # (d, d) int array of class ids
+    # _subwords of the basis: the per-party sub-word numberings and the
+    # (d, n_parties) array of each basis word's sub-word numbers
+    subwords: tuple[list[dict[Word, int]], np.ndarray] = field(
+        repr=False, compare=False
+    )
 
     @property
     def dimension(self) -> int:
@@ -270,7 +275,7 @@ def build_moment_structure(monomials: list[Word]) -> MomentMatrixStructure:
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     class_of = rank[inverse].reshape(d, d).astype(np.int32)
-    return MomentMatrixStructure(tuple(monomials), class_of)
+    return MomentMatrixStructure(tuple(monomials), class_of, (tables, indices))
 
 
 def objective_words(expr: dict[BitString, Fraction]) -> dict[Word, Fraction]:
@@ -579,8 +584,8 @@ def relabelling_group(
     actions are composed from theirs on the arrays.
     """
     basis = structure.basis
-    n = _n_parties(basis)
-    tables, index = _subwords(basis, n)
+    tables, index = structure.subwords
+    n = index.shape[1]
     # each party's sub-words as input tuples, numbered as in tables
     keys = [{tuple(l.input for l in s): i for s, i in t.items()} for t in tables]
     counts = [1 + max(max(s, default=-1) for s in key) for key in keys]

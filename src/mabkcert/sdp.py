@@ -31,10 +31,15 @@ Cholesky-factors the Schur matrix ``H_ij = <F_i, sym(W F_j Z)>``,
   thousandfold as ``mu`` falls below 1e-12.
 
 Iteration 1's Cholesky factorization of ``S = M(0)``, at ``Z = I``, checks
-that the start is strictly feasible.  The corrector's step lengths follow the
-fraction-to-boundary rule (0.98).  One MRRR routine, ``_smallest_eigenvalue``,
-gives the step lengths' eigenvalues and ``Z``'s in the certificate checks,
-which recompute everything on the problem they are given.  Each
+that the start is strictly feasible.  Every factorization goes through
+``np.linalg.cholesky``, and the solves through the inverse ``L^-1`` of each
+lower factor: ``W = L^-T L^-1`` for ``L L^T = S``, the Schur solves are two
+products with ``L^-1`` of the Schur factor, and a step ``Delta`` from ``X``
+meets the boundary where ``L^-1 Delta L^-T`` does, for ``L L^T = X``.  The
+corrector's step lengths follow the fraction-to-boundary rule (0.98).  One
+routine, ``_smallest_eigenvalue`` (``np.linalg.eigvalsh``), gives the step
+lengths' eigenvalues and ``Z``'s in the certificate checks, which recompute
+everything on the problem they are given.  Each
 ``SdpSolution.trace`` row is ``(mu, primal, dual, gap, dual residual, alpha_p,
 alpha_d, sigma)`` for one iteration; the last row of an optimal solve takes no
 step and carries zeros in its last three fields.
@@ -48,28 +53,32 @@ so every ``F_i`` is symmetric by construction.  ``SdpProblem.block_sizes``
 reads the diagonal blocks off the entries: the finest cut that no entry and no
 nonzero of ``F0`` crosses (the aggregate sparsity pattern of Fukuda, Kojima,
 Murota & Nakata 2000, cut into intervals).  Only this module turns entries
-into operators, and only ``SdpProblem.operator`` reads them: the CSR matrix of
-shape (m, d*d) whose row ``i`` is ``F_i`` flattened.  ``SdpProblem.restricted``
-maps it through orthonormal bases ``Q_c``, in one product, onto the problem
-whose diagonal blocks hold ``Q_c^T F Q_c``.  ``solve`` merges consecutive
-blocks of the finest cut into solve blocks of at most ``SOLVE_BLOCK_ROWS``
-rows, as every block costs a few LAPACK and numpy calls per iteration; it
-maps the operator's columns into the solve blocks through a position table,
-(m, b*b) per block, and keeps every iterate as a list of dense blocks.  The
+into operators, and only ``SdpProblem.operator`` reads them: the ``Operator``
+of shape (m, d*d) whose row ``i`` is ``F_i`` flattened, held as the mirrored
+entries, sorted by variable, with both products one ``np.bincount``: the
+adjoint ``<F_i, X>`` scatters by variable, the combination ``sum_i v_i F_i``
+by position.  ``SdpProblem.restricted`` maps the entries through orthonormal
+bases ``Q_c`` onto the problem whose diagonal blocks hold ``Q_c^T F Q_c``.
+``solve`` merges consecutive blocks of the finest cut into solve blocks of at
+most ``SOLVE_BLOCK_ROWS`` rows, as every block costs a few numpy calls per
+iteration; it maps the operator's columns into the solve blocks through a
+position table, (m, b*b) per block, and keeps every iterate as a list of
+dense blocks.  The
 Schur matrix is a sum over the blocks.  Within a block the column of ``F_j``
 is ``<F_i, W F_j Z>`` for all ``i`` (Fujisawa, Kojima & Nakata 1997), and
 ``W F_j Z`` is a (b, e) by (e, b) product over the ``e`` entries of ``F_j``
 there.  The columns, sorted by ``e``, are cut into chunks of at most
 ``SCHUR_SCRATCH`` floats of products and padded to each chunk's largest ``e``
 with zero-valued entries, so a chunk is one batched ``np.matmul`` and one
-sparse product with the block operator repeated along a diagonal.  scipy is
-imported by the functions that need it.  Everything is deterministic: fixed
-elimination order, no randomized pivoting, so identical inputs produce
-bit-identical iteration traces.
+adjoint of the block operator repeated along a diagonal.  The module needs
+numpy alone.  Everything is deterministic: fixed elimination order, no
+randomized pivoting, so identical inputs produce bit-identical iteration
+traces.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -85,7 +94,7 @@ CERT_STATIONARITY_TOL = 1e-7
 # scratch, a few times this size, beside the Schur matrix itself.
 SCHUR_SCRATCH = 1 << 15
 # Rows of a solve block: solve merges consecutive blocks of the finest cut up
-# to this size.  Each block costs a few LAPACK and numpy calls per iteration,
+# to this size.  Each block costs a few numpy calls per iteration,
 # and the level-3 pinned NPA orbit problem (62 rows in 17 blocks of 1 to 11
 # rows) solved fastest at 24 to 32 (see CHANGES.md for the sweep).
 SOLVE_BLOCK_ROWS = 32
@@ -160,43 +169,87 @@ class SdpProblem:
         return tuple(np.diff(ends, prepend=0).tolist())
 
     @cached_property
-    def operator(self):
-        """The CSR matrix of shape (m, d*d) whose row ``i`` is ``F_i`` flattened:
-        entry ``e`` at ``row[e] * d + col[e]`` and, off the diagonal, at its
-        mirror image ``col[e] * d + row[e]``."""
-        from scipy.sparse import csr_matrix
-
+    def operator(self) -> Operator:
+        """The basis as the map of shape (m, d*d) whose row ``i`` is ``F_i``
+        flattened: entry ``e`` at ``row[e] * d + col[e]`` and, off the
+        diagonal, at its mirror image ``col[e] * d + row[e]``."""
         d = self.dimension
         off = self.row != self.col
         var = np.append(self.var, self.var[off])
         flat = np.append(self.row * d + self.col, (self.col * d + self.row)[off])
         value = np.append(self.value, self.value[off])
-        return csr_matrix((value, (var, flat)), shape=(self.n_vars, d * d))
+        order = np.lexsort((flat, var))
+        return Operator(var[order], flat[order], value[order], (self.n_vars, d * d))
 
     def restricted(self, bases: list[np.ndarray]) -> SdpProblem:
         """The problem on the spans of ``bases``, one diagonal block each:
         block ``c`` holds ``Q_c^T F Q_c`` for ``F0`` and every ``F_i``, whose
         entries below ``BLOCK_ENTRY_FLOOR`` in modulus (rounding left over
         where the exact entry is zero) are dropped.  With ``Q`` the bases side
-        by side, row ``i`` of ``operator @ kron(Q, Q)`` is ``Q^T F_i Q``
-        flattened, and each block keeps its own rows and columns of it."""
-        from scipy.sparse import csr_matrix, kron
-
+        by side, an entry ``v`` at ``(r, s)`` of ``F_i`` adds
+        ``v (Q[r, a] Q[s, b] + Q[s, a] Q[r, b])``, once if ``r = s``, to the
+        pair ``a <= b`` when ``a`` and ``b`` are columns of one basis; the
+        products run over the nonzeros of ``Q`` alone."""
         q = np.hstack(bases)
+        k = q.shape[1]
         block = np.repeat(np.arange(len(bases)), [b.shape[1] for b in bases])
-        sparse_q = csr_matrix(q)
-        entries = (self.operator @ kron(sparse_q, sparse_q)).tocoo()
-        i, j = np.divmod(entries.col, q.shape[1])
-        keep = (i <= j) & (block[i] == block[j])
-        keep &= np.abs(entries.data) > BLOCK_ENTRY_FLOOR
+        q_row, q_col = np.nonzero(q)  # row by row
+        q_value = q[q_row, q_col]
+        per_row = np.bincount(q_row, minlength=self.dimension)
+        first = np.cumsum(per_row) - per_row
+        # entry e meets each nonzero of Q's row row[e] with each of row col[e]
+        n_row, n_col = per_row[self.row], per_row[self.col]
+        count = n_row * n_col
+        e = np.repeat(np.arange(len(count)), count)
+        nth = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        at_row = first[self.row][e] + nth // n_col[e]
+        at_col = first[self.col][e] + nth % n_col[e]
+        a, b = q_col[at_row], q_col[at_col]
+        # (a, b) takes v Q[r, a] Q[s, b] from the product (a, b) and
+        # v Q[s, a] Q[r, b] from the product (b, a): every product folds onto
+        # (min, max), counts twice if a = b, and half for an entry on the
+        # diagonal, whose two terms are one
+        half = np.where(self.row == self.col, 0.5, 1.0)[e]
+        terms = np.where(a == b, 2.0, 1.0) * half * self.value[e]
+        terms *= q_value[at_row] * q_value[at_col]
+        same = block[a] == block[b]
+        lo, hi = np.minimum(a, b)[same], np.maximum(a, b)[same]
+        key = (self.var[e][same].astype(np.int64) * k + lo) * k + hi
+        keys, inverse = np.unique(key, return_inverse=True)
+        sums = np.bincount(inverse, terms[same], minlength=len(keys))
+        kept = np.abs(sums) > BLOCK_ENTRY_FLOOR
+        var, pair = np.divmod(keys[kept], k * k)
+        row, col = np.divmod(pair, k)
         return SdpProblem(
             f0=np.where(block[:, None] == block, q.T @ self.f0 @ q, 0.0),
-            var=entries.row[keep],
-            row=i[keep],
-            col=j[keep],
-            value=entries.data[keep],
+            var=var,
+            row=row,
+            col=col,
+            value=sums[kept],
             c=self.c,
         )
+
+
+@dataclass(frozen=True)
+class Operator:
+    """A linear map of shape (m, n) from its entries, sorted by variable:
+    row ``var[e]`` holds ``value[e]`` in column ``flat[e]``.  Entries sharing
+    a row and column add up."""
+
+    var: np.ndarray
+    flat: np.ndarray
+    value: np.ndarray
+    shape: tuple[int, int]
+
+    def adjoint(self, x: np.ndarray) -> np.ndarray:
+        """The (m,) products of every row with the flat ``x``: ``<F_i, X>``."""
+        weights = self.value * x[self.flat]
+        return np.bincount(self.var, weights, minlength=self.shape[0])
+
+    def combination(self, v: np.ndarray) -> np.ndarray:
+        """The flat (n,) sum of the rows weighted by ``v``: ``sum_i v_i F_i``."""
+        weights = self.value * v[self.var]
+        return np.bincount(self.flat, weights, minlength=self.shape[1])
 
 
 @dataclass(frozen=True)
@@ -206,7 +259,8 @@ class SdpSolution:
 
     ``schur_s``, ``factor_s`` and ``step_s`` are the seconds the solve spent
     assembling Schur matrices, in Cholesky factorizations (of ``S``, ``Z`` and
-    the Schur matrix, and ``W = S^-1``) and in step lengths to the boundary.
+    the Schur matrix, with the inverses of their factors, and ``W = S^-1``)
+    and in step lengths to the boundary.
     """
 
     y: np.ndarray
@@ -242,18 +296,17 @@ class _Block:
 
     f0: np.ndarray
     width: int
-    stacked: object
+    stacked: Operator
     chunks: tuple[tuple[np.ndarray, ...], ...]
     scratch_size: int
 
 
-def _block(f0: np.ndarray, operator) -> _Block:
+def _block(f0: np.ndarray, operator: Operator) -> _Block:
     """The block with ``F0`` block ``f0`` and (m, b*b) operator ``operator``."""
-    from scipy.sparse import csr_matrix
-
-    b = len(f0)
-    ptr, counts = operator.indptr, np.diff(operator.indptr)
-    rows, cols = np.divmod(operator.indices, b)
+    b, m = len(f0), operator.shape[0]
+    counts = np.bincount(operator.var, minlength=m)
+    ptr = np.cumsum(counts) - counts
+    rows, cols = np.divmod(operator.flat, b)
     order = np.flatnonzero(counts)
     order = order[np.argsort(counts[order], kind="stable")]
     width = max(1, min(len(order), SCHUR_SCRATCH // (b * b)))
@@ -263,15 +316,14 @@ def _block(f0: np.ndarray, operator) -> _Block:
         slot = np.arange(counts[variables].max())
         real = slot < counts[variables, None]
         at = ptr[variables, None] + np.where(real, slot, 0)
-        values = np.where(real, operator.data[at], 0.0)
+        values = np.where(real, operator.value[at], 0.0)
         chunks.append((variables, rows[at], cols[at], values))
-    m, nnz = operator.shape[0], operator.nnz
-    copies = np.arange(width, dtype=ptr.dtype)[:, None]
-    indices = operator.indices + b * b * copies
-    indptr = np.append(ptr[:-1] + nnz * copies, ptr.dtype.type(width * nnz))
-    stacked = csr_matrix(
-        (np.tile(operator.data, width), indices.ravel(), indptr),
-        shape=(width * m, width * b * b),
+    copies = np.arange(width)[:, None]
+    stacked = Operator(
+        (operator.var + m * copies).ravel(),
+        (operator.flat + b * b * copies).ravel(),
+        np.tile(operator.value, width),
+        (width * m, width * b * b),
     )
     scratch_size = width * b * (b + 2 * counts.max(initial=0))
     return _Block(f0, width, stacked, tuple(chunks), scratch_size)
@@ -289,36 +341,35 @@ def _solve_blocks(sizes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(merged)
 
 
-def _blocks(problem: SdpProblem) -> tuple[object, list[_Block]]:
-    """The columns of ``problem.operator`` inside the solve blocks: the CSR
-    matrix of shape (m, sum b*b) whose row ``i`` holds the blocks of ``F_i``,
-    each flattened, one after another; and each block's data.  Every entry
-    lies inside a block of the finest cut, so inside a solve block, and a
-    position table of length d*d maps each column of the operator to its
-    place; the blocks are contiguous, so that map keeps the columns' order."""
-    from scipy.sparse import csr_matrix
-
+def _blocks(problem: SdpProblem) -> tuple[Operator, list[_Block]]:
+    """The columns of ``problem.operator`` inside the solve blocks: the
+    operator of shape (m, sum b*b) whose row ``i`` holds the blocks of
+    ``F_i``, each flattened, one after another; and each block's data.  Every
+    entry lies inside a block of the finest cut, so inside a solve block, and
+    a position table of length d*d maps each column of the operator to its
+    place."""
+    d, m = problem.dimension, problem.n_vars
     sizes = _solve_blocks(problem.block_sizes)
     block = np.repeat(np.arange(len(sizes)), sizes)
     first = np.cumsum((0, *sizes))
     columns = np.cumsum((0, *[b * b for b in sizes]))
     # (i, j) in block c goes to column columns[c] + i' * b_c + j', with i' and
     # j' the positions of i and j in the block
-    local = np.arange(problem.dimension) - first[block]
+    local = np.arange(d) - first[block]
     position = columns[block, None] + local[:, None] * np.array(sizes)[block, None]
     position = position + local
     full = problem.operator
-    operator = csr_matrix(
-        (full.data, position.ravel()[full.indices], full.indptr),
-        shape=(problem.n_vars, columns[-1]),
-    )
-    blocks = [
-        _block(
-            problem.f0[first[c] : first[c + 1], first[c] : first[c + 1]],
-            operator[:, columns[c] : columns[c + 1]],
+    flat = position.ravel()[full.flat]
+    operator = Operator(full.var, flat, full.value, (m, columns[-1]))
+    owner = block[full.flat // d]
+    blocks = []
+    for c, b in enumerate(sizes):
+        mine = owner == c
+        local_operator = Operator(
+            full.var[mine], flat[mine] - columns[c], full.value[mine], (m, b * b)
         )
-        for c in range(len(sizes))
-    ]
+        f0 = problem.f0[first[c] : first[c + 1], first[c] : first[c + 1]]
+        blocks.append(_block(f0, local_operator))
     return operator, blocks
 
 
@@ -344,44 +395,46 @@ def _schur_matrix(
             np.matmul(left.transpose(0, 2, 1), right, out=products[: len(variables)])
             # rows past the chunk's variables hold stale values, whose
             # adjoints are cut off: the stacked operator is block-diagonal
-            adjoints = (blk.stacked @ products.ravel()).reshape(blk.width, m)
+            adjoints = blk.stacked.adjoint(products.ravel()).reshape(blk.width, m)
             ht[variables] += adjoints[: len(variables)]
     np.add(ht, ht.T, out=h)
     h *= 0.5
 
 
-def _cholesky(xs: list[np.ndarray]) -> list[np.ndarray]:
-    """Lower Cholesky factors of every block; LinAlgError if one is not PD."""
-    from scipy.linalg.lapack import dpotrf
+def _lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """The inverse of a lower-triangular matrix, by halves:
+    ``[[A, 0], [C, B]]^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]]``, down to one
+    ``np.linalg.inv`` at 64 rows or fewer.  ``np.linalg.inv`` factors its
+    operand as a general matrix: on the whole 621-row Schur factor of the
+    unreduced level-3 pinned NPA problem it takes 35 ms, the halves 6 ms."""
+    n = len(lower)
+    if n <= 64:
+        return np.linalg.inv(lower)
+    k = n // 2
+    a, b = _lower_inverse(lower[:k, :k]), _lower_inverse(lower[k:, k:])
+    out = np.zeros_like(lower)
+    out[:k, :k], out[k:, k:] = a, b
+    out[k:, :k] = -b @ (lower[k:, :k] @ a)
+    return out
 
-    factors = []
-    for x in xs:
-        factor, info = dpotrf(x, lower=1)
-        if info:
-            raise np.linalg.LinAlgError(f"dpotrf info {info}")
-        factors.append(factor)
-    return factors
+
+def _inverse_cholesky(xs: list[np.ndarray]) -> list[np.ndarray]:
+    """``L^-1`` for the lower Cholesky factor ``L`` of every block;
+    LinAlgError if one is not positive definite."""
+    return [_lower_inverse(np.linalg.cholesky(x)) for x in xs]
 
 
 def _smallest_eigenvalue(x: np.ndarray) -> float:
-    """The smallest eigenvalue of ``sym(x)``, alone, from LAPACK's MRRR
-    driver; with numpy's divide-and-conquer driver (``dsyevd``) in the step
-    length the level-3 pinned NPA solve lost Z's definiteness at tol 1e-12."""
-    from scipy.linalg.lapack import dsyevr
-
-    return float(dsyevr(_sym(x), compute_v=0, range="I", iu=1, lower=1)[0][0])
+    """The smallest eigenvalue of ``sym(x)``."""
+    return float(np.linalg.eigvalsh(_sym(x))[0])
 
 
-def _max_step(chols: list[np.ndarray], deltas: list[np.ndarray]) -> float:
+def _max_step(inverses: list[np.ndarray], deltas: list[np.ndarray]) -> float:
     """Largest alpha with every block X + alpha*Delta still PSD, via the
-    ``_smallest_eigenvalue`` of L^-1 Delta L^-T."""
-    from scipy.linalg.lapack import dtrtrs
-
+    ``_smallest_eigenvalue`` of L^-1 Delta L^-T, ``inverses`` the L^-1."""
     lam_min = 0.0
-    for x_chol, delta in zip(chols, deltas):
-        a = dtrtrs(x_chol, delta, lower=1)[0]
-        t = dtrtrs(x_chol, a.T, lower=1)[0]
-        lam_min = min(lam_min, _smallest_eigenvalue(t))
+    for inverse, delta in zip(inverses, deltas):
+        lam_min = min(lam_min, _smallest_eigenvalue(inverse @ delta @ inverse.T))
     if lam_min >= 0.0:
         return np.inf
     return -1.0 / lam_min
@@ -397,21 +450,17 @@ def _sym(x: np.ndarray) -> np.ndarray:
 
 def solve(problem: SdpProblem, tol: float = 1e-9) -> SdpSolution:
     """Run the interior-point iteration until gap and residuals drop below tol."""
-    from scipy.linalg import block_diag
-    from scipy.linalg.lapack import dpotrf, dpotrs
-
     d, m, c = problem.dimension, problem.n_vars, problem.c
     operator, blocks = _blocks(problem)
     sizes = tuple(len(blk.f0) for blk in blocks)
-    operator_t = operator.T.tocsr()
     cuts = np.cumsum([b * b for b in sizes])[:-1]
     f0 = [blk.f0 for blk in blocks]
 
     def adjoint(xs: list[np.ndarray]) -> np.ndarray:
-        return operator @ np.concatenate([x.ravel() for x in xs])
+        return operator.adjoint(np.concatenate([x.ravel() for x in xs]))
 
     def combination(v: np.ndarray) -> list[np.ndarray]:
-        flat = np.split(operator_t @ v, cuts)
+        flat = np.split(operator.combination(v), cuts)
         return [x.reshape(b, b) for x, b in zip(flat, sizes)]
 
     y = np.zeros(m)
@@ -425,8 +474,8 @@ def solve(problem: SdpProblem, tol: float = 1e-9) -> SdpSolution:
     for it in range(1, MAX_ITERATIONS + 1):
         t0 = time.perf_counter()
         try:
-            ls = _cholesky(s)
-            lz = _cholesky(z)
+            ls_inv = _inverse_cholesky(s)
+            lz_inv = _inverse_cholesky(z)
         except np.linalg.LinAlgError as exc:
             if it == 1:  # Z = I, so S = M(0) failed
                 raise SdpSolverError(
@@ -437,7 +486,7 @@ def solve(problem: SdpProblem, tol: float = 1e-9) -> SdpSolution:
                 f"factorization failure at iteration {it}",
                 {"iteration": it, "trace": tuple(trace)},
             ) from exc
-        w = [dpotrs(x, np.eye(len(x)), lower=1)[0] for x in ls]
+        w = [x.T @ x for x in ls_inv]
         factor_s += time.perf_counter() - t0
 
         mu = _inner(s, z) / d
@@ -466,30 +515,32 @@ def solve(problem: SdpProblem, tol: float = 1e-9) -> SdpSolution:
             break
 
         # the Schur matrix, factored once per iteration, for both the
-        # predictor and the corrector solve; it is factored in place, through
-        # its Fortran-ordered transpose (h is symmetric), so that one (m, m)
-        # array serves every iteration
+        # predictor and the corrector solve: H^-1 = L^-T L^-1 for H = L L^T
         t0 = time.perf_counter()
         _schur_matrix(blocks, w, z, h, scratch)
         ridge = 1e-14 * max(1.0, float(h.diagonal().max()))
         h[np.diag_indices_from(h)] += ridge
         schur_s += time.perf_counter() - t0
         t0 = time.perf_counter()
-        hc, info = dpotrf(h.T, lower=1, overwrite_a=1, clean=0)
-        if info > 0:
+        try:
+            lh_inv = _lower_inverse(np.linalg.cholesky(h))
+        except np.linalg.LinAlgError as exc:
             raise SdpSolverError(
                 f"Schur complement factorization failed at iteration {it}",
                 {"iteration": it, "mu": mu, "trace": tuple(trace)},
-            )
+            ) from exc
         factor_s += time.perf_counter() - t0
 
+        def schur_solve(rhs: np.ndarray) -> np.ndarray:
+            return lh_inv.T @ (lh_inv @ rhs)
+
         # predictor: the affine-scaling step, aimed at mu = 0
-        dy_aff = dpotrs(hc, c, lower=1)[0]
+        dy_aff = schur_solve(c)
         ds_aff = combination(dy_aff)
         dz_aff = [_sym(-zb - wb @ dsb @ zb) for zb, wb, dsb in zip(z, w, ds_aff)]
         t0 = time.perf_counter()
-        a_p = min(1.0, _max_step(ls, ds_aff))
-        a_d = min(1.0, _max_step(lz, dz_aff))
+        a_p = min(1.0, _max_step(ls_inv, ds_aff))
+        a_d = min(1.0, _max_step(lz_inv, dz_aff))
         step_s += time.perf_counter() - t0
         s_aff = [sb + a_p * dsb for sb, dsb in zip(s, ds_aff)]
         mu_aff = _inner(s_aff, [zb + a_d * dzb for zb, dzb in zip(z, dz_aff)]) / d
@@ -502,13 +553,13 @@ def solve(problem: SdpProblem, tol: float = 1e-9) -> SdpSolution:
         # corrector: the same factor, with the second-order term W dS_aff dZ_aff
         second_order = [wb @ dsb @ dzb for wb, dsb, dzb in zip(w, ds_aff, dz_aff)]
         rhs = sigma * mu * adjoint(w) + c - adjoint(second_order)
-        dy = dpotrs(hc, rhs, lower=1)[0]
+        dy = schur_solve(rhs)
         ds = combination(dy)
         # one step of iterative refinement: H dy should equal <F_i, W dS Z>,
         # but the assembled H is symmetrized and ridged and drifts from it as
         # mu falls, and the dual residual grows with the drift
         applied = adjoint([wb @ dsb @ zb for wb, dsb, zb in zip(w, ds, z)])
-        dy = dy + dpotrs(hc, rhs - applied, lower=1)[0]
+        dy = dy + schur_solve(rhs - applied)
         ds = combination(dy)
         dz = [
             _sym(sigma * mu * wb - zb - wb @ dsb @ zb - sob)
@@ -516,8 +567,8 @@ def solve(problem: SdpProblem, tol: float = 1e-9) -> SdpSolution:
         ]
 
         t0 = time.perf_counter()
-        alpha_p = min(1.0, FRACTION_TO_BOUNDARY * _max_step(ls, ds))
-        alpha_d = min(1.0, FRACTION_TO_BOUNDARY * _max_step(lz, dz))
+        alpha_p = min(1.0, FRACTION_TO_BOUNDARY * _max_step(ls_inv, ds))
+        alpha_d = min(1.0, FRACTION_TO_BOUNDARY * _max_step(lz_inv, dz))
         step_s += time.perf_counter() - t0
 
         y = y + alpha_p * dy
@@ -531,11 +582,14 @@ def solve(problem: SdpProblem, tol: float = 1e-9) -> SdpSolution:
             {"iterations": MAX_ITERATIONS, "trace": tuple(trace)},
         )
 
+    dual_matrix = np.zeros((d, d))
+    for first, zb in zip(np.cumsum((0, *sizes)), z):
+        dual_matrix[first : first + len(zb), first : first + len(zb)] = zb
     return SdpSolution(
         y=y,
         primal_objective=float(c @ y),
         bound=_inner(f0, z),
-        dual_matrix=block_diag(*z),
+        dual_matrix=dual_matrix,
         iterations=it,
         trace=tuple(trace),
         block_sizes=sizes,
@@ -547,7 +601,7 @@ def solve(problem: SdpProblem, tol: float = 1e-9) -> SdpSolution:
 
 def _dual_check(problem: SdpProblem, z: np.ndarray) -> tuple[float, np.ndarray, float]:
     """Z's smallest eigenvalue, the residuals ``c + <F_i, Z>`` and ``<F0, Z>``."""
-    residual = problem.c + problem.operator @ z.ravel()
+    residual = problem.c + problem.operator.adjoint(z.ravel())
     return _smallest_eigenvalue(z), residual, float(np.tensordot(problem.f0, z))
 
 
@@ -603,12 +657,21 @@ def certified_upper_bound(problem: SdpProblem, solution: SdpSolution) -> float:
 
     For moment problems every variable is a correlator of dichotomic words, so
     ``|y_i| <= 1``; each stationarity residual then costs at most its absolute
-    value, and a negative dual eigenvalue ``-e`` can be lifted by ``e * I``
-    at a price of ``e * tr F0``.  ``_check_certifiable`` raises ``ValueError``
-    unless the problem's structure implies both assumptions.
+    value, summed with ``math.fsum``, and a negative dual eigenvalue ``-e``
+    can be lifted by ``e * I`` at a price of ``e * tr F0``.  The computed
+    ``<F0, Z>``, a sum of ``n = d*d`` products, lies within
+    ``gamma_n sum |F0 * Z|`` of the exact one, ``gamma_n = n u / (1 - n u)``
+    with ``u`` the unit roundoff (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 3.1), and that is charged too: ``gamma_2n`` times the
+    float sum of ``|F0 * Z|``, which also covers that sum's own rounding.
+    ``_check_certifiable`` raises ``ValueError`` unless the problem's
+    structure implies the two assumptions.
     """
     _check_certifiable(problem)
-    lam_min, residual, dual = _dual_check(problem, solution.dual_matrix)
+    z = solution.dual_matrix
+    lam_min, residual, dual = _dual_check(problem, z)
     lift = max(0.0, -lam_min) * float(np.trace(problem.f0))
-    slack = float(np.abs(residual).sum()) if residual.size else 0.0
-    return dual + slack + lift
+    slack = math.fsum(np.abs(residual))
+    two_n_u = problem.f0.size * np.finfo(float).eps  # 2n u, as u = eps / 2
+    rounding = two_n_u / (1.0 - two_n_u) * float(np.abs(problem.f0 * z).sum())
+    return dual + rounding + slack + lift

@@ -82,6 +82,15 @@ _LETTER_MATRIX = {
 _SIGMA = np.stack([_LETTER_MATRIX[letter] for letter in "XYZ"])
 
 
+def block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """The square ``blocks`` along the diagonal of one zero matrix."""
+    ends = np.cumsum([len(b) for b in blocks])
+    out = np.zeros((ends[-1], ends[-1]))
+    for end, b in zip(ends, blocks):
+        out[end - len(b) : end, end - len(b) : end] = b
+    return out
+
+
 def _dense_guard(n: int) -> None:
     if n > DENSE_QUBIT_LIMIT:
         raise ValueError(f"dense guard: {n} qubits exceeds {DENSE_QUBIT_LIMIT}")

@@ -237,8 +237,22 @@ MUTANTS = (
     Mutant(
         "padding-with-a-real-value",
         "src/mabkcert/sdp.py",
-        "values = np.where(real, operator.data[at], 0.0)",
-        "values = operator.data[at]",
+        "values = np.where(real, operator.value[at], 0.0)",
+        "values = operator.value[at]",
         _in("test_sdp.py", "test_schur_matrix_matches_the_dense_formula"),
+    ),
+    Mutant(
+        "combination-scattered-by-variable",
+        "src/mabkcert/sdp.py",
+        "return np.bincount(self.flat, weights, minlength=self.shape[1])",
+        "return np.bincount(self.var, weights, minlength=self.shape[1])",
+        _in("test_sdp.py", "test_sparse_operator_matches_dense_basis_matrices"),
+    ),
+    Mutant(
+        "largest-eigenvalue",
+        "src/mabkcert/sdp.py",
+        "return float(np.linalg.eigvalsh(_sym(x))[0])",
+        "return float(np.linalg.eigvalsh(_sym(x))[-1])",
+        _in("test_sdp.py", "test_smallest_eigenvalue_matches_numpy"),
     ),
 )

@@ -1,4 +1,6 @@
-"""scipy loads only when an SDP is solved.
+"""No command loads scipy: the package, its SDP solver included, needs numpy
+alone, and scipy's import would cost more than a warm ``reproduce-paper
+--fast`` run.
 
 Each case runs in a fresh interpreter, imports the package, optionally runs
 one CLI command with its stdout captured, and reports the exit code and every
@@ -54,7 +56,16 @@ def test_commands_without_an_sdp_load_no_scipy(argv):
     assert child["code"] in (None, 0)
 
 
-def test_npa_loads_scipy_and_passes():
-    child = run_child(["npa", "--level", "2"])
-    assert child["code"] == 0
-    assert "scipy.linalg" in child["scipy"] and "scipy.sparse" in child["scipy"]
+@pytest.mark.parametrize(
+    "argv, codes",
+    [
+        (["npa", "--level", "2"], {0}),
+        # exit 4 is a failed verdict, the four-party pinned-key maximum
+        (["reproduce-paper", "--fast"], {0, 4}),
+    ],
+    ids=["npa", "reproduce-fast"],
+)
+def test_sdp_commands_load_no_scipy(argv, codes):
+    child = run_child(argv)
+    assert child["scipy"] == []
+    assert child["code"] in codes

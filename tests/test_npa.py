@@ -8,10 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import Z, ghz_dense, observable_product_matrix, random_bloch
+from conftest import Z, block_diag, ghz_dense, observable_product_matrix, random_bloch
 from mabkcert import npa
 from mabkcert.blochopt import OptimizerConfig, maximize_unconstrained_mabk
 from mabkcert.correlators import mabk_value
@@ -891,7 +890,7 @@ def test_restricted_blocks_are_the_dense_products(case):
     block = np.repeat(np.arange(len(bases)), sizes)
     assert np.array_equal(block[restricted.row], block[restricted.col])
     for f, restricted_f in [(orbits.f0, restricted.f0), (dense, blocks)]:
-        expected = scipy.linalg.block_diag(*[q.T @ f @ q for q in bases])
+        expected = block_diag(*[q.T @ f @ q for q in bases])
         assert np.allclose(restricted_f, expected, rtol=0.0, atol=1e-12)
     assert np.array_equal(restricted.c, orbits.c)
     assert (np.abs(restricted.value) > BLOCK_ENTRY_FLOOR).all()

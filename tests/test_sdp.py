@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
+from conftest import block_diag
 from mabkcert import sdp
 from mabkcert.sdp import (
     SdpProblem,
@@ -162,23 +162,21 @@ def test_trace_rows_carry_the_centering_parameter():
 
 
 def test_one_schur_factorization_per_step(monkeypatch):
-    # solve imports dpotrf from scipy.linalg.lapack when it is called; the
-    # Schur matrix is its only (m, m) operand, and it is factored in place
+    # solve factors through np.linalg.cholesky, whose only (m, m) operand is
+    # the Schur matrix: once per step, and not on the last iteration
     problem = random_disjoint_instance(23)
     m = problem.n_vars
     assert m not in problem.block_sizes
-    dpotrf = scipy.linalg.lapack.dpotrf
-    in_place = []
+    cholesky = np.linalg.cholesky
+    schur = []
 
-    def counting_dpotrf(a, *args, **kwargs):
-        factor, info = dpotrf(a, *args, **kwargs)
-        if a.shape == (m, m):
-            in_place.append(np.shares_memory(factor, a))
-        return factor, info
+    def counting_cholesky(a, *args, **kwargs):
+        schur.append(a.shape == (m, m))
+        return cholesky(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", counting_dpotrf)
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     sol = solve(problem)
-    assert in_place == [True] * (sol.iterations - 1)
+    assert sum(schur) == sol.iterations - 1
 
 
 def test_verify_certificate_rejects_perturbed_dual():
@@ -246,17 +244,24 @@ def test_sparse_operator_matches_dense_basis_matrices(seed):
     y = rng.normal(size=len(mats))
     z = rng.normal(size=f0.shape)
     dense = f0 + sum(yi * f for yi, f in zip(y, mats))
-    combination = (problem.operator.T @ y).reshape(f0.shape)
+    operator = problem.operator
+    assert operator.shape == (len(mats), f0.size)
+    assert (np.diff(operator.var) >= 0).all()
+    combination = operator.combination(y).reshape(f0.shape)
     assert np.allclose(f0 + combination, dense, rtol=0.0, atol=1e-12)
     assert np.allclose(
-        problem.operator @ z.ravel(),
+        operator.adjoint(z.ravel()),
         [np.tensordot(f, z) for f in mats],
         rtol=0.0,
         atol=1e-12,
     )
     for i, f in enumerate(mats):
         assert np.array_equal(basis_matrix(problem, i), f)
-        assert np.array_equal(problem.operator[i].toarray().reshape(f.shape), f)
+        row = operator.var == i
+        dense_row = np.bincount(
+            operator.flat[row], operator.value[row], minlength=f0.size
+        )
+        assert np.array_equal(dense_row.reshape(f.shape), f)
 
 
 @pytest.mark.parametrize(
@@ -306,6 +311,16 @@ def test_smallest_eigenvalue_matches_numpy(kind, seed):
     assert sdp._smallest_eigenvalue(x) == pytest.approx(expected, rel=0, abs=1e-12)
 
 
+@pytest.mark.parametrize("size", [1, 64, 65, 150])
+def test_lower_inverse_matches_numpy(size):
+    # one np.linalg.inv call up to 64 rows, halves above; 65 splits unevenly
+    rng = np.random.default_rng(size)
+    x = rng.normal(size=(size, size))
+    lower = np.linalg.cholesky(x @ x.T + size * np.eye(size))
+    inverse = sdp._lower_inverse(lower)
+    assert np.allclose(inverse, np.linalg.inv(lower), rtol=0.0, atol=1e-12)
+
+
 def test_infeasible_start_is_reported():
     problem = dense_problem(-np.eye(2), [np.diag([1.0, 0.0])], np.array([1.0]))
     with pytest.raises(SdpSolverError, match="strictly feasible"):
@@ -316,8 +331,8 @@ def block_diagonal_data(seeds):
     """F0, basis matrices and c of the random instances of ``seeds`` side by
     side on the diagonal, their basis matrices sharing the three variables."""
     data = [random_disjoint_data(seed) for seed in seeds]
-    f0 = scipy.linalg.block_diag(*(f for f, _, _ in data))
-    mats = [scipy.linalg.block_diag(*parts) for parts in zip(*(m for _, m, _ in data))]
+    f0 = block_diag(*(f for f, _, _ in data))
+    mats = [block_diag(*parts) for parts in zip(*(m for _, m, _ in data))]
     return f0, mats, sum(c for _, _, c in data)
 
 
@@ -383,7 +398,7 @@ def test_consecutive_blocks_merge_up_to_the_cap(monkeypatch, cap, merged):
     mats = []
     for _ in range(m):
         parts = [np.triu(rng.normal(size=(b, b)), 1) for b in sizes]
-        mats.append(scipy.linalg.block_diag(*[p + p.T for p in parts]))
+        mats.append(block_diag(*[p + p.T for p in parts]))
     problem = dense_problem(np.eye(sum(sizes)), mats, rng.uniform(-1.0, 1.0, m))
     assert problem.block_sizes == sizes
     assert sdp._solve_blocks(sizes) == merged
@@ -416,18 +431,18 @@ def test_schur_matrix_matches_the_dense_formula(monkeypatch, scratch):
         for b in sizes:
             part = np.triu(rng.normal(size=(b, b)) * (rng.random((b, b)) < 0.4))
             parts.append(part + np.triu(part, 1).T)
-        mats.append(scipy.linalg.block_diag(*parts))
+        mats.append(block_diag(*parts))
     problem = dense_problem(np.eye(sum(sizes)), mats, np.ones(m))
     assert problem.block_sizes == sizes
     operator, blocks = sdp._blocks(problem)
     slots = sum(values.size for blk in blocks for *_, values in blk.chunks)
-    assert slots > operator.nnz
+    assert slots > operator.value.size
     w, z = [], []
     for b in sizes:
         x, y = rng.normal(size=(2, b, b))
         w.append(x @ x.T + np.eye(b))
         z.append(y @ y.T + np.eye(b))
-    dense_w, dense_z = scipy.linalg.block_diag(*w), scipy.linalg.block_diag(*z)
+    dense_w, dense_z = block_diag(*w), block_diag(*z)
     dense = np.array(
         [[np.tensordot(fi, dense_w @ fj @ dense_z) for fj in mats] for fi in mats]
     )
