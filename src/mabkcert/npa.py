@@ -105,7 +105,9 @@ permutations.  One that also maps every pin word onto a pin word with sign
 +1 maps the pinned classes, and with them the row groups and class merges of
 the reduction, onto their own; one that also maps every objective word
 ``w`` onto a word whose coefficient is exactly ``sign * c_w`` keeps ``c``.
-Such a relabelling maps ``F0``, the ``F_v`` and ``c`` as above.
+Such a relabelling maps ``F0``, the ``F_v`` and ``c`` as above.  Those of
+one party and input permutation differ by sign changes ``K`` that move no
+letter, so ``G`` is held as found: representatives times ``K``.
 """
 
 from __future__ import annotations
@@ -405,56 +407,46 @@ def lower_to_sdp(
 
 @dataclass(frozen=True)
 class SignedPermutations:
-    """A group of signed permutations, one element a row: element ``g`` sends
-    index ``i`` to ``image[g, i]`` with the sign ``sign[g, i]`` (+-1.0), as
-    the matrix ``P_g e_i = sign[g, i] e_{image[g, i]}``.  Element 0 is the
-    identity."""
+    """A group of signed permutations as representatives times a group ``K``
+    of sign changes: element ``(e, c)`` is ``P_e D_c``, with ``P_e e_i =
+    sign[e, i] e_{image[e, i]}`` and ``D_c = diag(flips[c])`` (+-1.0), each
+    element once.  Representative 0 and sign change 0 are the identity."""
 
-    image: np.ndarray
-    sign: np.ndarray
+    image: np.ndarray  # (representatives, k)
+    sign: np.ndarray  # (representatives, k)
+    flips: np.ndarray  # (|K|, k)
 
     @property
     def order(self) -> int:
-        return len(self.image)
+        return len(self.image) * len(self.flips)
 
     @cached_property
     def orbits(self) -> tuple[np.ndarray, np.ndarray]:
         """Each index's orbit and sign: a point fixed by the group has ``x_i =
         sign_i * x_o``, ``o`` the least member of ``i``'s orbit.  An orbit
         that holds its own negative forces ``x_o = -x_o = 0``; its members get
-        the orbit -1 and the sign 0.  The other orbits are numbered in the
-        order of their least members."""
+        the orbit -1 and the sign 0.  That is every orbit reached with both
+        signs, and every index that a sign change flips.  The other orbits are
+        numbered in the order of their least members."""
         least = self.image.min(axis=0)
         at_least = self.image == least
         plus = (at_least & (self.sign > 0)).any(axis=0)
         minus = (at_least & (self.sign < 0)).any(axis=0)
-        live = ~(plus & minus)
+        live = ~(plus & minus) & (self.flips > 0).all(axis=0)
         orbit = np.full(len(least), -1)
         orbit[live] = np.unique(least[live], return_inverse=True)[1]
         return orbit, np.where(live, np.where(plus, 1.0, -1.0), 0.0)
 
-    @cached_property
-    def _cosets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One element per distinct image, and ``mean_K s s^T`` over the
-        elements ``K`` that fix every index."""
-        fixing = (self.image == np.arange(self.image.shape[1])).all(axis=1)
-        mask = self.sign[fixing].T @ self.sign[fixing] / fixing.sum()
-        first: dict[bytes, int] = {}
-        for g, image in enumerate(self.image):
-            first.setdefault(image.tobytes(), g)
-        chosen = list(first.values())
-        return self.image[chosen], self.sign[chosen], mask
-
     def average(self, x: np.ndarray) -> np.ndarray:
         """The group average of ``P_g^T x P_g``.
 
-        The elements that fix every index are sign changes ``D_k`` and form a
-        normal subgroup ``K``; the elements with the image of ``g`` are the
-        coset ``g K``, and ``P_gk = P_g D_k``.  So the average over ``g K`` is
-        ``mean_K s s^T`` times ``P_g^T x P_g`` elementwise, and the group
-        average takes one ``P_g`` per distinct image.
+        ``P_e D_c`` gives ``D_c P_e^T x P_e D_c``, so the average over ``K``
+        is ``mean_c flips[c] flips[c]^T`` times ``P_e^T x P_e`` elementwise,
+        and the group average is that mask times the mean over the
+        representatives.
         """
-        image, sign, mask = self._cosets
+        image, sign = self.image, self.sign
+        mask = self.flips.T @ self.flips / len(self.flips)
         moved = x[image[:, :, None], image[:, None, :]]
         return mask * np.einsum("gi,gij,gj->ij", sign, moved, sign) / len(image)
 
@@ -462,8 +454,8 @@ class SignedPermutations:
 class RelabellingGroup(NamedTuple):
     """A group of signed letter relabellings, acting on the ``letters`` (every
     ``(party, input)`` of the scenario, in sorted order), on the kept rows
-    and on the variables of a lowered problem; element ``g`` of each action
-    is the same relabelling."""
+    and on the variables of a lowered problem; element ``(e, c)`` of each
+    action is the same relabelling."""
 
     letters: tuple[OperatorLetter, ...]
     on_letters: SignedPermutations
@@ -580,8 +572,9 @@ def relabelling_group(
     system, which is the same for every candidate.  The group is therefore
     each admissible ``(pi, rho)`` with its particular signs, times every sign
     change of the kernel.  The actions of those representatives and of the
-    kernel's basis go through ``_variable_action``'s check; every element's
-    actions are composed from theirs on the arrays.
+    kernel's basis go through ``_variable_action``'s check, and each action
+    keeps that form: ``SignedPermutations`` of the representatives times the
+    kernel's sign changes, which move no letter, row or variable.
     """
     basis = structure.basis
     tables, index = structure.subwords
@@ -671,29 +664,29 @@ def relabelling_group(
     row_letters = _letter_parity([basis[i] for i in kept], offset, len(letters))
     parity = letter_signs.astype(np.intp) @ row_letters.T.astype(np.intp) & 1 == 1
     variables, var_parity = _variable_action(problem, rows, parity)
-    letter_image = np.tile(np.arange(len(letters)), (len(rows), 1))
+    letter_image = np.tile(np.arange(len(letters)), (len(signs), 1))
     for p in range(n):
         inputs = np.array(perms[counts[p]])[perm_of[:, p]]
-        letter_image[: len(signs), offset[p] : offset[p] + counts[p]] = (
+        letter_image[:, offset[p] : offset[p] + counts[p]] = (
             np.array(offset)[party_of[:, p], None] + inputs
         )
 
-    # element (e, c): representative e times the kernel combination c
+    # each action from the representatives' images and the sign parities of
+    # the representatives, then of the kernel basis: sign change c sums those
+    # of the basis vectors in combination c
     combos = np.arange(1 << len(kernel))[:, None] >> np.arange(len(kernel)) & 1
 
-    def elements(image: np.ndarray, parity: np.ndarray) -> SignedPermutations:
-        flips = combos @ parity[len(signs) :].astype(np.intp) & 1 == 1
-        parity = parity[: len(signs), None] ^ flips
+    def factored(image: np.ndarray, parity: np.ndarray) -> SignedPermutations:
+        flips = combos @ parity[len(signs) :].astype(np.intp) & 1
         return SignedPermutations(
-            np.repeat(image[: len(signs)], len(combos), axis=0),
-            1.0 - 2.0 * parity.reshape(-1, image.shape[1]),
+            image[: len(signs)], 1.0 - 2.0 * parity[: len(signs)], 1.0 - 2.0 * flips
         )
 
     return RelabellingGroup(
         letters,
-        elements(letter_image, letter_signs),
-        elements(rows, parity),
-        elements(variables, var_parity),
+        factored(letter_image, letter_signs),
+        factored(rows, parity),
+        factored(variables, var_parity),
     )
 
 
@@ -717,21 +710,24 @@ def symmetry_adapted_bases(rows: SignedPermutations) -> list[np.ndarray]:
     itself.  For generic weights those eigenspaces are, for each irreducible
     type, copies on which every fixed ``F`` acts alike (Gatermann & Parrilo
     2004), so one of them per type carries all of ``F``'s eigenvalues.  The
-    type of an eigenvector is its eigenvalue under the central element ``C``,
-    the group average of ``P_g^T A P_g``.  ``A`` and ``C`` act on each row
-    orbit alone, so both are diagonalized orbit by orbit, all orbits of one
-    size in one stacked call, and every basis vector lives on one orbit.  The
-    elements form a group, so row ``i``'s orbit is ``{g(i)}`` and its least
-    image labels it.  Eigenvalues closer than 1e-8 of ``A``'s norm bound are
-    taken as equal; the kept eigenspace of each type is the one of smallest
-    eigenvalue.
+    element ``g = P_e D_c`` puts ``r_g s_e(i) flips[c, i]`` at ``(e(i), i)``,
+    so ``A`` is built from one folded weight per representative and index,
+    ``sum_c r_ec flips[c, i]``.  The type of an eigenvector is its eigenvalue
+    under the central element ``C``, the group average of ``P_g^T A P_g``.
+    ``A`` and ``C`` act on each row orbit alone, so both are diagonalized
+    orbit by orbit, all orbits of one size in one stacked call, and every
+    basis vector lives on one orbit.  The elements form a group and the sign
+    changes move no row, so row ``i``'s orbit is ``{e(i)}`` over the
+    representatives and its least image labels it.  Eigenvalues closer than
+    1e-8 of ``A``'s norm bound are taken as equal; the kept eigenspace of each
+    type is the one of smallest eigenvalue.
     """
-    perms, signs = rows.image, rows.sign
-    n_group, k = perms.shape
-    weights = np.random.default_rng(GROUP_ALGEBRA_SEED).uniform(1.0, 2.0, n_group)
+    perms, k = rows.image, rows.image.shape[1]
+    weights = np.random.default_rng(GROUP_ALGEBRA_SEED).uniform(1.0, 2.0, rows.order)
+    folded = weights.reshape(len(perms), -1) @ rows.flips  # r_ec summed over K
     a = np.bincount(
         (perms * k + np.arange(k)).ravel(),
-        weights=(weights[:, None] * signs).ravel(),
+        weights=(folded * rows.sign).ravel(),
         minlength=k * k,
     ).reshape(k, k)
     a += a.T

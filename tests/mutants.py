@@ -179,11 +179,21 @@ MUTANTS = (
     Mutant(
         "self-negated-class-kept",
         "src/mabkcert/npa.py",
-        "        live = ~(plus & minus)\n",
+        "        live = ~(plus & minus) & (self.flips > 0).all(axis=0)\n",
         "        live = plus | minus\n",
         _in(
             "test_npa.py",
             "test_self_negated_classes_leave_the_orbit_problem[n3-level2-free]",
+        ),
+    ),
+    Mutant(
+        "flipped-class-kept",
+        "src/mabkcert/npa.py",
+        "        live = ~(plus & minus) & (self.flips > 0).all(axis=0)\n",
+        "        live = ~(plus & minus)\n",
+        _in(
+            "test_npa.py",
+            "test_self_negated_classes_leave_the_orbit_problem[n3-level2-pinned]",
         ),
     ),
     Mutant(

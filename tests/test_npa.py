@@ -468,12 +468,21 @@ def _symmetries(lowered, problem=None):
     return relabelling_group(structure, reduced, problem, objective, pins)
 
 
+def _elements(perms):
+    """Every element of the group ``perms``, one a row: representative ``e``
+    times sign change ``c`` at row ``e * len(perms.flips) + c``, its image and
+    its sign."""
+    image = np.repeat(perms.image, len(perms.flips), axis=0)
+    sign = (perms.sign[:, None, :] * perms.flips).reshape(image.shape)
+    return image, sign
+
+
 def _relabellings(group):
     """Each element of ``group`` as a map letter -> (sign, image letter)."""
     letters = group.letters
     return [
         {letter: (s, letters[i]) for letter, i, s in zip(letters, image, sign)}
-        for image, sign in zip(group.on_letters.image, group.on_letters.sign)
+        for image, sign in zip(*_elements(group.on_letters))
     ]
 
 
@@ -587,7 +596,7 @@ def test_a_basis_word_without_an_image_leaves_only_the_identity():
     lowered = _lowered((2, 2, 2), 2, extra_words=[(A0, A1, B0_1)])
     assert lowered.structure.dimension == 26
     group = _symmetries(lowered)
-    assert (group.on_letters.image == np.arange(len(group.letters))).all()
+    assert (_elements(group.on_letters)[0] == np.arange(len(group.letters))).all()
     assert group.on_letters.order == 8  # the sign changes that keep MABK
     assert _symmetries(_lowered((2, 2, 2), 2)).on_letters.order == 192
 
@@ -604,7 +613,8 @@ def test_an_asymmetric_problem_shrinks_the_group():
     (v,) = np.flatnonzero(tilted.problem.c != full.problem.c)
     found = _symmetries(tilted).variables
     assert _symmetries(full).variables.order == 192 and found.order == 48
-    assert (found.image[:, v] == v).all() and (found.sign[:, v] == 1.0).all()
+    image, sign = _elements(found)
+    assert (image[:, v] == v).all() and (sign[:, v] == 1.0).all()
 
 
 def test_a_tampered_lowering_raises():
@@ -744,36 +754,45 @@ def _dense_entries(problem, weights):
     return m
 
 
+# the group order, and the representatives each action holds one row for;
+# the sign changes are the rest, 8 in every case
 GROUP_ORDERS = {
-    "n3-level2-pinned": 32,
-    "n3-level2-free": 192,
-    "n3-level3-pinned": 32,
-    "n3-level3-free": 192,
-    "n4-level2-pinned": 384,
-    "n4-level2-free": 3072,
+    "n3-level2-pinned": (32, 4),
+    "n3-level2-free": (192, 24),
+    "n3-level3-pinned": (32, 4),
+    "n3-level3-free": (192, 24),
+    "n4-level2-pinned": (384, 48),
+    "n4-level2-free": (3072, 384),
 }
 
 
 @pytest.mark.parametrize("case", GROUP_ORDERS)
 def test_signed_relabelling_group_orders(case):
-    # the elements are distinct, the identity comes first, and at N=3 every
-    # product of two elements is an element: the enumeration is a group
+    # each action holds one row per representative and one per sign change,
+    # not one per element; the elements are distinct, the identity comes
+    # first, and at N=3 every product of two elements is an element: the
+    # enumeration is a group
     scenario, level, pins, _ = DECOMPOSITION_CASES[case]
     group = _symmetries(_lowered(scenario, level, pins))
-    letters = group.on_letters
-    assert letters.order == group.rows.order == group.variables.order
-    assert letters.order == GROUP_ORDERS[case]
-    signed = letters.image * letters.sign.astype(int) + 0.5 * letters.sign
-    assert len(np.unique(signed, axis=0)) == letters.order
-    assert np.array_equal(letters.image[0], np.arange(len(group.letters)))
-    assert (letters.sign[0] == 1.0).all()
+    order, representatives = GROUP_ORDERS[case]
+    for action in (group.on_letters, group.rows, group.variables):
+        assert action.order == order
+        assert action.image.shape == action.sign.shape
+        assert action.image.shape[0] == representatives
+        assert action.flips.shape == (order // representatives, action.image.shape[1])
+        assert (action.flips[0] == 1.0).all()
+    image, sign = _elements(group.on_letters)
+    signed = image * sign.astype(int) + 0.5 * sign
+    assert len(np.unique(signed, axis=0)) == order
+    assert np.array_equal(image[0], np.arange(len(group.letters)))
+    assert (sign[0] == 1.0).all()
     if case.startswith("n3"):
-        image = letters.image[:, letters.image]  # [g, h, l] = g(h(l))
-        sign = letters.sign[None, :, :] * np.take_along_axis(
-            letters.sign[:, None, :], letters.image[None, :, :], axis=2
+        sign = sign[None, :, :] * np.take_along_axis(
+            sign[:, None, :], image[None, :, :], axis=2
         )
+        image = image[:, image]  # [g, h, l] = g(h(l))
         products = (image * sign.astype(int) + 0.5 * sign).reshape(-1, image.shape[2])
-        assert len(np.unique(np.vstack([signed, products]), axis=0)) == letters.order
+        assert len(np.unique(np.vstack([signed, products]), axis=0)) == order
 
 
 @pytest.mark.parametrize("case", DECOMPOSITION_CASES)
@@ -790,9 +809,7 @@ def test_party_symmetries_leave_the_lowered_problem_invariant(case):
     weights = np.arange(1.0, m + 1)
     dense = _dense_entries(problem, weights)
     group = _symmetries(lowered)
-    actions = zip(
-        group.rows.image, group.rows.sign, group.variables.image, group.variables.sign
-    )
+    actions = zip(*_elements(group.rows), *_elements(group.variables))
     for rows, row_signs, variables, signs in actions:
         flips = np.outer(row_signs, row_signs)
         assert np.array_equal(np.sort(rows), np.arange(k))
@@ -805,14 +822,14 @@ def test_party_symmetries_leave_the_lowered_problem_invariant(case):
 
 @pytest.mark.parametrize("case", DECOMPOSITION_CASES)
 def test_group_average_is_the_mean_over_every_element(case):
-    # SignedPermutations.average takes one element per coset of the sign
-    # changes; the plain mean of s s^T * X[g, g] over all elements agrees
+    # SignedPermutations.average takes the representatives and masks by the
+    # sign changes; the plain mean of s s^T * X[g, g] over all elements agrees
     scenario, level, pins, _ = DECOMPOSITION_CASES[case]
     rows = _symmetries(_lowered(scenario, level, pins)).rows
     x = np.random.default_rng(4).normal(size=(rows.image.shape[1],) * 2)
     expected = sum(
         x[np.ix_(image, image)] * np.outer(sign, sign)
-        for image, sign in zip(rows.image, rows.sign)
+        for image, sign in zip(*_elements(rows))
     )
     assert np.allclose(rows.average(x), expected / rows.order, rtol=0.0, atol=1e-12)
 
@@ -831,15 +848,15 @@ def test_self_negated_classes_leave_the_orbit_problem(monkeypatch, case):
     monkeypatch.setattr(npa, "solve", recording_solve)
     scenario, level, pins, _ = DECOMPOSITION_CASES[case]
     result = npa_upper_bound(level, bool(pins), n_parties=len(scenario))
-    group = _symmetries(_lowered(scenario, level, pins)).variables
+    image, sign = _elements(_symmetries(_lowered(scenario, level, pins)).variables)
     m = result.n_moment_classes
-    zeroed = ((group.image == np.arange(m)) & (group.sign < 0)).any(axis=0)
+    zeroed = ((image == np.arange(m)) & (sign < 0)).any(axis=0)
     assert zeroed.any() and result.n_zeroed == zeroed.sum()
-    orbits = np.unique(group.image.min(axis=0)[~zeroed])
+    orbits = np.unique(image.min(axis=0)[~zeroed])
     assert block_solves[0].n_vars == result.n_orbits == len(orbits)
     y = result.solution.y
     assert (y[zeroed] == 0.0).all()
-    assert (group.sign * y[group.image] == y).all()
+    assert (sign * y[image] == y).all()
 
 
 @pytest.mark.parametrize("case", DECOMPOSITION_CASES)
@@ -862,7 +879,7 @@ def test_symmetry_adapted_bases_block_diagonalize_the_orbit_problem(case):
     spans = []
     for basis in bases:
         images = []
-        for rows, signs in zip(group.rows.image, group.rows.sign):
+        for rows, signs in zip(*_elements(group.rows)):
             image = np.empty_like(basis)
             image[rows] = basis * signs[:, None]
             images.append(image)
@@ -933,7 +950,7 @@ def test_orbit_solve_runs_on_the_irreducible_blocks(
 
 
 def test_symmetry_adapted_bases_of_the_trivial_group_are_the_identity():
-    trivial = SignedPermutations(np.arange(4)[None], np.ones((1, 4)))
+    trivial = SignedPermutations(np.arange(4)[None], np.ones((1, 4)), np.ones((1, 4)))
     assert [b.tolist() for b in symmetry_adapted_bases(trivial)] == [
         np.eye(4).tolist()
     ]
@@ -971,8 +988,9 @@ def test_averaging_over_a_non_symmetry_fails_the_certificate():
     (b_c,) = _unsigned_elements(
         group, lambda l: OperatorLetter(swap_b_c[l.party], l.input)
     )
+    b_c_rows = _elements(group.rows)[0][b_c]
     assert verify_certificate(
-        problem, _group_average(problem, solution, [identity, group.rows.image[b_c]])
+        problem, _group_average(problem, solution, [identity, b_c_rows])
     )
 
 
