@@ -113,6 +113,8 @@ letter, so ``G`` is held as found: representatives times ``K``.
 from __future__ import annotations
 
 import itertools
+import random
+import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
@@ -131,8 +133,10 @@ from .sdp import (
 )
 
 KEY_INPUT = 2  # the key-generation setting of every party after the first
-# Seed of the group-algebra weights of symmetry_adapted_bases: fixed, so that
-# repeated solves are bit-identical.
+# Seed of the group-algebra weights of symmetry_adapted_bases, drawn from a
+# private random.Random (the standard library's Mersenne Twister): fixed, so
+# that repeated solves are bit-identical whatever the global generators hold,
+# and pseudo-random, as the weights must be generic (see that docstring).
 GROUP_ALGEBRA_SEED = 0
 
 
@@ -705,11 +709,18 @@ def symmetry_adapted_bases(rows: SignedPermutations) -> list[np.ndarray]:
 
     With ``P_g e_i = s_g(i) e_{g(i)}``, a matrix ``F`` fixed by the group
     (``P_g F P_g^T = F``) commutes with every ``P_g``, hence with the
-    symmetric group-algebra element ``A = sum_g r_g (P_g + P_g^T)`` (seeded
-    weights ``r_g`` in [1, 2)), and maps each eigenspace of ``A`` into
-    itself.  For generic weights those eigenspaces are, for each irreducible
-    type, copies on which every fixed ``F`` acts alike (Gatermann & Parrilo
-    2004), so one of them per type carries all of ``F``'s eigenvalues.  The
+    symmetric group-algebra element ``A = sum_g r_g (P_g + P_g^T)``, and maps
+    each eigenspace of ``A`` into itself.  For generic weights those
+    eigenspaces are, for each irreducible type, copies on which every fixed
+    ``F`` acts alike (Gatermann & Parrilo 2004), so one of them per type
+    carries all of ``F``'s eigenvalues.  Weights with linear relations among
+    them are not generic: the golden-ratio Weyl sequence ``1 + frac(0.618 g)``
+    lets eigenvalues of different types coincide, and changed the blocks of
+    all four N=3 problems.  So the weights ``r_g`` in [1, 2) are
+    pseudo-random: ``GROUP_ALGEBRA_SEED``'s Mersenne Twister (``random.Random``)
+    draws ``8 |G|`` bytes in one call, read as little-endian 64-bit integers
+    whose top 53 bits give ``1 + m / 2^53``.  ``numpy.random`` would give the
+    same kind of weights but costs the first solve a module import.  The
     element ``g = P_e D_c`` puts ``r_g s_e(i) flips[c, i]`` at ``(e(i), i)``,
     so ``A`` is built from one folded weight per representative and index,
     ``sum_c r_ec flips[c, i]``.  The type of an eigenvector is its eigenvalue
@@ -723,7 +734,8 @@ def symmetry_adapted_bases(rows: SignedPermutations) -> list[np.ndarray]:
     type is the one of smallest eigenvalue.
     """
     perms, k = rows.image, rows.image.shape[1]
-    weights = np.random.default_rng(GROUP_ALGEBRA_SEED).uniform(1.0, 2.0, rows.order)
+    draw = random.Random(GROUP_ALGEBRA_SEED).randbytes(8 * rows.order)
+    weights = (np.frombuffer(draw, dtype="<u8") >> 11) * 2.0**-53 + 1.0
     folded = weights.reshape(len(perms), -1) @ rows.flips  # r_ec summed over K
     a = np.bincount(
         (perms * k + np.arange(k)).ravel(),
@@ -738,7 +750,8 @@ def symmetry_adapted_bases(rows: SignedPermutations) -> list[np.ndarray]:
     orbit = perms.min(axis=0)
     order = np.argsort(orbit, kind="stable")
     size = np.bincount(orbit)[orbit[order]]
-    for s in np.unique(size):
+    # the distinct orbit sizes (a bare np.unique would import numpy.ma)
+    for s in np.flatnonzero(np.bincount(size)):
         columns = np.flatnonzero(size == s).reshape(-1, s)  # one orbit a row
         rows_ = order[columns]
         block = rows_[:, :, None], rows_[:, None, :]
@@ -774,11 +787,19 @@ def orbit_problem(problem: SdpProblem, variables: SignedPermutations) -> SdpProb
     )
 
 
+def _lap(stage_s: dict[str, float], stage: str, start: float) -> float:
+    """Record the seconds since ``start`` as ``stage_s[stage]``; return now."""
+    now = time.perf_counter()
+    stage_s[stage] = now - start
+    return now
+
+
 def solve_on_orbits(
     problem: SdpProblem,
     rows: SignedPermutations,
     variables: SignedPermutations,
     tol: float,
+    stage_s: dict[str, float],
 ) -> SdpSolution:
     """Solve ``problem`` on the signed orbits of a group, in symmetry-adapted
     blocks; lift the solution back.
@@ -789,15 +810,23 @@ def solve_on_orbits(
     back as ``t_v y_orbit``, 0 on the dropped variables, and its block ``Z``,
     lifted to ``sum_c Q_c Z_c Q_c^T`` and averaged over the group, is a dual
     point of ``problem`` itself (see the module docstring); the bound stays
-    the block solve's own.
+    the block solve's own.  ``stage_s`` receives the seconds spent on the
+    bases, the restriction, the SDP and the lift.
     """
-    orbit, sign = variables.orbits
+    start = time.perf_counter()
     bases = symmetry_adapted_bases(rows)
-    solution = solve(orbit_problem(problem, variables).restricted(bases), tol=tol)
+    start = _lap(stage_s, "bases", start)
+    restricted = orbit_problem(problem, variables).restricted(bases)
+    start = _lap(stage_s, "restriction", start)
+    solution = solve(restricted, tol=tol)
+    start = _lap(stage_s, "sdp", start)
+    orbit, sign = variables.orbits
     q = np.hstack(bases)
     z = q @ solution.dual_matrix @ q.T
     z = rows.average(z)
-    return replace(solution, y=sign * solution.y[orbit], dual_matrix=z)
+    solution = replace(solution, y=sign * solution.y[orbit], dual_matrix=z)
+    _lap(stage_s, "lift", start)
+    return solution
 
 
 @dataclass(frozen=True)
@@ -812,6 +841,10 @@ class NpaResult:
     group_order: int  # of the signed relabelling group the solve ran on
     n_orbits: int  # the orbit problem's variables
     n_zeroed: int  # the moment classes that group forces to 0
+    # seconds per stage, in pipeline order: build (monomials and classes),
+    # reduce, lower, group, the orbit solve's bases, restriction, sdp and
+    # lift, and check (both certificate passes)
+    stage_s: dict[str, float]
 
 
 def npa_upper_bound(
@@ -840,15 +873,23 @@ def npa_upper_bound(
         1 + max(letter.input for letter in letters if letter.party == party)
         for party in range(n_parties)
     )
+    stage_s: dict[str, float] = {}
+    start = time.perf_counter()
     structure = build_moment_structure(generate_monomials(scenario, level))
+    start = _lap(stage_s, "build", start)
     pinned = [structure.identity_class] + [structure.class_id(w) for w in pins]
     reduced = reduce_structure(structure, pinned)
+    start = _lap(stage_s, "reduce", start)
     problem, const = lower_to_sdp(reduced, encode_objective(objective, structure))
+    start = _lap(stage_s, "lower", start)
     group = relabelling_group(structure, reduced, problem, objective, pins)
-    solution = solve_on_orbits(problem, group.rows, group.variables, tol)
+    start = _lap(stage_s, "group", start)
+    solution = solve_on_orbits(problem, group.rows, group.variables, tol, stage_s)
     orbit, _ = group.variables.orbits
+    start = time.perf_counter()
     verified = verify_certificate(problem, solution)
     certified = certified_upper_bound(problem, solution)
+    _lap(stage_s, "check", start)
     return NpaResult(
         bound=solution.bound + const,
         certified_bound=certified + const,
@@ -860,4 +901,5 @@ def npa_upper_bound(
         group_order=group.rows.order,
         n_orbits=int(orbit.max()) + 1,
         n_zeroed=int((orbit < 0).sum()),
+        stage_s=stage_s,
     )

@@ -221,6 +221,17 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "structured-group-algebra-weights",
+        "src/mabkcert/npa.py",
+        "    draw = random.Random(GROUP_ALGEBRA_SEED).randbytes(8 * rows.order)\n"
+        '    weights = (np.frombuffer(draw, dtype="<u8") >> 11) * 2.0**-53 + 1.0\n',
+        "    weights = np.arange(rows.order) * 0.6180339887498949 % 1.0 + 1.0\n",
+        _in(
+            "test_npa.py",
+            "test_orbit_solve_runs_on_the_irreducible_blocks[n3-level3-pinned]",
+        ),
+    ),
+    Mutant(
         "restriction-keeps-cross-block-f0",
         "src/mabkcert/sdp.py",
         "f0=np.where(block[:, None] == block, q.T @ self.f0 @ q, 0.0),",

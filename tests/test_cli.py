@@ -93,7 +93,8 @@ INVALID_ARGV = st.one_of(
     ).map(lambda t: ["theorem1", "--n=3", f"--trials={t}"]),
     st.one_of(
         st.floats(max_value=cli.MIN_TOL, exclude_max=True),
-        st.sampled_from([1e-300, float("inf"), float("nan")]),
+        st.floats(min_value=cli.MAX_TOL, exclude_min=True),
+        st.sampled_from([1e-300, 1e-5, 0.5, float("inf"), float("nan")]),
     ).map(lambda tol: ["npa", "--level=2", f"--tol={tol!r}"]),
     st.tuples(
         st.sampled_from(
@@ -120,6 +121,19 @@ def test_theorem1_zero_trials_is_a_usage_error(capsys):
     assert exc.value.code == cli.EXIT_USAGE
     assert out.out == ""
     assert "argument --trials: must be in [1, " in out.err
+
+
+def test_npa_tol_above_the_cap_is_a_usage_error(capsys):
+    # a loose solve would check level 3 against a level-2 bound solved as
+    # loosely: at --tol 0.5 both level-3 pinned verdicts passed with bound 1.85
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["npa", "--level", "3", "--perfect-correlations", "--tol", "0.5"])
+    out = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_USAGE
+    assert out.out == ""
+    assert (
+        f"argument --tol: must be in [{cli.MIN_TOL}, {cli.MAX_TOL}], got 0.5" in out.err
+    )
 
 
 def _passes(verdict, at_most):
@@ -239,6 +253,18 @@ def test_every_npa_problem_converges_at_the_smallest_tol(capsys, level, pinned):
     assert json.loads(out)["results"]["certificate"]["verified"]
 
 
+@pytest.mark.parametrize("pinned", [True, False])
+@pytest.mark.parametrize("level", ["2", "3"])
+def test_every_npa_problem_passes_at_the_largest_tol(capsys, level, pinned):
+    # no --tol the CLI accepts is loose enough to fail a verdict
+    argv = ["npa", "--level", level, "--tol", str(cli.MAX_TOL), "--format", "json"]
+    if pinned:
+        argv.append("--perfect-correlations")
+    code, out, _ = run(capsys, *argv)
+    assert code == cli.EXIT_OK
+    assert all(v["pass"] for v in json.loads(out)["verdicts"])
+
+
 def test_csv_is_a_flat_verdict_table(capsys):
     code, out, _ = run(
         capsys, "theorem1", "--n", "3", "--trials", "10", "--format", "csv"
@@ -321,12 +347,41 @@ def test_npa_vv_prints_solver_diagnostics_outside_the_payload(capsys):
         r"^\[mabkcert\] npa level 2, perfect_correlations=True: group order \d+,"
         r" \d+ orbits, \d+ zeroed classes, blocks \(\d+(, \d+)*,?\),"
         r" \d+ iterations, Schur assembly \d\.\d{4} s, factorizations \d\.\d{4} s,"
-        r" step lengths \d\.\d{4} s, final dual residual \d\.\d{3}e[-+]\d+$",
+        r" step lengths \d\.\d{4} s, final dual residual \d\.\d{3}e[-+]\d+;"
+        r" stage seconds: build \d\.\d{4}, reduce \d\.\d{4}, lower \d\.\d{4},"
+        r" group \d\.\d{4}, bases \d\.\d{4}, restriction \d\.\d{4},"
+        r" sdp \d\.\d{4}, lift \d\.\d{4}, check \d\.\d{4}$",
         err_v,
         re.MULTILINE,
     )
     _, _, err_once = run(capsys, *argv, "-v")
     assert "blocks" not in err_once
+
+
+NPA_STAGES = (
+    "build", "reduce", "lower", "group", "bases", "restriction", "sdp", "lift", "check"
+)
+
+
+@pytest.mark.parametrize("level", ["2", "3"])
+def test_npa_vv_names_every_stage_outside_the_payload(capsys, level):
+    argv = ["npa", "--level", level, "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    code_v, out_v, err_v = run(capsys, *argv, "-vv")
+    assert code_v == code == cli.EXIT_OK
+    (line,) = [l for l in err_v.splitlines() if f"npa level {level}," in l]
+    stages = re.findall(r"(\w+) (\d+\.\d{4})", line.partition("stage seconds: ")[2])
+    assert tuple(name for name, _ in stages) == NPA_STAGES
+    # the stages lie within the command's wall time, up to their rounding
+    total = sum(float(s) for _, s in stages)
+    assert total <= json.loads(out_v)["duration_ms"] / 1e3 + len(stages) * 5e-5
+    for payload in (json.loads(out), json.loads(out_v)):
+        assert list(payload) == ["command", "params", "results", "verdicts", "duration_ms"]
+        assert list(payload["results"]) == [
+            "bound", "certified_bound", "certificate", "iterations", "basis_size",
+            "reduced_size", "n_moment_classes",
+        ] + (["level2_bound"] if level == "3" else [])
+        assert "stage" not in json.dumps(payload)
 
 
 def test_numerical_failure_exit_code(capsys, monkeypatch):

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import random
 from collections import namedtuple
 from fractions import Fraction
 
@@ -999,6 +1000,26 @@ def test_repeated_solves_are_bit_identical():
     second = npa_upper_bound(3, True)
     assert first.bound == second.bound
     assert first.solution.trace == second.solution.trace
+
+
+def test_group_algebra_weights_ignore_the_global_generators():
+    # the weights come from a private generator, so reseeding and drawing from
+    # the module-level random and numpy.random generators changes no solve
+    saved = random.getstate(), np.random.get_state()
+    try:
+        runs = [npa_upper_bound(2, True)]
+        for seed in (1, 2):
+            random.seed(seed)
+            random.random()
+            np.random.seed(seed)
+            runs.append(npa_upper_bound(2, True))
+    finally:
+        random.setstate(saved[0])
+        np.random.set_state(saved[1])
+    first = runs[0].solution
+    for run in runs[1:]:
+        assert run.solution.trace == first.trace
+        assert np.array_equal(run.solution.dual_matrix, first.dual_matrix)
 
 
 def test_level2_bounds():
