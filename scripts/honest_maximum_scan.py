@@ -12,7 +12,7 @@ multipartite entanglement unreachable.
 Usage:
     python scripts/honest_maximum_scan.py [--max-n 6] [--restarts 60] [--seed S]
 
-``--max-n`` must lie in [3, cli.MAX_PARTIES], ``--restarts`` in
+``--max-n`` must lie in [3, cli.MAX_OPTIMIZE_PARTIES], ``--restarts`` in
 [1, cli.MAX_RESTARTS] and ``--seed`` must be >= 0; the parser refuses other
 values with exit 2 and a message, as the CLI does.  Each row is printed as
 soon as its N is done; if stdout cannot take it, the scan stops with exit 1
@@ -26,7 +26,7 @@ from mabkcert.blochopt import OptimizerConfig, maximize_honest_mabk
 from mabkcert.cli import (
     EXIT_OK,
     EXIT_WRITE,
-    MAX_PARTIES,
+    MAX_OPTIMIZE_PARTIES,
     MAX_RESTARTS,
     SEED_DEFAULT,
     int_in,
@@ -37,7 +37,7 @@ from mabkcert.correlators import gme_bound
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-n", type=int_in(3, MAX_PARTIES), default=6)
+    parser.add_argument("--max-n", type=int_in(3, MAX_OPTIMIZE_PARTIES), default=6)
     parser.add_argument("--restarts", type=int_in(1, MAX_RESTARTS), default=60)
     parser.add_argument("--seed", type=int_in(0), default=SEED_DEFAULT)
     args = parser.parse_args()

@@ -14,7 +14,12 @@ depend on that pair.  So the best pair given the other parties is exact: each
 free slot becomes ``g/|g|`` (a slot with ``g = 0`` is kept), after which ``v``
 is the sum of the free ``|g_{i,x}|`` plus the pinned slot's fixed term, and
 no step lowers it.  A sweep steps party 0, then parties 1..n-1 in turn, each
-on a fresh gradient.  No step depends on the value's scale.
+on the gradient at the point its predecessors left, in O(N) per sweep: when
+party k steps, parties k+1..n-1 have not moved, so the reverse-pass adjoint
+at k is the one of the stop test's gradient call, and only the forward pair
+through parties 0..k-1 is new; it advances one stepped party at a time, and
+after the last party it gives the post-sweep value.  No step depends on the
+value's scale.
 
 The score is |v|, but the seesaw ascends ``+v`` only.  Negating one party's
 pair negates ``v`` and every other party's gradient bit for bit, so the
@@ -40,7 +45,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlators import mabk_gradient, mabk_value
+from .correlators import (
+    _bloch_gradient,
+    _factors,
+    _forward_step,
+    _gradient_and_adjoint,
+    _pair_value,
+    _party_derivative,
+    mabk_gradient,
+    mabk_value,
+)
 
 # A row has converged when no free slot's tangent gradient exceeds this times |value|.
 _CONVERGENCE_TOL = 1e-8
@@ -111,15 +125,28 @@ def _party_step(
     np.divide(g, norm, out=settings[:, k], where=free[k, :, None] & (norm > 0))
 
 
-def _sweep(settings: np.ndarray, grad: np.ndarray, free: np.ndarray) -> None:
-    """One seesaw sweep of the value, in place; ``grad`` is its gradient now.
+def _sweep(
+    settings: np.ndarray, grad: np.ndarray, adj: np.ndarray, free: np.ndarray
+) -> np.ndarray:
+    """One seesaw sweep of the value, in place; returns the post-sweep value.
 
-    Party 0 steps on ``grad``, every later party on a fresh gradient.
+    ``grad`` and ``adj`` come from ``_gradient_and_adjoint`` at ``settings``.
+    Party 0 steps on ``grad``.  Party k > 0 steps on its gradient at the point
+    parties 0..k-1 left, written into ``grad[:, k]``: only parties k+1.. enter
+    ``adj[k]``, and they have not moved, so the pre-sweep ``adj[k]`` pairs
+    with the forward pair through the stepped parties, which then advances
+    through party k.  The last pair's ``Re m`` is the post-sweep value.
     """
-    for k in range(settings.shape[1]):
-        if k:
-            grad = mabk_gradient(settings)
+    n = settings.shape[1]
+    even = n % 2 == 0
+    _party_step(settings, grad, 0, free)
+    pair = _factors(settings[:, 0], even)[0]
+    for k in range(1, n):
+        _bloch_gradient(_party_derivative(pair, adj[..., k, :]), grad[:, k])
         _party_step(settings, grad, k, free)
+        _, a, b_pair = _factors(settings[:, k], even)
+        pair = _forward_step(pair, a, b_pair)
+    return _pair_value(pair)
 
 
 def _ascend(
@@ -137,15 +164,14 @@ def _ascend(
         if not live.size:
             break
         trial = x[live]
-        grad = mabk_gradient(trial)
+        grad, adj = _gradient_and_adjoint(trial)
         stop = _tangent_norm(trial, grad, free) <= _CONVERGENCE_TOL * np.abs(f[live])
         converged[live[stop]] = True
         live, trial = live[~stop], trial[~stop]
         if not live.size:
             break
 
-        _sweep(trial, grad[~stop], free)
-        ft = mabk_value(trial)
+        ft = _sweep(trial, grad[~stop], adj[:, ~stop], free)
         up = ft > f[live]  # a sweep that cannot raise the value is a local stop
         stalled[live[~up]] = True
         post[live[~up]] = trial[~up]

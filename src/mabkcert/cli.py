@@ -29,11 +29,18 @@ from . import blochopt, correlators, mabk, npa
 from .sdp import SdpSolverError
 
 SEED_DEFAULT = blochopt.OptimizerConfig().seed
-# Largest --n for mabk-show, theorem1 and optimize: the expression mabk-show
-# prints has 2^(2*floor(n/2)) terms, fourfold more with every two parties.
+# Largest --n for mabk-show and theorem1: the expression mabk-show prints has
+# 2^(2*floor(n/2)) terms, fourfold more with every two parties.
 MAX_PARTIES = 10
-# Caps sized from the per-unit cost at n = 10: a theorem1 trial takes about
-# 1.4 us, an optimize restart about 0.4 ms.
+# Largest --n for optimize, whose seesaw sweep is O(n) per restart.  The odd-n
+# verdict "within the halved-terms cap" has an absolute tolerance of 1e-6,
+# which the rounding of a value near 2^((n-3)/2) outgrows: with 200 restarts
+# at the default seed the maximum exceeds the cap by about 1e-9 at n = 39, by
+# 1.2e-6 at n = 59 and by 5.3e-6 at n = 63.
+MAX_OPTIMIZE_PARTIES = 40
+# Caps sized from the per-unit cost at the largest n: a theorem1 trial takes
+# about 1.4 us at n = 10, an optimize restart about 0.23 ms with --honest and
+# 0.11 ms without at n = 40 (0.06 and 0.04 ms at n = 10).
 MAX_TRIALS = 1_000_000
 MAX_RESTARTS = 200
 # theorem1 draws and evaluates its trials in blocks of this many; at n = 10 a
@@ -446,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser(
         "optimize", parents=[common], help="multi-start Bell-value maximization"
     )
-    p.add_argument("--n", type=int_in(3, MAX_PARTIES), required=True)
+    p.add_argument("--n", type=int_in(3, MAX_OPTIMIZE_PARTIES), required=True)
     p.add_argument("--restarts", type=int_in(1, MAX_RESTARTS), default=100)
     p.add_argument("--seed", type=int_in(0), default=SEED_DEFAULT)
     p.add_argument("--honest", action="store_true", help="pin A0 to sigma_z")

@@ -15,7 +15,11 @@ A settings choice is a float array of shape (..., N, 2, 3) whose entry
 ``mabk_gradient`` never expand the ``2**(2*floor(N/2))`` MABK terms: they
 share one forward sweep of the Belinskii-Klyshko pair recursion, which builds
 the same polynomial in O(N) elementwise operations per point, and the
-gradient adds the reverse sweep.  Every operation is elementwise, so a point's
+gradient adds the reverse sweep.  The recursion has one implementation, a
+few private helpers (a party's factors, one forward step, the reverse sweep,
+one party's derivative); ``blochopt``'s seesaw sweep calls the same helpers
+party by party, so its values are those of ``mabk_value`` and
+``mabk_gradient`` bit for bit.  Every operation is elementwise, so a point's
 value does not depend on the batch it is evaluated in.  The term sum (over
 ``mabk.mabk_expression``) and the stabilizer expansion ``tr(rho O) = 2**-N *
 sum_S tr(O S)`` (``identity_free_elements``) are the oracles the tests
@@ -107,27 +111,93 @@ def _party_count(settings: np.ndarray) -> int:
 _HALF_PAIR = np.array([0.5, -0.5])
 
 
-def _forward_sweep(settings: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The pair recursion's factors ``a``, ``(b, -b)`` and its pair after each party.
+def _factors(blochs: np.ndarray, even: bool) -> tuple[np.ndarray, ...]:
+    """The pair recursion's ``z`` and factors ``a``, ``(b, -b)`` of Bloch pairs.
 
-    With ``z_x = b_x + i b_y`` for party i's input x, ``a = (z0 + z1)/2`` and
-    ``b = (z0 - z1)/2``, the pair starts at ``(m, m') = (z0, z1)`` for party 0
-    and every later party maps it to ``(a m + b m', a m' - b m)``; the signed
-    MABK value is ``Re m`` after the last party, plus for even N the same
-    recursion run on the real ``b_z``.  The z recursion rides on a leading
-    axis of size 2, so every array is shaped (S, ..., n, 2).
+    ``blochs`` is shaped (..., 2, 3), one party's pair or every party's.  With
+    ``z_x = b_x + i b_y`` for input x, ``a = (z0 + z1)/2`` and ``b = (z0 -
+    z1)/2``; for even N the same recursion runs on the real ``b_z`` on a
+    leading axis of size 2, so every array is shaped (S, ..., 2) (``a`` (S,
+    ..., 1)).
     """
-    n = _party_count(settings)
-    z = settings[..., 0] + 1j * settings[..., 1]
-    z = np.stack((z, settings[..., 2])) if n % 2 == 0 else z[None]
+    z = blochs[..., 0] + 1j * blochs[..., 1]
+    z = np.stack((z, blochs[..., 2])) if even else z[None]
     a = (z[..., :1] + z[..., 1:]) / 2
     b_pair = (z[..., :1] - z[..., 1:]) * _HALF_PAIR
+    return z, a, b_pair
 
+
+def _forward_step(
+    pair: np.ndarray, a: np.ndarray, b_pair: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """One party's step of the pair: ``(m, m') -> (a m + b m', a m' - b m)``."""
+    return np.add(a * pair, b_pair * pair[..., ::-1], out=out)
+
+
+def _adjoint(a: np.ndarray, b_pair: np.ndarray) -> np.ndarray:
+    """Reverse sweep: the derivatives ``(g, g')`` of the final ``m`` in the pair
+    after each party, shaped (S, ..., n, 2) like the forward pairs.
+
+    ``adj[..., k, :]`` depends on parties k+1..n-1 alone.
+    """
+    n = a.shape[-2]
+    adj = np.empty(a.shape[:-1] + (2,), dtype=complex)
+    adj[..., -1, :] = (1.0, 0.0)
+    for k in range(n - 1, 0, -1):
+        g = adj[..., k, :]
+        np.subtract(
+            a[..., k, :] * g, b_pair[..., k, :] * g[..., ::-1], out=adj[..., k - 1, :]
+        )
+    return adj
+
+
+def _party_derivative(pair: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """``dm/dz`` of a party k > 0 from the pair before it and its adjoint.
+
+    The party enters through ``a`` and ``b`` against ``pair``, the pair after
+    party k-1, and ``adj`` is ``(g, g')`` at party k.
+    """
+    m, mp = pair[..., 0], pair[..., 1]
+    g, gp = adj[..., 0], adj[..., 1]
+    da = m * g + mp * gp
+    db = mp * g - m * gp
+    return np.stack(((da + db) / 2, (da - db) / 2), axis=-1)
+
+
+def _bloch_gradient(dz: np.ndarray, out: np.ndarray) -> None:
+    """Write the Bloch-component gradient of ``dm/dz`` (S, ..., 2) into ``out``.
+
+    ``m`` is holomorphic in every ``z``, so d/db_x is ``Re dm/dz`` and d/db_y
+    is ``-Im dm/dz``; d/db_z comes from the z recursion for even N and is left
+    as it is in ``out`` (zero) for odd N.
+    """
+    out[..., 0] = dz[0].real
+    out[..., 1] = -dz[0].imag
+    if len(dz) == 2:
+        out[..., 2] = dz[1].real
+
+
+def _pair_value(pair: np.ndarray) -> np.ndarray:
+    """The signed MABK value of the final pair (S, ..., 2): ``Re m``, summed over S."""
+    return pair[..., 0].real.sum(axis=0)
+
+
+def _forward_sweep(settings: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The factors ``a``, ``(b, -b)`` of every party and its pair after each party.
+
+    The pair starts at ``(m, m') = (z0, z1)`` for party 0 and every later
+    party takes a ``_forward_step``; the signed MABK value is ``Re m`` after
+    the last party, plus for even N the same recursion run on the real
+    ``b_z``.  Every array is shaped (S, ..., n, 2).
+    """
+    n = _party_count(settings)
+    z, a, b_pair = _factors(settings, n % 2 == 0)
     pair = np.empty_like(z)  # (m, m') after parties 0 .. n-1
     pair[..., 0, :] = z[..., 0, :]
     for k in range(1, n):
-        m = pair[..., k - 1, :]
-        np.add(a[..., k, :] * m, b_pair[..., k, :] * m[..., ::-1], out=pair[..., k, :])
+        _forward_step(
+            pair[..., k - 1, :], a[..., k, :], b_pair[..., k, :], out=pair[..., k, :]
+        )
     return a, b_pair, pair
 
 
@@ -138,42 +208,29 @@ def mabk_value(settings: np.ndarray) -> np.ndarray:
     score is the absolute value of the result.  O(N) per point, through the
     pair recursion of ``_forward_sweep``.
     """
-    return _forward_sweep(settings)[2][..., -1, 0].real.sum(axis=0)
+    return _pair_value(_forward_sweep(settings)[2][..., -1, :])
+
+
+def _gradient_and_adjoint(settings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``mabk_gradient`` and the ``_adjoint`` it was computed from."""
+    a, b_pair, pair = _forward_sweep(settings)
+    adj = _adjoint(a, b_pair)
+    grad = np.zeros(settings.shape)
+    # party 0's pair is (z0, z1) itself, so its adjoint is its dm/dz
+    _bloch_gradient(adj[..., 0, :], grad[..., 0, :, :])
+    dz = _party_derivative(pair[..., :-1, :], adj[..., 1:, :])
+    _bloch_gradient(dz, grad[..., 1:, :, :])
+    return grad, adj
 
 
 def mabk_gradient(settings: np.ndarray) -> np.ndarray:
     """Gradient of ``mabk_value`` in every Bloch component, shaped like ``settings``.
 
-    The reverse-mode derivative of the pair recursion, O(N) per point.  The
-    forward sweep (``_forward_sweep``) keeps each party's pair, the adjoint
-    sweep the derivatives ``(g, g')`` of the final ``m`` in it, and each
-    party's ``dm/dz`` follows from those two.  ``m`` is holomorphic in every
-    ``z``, so d/db_x is ``Re dm/dz`` and d/db_y is ``-Im dm/dz``.
+    The reverse-mode derivative of the pair recursion, O(N) per point: the
+    forward sweep (``_forward_sweep``) keeps each party's pair, the reverse
+    sweep (``_adjoint``) the derivatives of the final ``m`` in it, and each
+    party's ``dm/dz`` follows from the pair before it and its adjoint
+    (``_party_derivative``).  The seesaw sweep of ``blochopt`` steps one
+    party at a time through the same helpers.
     """
-    a, b_pair, pair = _forward_sweep(settings)
-    n = settings.shape[-3]
-
-    adj = np.empty_like(pair)  # derivatives of the final m in the pair after each party
-    adj[..., -1, :] = (1.0, 0.0)
-    for k in range(n - 1, 0, -1):
-        g = adj[..., k, :]
-        np.subtract(
-            a[..., k, :] * g, b_pair[..., k, :] * g[..., ::-1], out=adj[..., k - 1, :]
-        )
-
-    # party k > 0 enters through a and b against the pair before it; party 0's
-    # pair is (z0, z1) itself, so adj[..., 0, :] already holds its dm/dz
-    m, mp = pair[..., :-1, 0], pair[..., :-1, 1]
-    g, gp = adj[..., 1:, 0], adj[..., 1:, 1]
-    da = m * g + mp * gp
-    db = mp * g - m * gp
-    dz = adj  # overwritten in place with each party's dm/dz
-    dz[..., 1:, 0] = (da + db) / 2
-    dz[..., 1:, 1] = (da - db) / 2
-
-    grad = np.zeros(settings.shape)
-    grad[..., 0] = dz[0].real
-    grad[..., 1] = -dz[0].imag
-    if n % 2 == 0:
-        grad[..., 2] = dz[1].real
-    return grad
+    return _gradient_and_adjoint(settings)[0]

@@ -101,10 +101,30 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "sweep-reads-the-previous-adjoint",
+        "src/mabkcert/blochopt.py",
+        "_party_derivative(pair, adj[..., k, :])",
+        "_party_derivative(pair, adj[..., k - 1, :])",
+        _in(
+            "test_blochopt.py",
+            "test_the_sweep_equals_the_fresh_gradient_oracle_bit_for_bit",
+        ),
+    ),
+    Mutant(
+        "sweep-skips-the-pair-advance",
+        "src/mabkcert/blochopt.py",
+        "        pair = _forward_step(pair, a, b_pair)\n",
+        "",
+        _in(
+            "test_blochopt.py",
+            "test_the_sweep_equals_the_fresh_gradient_oracle_bit_for_bit",
+        ),
+    ),
+    Mutant(
         "negated-mabk-value",
         "src/mabkcert/correlators.py",
-        "    return _forward_sweep(settings)[2][..., -1, 0].real.sum(axis=0)\n",
-        "    return -_forward_sweep(settings)[2][..., -1, 0].real.sum(axis=0)\n",
+        "    return _pair_value(_forward_sweep(settings)[2][..., -1, :])\n",
+        "    return -_pair_value(_forward_sweep(settings)[2][..., -1, :])\n",
         _in(
             "test_correlators.py",
             "test_mabk_value_matches_term_sum_oracle",

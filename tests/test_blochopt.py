@@ -19,7 +19,12 @@ from mabkcert.blochopt import (
     maximize_honest_mabk,
     maximize_unconstrained_mabk,
 )
-from mabkcert.correlators import mabk_gradient, mabk_value, theorem1_bound
+from mabkcert.correlators import (
+    _gradient_and_adjoint,
+    mabk_gradient,
+    mabk_value,
+    theorem1_bound,
+)
 
 QUICK = OptimizerConfig(restarts=12, seed=424242)
 
@@ -199,12 +204,40 @@ def test_a_sweep_never_lowers_the_value(n, honest):
     free = _free_slots(n, honest)
     for sweep in range(5):
         before = mabk_value(x)
-        _sweep(x, mabk_gradient(x), free)
-        after = mabk_value(x)
+        after = _sweep(x, *_gradient_and_adjoint(x), free)
         if sweep == 0:
             assert (after > before).all()  # no random start is a fixed point
         # once at a fixed point, a sweep reproduces the value up to rounding
         assert (after >= before - 1e-14 * np.abs(before)).all()
+
+
+def fresh_gradient_sweep(settings, grad, free):
+    """The seesaw sweep by definition, in place: party 0 steps on ``grad``,
+    every later party on a fresh ``mabk_gradient``; returns ``mabk_value``
+    after the sweep.  O(N^2) per sweep."""
+    for k in range(settings.shape[1]):
+        if k:
+            grad = mabk_gradient(settings)
+        _party_step(settings, grad, k, free)
+    return mabk_value(settings)
+
+
+@pytest.mark.parametrize("honest", [True, False])
+@pytest.mark.parametrize("n", [*range(3, 13), 20, 29])
+def test_the_sweep_equals_the_fresh_gradient_oracle_bit_for_bit(n, honest):
+    # party k steps on the pre-sweep adjoint and the forward pair advanced
+    # through parties 0..k-1, and the last pair gives the value: the same
+    # operations as a fresh gradient and a fresh value, so the same bits.
+    # Every second row is a party-1 mirror: the -v case
+    x = _initial_settings(n, honest, 24, seed=n)
+    x[1::2, 1] *= -1
+    free = _free_slots(n, honest)
+    for _ in range(3):
+        want = x.copy()
+        want_value = fresh_gradient_sweep(want, mabk_gradient(want), free)
+        value = _sweep(x, *_gradient_and_adjoint(x), free)
+        assert np.array_equal(x, want)
+        assert np.array_equal(value, want_value)
 
 
 def equatorial(phases):
@@ -213,15 +246,25 @@ def equatorial(phases):
     return _bloch(np.full(phases.shape, math.pi / 2), phases)[None]
 
 
-def record_gradient_batches(monkeypatch):
-    """The row count of every later mabk_gradient call of blochopt."""
+def record_batches(monkeypatch):
+    """The row count of every later gradient call and sweep of blochopt: the
+    stop test's ``_gradient_and_adjoint``, each ``_sweep`` and the post-sweep
+    test's ``mabk_gradient``."""
     batches = []
 
-    def gradient(settings):
-        batches.append(len(settings))
-        return mabk_gradient(settings)
+    def recorded(step):
+        def call(settings, *args):
+            batches.append(len(settings))
+            return step(settings, *args)
 
-    monkeypatch.setattr(blochopt, "mabk_gradient", gradient)
+        return call
+
+    for name, step in [
+        ("_gradient_and_adjoint", _gradient_and_adjoint),
+        ("_sweep", _sweep),
+        ("mabk_gradient", mabk_gradient),
+    ]:
+        monkeypatch.setattr(blochopt, name, recorded(step))
     return batches
 
 
@@ -229,7 +272,7 @@ def record_gradient_batches(monkeypatch):
 def test_no_gradient_batch_is_empty(monkeypatch, honest):
     # rows leave the batch by the stop test or by a stalled sweep; once the
     # last of them has left, the ascent sweeps no empty batch
-    batches = record_gradient_batches(monkeypatch)
+    batches = record_batches(monkeypatch)
     blochopt._maximize(4, honest, QUICK)
     assert batches and min(batches) > 0
 
@@ -237,7 +280,7 @@ def test_no_gradient_batch_is_empty(monkeypatch, honest):
 def assert_converged_at_once(monkeypatch, x0, free):
     # every row meets the stop test before its first sweep: one gradient
     # call on all rows, and no sweep of the empty rest, no post-sweep test
-    batches = record_gradient_batches(monkeypatch)
+    batches = record_batches(monkeypatch)
     config = OptimizerConfig(restarts=1, max_iterations=1)
     x, f, converged = _ascend(x0, free, config)
     assert converged.all() and batches == [len(x0)]
@@ -304,6 +347,17 @@ class Spike:
         self.gradient_calls += 1
         return np.broadcast_to([1.0, 0.0, 0.0], settings.shape).copy()
 
+    def gradient_and_adjoint(self, settings):
+        # an adjoint of the real shape, (S, rows, n, 2); the stub sweep ignores it
+        return self.gradient(settings), np.zeros((1, *settings.shape[:2], 2))
+
+    def sweep(self, settings, grad, adj, free):
+        # a slot's stub gradient depends on that slot alone, so each party
+        # steps on the stop test's gradient as it would on a fresh one
+        for k in range(settings.shape[1]):
+            _party_step(settings, grad, k, free)
+        return self.value(settings)
+
 
 class Turning(Spike):
     """A spike whose gradient is ``(b_z, 0, -b_x)`` at each Bloch vector
@@ -323,10 +377,12 @@ def ascend_stub(monkeypatch, stub_class, elsewhere):
     x0 = np.broadcast_to([0.0, 0.0, 1.0], (1, n, 2, 3)).copy()
     stub = stub_class(x0, elsewhere)
     monkeypatch.setattr(blochopt, "mabk_value", stub.value)
+    monkeypatch.setattr(blochopt, "_gradient_and_adjoint", stub.gradient_and_adjoint)
+    monkeypatch.setattr(blochopt, "_sweep", stub.sweep)
     monkeypatch.setattr(blochopt, "mabk_gradient", stub.gradient)
     x, f, converged = _ascend(x0, _free_slots(n, True), OptimizerConfig())
-    # one sweep, one gradient per party, then the post-sweep stop test
-    assert stub.gradient_calls == n + 1
+    # the stop test's gradient, one sweep on it, then the post-sweep stop test
+    assert stub.gradient_calls == 2
     # the row leaves after that sweep, back at its start, not live to the cap
     assert np.array_equal(x, x0) and f.tolist() == [1.0]
     return converged[0]

@@ -76,9 +76,8 @@ def test_mabk_show_rejects_out_of_range_n(capsys):
 
 def _out_of_range_n(command):
     low = 2 if command == "mabk-show" else 3
-    n = st.one_of(
-        st.integers(max_value=low - 1), st.integers(min_value=cli.MAX_PARTIES + 1)
-    )
+    high = cli.MAX_OPTIMIZE_PARTIES if command == "optimize" else cli.MAX_PARTIES
+    n = st.one_of(st.integers(max_value=low - 1), st.integers(min_value=high + 1))
     return n.map(lambda v: [command, f"--n={v}"])
 
 
@@ -209,6 +208,24 @@ def test_optimize_unconstrained_small(capsys):
     assert code == cli.EXIT_OK
     payload = json.loads(out)
     assert payload["results"]["best_value"] == pytest.approx(2.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("n", [cli.MAX_OPTIMIZE_PARTIES - 1, cli.MAX_OPTIMIZE_PARTIES])
+def test_optimize_honest_at_the_party_cap_passes_its_verdicts(capsys, n):
+    # at the cap the rounding of the odd-N maximum stays far inside the
+    # halved-terms verdict's 1e-6: the cap of 2^((n-3)/2) is met to about 1e-9
+    code, out, _ = run(
+        capsys,
+        "optimize", "--n", str(n), "--honest",
+        "--restarts", str(cli.MAX_RESTARTS), "--format", "json",
+    )
+    assert code == cli.EXIT_OK
+    payload = json.loads(out)
+    assert len(payload["verdicts"]) == 1 + n % 2
+    assert all(v["pass"] for v in payload["verdicts"])
+    if n % 2:
+        cap = correlators.theorem1_bound(n)
+        assert payload["results"]["best_value"] == pytest.approx(cap, rel=1e-12)
 
 
 def test_optimize_honest_four_party_reports_failing_target(capsys):

@@ -62,7 +62,7 @@ def test_honest_maximum_scan_runs():
         ["--restarts", "0"],
         ["--restarts", "201"],
         ["--max-n", "2"],
-        ["--max-n", "11"],
+        ["--max-n", str(cli.MAX_OPTIMIZE_PARTIES + 1)],
         ["--seed", "-1"],
         ["--restarts", "x"],
         ["--seed", "1.5"],
