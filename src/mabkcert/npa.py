@@ -115,7 +115,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from operator import attrgetter
@@ -182,15 +182,12 @@ def _n_parties(words) -> int:
 
 @dataclass(frozen=True)
 class MomentMatrixStructure:
-    """Monomial basis plus the map from matrix entries to moment classes."""
+    """Monomial basis plus the map from matrix entries to moment classes; the
+    per-party sub-words that ``build_moment_structure`` splits the basis into
+    stay inside it."""
 
     basis: tuple[Word, ...]
     class_of: np.ndarray  # (d, d) int array of class ids
-    # _subwords of the basis: the per-party sub-word numberings and the
-    # (d, n_parties) array of each basis word's sub-word numbers
-    subwords: tuple[list[dict[Word, int]], np.ndarray] = field(
-        repr=False, compare=False
-    )
 
     @property
     def dimension(self) -> int:
@@ -281,7 +278,7 @@ def build_moment_structure(monomials: list[Word]) -> MomentMatrixStructure:
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     class_of = rank[inverse].reshape(d, d).astype(np.int32)
-    return MomentMatrixStructure(tuple(monomials), class_of, (tables, indices))
+    return MomentMatrixStructure(tuple(monomials), class_of)
 
 
 def objective_words(expr: dict[BitString, Fraction]) -> dict[Word, Fraction]:
@@ -503,18 +500,28 @@ def _gf2_solve(a: np.ndarray, b: np.ndarray):
     return solutions, ~b[r:].any(axis=0), kernel
 
 
-def _letter_parity(words, offset: list[int], n_letters: int) -> np.ndarray:
-    """(len(words), n_letters) bool: whether each letter, numbered ``offset[p]
-    + x``, occurs in each word an odd number of times."""
-    cells = [
-        w * n_letters + offset[letter.party] + letter.input
-        for w, word in enumerate(words)
-        for letter in word
-    ]
-    counts = np.bincount(
-        np.array(cells, dtype=np.intp), minlength=len(words) * n_letters
-    )
-    return (counts & 1).astype(bool).reshape(len(words), n_letters)
+def _word_slots(words) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The letters of canonical ``words``, one word a row and one letter a
+    column, padded with party -1: (len(words), longest) arrays of each
+    letter's party, input and place, its position in its party's sub-word."""
+    length = max(map(len, words), default=0)
+    pad = [w + ((-1, 0),) * (length - len(w)) for w in words]
+    slots = np.array(pad, dtype=np.intp).reshape(len(words), length, 2)
+    party, inputs = slots.transpose(2, 0, 1)
+    # a canonical word holds each party's letters together: a sub-word starts
+    # at the first letter of its party
+    start = (party[:, :, None] == party[:, None, :]).argmax(axis=2)
+    return party, inputs, np.arange(length) - start
+
+
+def _letter_parity(letter: np.ndarray, n_letters: int) -> np.ndarray:
+    """(len(letter), n_letters) bool: whether each letter occurs an odd number
+    of times in each row of ``letter``, the letter numbers of one word a row,
+    -1 past its end."""
+    word = np.indices(letter.shape)[0]
+    cells = (word * n_letters + letter)[letter >= 0]
+    counts = np.bincount(cells, minlength=len(letter) * n_letters)
+    return (counts & 1).astype(bool).reshape(len(letter), n_letters)
 
 
 def _variable_action(
@@ -567,10 +574,17 @@ def relabelling_group(
     ``sign * c_w`` and every basis word into the basis; it is then a symmetry
     of ``problem`` (see the module docstring).
 
-    Words are mixed-radix codes of their per-party sub-words, and every
-    candidate ``(pi, rho)`` relabels them through per-party sub-word tables,
-    all candidates at once.  A word's sign is the product of the signs of
-    the letters it holds an odd number of times, so for a fixed ``(pi, rho)``
+    Every basis, objective and pin word is encoded once, as its letters'
+    numbers and places (a letter's place is its position in its party's
+    sub-word), and named by its slot code ``sum (x + 1) B^(p depth + place)``
+    over its letters ``(p, x)``: ``B`` is one more than the largest input
+    count, ``depth`` one more than the largest place.  A relabelling moves a
+    letter's party and input but never its place, so each candidate ``(pi,
+    rho)`` is one row of letter images, the identity first, and a word's
+    image has the code ``sum (rho_p(x) + 1) B^(pi(p) depth + place)``, a
+    gather of per-letter weights through that row, looked up among the
+    identity's codes.  A word's sign is the product of the signs of the
+    letters it holds an odd number of times, so for a fixed ``(pi, rho)``
     the admissible signs solve a linear system over GF(2), one equation per
     objective word and per pin: a particular solution plus the kernel of the
     system, which is the same for every candidate.  The group is therefore
@@ -578,102 +592,86 @@ def relabelling_group(
     change of the kernel.  The actions of those representatives and of the
     kernel's basis go through ``_variable_action``'s check, and each action
     keeps that form: ``SignedPermutations`` of the representatives times the
-    kernel's sign changes, which move no letter, row or variable.
+    kernel's sign changes, which move no letter, row or variable.  Codes
+    that would not fit in 64 bits raise ``ValueError`` before any candidate
+    is enumerated.
     """
-    basis = structure.basis
-    tables, index = structure.subwords
-    n = index.shape[1]
-    # each party's sub-words as input tuples, numbered as in tables
-    keys = [{tuple(l.input for l in s): i for s, i in t.items()} for t in tables]
-    counts = [1 + max(max(s, default=-1) for s in key) for key in keys]
-    offset = [sum(counts[:p]) for p in range(n)]
+    basis, d = structure.basis, structure.dimension
+    pin_words = dict.fromkeys(pins, Fraction(1))
+    party, inputs, place = _word_slots([*basis, *objective, *pin_words])
+    at_objective = slice(d, d + len(objective))
+    at_pins = slice(d + len(objective), None)
+    n, real = _n_parties(basis), party >= 0
+    counts = np.zeros(n, dtype=np.intp)
+    np.maximum.at(counts, party[real], inputs[real] + 1)
+    offset = np.cumsum(counts) - counts
     letters = tuple(OperatorLetter(p, x) for p in range(n) for x in range(counts[p]))
-    perms = {c: list(itertools.permutations(range(c))) for c in set(counts)}
+    letter = np.where(real, offset[party] + inputs, -1)
+    base, depth = 1 + int(counts.max()), 1 + int(place.max(initial=0))
+    if base ** (n * depth) > np.iinfo(np.int64).max:
+        raise ValueError("too many letter slots for 64-bit word codes")
+    scale = np.where(real, base**place, 0)
+    owner = np.repeat(np.arange(n), counts)  # the party of each letter
+    unit = (np.arange(len(letters)) - offset[owner] + 1) * base ** (owner * depth)
 
-    # the candidates (pi, rho), the identity first: the image of each party,
-    # and the number of each party's input permutation in perms
-    party_maps = [
-        pi
-        for pi in itertools.permutations(range(n))
-        if [counts[q] for q in pi] == counts
-    ]
-    choices = np.indices([len(perms[c]) for c in counts]).reshape(n, -1).T
-    party_of = np.repeat(np.array(party_maps), len(choices), axis=0)
-    perm_of = np.tile(choices, (len(party_maps), 1))
+    # the candidates as rows of letter images, the identity first: each
+    # party map that keeps the input counts, in permutation order, times one
+    # input permutation per party, the last party's fastest
+    maps = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    maps = maps[(counts[maps] == counts).all(axis=1)]
+    perms = [np.array(list(itertools.permutations(range(c))), np.intp) for c in counts]
+    choice = np.indices([len(r) for r in perms]).reshape(n, -1)
+    rho = np.hstack([r[k] for r, k in zip(perms, choice)])
+    image = (offset[maps][:, None, owner] + rho).reshape(-1, len(letters))
 
-    # moved[p][q, r, s]: sub-word s of party p under input permutation r and
-    # moved to party q, as a sub-word number of q, or -1 if q has none such
-    moved = []
-    for p, key in enumerate(keys):
-        table = np.full((n, len(perms[counts[p]]), len(key)), -1)
-        for r, rho in enumerate(perms[counts[p]]):
-            images = [tuple(map(rho.__getitem__, s)) for s in key]
-            for q in range(n):
-                if counts[q] == counts[p]:
-                    table[q, r] = [keys[q].get(s, -1) for s in images]
-        moved.append(table)
-    radix = np.cumprod([1, *[len(key) for key in keys[:-1]]])
+    def codes(candidates: np.ndarray, words: slice) -> np.ndarray:
+        """The slot codes of the encoded ``words`` under each candidate of
+        ``candidates``; past a word's end the scale is 0."""
+        weight = unit[candidates.T]  # a letter a row
+        code = np.zeros((len(letter[words]), len(candidates)), dtype=np.int64)
+        for j in range(letter.shape[1]):
+            code += weight[letter[words, j]] * scale[words, j, None]
+        return code.T
 
-    def relabelled(party_of, perm_of, subwords: np.ndarray) -> np.ndarray:
-        """The codes of the words with the sub-word numbers ``subwords`` under
-        the candidates ``(party_of, perm_of)``, -1 where a sub-word has no
-        image."""
-        code = np.zeros((len(party_of), len(subwords)), dtype=np.int64)
-        outside = np.zeros(code.shape, dtype=bool)
-        for p in range(n):
-            sub = moved[p][party_of[:, p], perm_of[:, p]][:, subwords[:, p]]
-            outside |= sub < 0
-            code += sub * radix[party_of[:, p], None]
-        return np.where(outside, -1, code)
+    own = codes(image[:1], slice(None))[0]  # the identity's: each word's code
 
     # each candidate's images of the objective words and of the pins, and
     # the sign bit each image needs; a word maps onto one of its own map
     equations, bits = [], []
-    keep = np.ones(len(party_of), dtype=bool)
-    for words in (objective, dict.fromkeys(pins, Fraction(1))):
-        subwords = np.array(
-            [[keys[p][tuple(l.input for l in w if l.party == p)] for p in range(n)]
-             for w in words],
-            dtype=np.intp,
-        ).reshape(len(words), n)
-        found = _lookup(subwords @ radix, relabelled(party_of, perm_of, subwords))
+    keep = np.ones(len(image), dtype=bool)
+    for words, at in ((objective, at_objective), (pin_words, at_pins)):
+        found = _lookup(own[at], codes(image, at))
         c = list(words.values())
         needed = [[0 if b == a else 1 if b == -a else -1 for b in c] for a in c]
         bit = np.array(needed, dtype=np.intp).reshape(len(c), len(c))[
             np.arange(len(c)), found
         ]
         keep &= ((found >= 0) & (bit >= 0)).all(axis=1)
-        equations.append(_letter_parity(words, offset, len(letters)))
+        equations.append(_letter_parity(letter[at], len(letters)))
         bits.append(bit)
-    party_of, perm_of = party_of[keep], perm_of[keep]
+    image = image[keep]
     signs, solvable, kernel = _gf2_solve(
         np.vstack(equations), np.hstack(bits)[keep].astype(bool)
     )
-    party_of, perm_of, signs = party_of[solvable], perm_of[solvable], signs[solvable]
-    full_rows = _lookup(index @ radix, relabelled(party_of, perm_of, index))
+    image, signs = image[solvable], signs[solvable]
+    full_rows = _lookup(own[:d], codes(image, slice(d)))
     inside = (full_rows >= 0).all(axis=1)
-    party_of, perm_of, signs = party_of[inside], perm_of[inside], signs[inside]
+    image, signs, full_rows = image[inside], signs[inside], full_rows[inside]
 
     # the representatives' actions, then the kernel basis vectors'
     kept = np.array(reduced.kept_rows)
-    position = np.full(structure.dimension, -1)
+    position = np.full(d, -1)
     position[kept] = np.arange(len(kept))
     rows = np.vstack(
         [
-            position[reduced.row_of[full_rows[inside][:, kept]]],
+            position[reduced.row_of[full_rows[:, kept]]],
             np.tile(np.arange(len(kept)), (len(kernel), 1)),
         ]
     )
     letter_signs = np.vstack([signs, kernel])
-    row_letters = _letter_parity([basis[i] for i in kept], offset, len(letters))
+    row_letters = _letter_parity(letter[kept], len(letters))
     parity = letter_signs.astype(np.intp) @ row_letters.T.astype(np.intp) & 1 == 1
     variables, var_parity = _variable_action(problem, rows, parity)
-    letter_image = np.tile(np.arange(len(letters)), (len(signs), 1))
-    for p in range(n):
-        inputs = np.array(perms[counts[p]])[perm_of[:, p]]
-        letter_image[:, offset[p] : offset[p] + counts[p]] = (
-            np.array(offset)[party_of[:, p], None] + inputs
-        )
 
     # each action from the representatives' images and the sign parities of
     # the representatives, then of the kernel basis: sign change c sums those
@@ -688,7 +686,7 @@ def relabelling_group(
 
     return RelabellingGroup(
         letters,
-        factored(letter_image, letter_signs),
+        factored(image, letter_signs),
         factored(rows, parity),
         factored(variables, var_parity),
     )

@@ -61,19 +61,19 @@ by position.  ``SdpProblem.restricted`` maps the entries through orthonormal
 bases ``Q_c`` onto the problem whose diagonal blocks hold ``Q_c^T F Q_c``.
 ``solve`` merges consecutive blocks of the finest cut into solve blocks of at
 most ``SOLVE_BLOCK_ROWS`` rows, as every block costs a few numpy calls per
-iteration; it maps the operator's columns into the solve blocks through a
-position table, (m, b*b) per block, and keeps every iterate as a list of
-dense blocks.  The
-Schur matrix is a sum over the blocks.  Within a block the column of ``F_j``
-is ``<F_i, W F_j Z>`` for all ``i`` (Fujisawa, Kojima & Nakata 1997), and
-``W F_j Z`` is a (b, e) by (e, b) product over the ``e`` entries of ``F_j``
-there.  The columns, sorted by ``e``, are cut into chunks of at most
-``SCHUR_SCRATCH`` floats of products and padded to each chunk's largest ``e``
-with zero-valued entries, so a chunk is one batched ``np.matmul`` and one
-adjoint of the block operator repeated along a diagonal.  The module needs
-numpy alone.  Everything is deterministic: fixed elimination order, no
-randomized pivoting, so identical inputs produce bit-identical iteration
-traces.
+iteration.  Each solve block keeps the ``SdpProblem.operator`` of its own
+entries, of shape (m, b*b), so the adjoint is a sum over the blocks and the
+combination one block at a time, and every iterate is a list of dense
+blocks.  The Schur matrix is a sum over the blocks.  Within a block the
+column of ``F_j`` is ``<F_i, W F_j Z>`` for all ``i`` (Fujisawa, Kojima &
+Nakata 1997), and ``W F_j Z`` is a (b, e) by (e, b) product over the ``e``
+entries of ``F_j`` there.  The columns, sorted by ``e``, are cut into chunks
+of at most ``SCHUR_SCRATCH`` floats of products and padded to each chunk's
+largest ``e`` with zero-valued entries, so a chunk is one batched
+``np.matmul`` and one adjoint of the block operator repeated along a
+diagonal.  The module needs numpy alone.  Everything is deterministic: fixed
+elimination order, no randomized pivoting, so identical inputs produce
+bit-identical iteration traces.
 """
 
 from __future__ import annotations
@@ -286,8 +286,9 @@ class SdpSolution:
 
 @dataclass(frozen=True)
 class _Block:
-    """One diagonal block: its ``F0`` and its Schur columns, the variables
-    with entries in the block by entry count, cut into chunks.  A chunk is
+    """One diagonal block: its ``F0``, its (m, b*b) operator and its Schur
+    columns, the variables with entries in the block by entry count, cut into
+    chunks.  A chunk is
     ``(variables, rows, cols, values)`` with (n, e) arrays, ``e`` its largest
     entry count: row ``k`` holds the entries of ``variables[k]``, padded with
     zero-valued copies of its first entry.  ``stacked`` is the block operator
@@ -295,6 +296,7 @@ class _Block:
     floats of a chunk's products and gathered operands."""
 
     f0: np.ndarray
+    operator: Operator
     width: int
     stacked: Operator
     chunks: tuple[tuple[np.ndarray, ...], ...]
@@ -326,7 +328,7 @@ def _block(f0: np.ndarray, operator: Operator) -> _Block:
         (width * m, width * b * b),
     )
     scratch_size = width * b * (b + 2 * counts.max(initial=0))
-    return _Block(f0, width, stacked, tuple(chunks), scratch_size)
+    return _Block(f0, operator, width, stacked, tuple(chunks), scratch_size)
 
 
 def _solve_blocks(sizes: tuple[int, ...]) -> tuple[int, ...]:
@@ -341,36 +343,28 @@ def _solve_blocks(sizes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(merged)
 
 
-def _blocks(problem: SdpProblem) -> tuple[Operator, list[_Block]]:
-    """The columns of ``problem.operator`` inside the solve blocks: the
-    operator of shape (m, sum b*b) whose row ``i`` holds the blocks of
-    ``F_i``, each flattened, one after another; and each block's data.  Every
-    entry lies inside a block of the finest cut, so inside a solve block, and
-    a position table of length d*d maps each column of the operator to its
-    place."""
-    d, m = problem.dimension, problem.n_vars
+def _blocks(problem: SdpProblem) -> list[_Block]:
+    """The data of each solve block, whose operator is the
+    ``SdpProblem.operator`` of the block's entries, their rows and columns
+    shifted into the block.  Every entry lies inside a block of the finest
+    cut, so inside a solve block."""
     sizes = _solve_blocks(problem.block_sizes)
-    block = np.repeat(np.arange(len(sizes)), sizes)
     first = np.cumsum((0, *sizes))
-    columns = np.cumsum((0, *[b * b for b in sizes]))
-    # (i, j) in block c goes to column columns[c] + i' * b_c + j', with i' and
-    # j' the positions of i and j in the block
-    local = np.arange(d) - first[block]
-    position = columns[block, None] + local[:, None] * np.array(sizes)[block, None]
-    position = position + local
-    full = problem.operator
-    flat = position.ravel()[full.flat]
-    operator = Operator(full.var, flat, full.value, (m, columns[-1]))
-    owner = block[full.flat // d]
+    owner = np.repeat(np.arange(len(sizes)), sizes)[problem.row]
     blocks = []
-    for c, b in enumerate(sizes):
+    for c, (lo, hi) in enumerate(zip(first[:-1], first[1:])):
         mine = owner == c
-        local_operator = Operator(
-            full.var[mine], flat[mine] - columns[c], full.value[mine], (m, b * b)
+        f0 = problem.f0[lo:hi, lo:hi]
+        local = SdpProblem(
+            f0,
+            problem.var[mine],
+            problem.row[mine] - lo,
+            problem.col[mine] - lo,
+            problem.value[mine],
+            problem.c,
         )
-        f0 = problem.f0[first[c] : first[c + 1], first[c] : first[c + 1]]
-        blocks.append(_block(f0, local_operator))
-    return operator, blocks
+        blocks.append(_block(f0, local.operator))
+    return blocks
 
 
 def _schur_matrix(
@@ -451,17 +445,18 @@ def _sym(x: np.ndarray) -> np.ndarray:
 def solve(problem: SdpProblem, tol: float = 1e-9) -> SdpSolution:
     """Run the interior-point iteration until gap and residuals drop below tol."""
     d, m, c = problem.dimension, problem.n_vars, problem.c
-    operator, blocks = _blocks(problem)
+    blocks = _blocks(problem)
     sizes = tuple(len(blk.f0) for blk in blocks)
-    cuts = np.cumsum([b * b for b in sizes])[:-1]
     f0 = [blk.f0 for blk in blocks]
 
     def adjoint(xs: list[np.ndarray]) -> np.ndarray:
-        return operator.adjoint(np.concatenate([x.ravel() for x in xs]))
+        parts = [blk.operator.adjoint(x.ravel()) for blk, x in zip(blocks, xs)]
+        return np.sum(parts, axis=0)
 
     def combination(v: np.ndarray) -> list[np.ndarray]:
-        flat = np.split(operator.combination(v), cuts)
-        return [x.reshape(b, b) for x, b in zip(flat, sizes)]
+        return [
+            blk.operator.combination(v).reshape(b, b) for blk, b in zip(blocks, sizes)
+        ]
 
     y = np.zeros(m)
     s = [x.copy() for x in f0]

@@ -148,16 +148,23 @@ MUTANTS = (
     Mutant(
         "symmetry-ignores-objective",
         "src/mabkcert/npa.py",
-        "    for words in (objective, dict.fromkeys(pins, Fraction(1))):\n",
-        "    for words in (dict.fromkeys(pins, Fraction(1)),):\n",
+        "    for words, at in ((objective, at_objective), (pin_words, at_pins)):\n",
+        "    for words, at in ((pin_words, at_pins),):\n",
         _in("test_npa.py", "test_an_asymmetric_problem_shrinks_the_group"),
     ),
     Mutant(
         "symmetry-ignores-pins",
         "src/mabkcert/npa.py",
-        "    for words in (objective, dict.fromkeys(pins, Fraction(1))):\n",
-        "    for words in (objective,):\n",
+        "    for words, at in ((objective, at_objective), (pin_words, at_pins)):\n",
+        "    for words, at in ((objective, at_objective),):\n",
         _in("test_npa.py", "test_a_one_sided_pin_leaves_only_the_identity"),
+    ),
+    Mutant(
+        "slot-code-ignores-place",
+        "src/mabkcert/npa.py",
+        "    scale = np.where(real, base**place, 0)\n",
+        "    scale = np.where(real, 1, 0)\n",
+        _in("test_npa.py", "test_detected_party_groups[2]"),
     ),
     Mutant(
         "unchecked-variable-map",

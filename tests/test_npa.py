@@ -567,6 +567,9 @@ ORACLE_GROUPS = {
     "n3-level2-pinned": lambda: _lowered(SCENARIO, 2, _key_pairs(3)),
     "one-sided-pin": lambda: _lowered(SCENARIO, 2, [(A0, B2_1)]),
     "extra-basis-word": lambda: _lowered((2, 2, 2), 2, extra_words=[(A0, A1, B0_1)]),
+    # words with two or three letters of one party: places 1 and 2
+    "n3-level3-free": lambda: _lowered((2, 2, 2), 3),
+    "n3-level3-pinned": lambda: _lowered(SCENARIO, 3, _key_pairs(3)),
 }
 
 
@@ -616,6 +619,17 @@ def test_an_asymmetric_problem_shrinks_the_group():
     assert _symmetries(full).variables.order == 192 and found.order == 48
     image, sign = _elements(found)
     assert (image[:, v] == v).all() and (sign[:, v] == 1.0).all()
+
+
+def test_slot_codes_beyond_64_bits_raise_before_any_candidate():
+    # 21 parties of two inputs and one word with two letters of party 0: the
+    # slot codes need 3^42 > 2^63 values, and the 21! party maps are never
+    # walked
+    lowered = _lowered(
+        (2,) * 21, 1, objective={(A0,): Fraction(1)}, extra_words=[(A0, A1)]
+    )
+    with pytest.raises(ValueError, match="64-bit"):
+        _symmetries(lowered)
 
 
 def test_a_tampered_lowering_raises():

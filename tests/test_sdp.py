@@ -434,9 +434,9 @@ def test_schur_matrix_matches_the_dense_formula(monkeypatch, scratch):
         mats.append(block_diag(*parts))
     problem = dense_problem(np.eye(sum(sizes)), mats, np.ones(m))
     assert problem.block_sizes == sizes
-    operator, blocks = sdp._blocks(problem)
+    blocks = sdp._blocks(problem)
     slots = sum(values.size for blk in blocks for *_, values in blk.chunks)
-    assert slots > operator.value.size
+    assert slots > sum(blk.operator.value.size for blk in blocks)
     w, z = [], []
     for b in sizes:
         x, y = rng.normal(size=(2, b, b))
