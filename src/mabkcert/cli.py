@@ -26,38 +26,35 @@ from pathlib import Path
 import numpy as np
 
 from . import blochopt, correlators, mabk, npa
+from .npa import MIN_TOL
 from .sdp import SdpSolverError
 
 SEED_DEFAULT = blochopt.OptimizerConfig().seed
 # Largest --n for mabk-show and theorem1: the expression mabk-show prints has
 # 2^(2*floor(n/2)) terms, fourfold more with every two parties.
 MAX_PARTIES = 10
-# Largest --n for optimize, whose seesaw sweep is O(n) per restart.  The odd-n
-# verdict "within the halved-terms cap" has an absolute tolerance of 1e-6,
-# which the rounding of a value near 2^((n-3)/2) outgrows: with 200 restarts
-# at the default seed the maximum exceeds the cap by about 1e-9 at n = 39, by
-# 1.2e-6 at n = 59 and by 5.3e-6 at n = 63.
-MAX_OPTIMIZE_PARTIES = 40
+# Largest --n for optimize, whose seesaw sweep is O(n) per restart.  The two
+# honest verdicts have a tolerance of HONEST_CAP_RTOL times their target: a
+# correct maximum exceeds 2^((n-3)/2) by at most 4.7e-15 of it for n = 41..60
+# (100 and 200 restarts, default seed), while the absolute excess grows with
+# the cap (1.2e-6 at n = 59).
+MAX_OPTIMIZE_PARTIES = 60
+HONEST_CAP_RTOL = 1e-12
 # Caps sized from the per-unit cost at the largest n: a theorem1 trial takes
-# about 1.4 us at n = 10, an optimize restart about 0.23 ms with --honest and
-# 0.11 ms without at n = 40 (0.06 and 0.04 ms at n = 10).
+# about 1.4 us at n = 10, an optimize restart about 0.29 ms with --honest and
+# 0.16 ms without at n = 60 (0.06 and 0.04 ms at n = 10).
 MAX_TRIALS = 1_000_000
 MAX_RESTARTS = 200
 # theorem1 draws and evaluates its trials in blocks of this many; at n = 10 a
 # block's arrays take about 8 MB, a single draw of every trial 661 MB.
 THEOREM1_BLOCK = 8192
-# npa --tol accepts [MIN_TOL, MAX_TOL].  Smallest: every level-2/3 orbit
-# problem converges at 1e-12 (in 15 or 16 iterations), with one or two BLAS
-# threads.  At 1e-13 the level-3 pinned one fails to factorize at iteration 18,
-# where mu is 5e-15 (the others converge in 16 to 19), and at 1e-14 the level-2
-# pinned one fails too.  Largest: a bound lies up to about the tolerance above
-# the optimum (9.3e-7 at 1e-6 on the level-2 pinned problem), so the verdicts
-# keep a tenfold margin at 1e-6.  At 1e-5 the level-2 pinned bound is 9.3e-6
-# from sqrt(2) against a verdict tolerance of 1e-5; at 1e-4 both level-2
-# verdicts and the unpinned level-3 monotonicity verdict fail; at 0.5 the
-# level-3 pinned report passes with bound 1.85, checked against a level-2
-# bound solved as loosely.
-MIN_TOL = 1e-12
+# npa --tol accepts [MIN_TOL, MAX_TOL]; npa owns the floor MIN_TOL.  Largest:
+# a bound lies up to about the tolerance above the optimum (9.3e-7 at 1e-6 on
+# the level-2 pinned problem), so the verdicts keep a tenfold margin at 1e-6.
+# At 1e-5 the level-2 pinned bound is 9.3e-6 from sqrt(2) against a verdict
+# tolerance of 1e-5; at 1e-4 both level-2 verdicts and the unpinned level-3
+# monotonicity verdict fail; at 0.5 the level-3 pinned report passes with
+# bound 1.85, checked against a level-2 bound solved as loosely.
 MAX_TOL = 1e-6
 EXIT_OK = 0
 EXIT_WRITE = 1
@@ -221,9 +218,9 @@ def cmd_theorem1(n: int, trials: int, seed: int) -> RunReport:
         bobs = rng.normal(size=(size, n - 1, 3))
         bobs /= np.linalg.norm(bobs, axis=-1, keepdims=True)
         blochs = np.insert(bobs, 0, (0.0, 0.0, 1.0), axis=1)  # sigma_z first
-        value = correlators.ghz_expectation_batch(n, blochs)
+        value = correlators.ghz_expectation(n, blochs)
         if n % 2 == 0:
-            value = value - correlators.honest_even_formula(n, bobs[..., 2])
+            value = value - np.prod(bobs[..., 2], axis=-1)
         max_residual = max(max_residual, float(np.abs(value).max()))
     claim = (
         "pinned-key correlators vanish for odd party count"
@@ -267,18 +264,20 @@ def cmd_optimize(n: int, restarts: int, seed: int, honest_flag: bool) -> RunRepo
                 1e-4,
             )
         elif n % 2 == 1:
+            cap = correlators.theorem1_bound(n)
             report.add_verdict(
                 "odd-N pinned-key maximum within the halved-terms cap",
-                correlators.theorem1_bound(n),
+                cap,
                 value,
-                1e-6,
+                HONEST_CAP_RTOL * cap,
                 at_most=True,
             )
+        threshold = correlators.gme_bound(n, n - 1)
         report.add_verdict(
             "pinned-key maximum stays below the GME-certification threshold",
-            correlators.gme_bound(n, n - 1),
+            threshold,
             value,
-            1e-6,
+            HONEST_CAP_RTOL * threshold,
             at_most=True,
         )
     else:

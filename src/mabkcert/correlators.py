@@ -6,9 +6,10 @@ On the N-party GHZ state ``(|0...0> + |1...1>)/sqrt(2)`` the expectation of
     Re prod_i (b_i,x + i b_i,y)  +  [N even] prod_i b_i,z,
 
 the off-diagonal ``<0...0|O|1...1>`` element plus the two diagonal ones.
-``ghz_expectation_batch`` evaluates it in O(N) per point over any leading
-batch axes; ``theorem1`` checks its correlators with it.  A Bloch vector is
-always a float array whose last axis holds (x, y, z).
+``ghz_expectation`` is the package's one product-correlator function: it
+evaluates the closed form in O(N) per point over any leading batch axes, and
+``theorem1`` checks its correlators with it.  A Bloch vector is always a
+float array whose last axis holds (x, y, z).
 
 A settings choice is a float array of shape (..., N, 2, 3) whose entry
 ``[..., i, x]`` is party i's Bloch vector for input x.  ``mabk_value`` and
@@ -22,13 +23,12 @@ party by party, so its values are those of ``mabk_value`` and
 ``mabk_gradient`` bit for bit.  Every operation is elementwise, so a point's
 value does not depend on the batch it is evaluated in.  The term sum (over
 ``mabk.mabk_expression``) and the stabilizer expansion ``tr(rho O) = 2**-N *
-sum_S tr(O S)`` (``identity_free_elements``) are the oracles the tests
-compare against.
+sum_S tr(O S)`` (``identity_free_elements``) stay test oracles: no
+evaluation path uses them.
 
 With the first observable pinned to sigma_z its transverse factor is exactly
 zero, so for odd N every such correlator is exactly ``0.0`` and for even N it
-is exactly the product of the other parties' z-components
-(``honest_even_formula``).
+is exactly the product of the other parties' z-components.
 """
 
 from __future__ import annotations
@@ -53,35 +53,16 @@ def identity_free_elements(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(axes, dtype=np.intp), np.array(signs, dtype=float)
 
 
-def ghz_expectation(n: int, blochs: np.ndarray) -> float:
-    """``< O_1 x ... x O_n >`` on the n-party GHZ state for one (n, 3) array."""
+def ghz_expectation(n: int, blochs: np.ndarray) -> np.ndarray:
+    """``< O_1 x ... x O_n >`` on the n-party GHZ state, batched over the
+    leading axes of an array of shape (..., n, 3) of Bloch vectors."""
     blochs = np.asarray(blochs, dtype=float)
-    if blochs.shape != (n, 3):
-        raise ValueError(f"expected shape ({n}, 3), got {blochs.shape}")
-    return float(ghz_expectation_batch(n, blochs))
-
-
-def ghz_expectation_batch(n: int, blochs: np.ndarray) -> np.ndarray:
-    """Batched expectation for an array of shape (..., n, 3) of Bloch vectors."""
     if blochs.shape[-2:] != (n, 3):
         raise ValueError(f"expected shape (..., {n}, 3), got {blochs.shape}")
     value = np.prod(blochs[..., 0] + 1j * blochs[..., 1], axis=-1).real
     if n % 2 == 0:
         value = value + np.prod(blochs[..., 2], axis=-1)
     return value
-
-
-def honest_even_formula(n: int, bob_z: np.ndarray) -> np.ndarray:
-    """Product over the last axis of the other parties' z-components.
-
-    The even-N value of ``<sigma_z x B_2 x ... x B_n>``, batched over leading axes.
-    """
-    if n % 2 == 1:
-        raise ValueError(f"formula applies to even party counts, got n={n}")
-    bob_z = np.asarray(bob_z, dtype=float)
-    if bob_z.shape[-1:] != (n - 1,):
-        raise ValueError(f"expected {n - 1} z-components, got shape {bob_z.shape}")
-    return np.prod(bob_z, axis=-1)
 
 
 def gme_bound(n: int, m: int) -> float:

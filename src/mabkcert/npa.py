@@ -138,6 +138,12 @@ KEY_INPUT = 2  # the key-generation setting of every party after the first
 # that repeated solves are bit-identical whatever the global generators hold,
 # and pseudo-random, as the weights must be generic (see that docstring).
 GROUP_ALGEBRA_SEED = 0
+# Smallest tol npa_upper_bound accepts: every level-2/3 orbit problem converges
+# at 1e-12 (in 15 or 16 iterations), with one or two BLAS threads.  At 1e-13
+# the level-3 pinned one fails to factorize at iteration 18, where mu is 5e-15
+# (the others converge in 16 to 19), and at 1e-14 the level-2 pinned one
+# fails too.
+MIN_TOL = 1e-12
 
 
 class OperatorLetter(NamedTuple):
@@ -861,9 +867,12 @@ def npa_upper_bound(
 
     The solve runs on the orbits of the signed relabelling group of the
     lowered problem; the certificate is checked on the lowered problem itself.
+    A ``tol`` below ``MIN_TOL`` raises ``ValueError``.
     """
     if level < 2:
         raise ValueError("hierarchy level must be at least 2 for the objective")
+    if not tol >= MIN_TOL:  # NaN too
+        raise ValueError(f"tol must be at least {MIN_TOL}, got {tol}")
     objective = objective_words(mabk_expression(n_parties))
     pins = perfect_correlation_pins(n_parties) if with_constraint else []
     letters = {letter for word in [*objective, *pins] for letter in word}

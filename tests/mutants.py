@@ -132,6 +132,14 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "even-n-drops-the-z-product",
+        "src/mabkcert/correlators.py",
+        "    if n % 2 == 0:\n        value = value + np.prod(blochs[..., 2], axis=-1)\n",
+        "",
+        _in("test_cli.py", "test_theorem1_passes_odd_and_even")
+        + _in("test_correlators.py", "test_even_product_formula"),
+    ),
+    Mutant(
         "skipped-z-averaging",
         "src/mabkcert/npa.py",
         "    z = rows.average(z)\n",
@@ -158,6 +166,16 @@ MUTANTS = (
         "    for words, at in ((objective, at_objective), (pin_words, at_pins)):\n",
         "    for words, at in ((objective, at_objective),):\n",
         _in("test_npa.py", "test_a_one_sided_pin_leaves_only_the_identity"),
+    ),
+    Mutant(
+        "pin-signs-left-free",
+        "src/mabkcert/npa.py",
+        "        np.vstack(equations), np.hstack(bits)[keep].astype(bool)\n",
+        "        equations[0], bits[0][keep].astype(bool)\n",
+        _in(
+            "test_npa.py",
+            "test_random_problems_solve_on_orbits_to_the_unreduced_bound",
+        ),
     ),
     Mutant(
         "slot-code-ignores-place",

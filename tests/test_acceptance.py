@@ -32,7 +32,7 @@ from mabkcert.blochopt import (
     maximize_honest_mabk,
     maximize_unconstrained_mabk,
 )
-from mabkcert.correlators import ghz_expectation, ghz_expectation_batch
+from mabkcert.correlators import ghz_expectation
 from mabkcert.mabk import (
     expected_normalization,
     expected_term_count,
@@ -91,7 +91,7 @@ def test_criterion_1_odd_vanishing():
         blochs = np.concatenate(
             [np.tile([0.0, 0.0, 1.0], (1000, 1, 1)), bobs], axis=1
         )
-        worst = max(worst, float(np.abs(ghz_expectation_batch(n, blochs)).max()))
+        worst = max(worst, float(np.abs(ghz_expectation(n, blochs)).max()))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and elapsed < 10.0
     _report(
@@ -112,7 +112,7 @@ def test_criterion_2_even_product_formula():
         blochs = np.concatenate(
             [np.tile([0.0, 0.0, 1.0], (1000, 1, 1)), bobs], axis=1
         )
-        values = ghz_expectation_batch(n, blochs)
+        values = ghz_expectation(n, blochs)
         products = bobs[:, :, 2].prod(axis=1)
         worst = max(worst, float(np.abs(values - products).max()))
     elapsed = time.perf_counter() - t0

@@ -15,9 +15,7 @@ from conftest import (
 )
 from mabkcert.correlators import (
     ghz_expectation,
-    ghz_expectation_batch,
     gme_bound,
-    honest_even_formula,
     identity_free_elements,
     mabk_gradient,
     mabk_value,
@@ -78,7 +76,7 @@ def term_sum_value(settings_):
     """Oracle for mabk_value: the closed form of every term, weighted and summed."""
     n = settings_.shape[-3]
     inputs, coeffs = term_arrays(n)
-    return ghz_expectation_batch(n, settings_[..., np.arange(n), inputs, :]) @ coeffs
+    return ghz_expectation(n, settings_[..., np.arange(n), inputs, :]) @ coeffs
 
 
 def term_sum_gradient(settings_):
@@ -134,34 +132,25 @@ def test_even_product_formula(rng):
         for _ in range(200):
             bobs = np.array([random_bloch(rng) for _ in range(n - 1)])
             got = ghz_expectation(n, np.vstack([Z, bobs]))
-            want = honest_even_formula(n, bobs[:, 2])
+            want = np.prod(bobs[:, 2])
             assert got == want
 
 
 def test_even_formula_examples(rng):
-    assert honest_even_formula(4, [1.0, 1.0, 1.0]) == 1.0
-    assert honest_even_formula(4, [0.3, 0.0, 0.9]) == 0.0
+    # the pinned-key correlator at even N is the product of the z-components
+    for zs, want in (((1.0, 1.0, 1.0), 1.0), ((0.3, 0.0, 0.9), 0.0)):
+        blochs = [Z] + [bloch_with_z(z, rng) for z in zs]
+        assert ghz_expectation(4, blochs) == want
     blochs = [Z, bloch_with_z(0.5, rng), bloch_with_z(0.6, rng), bloch_with_z(0.7, rng)]
     assert ghz_expectation(4, blochs) == pytest.approx(0.21, abs=1e-12)
-    assert honest_even_formula(4, [0.5, 0.6, 0.7]) == pytest.approx(0.21, abs=1e-15)
-
-
-def test_even_formula_rejects_odd_n():
-    with pytest.raises(ValueError):
-        honest_even_formula(3, [1.0, 1.0])
-
-
-def test_even_formula_is_batched_and_checks_length(rng):
-    bob_z = rng.uniform(-1.0, 1.0, size=(4, 2, 5))
-    assert np.array_equal(honest_even_formula(6, bob_z), np.prod(bob_z, axis=-1))
-    for wrong in ([1.0, 1.0], np.ones((3, 4))):
-        with pytest.raises(ValueError, match="z-components"):
-            honest_even_formula(6, wrong)
 
 
 def test_scalar_expectation_takes_one_bloch_array():
-    assert ghz_expectation(4, np.array([Z] * 4)) == 1.0
-    for wrong in ([Z] * 3, [[Z] * 4]):
+    # one (n, 3) array gives a scalar; leading axes batch, others raise
+    assert ghz_expectation(4, [Z] * 4) == 1.0
+    assert np.shape(ghz_expectation(4, [Z] * 4)) == ()
+    assert np.shape(ghz_expectation(4, [[[Z] * 4] * 3] * 2)) == (2, 3)
+    for wrong in ([Z] * 3, [[Z] * 3] * 2, [Z + (0.0,)] * 4, Z):
         with pytest.raises(ValueError, match="shape"):
             ghz_expectation(4, wrong)
 
@@ -201,7 +190,7 @@ def test_identity_skip_rule_matches_full_expansion_sum(rng):
 def test_batch_evaluation_matches_scalar(rng):
     n = 4
     batch = np.array([[random_bloch(rng) for _ in range(n)] for _ in range(17)])
-    values = ghz_expectation_batch(n, batch)
+    values = ghz_expectation(n, batch)
     for i in range(17):
         assert abs(values[i] - ghz_expectation(n, batch[i])) < 1e-13
 

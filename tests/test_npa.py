@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from conftest import Z, block_diag, ghz_dense, observable_product_matrix, random_bloch
 from mabkcert import npa
@@ -32,6 +32,7 @@ from mabkcert.npa import (
     perfect_correlation_pins,
     reduce_structure,
     relabelling_group,
+    solve_on_orbits,
     symmetry_adapted_bases,
 )
 from mabkcert.sdp import BLOCK_ENTRY_FLOOR, solve, verify_certificate
@@ -709,6 +710,131 @@ def test_four_party_orbit_bound_equals_the_unreduced_solve(pinned):
     assert result.bound == pytest.approx(unreduced, abs=1e-8)
 
 
+# The randomized differential gate: random N=3 level-2 problems through the
+# whole moment pipeline, against the unreduced solve and the brute-force group.
+COEFFICIENTS = [Fraction(s * m, 2) for s in (1, -1) for m in (1, 2, 4)]
+SIGNS = st.sampled_from((1, -1))
+# No shrink phase: every example solves SDPs, and shrinking a failure would
+# take minutes; a failure is reported as drawn.
+RANDOM_GATE = settings(
+    derandomize=True,
+    deadline=None,
+    database=None,
+    phases=(Phase.explicit, Phase.generate),
+)
+
+
+def _letters(scenario):
+    return [OperatorLetter(p, x) for p, count in enumerate(scenario) for x in range(count)]
+
+
+@st.composite
+def random_problems(draw):
+    """The arguments of ``_lowered`` for a random N=3 level-2 problem: 1-6
+    words of up to 3 letters with coefficients in {+-1/2, +-1, +-2}, a random
+    subset of the three key pins, and the scenario pruned to their letters,
+    as npa_upper_bound prunes it."""
+    words = st.lists(st.sampled_from(_letters(SCENARIO)), min_size=1, max_size=3)
+    objective = {
+        canonicalize(word): draw(st.sampled_from(COEFFICIENTS))
+        for word in draw(st.lists(words, min_size=1, max_size=6))
+    }
+    objective.pop((), None)
+    assume(objective)
+    pins = draw(st.lists(st.sampled_from(_key_pairs(3)), unique=True))
+    letters = {letter for word in [*objective, *pins] for letter in word}
+    scenario = tuple(
+        1 + max((l.input for l in letters if l.party == p), default=0)
+        for p in range(3)
+    )
+    return scenario, 2, pins, objective
+
+
+@st.composite
+def relabelled(draw, problem):
+    """``problem``, the arguments of ``_lowered``, under a random signed
+    relabelling: a party permutation, an input permutation per party and a
+    sign per letter, one sign shared by the pinned letters so that every pin
+    keeps the value one."""
+    scenario, level, pins, objective = problem
+    parties = draw(st.permutations(range(3)))
+    inputs = [draw(st.permutations(range(count))) for count in scenario]
+    pinned = {letter for word in pins for letter in word}
+    shared = draw(SIGNS)
+    sign = {l: shared if l in pinned else draw(SIGNS) for l in _letters(scenario)}
+
+    def relabel(word):
+        image = [OperatorLetter(parties[l.party], inputs[l.party][l.input]) for l in word]
+        return math.prod(sign[l] for l in word), canonicalize(image)
+
+    images = {}
+    for word, coefficient in objective.items():
+        s, image = relabel(word)
+        images[image] = s * coefficient
+    return (
+        tuple(scenario[p] for p in np.argsort(parties)),
+        level,
+        [relabel(word)[1] for word in pins],
+        images,
+    )
+
+
+def _orbit_solve(lowered, tol):
+    """npa_upper_bound's group and orbit solve of ``lowered``."""
+    group = _symmetries(lowered)
+    return group, solve_on_orbits(
+        lowered.problem, group.rows, group.variables, tol, {}
+    )
+
+
+@settings(RANDOM_GATE, max_examples=30)
+@given(random_problems())
+def test_random_problems_solve_on_orbits_to_the_unreduced_bound(problem):
+    lowered = _lowered(*problem)
+    _, solution = _orbit_solve(lowered, 1e-8)
+    unreduced = solve(lowered.problem, tol=1e-8)
+    assert solution.bound == pytest.approx(unreduced.bound, abs=1e-7)
+    assert verify_certificate(lowered.problem, solution)
+
+
+@settings(RANDOM_GATE, max_examples=6)
+@given(random_problems())
+def test_random_problems_have_the_brute_force_group(problem):
+    lowered = _lowered(*problem)
+    enumerated = {
+        tuple((l, s, *m) for l, (s, m) in r.items())
+        for r in _relabellings(_symmetries(lowered))
+    }
+    assert enumerated == _brute_force_group(lowered)
+
+
+@settings(RANDOM_GATE, max_examples=15)
+@given(st.data())
+def test_a_random_relabelling_keeps_the_bound_and_the_group_order(data):
+    problem = data.draw(random_problems())
+    lowered, image = _lowered(*problem), _lowered(*data.draw(relabelled(problem)))
+    group, solution = _orbit_solve(lowered, 1e-8)
+    image_group, image_solution = _orbit_solve(image, 1e-8)
+    assert image_group.rows.order == group.rows.order
+    assert image_solution.bound + image.const == pytest.approx(
+        solution.bound + lowered.const, abs=1e-8
+    )
+
+
+@settings(RANDOM_GATE, max_examples=30)
+@given(random_problems())
+def test_random_problems_block_diagonalize_on_orbits(problem):
+    # each symmetry-adapted basis spans an invariant subspace of F0 and of
+    # every orbit basis matrix, the condition the block solve rests on
+    lowered = _lowered(*problem)
+    group = _symmetries(lowered)
+    bases = symmetry_adapted_bases(group.rows)
+    for f in _orbit_basis_matrices(lowered.problem, group.variables):
+        for basis in bases:
+            fq = f @ basis
+            assert np.abs(fq - basis @ (basis.T @ fq)).max() < 1e-12
+
+
 @pytest.fixture(scope="module")
 def four_party_runs():
     """The two N=4 level-2 bounds at the default tolerance."""
@@ -1087,6 +1213,14 @@ def test_strategy_values_never_exceed_the_bound():
 def test_level_must_carry_the_objective():
     with pytest.raises(ValueError, match="at least 2"):
         npa_upper_bound(1, with_constraint=False)
+
+
+def test_a_tol_below_the_floor_raises():
+    # below npa.MIN_TOL some solves fail to factorize near their end, and a
+    # NaN tol fails so too; the floor refuses both before any work
+    for tol in (1e-13, math.nan):
+        with pytest.raises(ValueError, match="tol must be at least"):
+            npa_upper_bound(2, True, tol=tol)
 
 
 def test_four_party_scenario_runs():
