@@ -5,7 +5,8 @@ Usage:
     python scripts/reproduce_paper.py [--fast] [--seed SEED] [--out report.json]
 
 Equivalent to ``mabkcert reproduce-paper --format json`` with the report also
-written to a file.  Exits with the CLI's code (0 = all verdicts pass); a
+written to a file.  Exits with the CLI's code (0 = all verdicts pass, 3 = a
+numerical failure, reported as the CLI reports it, with no report file); a
 ``--seed`` the CLI would refuse, or an ``--out`` that is a directory, lies in a
 missing one or is not writable (an existing file the user may not write, or a
 new file in a directory the user may not write), exits 2 with a message
@@ -16,7 +17,6 @@ before anything runs.  If the report file or stdout still cannot be written
 import argparse
 import os
 import sys
-import time
 from pathlib import Path
 
 from mabkcert import cli
@@ -36,9 +36,9 @@ def main() -> int:
     if not os.access(target, os.W_OK):
         parser.error(f"--out: {target} is not writable")
 
-    t0 = time.perf_counter()
-    report = cli.cmd_reproduce(args.seed, args.fast)
-    report.duration_ms = (time.perf_counter() - t0) * 1e3
+    report = cli.timed_run(lambda: cli.cmd_reproduce(args.seed, args.fast))
+    if report is None:
+        return cli.EXIT_NUMERICAL
     if not cli.write_report(cli.render(report, "json"), args.out):
         return cli.EXIT_WRITE
 

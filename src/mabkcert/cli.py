@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -481,14 +482,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def timed_run(run: Callable[[], RunReport]) -> RunReport | None:
+    """``run()``'s report, timed, or None once a numerical failure is reported."""
     t0 = time.perf_counter()
-    # each run looks its cmd_* up in the module globals at call time, so a
-    # wrapper installed there sees every call
     try:
-        report = args.run(args)
+        report = run()
     except (SdpSolverError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         diagnostics = dict(getattr(exc, "diagnostics", {}))
@@ -498,8 +496,19 @@ def main(argv: list[str] | None = None) -> int:
             diagnostics["trace_tail"] = trace[-TRACE_TAIL:]
         if diagnostics:
             print(f"diagnostics: {diagnostics}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return None
     report.duration_ms = (time.perf_counter() - t0) * 1e3
+    return report
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # each run looks its cmd_* up in the module globals at call time, so a
+    # wrapper installed there sees every call
+    report = timed_run(lambda: args.run(args))
+    if report is None:
+        return EXIT_NUMERICAL
 
     if args.verbose:
         print(

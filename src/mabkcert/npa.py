@@ -77,16 +77,17 @@ basis ``Q_c`` per irreducible type of ``G``'s signed action on the rows, each
 spanning an invariant subspace of every ``F_J`` on which ``F_J`` has, up to
 multiplicity, all its eigenvalues; the other copies of each type have the
 same ones.  The solve therefore runs on the blocks ``Q_c^T F Q_c`` with the
-same feasible set; ``sdp.SdpProblem.restricted`` builds them from the orbit
-problem, and ``sdp.solve`` merges consecutive small blocks into larger solve
-blocks.  Its block dual lifts to ``Z = sum_c Q_c Z_c Q_c^T``, which meets
-each orbit's summed stationarity condition exactly for any bases, as ``<F_J,
-Z> = sum_c <Q_c^T F_J Q_c, Z_c>``: bases that missed an invariant subspace
-could only restrict the dual and loosen the bound.  Averaged over ``G`` as
-``|G|^-1 sum_g P_g^T Z P_g``, ``Z`` stays PSD, keeps ``<F0, Z>`` and meets
-``<F_v, Z> = -c_v`` for every ``v``: the average of ``<F_v, P_g^T Z P_g> =
-sigma_v(g) <F_tau_g(v), Z>`` over ``G`` is ``t_v <F_J, Z> / |J| = -t_v c_J /
-|J| = -c_v``, and for a variable that left the problem the signed terms
+same feasible set.  ``sdp.SdpProblem.restricted`` builds them from the lowered
+problem in one pass, substituting ``y_v = t_v y_o`` as it maps each entry
+through the bases, and ``sdp.solve`` merges consecutive small blocks into
+larger solve blocks.  Its block dual lifts to ``Z = sum_c Q_c Z_c Q_c^T``,
+which meets each orbit's summed stationarity condition exactly for any bases,
+as ``<F_J, Z> = sum_c <Q_c^T F_J Q_c, Z_c>``: bases that missed an invariant
+subspace could only restrict the dual and loosen the bound.  Averaged over
+``G`` as ``|G|^-1 sum_g P_g^T Z P_g``, ``Z`` stays PSD, keeps ``<F0, Z>`` and
+meets ``<F_v, Z> = -c_v`` for every ``v``: the average of ``<F_v, P_g^T Z
+P_g> = sigma_v(g) <F_tau_g(v), Z>`` over ``G`` is ``t_v <F_J, Z> / |J| = -t_v
+c_J / |J| = -c_v``, and for a variable that left the problem the signed terms
 cancel to ``0 = -c_v``.  So the averaged ``Z`` is a certificate for the
 unreduced problem.  The bound is the block solve's own dual objective;
 ``verify_certificate`` and ``certified_upper_bound`` check ``Z`` on the
@@ -107,7 +108,9 @@ the reduction, onto their own; one that also maps every objective word
 ``w`` onto a word whose coefficient is exactly ``sign * c_w`` keeps ``c``.
 Such a relabelling maps ``F0``, the ``F_v`` and ``c`` as above.  Those of
 one party and input permutation differ by sign changes ``K`` that move no
-letter, so ``G`` is held as found: representatives times ``K``.
+letter, so ``G`` is held as found: representatives times ``K``, and ``K`` as
+its GF(2) basis, which the orbits and the group average read alone; only
+``symmetry_adapted_bases``, weighing every element, enumerates ``K``.
 """
 
 from __future__ import annotations
@@ -415,17 +418,18 @@ def lower_to_sdp(
 @dataclass(frozen=True)
 class SignedPermutations:
     """A group of signed permutations as representatives times a group ``K``
-    of sign changes: element ``(e, c)`` is ``P_e D_c``, with ``P_e e_i =
-    sign[e, i] e_{image[e, i]}`` and ``D_c = diag(flips[c])`` (+-1.0), each
-    element once.  Representative 0 and sign change 0 are the identity."""
+    of sign changes, held as its GF(2) basis: element ``(e, c)`` is ``P_e
+    D_c``, with ``P_e e_i = sign[e, i] e_{image[e, i]}`` and ``D_c`` the
+    product of the basis vectors at the set bits of ``c``, each element once;
+    ``(0, 0)`` is the identity."""
 
     image: np.ndarray  # (representatives, k)
     sign: np.ndarray  # (representatives, k)
-    flips: np.ndarray  # (|K|, k)
+    kernel: np.ndarray  # (r, k) bool: the indices each basis vector of K flips
 
     @property
     def order(self) -> int:
-        return len(self.image) * len(self.flips)
+        return len(self.image) << len(self.kernel)
 
     @cached_property
     def orbits(self) -> tuple[np.ndarray, np.ndarray]:
@@ -433,13 +437,13 @@ class SignedPermutations:
         sign_i * x_o``, ``o`` the least member of ``i``'s orbit.  An orbit
         that holds its own negative forces ``x_o = -x_o = 0``; its members get
         the orbit -1 and the sign 0.  That is every orbit reached with both
-        signs, and every index that a sign change flips.  The other orbits are
-        numbered in the order of their least members."""
+        signs, and every index that a basis vector of ``K`` flips.  The other
+        orbits are numbered in the order of their least members."""
         least = self.image.min(axis=0)
         at_least = self.image == least
         plus = (at_least & (self.sign > 0)).any(axis=0)
         minus = (at_least & (self.sign < 0)).any(axis=0)
-        live = ~(plus & minus) & (self.flips > 0).all(axis=0)
+        live = ~(plus & minus) & ~self.kernel.any(axis=0)
         orbit = np.full(len(least), -1)
         orbit[live] = np.unique(least[live], return_inverse=True)[1]
         return orbit, np.where(live, np.where(plus, 1.0, -1.0), 0.0)
@@ -447,13 +451,13 @@ class SignedPermutations:
     def average(self, x: np.ndarray) -> np.ndarray:
         """The group average of ``P_g^T x P_g``.
 
-        ``P_e D_c`` gives ``D_c P_e^T x P_e D_c``, so the average over ``K``
-        is ``mean_c flips[c] flips[c]^T`` times ``P_e^T x P_e`` elementwise,
-        and the group average is that mask times the mean over the
-        representatives.
+        ``P_e D_c`` gives ``D_c P_e^T x P_e D_c``, and the mean over ``K`` of
+        ``D_c(i) D_c(j)`` is 1 where every basis vector flips ``i`` and ``j``
+        alike and 0 elsewhere, so the group average is that mask times the
+        mean over the representatives.
         """
-        image, sign = self.image, self.sign
-        mask = self.flips.T @ self.flips / len(self.flips)
+        image, sign, kernel = self.image, self.sign, self.kernel
+        mask = (kernel[:, :, None] == kernel[:, None, :]).all(axis=0)
         moved = x[image[:, :, None], image[:, None, :]]
         return mask * np.einsum("gi,gij,gj->ij", sign, moved, sign) / len(image)
 
@@ -598,9 +602,9 @@ def relabelling_group(
     change of the kernel.  The actions of those representatives and of the
     kernel's basis go through ``_variable_action``'s check, and each action
     keeps that form: ``SignedPermutations`` of the representatives times the
-    kernel's sign changes, which move no letter, row or variable.  Codes
-    that would not fit in 64 bits raise ``ValueError`` before any candidate
-    is enumerated.
+    kernel, held as its basis, whose sign changes move no letter, row or
+    variable.  Codes that would not fit in 64 bits raise ``ValueError``
+    before any candidate is enumerated.
     """
     basis, d = structure.basis, structure.dimension
     pin_words = dict.fromkeys(pins, Fraction(1))
@@ -679,16 +683,10 @@ def relabelling_group(
     parity = letter_signs.astype(np.intp) @ row_letters.T.astype(np.intp) & 1 == 1
     variables, var_parity = _variable_action(problem, rows, parity)
 
-    # each action from the representatives' images and the sign parities of
-    # the representatives, then of the kernel basis: sign change c sums those
-    # of the basis vectors in combination c
-    combos = np.arange(1 << len(kernel))[:, None] >> np.arange(len(kernel)) & 1
-
+    # each action: the representatives' images and signs, the kernel's parities
     def factored(image: np.ndarray, parity: np.ndarray) -> SignedPermutations:
-        flips = combos @ parity[len(signs) :].astype(np.intp) & 1
-        return SignedPermutations(
-            image[: len(signs)], 1.0 - 2.0 * parity[: len(signs)], 1.0 - 2.0 * flips
-        )
+        n = len(signs)
+        return SignedPermutations(image[:n], 1.0 - 2.0 * parity[:n], parity[n:])
 
     return RelabellingGroup(
         letters,
@@ -725,14 +723,15 @@ def symmetry_adapted_bases(rows: SignedPermutations) -> list[np.ndarray]:
     draws ``8 |G|`` bytes in one call, read as little-endian 64-bit integers
     whose top 53 bits give ``1 + m / 2^53``.  ``numpy.random`` would give the
     same kind of weights but costs the first solve a module import.  The
-    element ``g = P_e D_c`` puts ``r_g s_e(i) flips[c, i]`` at ``(e(i), i)``,
-    so ``A`` is built from one folded weight per representative and index,
-    ``sum_c r_ec flips[c, i]``.  The type of an eigenvector is its eigenvalue
-    under the central element ``C``, the group average of ``P_g^T A P_g``.
-    ``A`` and ``C`` act on each row orbit alone, so both are diagonalized
-    orbit by orbit, all orbits of one size in one stacked call, and every
-    basis vector lives on one orbit.  The elements form a group and the sign
-    changes move no row, so row ``i``'s orbit is ``{e(i)}`` over the
+    element ``g = P_e D_c`` puts ``r_g s_e(i) D_c(i)`` at ``(e(i), i)``, so
+    ``A`` is built from one folded weight per representative and index, ``sum_c
+    r_ec D_c(i)``, each ``D_c`` expanded from ``rows.kernel``: the package's
+    one enumeration of the sign changes.  The type of an eigenvector is its
+    eigenvalue under the central element ``C``, the group average of ``P_g^T A
+    P_g``.  ``A`` and ``C`` act on each row orbit alone, so both are
+    diagonalized orbit by orbit, all orbits of one size in one stacked call,
+    and every basis vector lives on one orbit.  The elements form a group and
+    the sign changes move no row, so row ``i``'s orbit is ``{e(i)}`` over the
     representatives and its least image labels it.  Eigenvalues closer than
     1e-8 of ``A``'s norm bound are taken as equal; the kept eigenspace of each
     type is the one of smallest eigenvalue.
@@ -740,7 +739,9 @@ def symmetry_adapted_bases(rows: SignedPermutations) -> list[np.ndarray]:
     perms, k = rows.image, rows.image.shape[1]
     draw = random.Random(GROUP_ALGEBRA_SEED).randbytes(8 * rows.order)
     weights = (np.frombuffer(draw, dtype="<u8") >> 11) * 2.0**-53 + 1.0
-    folded = weights.reshape(len(perms), -1) @ rows.flips  # r_ec summed over K
+    r = len(rows.kernel)
+    combos = np.arange(1 << r)[:, None] >> np.arange(r) & 1  # c's set bits
+    folded = weights.reshape(len(perms), -1) @ (1.0 - 2.0 * (combos @ rows.kernel & 1))
     a = np.bincount(
         (perms * k + np.arange(k)).ravel(),
         weights=(folded * rows.sign).ravel(),
@@ -772,25 +773,6 @@ def symmetry_adapted_bases(rows: SignedPermutations) -> list[np.ndarray]:
     return sorted(bases, key=lambda q: -q.shape[1])
 
 
-def orbit_problem(problem: SdpProblem, variables: SignedPermutations) -> SdpProblem:
-    """``problem`` with one variable per signed orbit of ``variables``.
-
-    The variables whose orbit holds its own negative, 0 at every fixed
-    point, drop out; every other basis entry's variable ``v`` is relabelled
-    by its orbit, its value times ``v``'s orbit sign ``t_v``, and ``c`` is
-    summed over each orbit with the same signs."""
-    orbit, sign = variables.orbits
-    live = orbit[problem.var] >= 0
-    return SdpProblem(
-        f0=problem.f0,
-        var=orbit[problem.var][live],
-        row=problem.row[live],
-        col=problem.col[live],
-        value=(sign[problem.var] * problem.value)[live],
-        c=np.bincount(orbit[orbit >= 0], weights=(sign * problem.c)[orbit >= 0]),
-    )
-
-
 def _lap(stage_s: dict[str, float], stage: str, start: float) -> float:
     """Record the seconds since ``start`` as ``stage_s[stage]``; return now."""
     now = time.perf_counter()
@@ -809,9 +791,10 @@ def solve_on_orbits(
     blocks; lift the solution back.
 
     ``rows`` and ``variables`` are the group's actions on the rows and on
-    the variables of ``problem``.  ``symmetry_adapted_bases`` splits the
-    ``orbit_problem`` into one block per irreducible type.  Its ``y`` spreads
-    back as ``t_v y_orbit``, 0 on the dropped variables, and its block ``Z``,
+    the variables of ``problem``.  ``SdpProblem.restricted`` takes
+    ``problem`` onto the variable orbits and into one block per irreducible
+    type that ``symmetry_adapted_bases`` finds.  The lift is its inverse:
+    ``y = t_v y_orbit``, 0 on the dropped variables, and the block ``Z``,
     lifted to ``sum_c Q_c Z_c Q_c^T`` and averaged over the group, is a dual
     point of ``problem`` itself (see the module docstring); the bound stays
     the block solve's own.  ``stage_s`` receives the seconds spent on the
@@ -820,11 +803,11 @@ def solve_on_orbits(
     start = time.perf_counter()
     bases = symmetry_adapted_bases(rows)
     start = _lap(stage_s, "bases", start)
-    restricted = orbit_problem(problem, variables).restricted(bases)
+    orbit, sign = variables.orbits
+    restricted = problem.restricted(bases, orbit, sign)
     start = _lap(stage_s, "restriction", start)
     solution = solve(restricted, tol=tol)
     start = _lap(stage_s, "sdp", start)
-    orbit, sign = variables.orbits
     q = np.hstack(bases)
     z = q @ solution.dual_matrix @ q.T
     z = rows.average(z)

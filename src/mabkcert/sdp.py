@@ -57,14 +57,14 @@ into operators, and only ``SdpProblem.operator`` reads them: the ``Operator``
 of shape (m, d*d) whose row ``i`` is ``F_i`` flattened, held as the mirrored
 entries, sorted by variable, with both products one ``np.bincount``: the
 adjoint ``<F_i, X>`` scatters by variable, the combination ``sum_i v_i F_i``
-by position.  ``SdpProblem.restricted`` maps the entries through orthonormal
-bases ``Q_c`` onto the problem whose diagonal blocks hold ``Q_c^T F Q_c``.
-``solve`` merges consecutive blocks of the finest cut into solve blocks of at
-most ``SOLVE_BLOCK_ROWS`` rows, as every block costs a few numpy calls per
-iteration.  Each solve block keeps the ``SdpProblem.operator`` of its own
-entries, of shape (m, b*b), so the adjoint is a sum over the blocks and the
-combination one block at a time, and every iterate is a list of dense
-blocks.  The Schur matrix is a sum over the blocks.  Within a block the
+by position.  ``SdpProblem.restricted`` maps the entries in one pass through
+signed variable orbits and orthonormal bases ``Q_c`` onto blocks ``Q_c^T F
+Q_c``.  ``solve`` merges consecutive blocks of the finest cut into solve
+blocks of at most ``SOLVE_BLOCK_ROWS`` rows, as every block costs a few numpy
+calls per iteration.  Each solve block keeps the ``SdpProblem.operator`` of
+its own entries, of shape (m, b*b), so the adjoint is a sum over the blocks
+and the combination one block at a time, and every iterate is a list of
+dense blocks.  The Schur matrix is a sum over the blocks.  Within a block the
 column of ``F_j`` is ``<F_i, W F_j Z>`` for all ``i`` (Fujisawa, Kojima &
 Nakata 1997), and ``W F_j Z`` is a (b, e) by (e, b) product over the ``e``
 entries of ``F_j`` there.  The columns, sorted by ``e``, are cut into chunks
@@ -181,15 +181,22 @@ class SdpProblem:
         order = np.lexsort((flat, var))
         return Operator(var[order], flat[order], value[order], (self.n_vars, d * d))
 
-    def restricted(self, bases: list[np.ndarray]) -> SdpProblem:
-        """The problem on the spans of ``bases``, one diagonal block each:
-        block ``c`` holds ``Q_c^T F Q_c`` for ``F0`` and every ``F_i``, whose
-        entries below ``BLOCK_ENTRY_FLOOR`` in modulus (rounding left over
-        where the exact entry is zero) are dropped.  With ``Q`` the bases side
-        by side, an entry ``v`` at ``(r, s)`` of ``F_i`` adds
-        ``v (Q[r, a] Q[s, b] + Q[s, a] Q[r, b])``, once if ``r = s``, to the
-        pair ``a <= b`` when ``a`` and ``b`` are columns of one basis; the
-        products run over the nonzeros of ``Q`` alone."""
+    def restricted(
+        self, bases: list[np.ndarray], orbit: np.ndarray, sign: np.ndarray
+    ) -> SdpProblem:
+        """The problem in the orbit variables, ``y_i = sign[i] y'_orbit[i]``
+        (orbit -1 drops ``y_i``) with ``c`` summed per orbit with the same
+        signs, on the spans of ``bases``, one diagonal block each, in one pass
+        over the entries.  Block ``c`` holds ``Q_c^T F Q_c`` for ``F0`` and every
+        orbit matrix ``F'_j``, less its entries below ``BLOCK_ENTRY_FLOOR`` in
+        modulus (the rounding of exact zeros).  With ``Q`` the bases side by
+        side, an entry ``v`` of ``F_i`` at ``(r, s)`` adds ``sign[i] v (Q[r, a]
+        Q[s, b] + Q[s, a] Q[r, b])``, once if ``r = s``, to the pair ``a <= b``
+        of ``F'_orbit[i]`` when ``a`` and ``b`` are columns of one basis; the
+        products run over the nonzeros of ``Q``."""
+        live = orbit[self.var] >= 0
+        var, row, col = orbit[self.var][live], self.row[live], self.col[live]
+        value = (sign[self.var] * self.value)[live]
         q = np.hstack(bases)
         k = q.shape[1]
         block = np.repeat(np.arange(len(bases)), [b.shape[1] for b in bases])
@@ -198,23 +205,23 @@ class SdpProblem:
         per_row = np.bincount(q_row, minlength=self.dimension)
         first = np.cumsum(per_row) - per_row
         # entry e meets each nonzero of Q's row row[e] with each of row col[e]
-        n_row, n_col = per_row[self.row], per_row[self.col]
+        n_row, n_col = per_row[row], per_row[col]
         count = n_row * n_col
         e = np.repeat(np.arange(len(count)), count)
         nth = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-        at_row = first[self.row][e] + nth // n_col[e]
-        at_col = first[self.col][e] + nth % n_col[e]
+        at_row = first[row][e] + nth // n_col[e]
+        at_col = first[col][e] + nth % n_col[e]
         a, b = q_col[at_row], q_col[at_col]
         # (a, b) takes v Q[r, a] Q[s, b] from the product (a, b) and
         # v Q[s, a] Q[r, b] from the product (b, a): every product folds onto
         # (min, max), counts twice if a = b, and half for an entry on the
         # diagonal, whose two terms are one
-        half = np.where(self.row == self.col, 0.5, 1.0)[e]
-        terms = np.where(a == b, 2.0, 1.0) * half * self.value[e]
+        half = np.where(row == col, 0.5, 1.0)[e]
+        terms = np.where(a == b, 2.0, 1.0) * half * value[e]
         terms *= q_value[at_row] * q_value[at_col]
         same = block[a] == block[b]
         lo, hi = np.minimum(a, b)[same], np.maximum(a, b)[same]
-        key = (self.var[e][same].astype(np.int64) * k + lo) * k + hi
+        key = (var[e][same].astype(np.int64) * k + lo) * k + hi
         keys, inverse = np.unique(key, return_inverse=True)
         sums = np.bincount(inverse, terms[same], minlength=len(keys))
         kept = np.abs(sums) > BLOCK_ENTRY_FLOOR
@@ -226,7 +233,7 @@ class SdpProblem:
             row=row,
             col=col,
             value=sums[kept],
-            c=self.c,
+            c=np.bincount(orbit[orbit >= 0], weights=(sign * self.c)[orbit >= 0]),
         )
 
 

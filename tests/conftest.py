@@ -1,10 +1,17 @@
+import os
 from fractions import Fraction
 
-import numpy as np
-import pytest
+# One BLAS thread, as the benchmark runs: set before numpy loads, here and in
+# the CLI processes the tests start, which inherit it.  A threaded BLAS spends
+# more CPU on these small matrices than it saves in wall time.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from mabkcert.mabk import BitString
-from mabkcert.stabilizer import ghz_expansion
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from mabkcert.mabk import BitString  # noqa: E402
+from mabkcert.stabilizer import ghz_expansion  # noqa: E402
 
 # A Bloch vector is a float array (x, y, z); Z is sigma_z's.
 Z = (0.0, 0.0, 1.0)

@@ -216,15 +216,14 @@ MUTANTS = (
     Mutant(
         "sign-kernel-skipped",
         "src/mabkcert/npa.py",
-        "    combos = np.arange(1 << len(kernel))[:, None] >> np.arange(len(kernel))"
-        " & 1\n",
-        "    combos = np.zeros((1, len(kernel)), dtype=np.intp)\n",
+        "image[:n], 1.0 - 2.0 * parity[:n], parity[n:])",
+        "image[:n], 1.0 - 2.0 * parity[:n], parity[n:n])",
         _in("test_npa.py", "test_signed_relabelling_group_orders[n3-level2-free]"),
     ),
     Mutant(
         "self-negated-class-kept",
         "src/mabkcert/npa.py",
-        "        live = ~(plus & minus) & (self.flips > 0).all(axis=0)\n",
+        "        live = ~(plus & minus) & ~self.kernel.any(axis=0)\n",
         "        live = plus | minus\n",
         _in(
             "test_npa.py",
@@ -234,7 +233,7 @@ MUTANTS = (
     Mutant(
         "flipped-class-kept",
         "src/mabkcert/npa.py",
-        "        live = ~(plus & minus) & (self.flips > 0).all(axis=0)\n",
+        "        live = ~(plus & minus) & ~self.kernel.any(axis=0)\n",
         "        live = ~(plus & minus)\n",
         _in(
             "test_npa.py",
@@ -274,6 +273,16 @@ MUTANTS = (
         _in(
             "test_npa.py",
             "test_orbit_solve_runs_on_the_irreducible_blocks[n3-level3-pinned]",
+        ),
+    ),
+    Mutant(
+        "restriction-ignores-orbit-signs",
+        "src/mabkcert/sdp.py",
+        "        value = (sign[self.var] * self.value)[live]\n",
+        "        value = self.value[live]\n",
+        _in(
+            "test_npa.py",
+            "test_restricted_blocks_are_the_dense_products[n3-level2-free]",
         ),
     ),
     Mutant(

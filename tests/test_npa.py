@@ -28,14 +28,18 @@ from mabkcert.npa import (
     lower_to_sdp,
     npa_upper_bound,
     objective_words,
-    orbit_problem,
     perfect_correlation_pins,
     reduce_structure,
     relabelling_group,
     solve_on_orbits,
     symmetry_adapted_bases,
 )
-from mabkcert.sdp import BLOCK_ENTRY_FLOOR, solve, verify_certificate
+from mabkcert.sdp import (
+    BLOCK_ENTRY_FLOOR,
+    certified_upper_bound,
+    solve,
+    verify_certificate,
+)
 
 A0 = OperatorLetter(0, 0)
 A1 = OperatorLetter(0, 1)
@@ -472,10 +476,17 @@ def _symmetries(lowered, problem=None):
 
 def _elements(perms):
     """Every element of the group ``perms``, one a row: representative ``e``
-    times sign change ``c`` at row ``e * len(perms.flips) + c``, its image and
-    its sign."""
-    image = np.repeat(perms.image, len(perms.flips), axis=0)
-    sign = (perms.sign[:, None, :] * perms.flips).reshape(image.shape)
+    times sign change ``c`` at row ``e * 2^r + c``, its image and its sign,
+    for a kernel basis of ``r`` vectors; sign change ``c`` is the product of
+    the basis vectors at the set bits of ``c``."""
+    r, k = perms.kernel.shape
+    flips = np.ones((1 << r, k))
+    for c in range(1 << r):
+        for j in range(r):
+            if c >> j & 1:
+                flips[c] *= np.where(perms.kernel[j], -1.0, 1.0)
+    image = np.repeat(perms.image, len(flips), axis=0)
+    sign = (perms.sign[:, None, :] * flips).reshape(image.shape)
     return image, sign
 
 
@@ -795,6 +806,8 @@ def test_random_problems_solve_on_orbits_to_the_unreduced_bound(problem):
     unreduced = solve(lowered.problem, tol=1e-8)
     assert solution.bound == pytest.approx(unreduced.bound, abs=1e-7)
     assert verify_certificate(lowered.problem, solution)
+    margin = certified_upper_bound(lowered.problem, solution) - solution.bound
+    assert 0.0 <= margin < CERTIFIED_MARGIN
 
 
 @settings(RANDOM_GATE, max_examples=6)
@@ -825,7 +838,8 @@ def test_a_random_relabelling_keeps_the_bound_and_the_group_order(data):
 @given(random_problems())
 def test_random_problems_block_diagonalize_on_orbits(problem):
     # each symmetry-adapted basis spans an invariant subspace of F0 and of
-    # every orbit basis matrix, the condition the block solve rests on
+    # every orbit basis matrix, the condition the block solve rests on, and
+    # one copy of each irreducible type
     lowered = _lowered(*problem)
     group = _symmetries(lowered)
     bases = symmetry_adapted_bases(group.rows)
@@ -833,6 +847,7 @@ def test_random_problems_block_diagonalize_on_orbits(problem):
         for basis in bases:
             fq = f @ basis
             assert np.abs(fq - basis @ (basis.T @ fq)).max() < 1e-12
+    _irreducible_dimensions(group.rows, bases)
 
 
 @pytest.fixture(scope="module")
@@ -872,6 +887,24 @@ def _orbit_basis_matrices(problem, variables):
     ]
 
 
+def _irreducible_dimensions(rows, bases):
+    """The dimension ``d`` of each basis's irreducible type, checked: the
+    group moves a basis of width ``w`` through ``d`` copies of its type,
+    which span ``d w`` dimensions, and those spans add up to the row count."""
+    spans = []
+    for basis in bases:
+        images = []
+        for image, signs in zip(*_elements(rows)):
+            moved = np.empty_like(basis)
+            moved[image] = basis * signs[:, None]
+            images.append(moved)
+        spans.append(np.linalg.matrix_rank(np.hstack(images), tol=1e-9))
+    dims = [span // basis.shape[1] for span, basis in zip(spans, bases)]
+    assert [d * basis.shape[1] for d, basis in zip(dims, bases)] == spans
+    assert sum(spans) == rows.image.shape[1]
+    return dims
+
+
 # scenario, level, pins and the dimensions of the irreducible types of the
 # signed relabelling group's action on the rows
 DECOMPOSITION_CASES = {
@@ -896,7 +929,7 @@ def _dense_entries(problem, weights):
 
 
 # the group order, and the representatives each action holds one row for;
-# the sign changes are the rest, 8 in every case
+# the sign changes are the rest, 8 in every case, held as a basis of 3
 GROUP_ORDERS = {
     "n3-level2-pinned": (32, 4),
     "n3-level2-free": (192, 24),
@@ -909,10 +942,10 @@ GROUP_ORDERS = {
 
 @pytest.mark.parametrize("case", GROUP_ORDERS)
 def test_signed_relabelling_group_orders(case):
-    # each action holds one row per representative and one per sign change,
-    # not one per element; the elements are distinct, the identity comes
-    # first, and at N=3 every product of two elements is an element: the
-    # enumeration is a group
+    # each action holds one row per representative and one per basis vector
+    # of the sign changes, not one per element; the elements are distinct,
+    # the identity comes first, and at N=3 every product of two elements is
+    # an element: the enumeration is a group
     scenario, level, pins, _ = DECOMPOSITION_CASES[case]
     group = _symmetries(_lowered(scenario, level, pins))
     order, representatives = GROUP_ORDERS[case]
@@ -920,8 +953,7 @@ def test_signed_relabelling_group_orders(case):
         assert action.order == order
         assert action.image.shape == action.sign.shape
         assert action.image.shape[0] == representatives
-        assert action.flips.shape == (order // representatives, action.image.shape[1])
-        assert (action.flips[0] == 1.0).all()
+        assert action.kernel.shape == (3, action.image.shape[1])
     image, sign = _elements(group.on_letters)
     signed = image * sign.astype(int) + 0.5 * sign
     assert len(np.unique(signed, axis=0)) == order
@@ -1015,42 +1047,34 @@ def test_symmetry_adapted_bases_block_diagonalize_the_orbit_problem(case):
         for basis in bases:
             fq = f @ basis
             assert np.abs(fq - basis @ (basis.T @ fq)).max() < 1e-12
-    # the group moves each basis through d copies of its type, d the
-    # dimension of the irreducible representation; together they span all rows
-    spans = []
-    for basis in bases:
-        images = []
-        for rows, signs in zip(*_elements(group.rows)):
-            image = np.empty_like(basis)
-            image[rows] = basis * signs[:, None]
-            images.append(image)
-        spans.append(np.linalg.matrix_rank(np.hstack(images), tol=1e-9))
-    dims = [span // basis.shape[1] for span, basis in zip(spans, bases)]
-    assert [d * basis.shape[1] for d, basis in zip(dims, bases)] == spans
-    assert sum(spans) == problem.dimension
-    assert set(dims) == irrep_dimensions
+    assert set(_irreducible_dimensions(group.rows, bases)) == irrep_dimensions
 
 
 @pytest.mark.parametrize("case", DECOMPOSITION_CASES)
 def test_restricted_blocks_are_the_dense_products(case):
-    # block c of the restricted problem holds Q_c^T F Q_c for F0 and, through
-    # random weights w_v, for sum_v w_v F_v; nothing lies outside the blocks
+    # block c of the restricted problem holds Q_c^T F Q_c for F0 and for each
+    # signed orbit matrix sum_v t_v F_v, c sums over each orbit with the same
+    # signs, and nothing lies outside the blocks
     scenario, level, pins, _ = DECOMPOSITION_CASES[case]
     lowered = _lowered(scenario, level, pins)
-    group = _symmetries(lowered)
-    orbits = orbit_problem(lowered.problem, group.variables)
+    problem, group = lowered.problem, _symmetries(lowered)
     bases = symmetry_adapted_bases(group.rows)
-    restricted = orbits.restricted(bases)
-    weights = np.random.default_rng(3).normal(size=orbits.n_vars)
-    dense, blocks = _dense_entries(orbits, weights), _dense_entries(restricted, weights)
+    orbit, sign = group.variables.orbits
+    restricted = problem.restricted(bases, orbit, sign)
+    n_orbits = orbit.max() + 1
+    assert restricted.n_vars == n_orbits
     sizes = [q.shape[1] for q in bases]
     assert restricted.dimension == sum(sizes)
     block = np.repeat(np.arange(len(bases)), sizes)
     assert np.array_equal(block[restricted.row], block[restricted.col])
-    for f, restricted_f in [(orbits.f0, restricted.f0), (dense, blocks)]:
+    blocks = [restricted.f0] + [
+        _dense_entries(restricted, np.eye(n_orbits)[o]) for o in range(n_orbits)
+    ]
+    for f, restricted_f in zip(_orbit_basis_matrices(problem, group.variables), blocks):
         expected = block_diag(*[q.T @ f @ q for q in bases])
         assert np.allclose(restricted_f, expected, rtol=0.0, atol=1e-12)
-    assert np.array_equal(restricted.c, orbits.c)
+    c = [sign[orbit == o] @ problem.c[orbit == o] for o in range(n_orbits)]
+    assert np.array_equal(restricted.c, c)
     assert (np.abs(restricted.value) > BLOCK_ENTRY_FLOOR).all()
 
 
@@ -1085,13 +1109,14 @@ def test_orbit_solve_runs_on_the_irreducible_blocks(
     group = _symmetries(lowered)
     bases = symmetry_adapted_bases(group.rows)
     assert tuple(q.shape[1] for q in bases) == types
-    cut = orbit_problem(lowered.problem, group.variables).restricted(bases).block_sizes
+    cut = lowered.problem.restricted(bases, *group.variables.orbits).block_sizes
     assert set(np.cumsum(types)) <= set(np.cumsum(cut))
     assert result.solution.block_sizes == solve_blocks
 
 
 def test_symmetry_adapted_bases_of_the_trivial_group_are_the_identity():
-    trivial = SignedPermutations(np.arange(4)[None], np.ones((1, 4)), np.ones((1, 4)))
+    no_kernel = np.zeros((0, 4), dtype=bool)
+    trivial = SignedPermutations(np.arange(4)[None], np.ones((1, 4)), no_kernel)
     assert [b.tolist() for b in symmetry_adapted_bases(trivial)] == [
         np.eye(4).tolist()
     ]

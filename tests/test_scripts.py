@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from mabkcert import cli
+from mabkcert.sdp import SdpSolverError
 
 ROOT = Path(__file__).resolve().parent.parent
 NEEDS_DEV_FULL = pytest.mark.skipif(
@@ -202,3 +203,26 @@ def test_reproduce_script_refuses_a_read_only_out(
     )
     if read_only == "file":
         assert out.read_text() == "old\n"
+
+
+def test_reproduce_script_exits_3_on_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    # a solver breakdown ends as the CLI ends it: exit 3, the failure and the
+    # last trace rows on stderr, no traceback and no report file
+    rows = tuple((float(i),) * 7 for i in range(34))
+
+    def breakdown(*args):
+        raise SdpSolverError("synthetic breakdown", {"iteration": 34, "trace": rows})
+
+    main = runpy.run_path(str(ROOT / "scripts" / "reproduce_paper.py"))["main"]
+    monkeypatch.setattr(cli, "cmd_reproduce", breakdown)
+    out = tmp_path / "report.json"
+    argv = ["reproduce_paper.py", "--fast", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert main() == cli.EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "numerical failure: synthetic breakdown" in captured.err
+    assert "'trace_rows': 34" in captured.err
+    assert captured.err.count("(3") == 3  # rows 31, 32 and 33 start with their index
+    assert "(30.0" not in captured.err and "(0.0" not in captured.err
+    assert not out.exists()
