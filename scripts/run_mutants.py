@@ -10,7 +10,7 @@ directory, and its killers run there under pytest.  The killers first run on
 an unmutated copy, so a kill means the edit, not a broken test.  One line per
 mutant; exits 1 if a killer fails on the unmutated copy, if a mutant survives
 (its killers all pass) or if pytest cannot run them, 2 on an unknown NAME,
-else 0.  About 2 minutes for the thirty-three mutants on two cores; not
+else 0.  About 2 minutes for the thirty-four mutants on two cores; not
 part of Tier-1.
 """
 

@@ -23,12 +23,13 @@ unchanged:
 Letters are Hermitian dichotomic operator symbols; words canonicalize by
 stable-sorting letters by party (different parties commute) and cancelling
 adjacent equal letters (squares are the identity).  The moment matrix over a
-monomial basis has entry class ``canonicalize(reverse(u) . v)``; classes are
-additionally identified under word reversal, which is valid for the real
-symmetric relaxation and can only loosen the bound.  ``class_of`` is the only
-record of the classes: ``MomentMatrixStructure.class_id`` reads a word's class
-off the entry of its two halves, and the objective and the pins look their
-words up through it.
+monomial basis has entry class ``canonicalize(reverse(u) . v)``.  Entry
+``(v, u)`` is the reversal of entry ``(u, v)``, so identifying each word with
+its reversal is the symmetry of the real moment matrix, valid for the real
+symmetric relaxation, where it can only loosen the bound; the build reads it
+off the transposed code.  ``class_of`` is the only record of the classes:
+``MomentMatrixStructure.class_id`` reads a word's class off the entry of its
+two halves, and the objective and the pins look their words up through it.
 
 Perfect correlations in the key settings are the statement that the operator
 
@@ -252,16 +253,15 @@ def build_moment_structure(monomials: list[Word]) -> MomentMatrixStructure:
 
     A canonical word is the concatenation of its per-party sub-words, so the
     entry ``canonicalize(reverse(u) . v)`` is, party by party, the reduced
-    product ``reverse(u_p) . v_p``, and its canonical reversal reverses each
-    product.  Each pair of distinct sub-words is reduced once; the per-party
-    products combine into mixed-radix codes of the entry word and of its
-    reversal, and the smaller code names the class.
+    product ``reverse(u_p) . v_p``, and entry ``(v, u)`` is its canonical
+    reversal.  Each pair of sub-words is reduced once; the per-party products
+    combine into one mixed-radix code of the entry words, whose transpose
+    codes their reversals, and the smaller of the two names the class.
     """
     if not monomials or monomials[0] != ():
         raise ValueError("monomial list must contain the identity first")
     d = len(monomials)
-    code = np.zeros(d * d, dtype=np.int64)
-    rev_code = np.zeros(d * d, dtype=np.int64)
+    code = np.zeros((d, d), dtype=np.int64)
     radix = 1
     tables, indices = _subwords(monomials, _n_parties(monomials))
     for subwords, index in zip(tables, indices.T):
@@ -271,17 +271,13 @@ def build_moment_structure(monomials: list[Word]) -> MomentMatrixStructure:
             for t, b in subwords.items():
                 word = canonicalize(tuple(reversed(s)) + t)
                 table[a, b] = products.setdefault(word, len(products))
-                products.setdefault(tuple(reversed(word)), len(products))
-        reverse = np.array([products[tuple(reversed(w))] for w in products])
-        entry = table[np.ix_(index, index)].ravel()
-        code += radix * entry
-        rev_code += radix * reverse[entry]
+        code += radix * table[np.ix_(index, index)]
         radix *= len(products)
         if radix > np.iinfo(np.int64).max:
             raise ValueError("too many distinct entry words for 64-bit codes")
 
     _, first, inverse = np.unique(
-        np.minimum(code, rev_code), return_index=True, return_inverse=True
+        np.minimum(code, code.T), return_index=True, return_inverse=True
     )
     order = np.argsort(first)  # the classes in order of first appearance
     rank = np.empty_like(order)

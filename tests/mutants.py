@@ -140,6 +140,17 @@ MUTANTS = (
         + _in("test_correlators.py", "test_even_product_formula"),
     ),
     Mutant(
+        "reversal-not-identified",
+        "src/mabkcert/npa.py",
+        "np.minimum(code, code.T)",
+        "code",
+        _in(
+            "test_npa.py",
+            "test_array_builder_matches_the_loop_oracle",
+            "test_structure_diagonal_and_symmetry",
+        ),
+    ),
+    Mutant(
         "skipped-z-averaging",
         "src/mabkcert/npa.py",
         "    z = rows.average(z)\n",
